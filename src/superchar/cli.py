@@ -1,9 +1,10 @@
 """Command-line surface: frobenius, classify, char, schur, verify, fock.
 
-Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-error.  --json switches every subcommand to machine-readable output.  The
-environment variable SUPERCHAR_MAX_DEG caps truncation degrees as a safety
-rail against accidentally huge expansions.
+Exit codes: 0 success / all checks pass, 1 verification failure (including
+a character that does not decompose), 2 usage error.  --json switches every
+subcommand to machine-readable output.  The environment variable
+SUPERCHAR_MAX_DEG caps truncation degrees as a safety rail against
+accidentally huge expansions.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import fock, hwclassify, laurentchars, superschur
+from . import fock, hwclassify, laurentchars, superschur, symring
 from .partitions import (
     Partition,
     from_frobenius,
@@ -51,6 +52,17 @@ class UsageError(Exception):
 
 def _max_deg() -> int:
     return int(os.environ.get("SUPERCHAR_MAX_DEG", "12"))
+
+
+def half_size(text: str) -> int:
+    """Argparse type: a non-negative multiple of 1/2 such as "3/2", returned doubled."""
+    try:
+        val = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if val < 0 or (2 * val).denominator != 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative multiple of 1/2")
+    return int(2 * val)
 
 
 def _check_deg(deg: int):
@@ -158,6 +170,10 @@ def _verify_cases(args):
     if args.deg is not None:
         _check_deg(args.deg)
         params["D"] = args.deg
+    missing = [p for p in superschur.IDENTITY_PARAMS.get(args.identity, ()) if p not in params]
+    if missing:
+        flags = ", ".join("--deg" if p == "D" else f"--{p}" for p in missing)
+        raise UsageError(f"--identity {args.identity} needs {flags}")
     return [(args.identity, params)]
 
 
@@ -196,9 +212,8 @@ def cmd_fock(args) -> int:
         d = int(args.space)
         space = fock.Space("gl" if args.algebra == "gl" else "A", d)
         default_algebra = {"gl": "gl", "A": "A", "C": "C", "D": "Deven"}.get(args.algebra, "C")
-    cutoff2 = int(2 * Fraction(args.cutoff))
     if args.action == "character":
-        ch = fock.fock_character(space, cutoff2)
+        ch = fock.fock_character(space, args.cutoff2)
         out = []
         for (z, eps), wmonos in sorted(ch.items()):
             for wm, c in sorted(wmonos.items()):
@@ -210,13 +225,10 @@ def cmd_fock(args) -> int:
                 print(row)
         return 0
     if args.action == "decompose":
-        dec = fock.duality_decompose(space, default_algebra, cutoff2)
+        dec = fock.duality_decompose(space, default_algebra, args.cutoff2)
         report = []
         for lam in sorted(dec, key=lambda l: l.parts):
-            series = {}
-            for wm, c in dec[lam].items():
-                e2 = fock.wmono_energy2(wm)
-                series[e2] = series.get(e2, 0) + c
+            series = symring.energy_series(dec[lam])
             report.append(
                 {
                     "lambda": list(lam.parts),
@@ -230,8 +242,7 @@ def cmd_fock(args) -> int:
                 print(f"lambda={row['lambda']}  graded dims {row['graded_dim']}")
         return 0
     if args.action == "gram":
-        energy2 = int(2 * Fraction(args.energy))
-        basis, mat = fock.gram_matrix(space, energy2, args.conjugation)
+        basis, mat = fock.gram_matrix(space, args.energy2, args.conjugation)
         minors = fock.leading_principal_minors(mat)
         posdef = all(m > 0 for m in minors)
         if args.json:
@@ -312,8 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True, help='"1", "2", or "1+1/2" style d or d+1/2')
     p.add_argument("--action", required=True, choices=["decompose", "gram", "character", "hwv"])
     p.add_argument("--algebra", default="C", choices=["gl", "A", "C", "D"])
-    p.add_argument("--cutoff", default="2", help="energy cutoff (may be half-integral)")
-    p.add_argument("--energy", default="1", help="gram matrix level")
+    p.add_argument("--cutoff", dest="cutoff2", type=half_size, default="2", metavar="CUTOFF",
+                   help="energy cutoff, a non-negative multiple of 1/2")
+    p.add_argument("--energy", dest="energy2", type=half_size, default="1", metavar="ENERGY",
+                   help="gram matrix level, a non-negative multiple of 1/2")
     p.add_argument("--conjugation", default="signed", choices=["signed", "naive", "paper"])
     p.add_argument("--hw", default="[0]", help="partition label for hwv")
     p.add_argument("--variant", default="X", choices=["X", "Xt"])
@@ -330,6 +343,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except laurentchars.DecompositionError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .infmat import SuperMatrix, fmt_half, parity
-from .partitions import GeneralizedPartition, Partition, bar_conjugate, split_signs, transpose
-from .laurentchars import GroupTag, char_group
+from .partitions import GeneralizedPartition, Partition, split_signs, transpose
+from .laurentchars import GroupTag, decompose_graded
+from .symring import WeightMono, wmono_energy2  # noqa: F401  (wmono_energy2 re-exported)
 
 PSI_P, PSI_M, GAM_P, GAM_M, PHI, CHI = range(6)
 FIELD_NAMES = ("p+", "p-", "g+", "g-", "phi", "chi")
@@ -287,10 +288,6 @@ class RealizedOp:
         return self + other * -1
 
 
-def apply_operator(op: RealizedOp, vec: FockVector) -> FockVector:
-    return op.apply(vec)
-
-
 def _normal_pair(space: Space, a: Mode, b: Mode) -> tuple[int, tuple[Mode, Mode]]:
     """:ab: as a signed ordered product (annihilators act first)."""
     if not space.is_creation(b):
@@ -437,68 +434,30 @@ def realize_E(space: Space, i: int, j: int, cutoff2: int) -> RealizedOp:
     return _op(space, entries)
 
 
-def realize_sp_plus(space: Space, i: int, j: int, cutoff2: int) -> RealizedOp:
-    one = Fraction(1)
+# Bilinear group generators: sum over n > 0 of s_lo :a_{-n} b_n: + s_hi :a_n b_{-n}:,
+# once for a fermionic field pair (n integral) and once for a bosonic one (n
+# half-integral).  Rows are ((a, b, s_lo, s_hi) fermionic, (a, b, s_lo, s_hi) bosonic).
+# "so+vec", the extra so(2d+1) raising generator on the d+1/2 space, pairs the
+# colourless phi/chi with colour i; it is written in the same phi -> -phi gauge
+# as the te realization, so its chi-gamma terms carry the opposite sign to the
+# printed form.
+PAIR_GENERATORS = {
+    "sp+": ((PSI_P, PSI_P, 1, -1), (GAM_P, GAM_P, 1, 1)),
+    "sp-": ((PSI_M, PSI_M, 1, -1), (GAM_M, GAM_M, -1, -1)),
+    "so+": ((PSI_P, PSI_P, 1, 1), (GAM_P, GAM_P, 1, -1)),
+    "so-": ((PSI_M, PSI_M, 1, 1), (GAM_M, GAM_M, -1, 1)),
+    "so+vec": ((PHI, PSI_P, 1, 1), (CHI, GAM_P, 1, -1)),
+}
+
+
+def _pair_generator(space: Space, descriptor: str, colors: tuple[int, ...], cutoff2: int) -> RealizedOp:
+    """sp+/sp-/so+/so- take colours (i, j); so+vec takes (i,)."""
+    ca, cb = (0, *colors) if descriptor == "so+vec" else colors
     entries = []
-    for n2 in range(2, cutoff2 + 1, 2):
-        entries.append((one, (PSI_P, i, -n2), (PSI_P, j, n2)))
-        entries.append((-one, (PSI_P, i, n2), (PSI_P, j, -n2)))
-    for r2 in range(1, cutoff2 + 1, 2):
-        entries.append((one, (GAM_P, i, -r2), (GAM_P, j, r2)))
-        entries.append((one, (GAM_P, i, r2), (GAM_P, j, -r2)))
-    return _op(space, entries)
-
-
-def realize_so_plus(space: Space, i: int, j: int, cutoff2: int) -> RealizedOp:
-    one = Fraction(1)
-    entries = []
-    for n2 in range(2, cutoff2 + 1, 2):
-        entries.append((one, (PSI_P, i, -n2), (PSI_P, j, n2)))
-        entries.append((one, (PSI_P, i, n2), (PSI_P, j, -n2)))
-    for r2 in range(1, cutoff2 + 1, 2):
-        entries.append((one, (GAM_P, i, -r2), (GAM_P, j, r2)))
-        entries.append((-one, (GAM_P, i, r2), (GAM_P, j, -r2)))
-    return _op(space, entries)
-
-
-def realize_sp_minus(space: Space, i: int, j: int, cutoff2: int) -> RealizedOp:
-    one = Fraction(1)
-    entries = []
-    for n2 in range(2, cutoff2 + 1, 2):
-        entries.append((one, (PSI_M, i, -n2), (PSI_M, j, n2)))
-        entries.append((-one, (PSI_M, i, n2), (PSI_M, j, -n2)))
-    for r2 in range(1, cutoff2 + 1, 2):
-        entries.append((-one, (GAM_M, i, -r2), (GAM_M, j, r2)))
-        entries.append((-one, (GAM_M, i, r2), (GAM_M, j, -r2)))
-    return _op(space, entries)
-
-
-def realize_so_minus(space: Space, i: int, j: int, cutoff2: int) -> RealizedOp:
-    one = Fraction(1)
-    entries = []
-    for n2 in range(2, cutoff2 + 1, 2):
-        entries.append((one, (PSI_M, i, -n2), (PSI_M, j, n2)))
-        entries.append((one, (PSI_M, i, n2), (PSI_M, j, -n2)))
-    for r2 in range(1, cutoff2 + 1, 2):
-        entries.append((-one, (GAM_M, i, -r2), (GAM_M, j, r2)))
-        entries.append((one, (GAM_M, i, r2), (GAM_M, j, -r2)))
-    return _op(space, entries)
-
-
-def realize_so_plus_vec(space: Space, i: int, cutoff2: int) -> RealizedOp:
-    """The extra so(2d+1) raising generator on the d+1/2 space.
-
-    Written in the same phi -> -phi gauge as the te realization, so the
-    chi-gamma terms carry the opposite sign to the printed form.
-    """
-    one = Fraction(1)
-    entries = []
-    for n2 in range(2, cutoff2 + 1, 2):
-        entries.append((one, (PHI, 0, -n2), (PSI_P, i, n2)))
-        entries.append((one, (PHI, 0, n2), (PSI_P, i, -n2)))
-    for r2 in range(1, cutoff2 + 1, 2):
-        entries.append((one, (CHI, 0, -r2), (GAM_P, i, r2)))
-        entries.append((-one, (CHI, 0, r2), (GAM_P, i, -r2)))
+    for (fa, fb, s_lo, s_hi), start in zip(PAIR_GENERATORS[descriptor], (2, 1)):
+        for n2 in range(start, cutoff2 + 1, 2):
+            entries.append((s_lo, (fa, ca, -n2), (fb, cb, n2)))
+            entries.append((s_hi, (fa, ca, n2), (fb, cb, -n2)))
     return _op(space, entries)
 
 
@@ -516,25 +475,20 @@ def op_adjoint(op: RealizedOp, naive: bool = False) -> RealizedOp:
     return RealizedOp(op.space, terms, op.scalar)
 
 
-def realize_so_minus_vec(space: Space, i: int, cutoff2: int) -> RealizedOp:
-    """Adjoint of the extra raising generator, in the same gauge."""
-    return op_adjoint(realize_so_plus_vec(space, i, cutoff2))
-
-
 def realize_generator(space: Space, descriptor: str, *args, cutoff2: int = 8) -> RealizedOp:
-    """Named generators: "e", "te-C", "te-D", "te-dhalf", "E", "sp+-", "so+-", "so+-vec", "C"."""
+    """Named generators: "e", "te-C", "te-D", "te-dhalf", "E", "sp+-", "so+-", "so+-vec", "C".
+
+    "so-vec" is the adjoint of "so+vec", in the same gauge.
+    """
+    if descriptor in PAIR_GENERATORS:
+        return _pair_generator(space, descriptor, args, cutoff2)
     table = {
         "e": lambda: realize_e(space, *args),
         "te-C": lambda: realize_te(space, "C", *args),
         "te-D": lambda: realize_te(space, "D", *args),
         "te-dhalf": lambda: realize_te_dhalf(space, *args),
         "E": lambda: realize_E(space, *args, cutoff2=cutoff2),
-        "sp+": lambda: realize_sp_plus(space, *args, cutoff2=cutoff2),
-        "sp-": lambda: realize_sp_minus(space, *args, cutoff2=cutoff2),
-        "so+": lambda: realize_so_plus(space, *args, cutoff2=cutoff2),
-        "so-": lambda: realize_so_minus(space, *args, cutoff2=cutoff2),
-        "so+vec": lambda: realize_so_plus_vec(space, *args, cutoff2=cutoff2),
-        "so-vec": lambda: realize_so_minus_vec(space, *args, cutoff2=cutoff2),
+        "so-vec": lambda: op_adjoint(_pair_generator(space, "so+vec", args, cutoff2)),
         "C": lambda: RealizedOp(space, [], scalar=space.level),
     }
     if descriptor not in table:
@@ -638,31 +592,13 @@ def xt_matrix(space: Space, j: int) -> list[list[Mode]]:
 
 
 def gamma_matrix(space: Space) -> list[list[Mode]]:
-    """The 2d x 2d matrix: one gamma row, then repeated psi_{-1} rows."""
-    d = space.d
-    top = [(GAM_P, c, -1) for c in range(1, d + 1)] + [
-        (GAM_M, c, -1) for c in range(d, 0, -1)
-    ]
-    psi = [(PSI_P, c, -2) for c in range(1, d + 1)] + [
-        (PSI_M, c, -2) for c in range(d, 0, -1)
-    ]
-    return [top] + [list(psi) for _ in range(2 * d - 1)]
-
-
-def gamma_tilde_matrix(space: Space) -> list[list[Mode]]:
-    """The (2d+1) x (2d+1) matrix with the phi/chi middle column."""
-    d = space.d
-    top = (
-        [(GAM_P, c, -1) for c in range(1, d + 1)]
-        + [(CHI, 0, -1)]
-        + [(GAM_M, c, -1) for c in range(d, 0, -1)]
-    )
-    psi = (
-        [(PSI_P, c, -2) for c in range(1, d + 1)]
-        + [(PHI, 0, -2)]
-        + [(PSI_M, c, -2) for c in range(d, 0, -1)]
-    )
-    return [top] + [list(psi) for _ in range(2 * d)]
+    """One gamma row, then repeated psi_{-1} rows: 2d x 2d, or (2d+1) x (2d+1)
+    with the chi/phi middle column on the Dodd space."""
+    mid = int(space.kind == "Dodd")
+    up, down = range(1, space.d + 1), range(space.d, 0, -1)
+    top = [(GAM_P, c, -1) for c in up] + [(CHI, 0, -1)] * mid + [(GAM_M, c, -1) for c in down]
+    psi = [(PSI_P, c, -2) for c in up] + [(PHI, 0, -2)] * mid + [(PSI_M, c, -2) for c in down]
+    return [top] + [list(psi) for _ in range(len(psi) - 1)]
 
 
 def _vec_product(v1: FockVector, v2: FockVector) -> FockVector:
@@ -730,7 +666,7 @@ def hwv_candidate(space: Space, algebra: str, lam: GeneralizedPartition, variant
         cols = _column_counts(lam)
         factors = []
         if cols:
-            factors.append((gamma_tilde_matrix(space), cols[0]))
+            factors.append((gamma_matrix(space), cols[0]))
         for j in range(2, len(cols) + 1):
             factors.append((x_matrix(space, j), cols[j - 1]))
     else:
@@ -789,18 +725,18 @@ def group_raising_check(space: Space, group_kind: str, vec: FockVector):
     for i in range(1, d + 1):
         for j in range(1, d + 1):
             if group_kind == "Sp":
-                op = realize_sp_plus(space, i, j, top2)
+                op = _pair_generator(space, "sp+", (i, j), top2)
             elif group_kind in ("SOeven", "SOodd"):
                 if i == j:
                     continue
-                op = realize_so_plus(space, i, j, top2)
+                op = _pair_generator(space, "so+", (i, j), top2)
             else:
                 raise ValueError(group_kind)
             if op.apply(vec):
                 return False, (group_kind, i, j)
     if group_kind == "SOodd":
         for i in range(1, d + 1):
-            if realize_so_plus_vec(space, i, top2).apply(vec):
+            if _pair_generator(space, "so+vec", (i,), top2).apply(vec):
                 return False, ("so+vec", i)
     return True, None
 
@@ -905,13 +841,13 @@ def leading_principal_minors(mat: list[list[Fraction]]) -> list[Fraction]:
     minors = []
     det = Fraction(1)
     for k in range(n):
-        # partial pivot within the leading block is not allowed (it would
-        # change the minors), so a zero pivot simply makes the minor zero
+        # pivoting inside the leading block would change the minors, so from
+        # the first zero pivot on each minor is the determinant of its original block
         pivot = work[k][k]
         if pivot == 0:
-            sub = [[work[i][j] for j in range(k + 1)] for i in range(k + 1)]
-            minors.append(_dense_det(sub))
-            continue
+            for j in range(k, n):
+                minors.append(_dense_det([[Fraction(v) for v in row[: j + 1]] for row in mat[: j + 1]]))
+            break
         det = det * pivot
         minors.append(det)
         for i in range(k + 1, n):
@@ -947,14 +883,6 @@ def _dense_det(mat) -> Fraction:
 
 # -- characters and duality decomposition ----------------------------------------
 
-WMono = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
-
-
-def wmono_energy2(wmono: WMono) -> int:
-    xs, ys = wmono
-    return sum(2 * n * m for n, m in xs) + sum(r2 * m for r2, m in ys)
-
-
 def _mono_weight(space: Space, mono: tuple[Mode, ...]):
     """(z exponents, eps bit, weight monomial) of a basis state."""
     xcount: dict[int, int] = {}
@@ -979,7 +907,7 @@ def fock_character(space: Space, cutoff2: int):
     """ch F as {(z exponents, eps): {weight monomial: count}} up to the cutoff."""
     if space.kind == "gl":
         raise ValueError("character bookkeeping is for the reduced spaces")
-    out: dict[tuple[tuple[int, ...], int], dict[WMono, int]] = {}
+    out: dict[tuple[tuple[int, ...], int], dict[WeightMono, int]] = {}
     for mono in enumerate_basis(space, cutoff2):
         z, eps, wmono = _mono_weight(space, mono)
         slot = out.setdefault((z, eps), {})
@@ -991,12 +919,13 @@ def character_product_formula(space: Space, cutoff2: int):
     """Expansion of the product formula for ch F, truncated by energy."""
     d = space.d
     odd = space.kind == "Dodd"
-    acc: dict[tuple[tuple[int, ...], int, WMono], int] = {(tuple([0] * d), 0, ((), ())): 1}
+    # keys carry the doubled energy of their weight monomial alongside it
+    acc: dict[tuple[tuple[int, ...], int, WeightMono, int], int] = {(tuple([0] * d), 0, ((), ()), 0): 1}
 
     def mul_series(acc, zdelta_sign, var_index, kind, energy2, fermionic, eps_marked):
         out = {}
-        for (z, eps, wm), c in acc.items():
-            budget = cutoff2 - wmono_energy2(wm)
+        for (z, eps, wm, e2), c in acc.items():
+            budget = cutoff2 - e2
             kmax = 1 if fermionic else (budget // energy2 if energy2 else 0)
             for k in range(0, kmax + 1):
                 if k * energy2 > budget:
@@ -1011,7 +940,7 @@ def character_product_formula(space: Space, cutoff2: int):
                 else:
                     nys = _bump(ys, energy2, k)
                     nwm = (xs, nys)
-                key = (tuple(nz), eps ^ ((k & 1) if eps_marked else 0), nwm)
+                key = (tuple(nz), eps ^ ((k & 1) if eps_marked else 0), nwm, e2 + k * energy2)
                 out[key] = out.get(key, 0) + c
         return out
 
@@ -1027,8 +956,8 @@ def character_product_formula(space: Space, cutoff2: int):
                 acc = mul_series(acc, sgn, i, "y", r2, False, odd)
         if odd:
             acc = mul_series(acc, 0, None, "y", r2, False, True)
-    out: dict[tuple[tuple[int, ...], int], dict[WMono, int]] = {}
-    for (z, eps, wm), c in acc.items():
+    out: dict[tuple[tuple[int, ...], int], dict[WeightMono, int]] = {}
+    for (z, eps, wm, _e2), c in acc.items():
         out.setdefault((z, eps), {})[wm] = c
     return out
 
@@ -1047,76 +976,8 @@ def duality_decompose(space: Space, algebra: str, cutoff2: int):
     Returns {partition label: {weight monomial: multiplicity}}; for the even
     orthogonal case labels are canonical and totals are bar-merged.
     """
-    from .partitions import Partition as P
-
     d = space.d
-    if algebra == "C":
-        group = GroupTag("Sp", d)
-    elif algebra == "Deven":
-        group = GroupTag("O", 2 * d)
-    elif algebra == "Dodd":
-        group = GroupTag("O", 2 * d + 1)
-    elif algebra == "A":
-        group = GroupTag("GL", d)
-    else:
+    groups = {"A": ("GL", d), "C": ("Sp", d), "Deven": ("O", 2 * d), "Dodd": ("O", 2 * d + 1)}
+    if algebra not in groups:
         raise ValueError(algebra)
-    chfull = fock_character(space, cutoff2)
-    rem: dict[tuple[tuple[int, ...], int], dict[WMono, int]] = {
-        k: dict(v) for k, v in chfull.items()
-    }
-
-    def clean(k):
-        if k in rem and not rem[k]:
-            del rem[k]
-
-    out: dict[P, dict[WMono, int]] = {}
-    while rem:
-        # lex-max dominant z-vector present
-        best = None
-        for (z, eps) in rem:
-            ok = all(z[i] >= z[i + 1] for i in range(len(z) - 1))
-            if ok and group.kind in ("Sp", "O") and z and z[-1] < 0:
-                ok = False
-            if ok and (best is None or z > best):
-                best = z
-        if best is None:
-            raise ValueError("no dominant weight left; not a character")
-        if group.kind == "GL":
-            labels = [GeneralizedPartition(best)]
-        elif group.kind == "Sp":
-            labels = [P(best)]
-        else:
-            n = group.size
-            base = P(best + (0,) * (n - len(best)))
-            if n % 2 == 1:
-                labels = []
-                for eps_bit in (0, 1):
-                    if (best, eps_bit) in rem:
-                        labels.append(base if base.size % 2 == eps_bit else bar_conjugate(base, n))
-            else:
-                labels = [base]
-        for lam in labels:
-            eps_bit = lam.size % 2 if (group.kind == "O" and group.size % 2 == 1) else 0
-            coeff = rem.get((best, eps_bit), {})
-            if not coeff:
-                continue
-            coeff = dict(coeff)
-            if any(v < 0 for v in coeff.values()):
-                raise ValueError(f"negative multiplicity at {lam}: duality violated")
-            chi = char_group(group, lam)
-            for (exps, p), c in chi.terms.items():
-                zkey = tuple(e // 2 for e in exps)
-                slot = rem.setdefault((zkey, p ^ 0), {})
-                for wm, mult in coeff.items():
-                    new = slot.get(wm, 0) - c * mult
-                    if new:
-                        slot[wm] = new
-                    else:
-                        slot.pop(wm, None)
-                clean((zkey, p))
-            prev = out.setdefault(lam, {})
-            for wm, mult in coeff.items():
-                prev[wm] = prev.get(wm, 0) + mult
-        for key in list(rem):
-            clean(key)
-    return out
+    return decompose_graded(fock_character(space, cutoff2), GroupTag(*groups[algebra]))

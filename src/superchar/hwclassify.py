@@ -13,11 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .infmat import fmt_half, parse_half
+from .symring import energy_series, q_series
 from .partitions import (
     FrobeniusData,
     GeneralizedPartition,
     Partition,
     _partition_from_pos,
+    bar_conjugate,
     from_frobenius,
     split_signs,
     to_frobenius,
@@ -348,7 +350,6 @@ def graded_dimension(w: Weight, cutoff2: int, source: str = "character") -> dict
     lam = partition_from_weight(w)
     if source == "character":
         from .superschur import sp_hook, so_hook
-        from .partitions import bar_conjugate as _bar
 
         if w.algebra == "C":
             f = sp_hook(Partition(lam.parts), cutoff2)
@@ -356,13 +357,11 @@ def graded_dimension(w: Weight, cutoff2: int, source: str = "character") -> dict
             n = int(2 * w.level)
             f = so_hook(Partition(lam.parts), n, cutoff2)
             if n % 2 == 0:
-                bar = _bar(Partition(lam.parts), n)
+                bar = bar_conjugate(Partition(lam.parts), n)
                 if bar.parts != lam.parts:
                     f = f + so_hook(bar, n, cutoff2)
         else:
             raise ValueError(f"no closed character for algebra {w.algebra!r}")
-        from .symring import q_series
-
         series = q_series(f, cutoff2)
     elif source == "fock":
         from . import fock
@@ -380,15 +379,10 @@ def graded_dimension(w: Weight, cutoff2: int, source: str = "character") -> dict
                 dec = fock.duality_decompose(fock.Space("A", n // 2), "Deven", cutoff2)
                 cols = transpose(key).parts if not key.is_zero() else ()
                 if cols and 2 * cols[0] > n:
-                    from .partitions import bar_conjugate as _bar
-
-                    key = _bar(key, n)
+                    key = bar_conjugate(key, n)
         else:
             raise ValueError(f"no Fock source for algebra {w.algebra!r}")
-        series = {}
-        for wmono, coeff in dec.get(key, {}).items():
-            e2 = fock.wmono_energy2(wmono)
-            series[e2] = series.get(e2, 0) + coeff
+        series = energy_series(dec.get(key, {}))
     else:
         raise ValueError(f"unknown source {source!r}")
     if not series:

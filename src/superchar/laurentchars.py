@@ -9,7 +9,8 @@ elementary symmetric polynomials E_r of the 2m eigenvalues {z_i, z_i^{-1}};
 SO(2d+1) characters come from the Weyl alternant quotient, computed by exact
 division.  Decomposition into irreducible characters peels the lex-largest
 dominant exponent, which is valid because every character is unitriangular
-with leading term z^lambda.
+with leading term z^lambda; one peeler serves both plain characters and
+graded ones such as the Fock space character.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import GeneralizedPartition, Partition, bar_conjugate, transpose
-from .ringdet import ring_det
+from .ringdet import pair_det, ring_det, spin_det
 from . import symring
 
 
@@ -161,9 +162,6 @@ class LaurentPoly:
         for (_, p), c in self.terms.items():
             total += c * (eps_value ** p)
         return total
-
-    def is_integral(self) -> bool:
-        return all(not isinstance(c, Fraction) or c.denominator == 1 for c in self.terms.values())
 
     # -- variable moves ----------------------------------------------------
     def permute(self, perm: tuple[int, ...]) -> "LaurentPoly":
@@ -310,50 +308,25 @@ def _conj(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1))
 
 
-def _det_rows(mu: tuple[int, ...], term, m: int) -> LaurentPoly:
-    """det over rows mu_i with the shared classical row pattern.
-
-    Row i is (T_{mu_i-i+1}, T_{mu_i-i+2}+T_{mu_i-i}, ..., T_{mu_i-i+l}+T_{mu_i-i-l+2}).
-    """
-    n = len(mu)
-    one = LaurentPoly.const(m)
-    if n == 0:
-        return one
-    mat = []
-    for i in range(1, n + 1):
-        row = [term(mu[i - 1] - i + 1)]
-        for c in range(2, n + 1):
-            row.append(term(mu[i - 1] - i + c) + term(mu[i - 1] - i - c + 2))
-        mat.append(row)
-    return ring_det(mat, one)
+def _centres(mu: tuple[int, ...]) -> list[int]:
+    """Row centres mu_i - i + 1 of the classical determinants."""
+    return [p - i for i, p in enumerate(mu)]
 
 
 def det_e(mu: tuple[int, ...], m: int) -> LaurentPoly:
     """|E_mu|: rows E_{mu_i-i+1}, E_{mu_i-i+2}+E_{mu_i-i}, ..."""
-    return _det_rows(mu, lambda r: elementary_laurent(r, m), m)
+    return pair_det(_centres(mu), lambda r: elementary_laurent(r, m), LaurentPoly.const(m))
 
 
 def det_eprime(mu: tuple[int, ...], m: int) -> LaurentPoly:
     """|E'_mu| with E'_r = E_r - E_{r-2}."""
-    return _det_rows(mu, lambda r: _eprime(r, m), m)
+    return pair_det(_centres(mu), lambda r: _eprime(r, m), LaurentPoly.const(m))
 
 
 def _det_m(mu: tuple[int, ...], m: int, sign: int) -> LaurentPoly:
-    """Spin-type determinant with rows E_{mu_i-i+c} + sign * E_{mu_i-i-c+1}."""
-    n = len(mu)
-    one = LaurentPoly.const(m)
-    if n == 0:
-        return one
-    mat = []
-    for i in range(1, n + 1):
-        row = []
-        for c in range(1, n + 1):
-            row.append(
-                elementary_laurent(mu[i - 1] - i + c, m)
-                + sign * elementary_laurent(mu[i - 1] - i - c + 1, m)
-            )
-        mat.append(row)
-    return ring_det(mat, one)
+    """Spin-type determinant with rows E_{mu_i-i+c} + sign * E_{mu_i-i-c+1} (mirrored spin_det)."""
+    centres = [-k for k in _centres(mu)]
+    return spin_det(centres, lambda r: elementary_laurent(-r, m), sign, LaurentPoly.const(m))
 
 
 def _prod_factor(m: int, plus: bool, half: bool) -> LaurentPoly:
@@ -545,63 +518,77 @@ def is_weyl_symmetric(f: LaurentPoly, group: GroupTag) -> bool:
     return True
 
 
-def _dominant_exps(f: LaurentPoly, group: GroupTag):
-    """Lex-largest dominant doubled exponent vector present in f, or None."""
-    best = None
-    for (exps, _p) in f.terms:
-        if any(e & 1 for e in exps):
-            raise DecompositionError(f"half-integer exponent in input: {exps}")
-        ok = all(exps[i] >= exps[i + 1] for i in range(len(exps) - 1))
-        if ok and group.kind in ("Sp", "O") and exps and exps[-1] < 0:
-            ok = False
-        if ok and (best is None or exps > best):
-            best = exps
-    return best
-
-
-def _label_from_exps(group: GroupTag, exps: tuple[int, ...]) -> GeneralizedPartition:
-    vals = tuple(e // 2 for e in exps)
+def _label(group: GroupTag, z: tuple[int, ...]) -> GeneralizedPartition:
     if group.kind == "GL":
-        return GeneralizedPartition(vals)
+        return GeneralizedPartition(z)
     if group.kind == "Sp":
-        return Partition(vals)
-    n = group.size
-    return Partition(vals + (0,) * (n - len(vals)))
+        return Partition(z)
+    return Partition(z + (0,) * (group.size - len(z)))
+
+
+def decompose_graded(graded: dict, group: GroupTag) -> dict:
+    """Graded multiplicities of irreducible characters (greedy dominant peeling).
+
+    `graded` maps (z exponents, eps bit) to a graded coefficient {grade: int};
+    the exponents are plain, not doubled.  Each step takes the lex-largest
+    dominant z present and subtracts the irreducible characters sitting there,
+    times their coefficients, from the remainder in place.  Returns
+    {label: {grade: multiplicity}}.  For even O(n) the labels are the
+    canonical ones with lambda'_1 <= n/2 and the totals are bar-merged; for odd
+    O(n) the eps bit picks lambda or bar-lambda.
+    """
+    odd_o = group.kind == "O" and group.size % 2 == 1
+    rem = {key: dict(coeff) for key, coeff in graded.items() if coeff}
+    out: dict[GeneralizedPartition, dict] = {}
+    while rem:
+        best = None
+        for z, _eps in rem:
+            if any(z[i] < z[i + 1] for i in range(len(z) - 1)):
+                continue
+            if group.kind != "GL" and z and z[-1] < 0:
+                continue
+            if best is None or z > best:
+                best = z
+        if best is None:
+            raise DecompositionError(f"no dominant weight left in nonzero remainder over {group}")
+        lam = _label(group, best)
+        for eps in (0, 1) if odd_o else (0,):
+            coeff = rem.get((best, eps))
+            if coeff is None:
+                if odd_o:
+                    continue
+                raise DecompositionError(f"nothing at the dominant weight {best} with eps = 0: not a character")
+            coeff = dict(coeff)
+            use = lam if not odd_o or lam.size % 2 == eps else bar_conjugate(lam, group.size)
+            if any(v < 0 or v % 1 for v in coeff.values()):
+                raise DecompositionError(f"negative or fractional multiplicity {coeff} at {use}: duality violated")
+            for (exps, p), c in char_group(group, use).terms.items():
+                key = (tuple(e // 2 for e in exps), p)
+                slot = rem.setdefault(key, {})
+                for grade, mult in coeff.items():
+                    new = slot.get(grade, 0) - c * mult
+                    if new:
+                        slot[grade] = new
+                    else:
+                        slot.pop(grade, None)
+                if not slot:
+                    del rem[key]
+            total = out.setdefault(use, {})
+            for grade, mult in coeff.items():
+                total[grade] = total.get(grade, 0) + mult
+    return out
 
 
 def decompose_character(f: LaurentPoly, group: GroupTag) -> dict:
-    """Multiplicities of irreducible characters in f (greedy dominant peeling).
-
-    For even O(n) the keys are the canonical labels with lambda'_1 <= n/2 and
-    the values are the merged lambda/bar-lambda totals.
-    """
+    """Multiplicities of irreducible characters in f: `decompose_graded` with one grade."""
     if not is_weyl_symmetric(f, group):
         raise DecompositionError("input is not Weyl-symmetric for " + str(group))
-    odd_o = group.kind == "O" and group.size % 2 == 1
-    out: dict[GeneralizedPartition, int] = {}
-    rem = f
-    while rem:
-        exps = _dominant_exps(rem, group)
-        if exps is None:
-            raise DecompositionError(f"no dominant term left in nonzero remainder: {rem}")
-        lam = _label_from_exps(group, exps)
-        if odd_o:
-            for eps_bit in (0, 1):
-                mult = rem.coefficient(exps, eps_bit)
-                if not mult:
-                    continue
-                use = lam if lam.size % 2 == eps_bit else bar_conjugate(lam, group.size)
-                if isinstance(mult, Fraction) or mult < 0:
-                    raise DecompositionError(f"negative or fractional multiplicity {mult} at {use}")
-                rem = rem - char_group(group, use) * mult
-                out[use] = out.get(use, 0) + mult
-        else:
-            mult = rem.coefficient(exps, 0)
-            if not mult or isinstance(mult, Fraction) or mult < 0:
-                raise DecompositionError(f"negative or fractional multiplicity {mult} at {lam}")
-            rem = rem - char_group(group, lam) * mult
-            out[lam] = out.get(lam, 0) + mult
-    return out
+    graded = {}
+    for (exps, p), c in f.terms.items():
+        if any(e & 1 for e in exps):
+            raise DecompositionError(f"half-integer exponent in input: {exps}")
+        graded[(tuple(e // 2 for e in exps), p)] = {(): c}
+    return {lam: mults[()] for lam, mults in decompose_graded(graded, group).items()}
 
 
 def tensor_multiplicity(group: GroupTag, mu: GeneralizedPartition, nu: GeneralizedPartition) -> dict:

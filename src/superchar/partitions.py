@@ -11,7 +11,6 @@ weights downstream, so the bijection here is load-bearing: `to_frobenius` and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 
@@ -323,7 +322,3 @@ def parse_frobenius(text: str, length: int) -> FrobeniusData:
     if len(seqs) == 2:
         seqs = [(), ()] + seqs
     return FrobeniusData(seqs[0], seqs[1], seqs[2], seqs[3], length)
-
-
-def partition_json(lam: GeneralizedPartition) -> str:
-    return json.dumps(lam.to_json())

@@ -33,3 +33,15 @@ def ring_det(mat, one):
         return acc
 
     return minor(0, tuple(range(n)))
+
+
+def pair_det(centres, term, one):
+    """det of the rows (T_k, T_{k-1} + T_{k+1}, ..., T_{k-n+1} + T_{k+n-1}), one per centre k."""
+    n = len(centres)
+    return ring_det([[term(k)] + [term(k - c) + term(k + c) for c in range(1, n)] for k in centres], one)
+
+
+def spin_det(centres, term, sign, one):
+    """det of the rows (T_{k-c+1} + sign * T_{k+c})_{c=1..n}, one per centre k."""
+    n = len(centres)
+    return ring_det([[term(k - c + 1) + sign * term(k + c) for c in range(1, n + 1)] for k in centres], one)

@@ -23,7 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import Partition, bar_conjugate, transpose
-from .ringdet import ring_det
+# ring_det stays bound here: perfbench's tracer test wraps it in every module that builds determinants
+from .ringdet import pair_det, ring_det, spin_det  # noqa: F401
 from .laurentchars import GroupTag, LaurentPoly, char_group, classical_char_so_even, tensor_multiplicity
 from .symring import SymFunc, elementary, generator, omega_x, omega_y, specialize
 
@@ -70,54 +71,24 @@ def etilde_primed(r: int, base: str, cap: int, alphabet: str = "x", literal_minu
     return etilde_series(r, base, cap, alphabet) - etilde_series(r + 2, base, cap, alphabet)
 
 
-def _pair_det(lam: Partition, size: int, term, cap: int) -> SymFunc:
-    """det of the size x size matrix with row centres lam_{size-i+1} + i - 1.
-
-    Entry (i, c) is T_{centre} for c = 1 and T_{centre-(c-1)} + T_{centre+(c-1)}
-    for c >= 2.
-    """
-    one = SymFunc.const(cap)
-    if size == 0:
-        return one
-    mat = []
-    for i in range(1, size + 1):
-        a = lam.parts[size - i] if size - i < len(lam.parts) else 0
-        centre = a + i - 1
-        row = [term(centre)]
-        for c in range(2, size + 1):
-            row.append(term(centre - (c - 1)) + term(centre + (c - 1)))
-        mat.append(row)
-    return ring_det(mat, one)
-
-
-def _spin_det(lam: Partition, size: int, term, sign: int, cap: int) -> SymFunc:
-    """det with entries T_{centre-(c-1)} + sign * T_{centre+c}."""
-    one = SymFunc.const(cap)
-    if size == 0:
-        return one
-    mat = []
-    for i in range(1, size + 1):
-        a = lam.parts[size - i] if size - i < len(lam.parts) else 0
-        centre = a + i - 1
-        row = []
-        for c in range(1, size + 1):
-            row.append(term(centre - (c - 1)) + sign * term(centre + c))
-        mat.append(row)
-    return ring_det(mat, one)
+def _centres(lam: Partition, size: int) -> list[int]:
+    """Row centres lam_{size-i+1} + i - 1 for i = 1..size, missing parts read as 0."""
+    parts = (lam.parts + (0,) * size)[:size]
+    return [a + i for i, a in enumerate(reversed(parts))]
 
 
 def sp_schur(lam: Partition, cap: int, alphabet: str = "x", literal_minus_two: bool = False) -> SymFunc:
     """Symplectic Schur function of weight d = declared length of lam."""
     d = lam.length
     term = lambda r: etilde_primed(r, "e", cap, alphabet, literal_minus_two)
-    return _pair_det(lam, d, term, cap)
+    return pair_det(_centres(lam, d), term, SymFunc.const(cap))
 
 
 def sp_skew(lam: Partition, cap: int, alphabet: str = "x") -> SymFunc:
     """Skew symplectic Schur function (complete-symmetric folded series)."""
     d = lam.length
     term = lambda r: etilde_primed(r, "h", cap, alphabet)
-    return _pair_det(lam, d, term, cap)
+    return pair_det(_centres(lam, d), term, SymFunc.const(cap))
 
 
 def sp_hook(lam: Partition, cap: int) -> SymFunc:
@@ -129,7 +100,7 @@ def sp_hook_det(lam: Partition, cap: int) -> SymFunc:
     """The same function from the hook-unit folded series (cross-check route)."""
     d = lam.length
     term = lambda r: etilde_primed(r, "hs", cap, "xy")
-    return _pair_det(lam, d, term, cap)
+    return pair_det(_centres(lam, d), term, SymFunc.const(cap))
 
 
 def _sum_e(cap: int, alphabet: str, alternating: bool) -> SymFunc:
@@ -165,18 +136,18 @@ def so_schur(lam: Partition, n: int, cap: int, alphabet: str = "x") -> SymFunc:
     term = lambda r: etilde_series(r, "e", cap, alphabet)
     termp = lambda r: etilde_primed(r, "e", cap, alphabet)
     half = Fraction(1, 2)
+    one = SymFunc.const(cap)
     base, sign = _o_split(lam, n)
-    if n % 2 == 0:
-        d = n // 2
-        if base.depth == d:
-            return _pair_det(base, d, term, cap)
-        main = _pair_det(base, d, term, cap)
-        extra = _sum_e(cap, alphabet, False) * _sum_e(cap, alphabet, True)
-        extra = extra * _pair_det(base, d - 1, termp, cap)
-        return half * main + (sign * half) * extra
     d = n // 2
-    minus_det = _spin_det(base, d, term, -1, cap)
-    plus_det = _spin_det(base, d, term, +1, cap)
+    if n % 2 == 0:
+        main = pair_det(_centres(base, d), term, one)
+        if base.depth == d:
+            return main
+        extra = _sum_e(cap, alphabet, False) * _sum_e(cap, alphabet, True)
+        extra = extra * pair_det(_centres(base, d - 1), termp, one)
+        return half * main + (sign * half) * extra
+    minus_det = spin_det(_centres(base, d), term, -1, one)
+    plus_det = spin_det(_centres(base, d), term, +1, one)
     return half * (_sum_e(cap, alphabet, False) * minus_det) + (sign * half) * (
         _sum_e(cap, alphabet, True) * plus_det
     )
@@ -301,6 +272,15 @@ def _rhs_sum(nz: int, pairs) -> dict:
         for key, c in chi.terms.items():
             _zs_add(acc, key, f * c)
     return acc
+
+
+# the parameters verify_identity reads for each tag; D is the truncation degree
+IDENTITY_PARAMS = {
+    **dict.fromkeys(("combin1-i", "combin1-ii", "HS", "tensor-sp"), ("d", "D")),
+    **dict.fromkeys(("combin1-evenodd-S", "combin1-evenodd-D", "HS-O", "tensor-o"), ("n", "D")),
+    **dict.fromkeys(("combin-Sp", "spchar"), ("d", "m")),
+    **dict.fromkeys(("even-char", "odd-char"), ("n", "m")),
+}
 
 
 def verify_identity(tag: str, **params) -> dict:

@@ -142,12 +142,6 @@ class SymFunc:
         )
         return self.terms.get(mono, Fraction(0))
 
-    def is_integral(self) -> bool:
-        return all(Fraction(c).denominator == 1 for c in self.terms.values())
-
-    def map_coeffs(self, fn) -> "SymFunc":
-        return SymFunc(self.cap, {m: fn(c) for m, c in self.terms.items()})
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -384,7 +378,8 @@ def _expand_e(kind: str, k: int, cap2: int) -> dict[tuple[tuple[int, int], ...],
     return out
 
 
-def _wmono_energy2(wmono: WeightMono) -> int:
+def wmono_energy2(wmono: WeightMono) -> int:
+    """Doubled energy of a weight monomial (x_n counts 2n, y_r counts r2)."""
     xs, ys = wmono
     return sum(2 * n * m for n, m in xs) + sum(r2 * m for r2, m in ys)
 
@@ -405,7 +400,7 @@ def weight_expansion(f: SymFunc, cap2: int) -> dict[WeightMono, Fraction]:
                 for _ in range(mult):
                     nxt: dict[WeightMono, Fraction] = {}
                     for wm, c in partial.items():
-                        left = cap2 - _wmono_energy2(wm)
+                        left = cap2 - wmono_energy2(wm)
                         for sub, _one in ek.items():
                             energy = sum((2 * v if kind == "x" else v) * m for v, m in sub)
                             if energy > left:
@@ -424,14 +419,19 @@ def weight_expansion(f: SymFunc, cap2: int) -> dict[WeightMono, Fraction]:
     return total
 
 
-def q_series(f: SymFunc, cap2: int) -> dict[int, Fraction]:
-    """Graded dimension series: substitute x_n -> q^n, y_r -> q^r, up to q^{cap2/2}."""
+def energy_series(wmonos: dict[WeightMono, Fraction]) -> dict[int, Fraction]:
+    """Collect coefficients by doubled energy: x_n -> q^n, y_r -> q^r."""
     out: dict[int, Fraction] = {}
-    for wmono, coeff in weight_expansion(f, cap2).items():
-        e2 = _wmono_energy2(wmono)
+    for wmono, coeff in wmonos.items():
+        e2 = wmono_energy2(wmono)
         new = out.get(e2, 0) + coeff
         if new:
             out[e2] = new
         else:
             out.pop(e2, None)
     return out
+
+
+def q_series(f: SymFunc, cap2: int) -> dict[int, Fraction]:
+    """Graded dimension series of f up to q^{cap2/2}."""
+    return energy_series(weight_expansion(f, cap2))

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from superchar import fock
 from superchar.cli import main
 
 
@@ -92,3 +95,30 @@ def test_fock_actions(capsys):
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "char", "--group", "Sp", "--size", "1", "--weight", "[1,1,1]")
     assert code == 2 and err
+    code, _, err = run(capsys, "verify", "--identity", "HS", "--d", "1")
+    assert code == 2 and "--deg" in err
+
+
+def test_fock_sizes_validated_where_parsed(capsys):
+    for argv in (
+        ["fock", "--space", "1", "--action", "decompose", "--cutoff", "-1"],
+        ["fock", "--space", "1", "--action", "gram", "--energy", "1/3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and "multiple of 1/2" in capsys.readouterr().err
+
+
+def test_failed_decomposition_exits_1(capsys, monkeypatch):
+    real = fock.fock_character
+
+    def drop_one_state(space, cutoff2):
+        ch = real(space, cutoff2)
+        key = max(ch)
+        grade = next(iter(ch[key]))
+        ch[key][grade] -= 1
+        return ch
+
+    monkeypatch.setattr(fock, "fock_character", drop_one_state)
+    code, _, err = run(capsys, "fock", "--space", "1", "--action", "decompose", "--cutoff", "1")
+    assert code == 1 and "verification failure" in err

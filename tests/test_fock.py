@@ -279,6 +279,12 @@ def test_gram_examples():
     assert zero == [[1]]
 
 
+def test_leading_principal_minors_after_zero_pivot():
+    # from the first zero pivot on, each minor is the determinant of its own block
+    assert leading_principal_minors([[0, 1, 0], [1, 0, 0], [0, 0, 2]]) == [0, -1, -2]
+    assert leading_principal_minors([[1, 1, 1], [1, 1, 2], [1, 2, 3]]) == [1, 0, -1]
+
+
 def test_gram_positive_definite_up_to_energy_2():
     for d in (1, 2):
         sp = Space("gl", d)

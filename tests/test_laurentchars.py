@@ -1,4 +1,5 @@
 import itertools
+import signal
 
 import pytest
 
@@ -146,6 +147,22 @@ def test_decompose_examples():
     bad = LaurentPoly.var(1, 0, 4) + LaurentPoly.var(1, 0, -4)  # symmetric, not a character
     with pytest.raises(DecompositionError):
         decompose_character(bad, sp2)
+
+
+def test_decompose_mass_only_at_eps_one_raises():
+    # Sp has no eps grading, so eps alone is not a character; the peeler must
+    # raise rather than loop, and the alarm bounds the run if it does not
+    def timeout(signum, frame):
+        raise TimeoutError("dominant peeling did not terminate")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        with pytest.raises(DecompositionError):
+            decompose_character(LaurentPoly.eps(1), GroupTag("Sp", 1))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_decompose_roundtrip():
