@@ -3,8 +3,8 @@
 Exit codes: 0 success / all checks pass, 1 verification failure (including
 a character that does not decompose), 2 usage error.  --json switches every
 subcommand to machine-readable output.  The environment variable
-SUPERCHAR_MAX_DEG caps truncation degrees as a safety rail against
-accidentally huge expansions.
+SUPERCHAR_MAX_DEG caps truncation degrees, and the doubled fock --cutoff and
+--energy, as a safety rail against accidentally huge expansions.
 """
 
 from __future__ import annotations
@@ -65,11 +65,22 @@ def half_size(text: str) -> int:
     return int(2 * val)
 
 
-def _check_deg(deg: int):
+def job_count(text: str) -> int:
+    """Argparse type: a worker count from 1 to the number of CPUs."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    limit = os.cpu_count() or 1
+    if not 1 <= jobs <= limit:
+        raise argparse.ArgumentTypeError(f"{jobs} is not between 1 and the CPU count {limit}")
+    return jobs
+
+
+def _check_deg(deg: int, flag: str = "--deg"):
+    """Usage error when an option asks for a truncation degree above SUPERCHAR_MAX_DEG."""
     if deg > _max_deg():
-        raise UsageError(
-            f"--deg {deg} exceeds SUPERCHAR_MAX_DEG={_max_deg()}; raise the cap explicitly"
-        )
+        raise UsageError(f"{flag} needs degree {deg}, above SUPERCHAR_MAX_DEG={_max_deg()}; raise the cap explicitly")
 
 
 def cmd_frobenius(args) -> int:
@@ -179,10 +190,10 @@ def _verify_cases(args):
 
 def cmd_verify(args) -> int:
     cases = _verify_cases(args)
-    if args.jobs and args.jobs > 1:
+    if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(cases))) as pool:
             reports = list(pool.map(_run_case, cases))
     else:
         reports = [_run_case(case) for case in cases]
@@ -204,6 +215,11 @@ def _run_case(case):
 
 
 def cmd_fock(args) -> int:
+    # a doubled energy is the hook Schur degree the same cutoff needs
+    if args.action == "gram":
+        _check_deg(args.energy2, f"--energy {Fraction(args.energy2, 2)}")
+    elif args.action != "hwv":
+        _check_deg(args.cutoff2, f"--cutoff {Fraction(args.cutoff2, 2)}")
     if args.space.endswith("+1/2"):
         d = int(args.space[: -len("+1/2")])
         space = fock.Space("Dodd", d)
@@ -315,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--deg", type=int)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=job_count, default=1, help="worker processes, 1 to the CPU count")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

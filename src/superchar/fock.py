@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .infmat import SuperMatrix, fmt_half, parity
-from .partitions import GeneralizedPartition, Partition, split_signs, transpose
+from .partitions import GeneralizedPartition, Partition, o_label, split_signs, transpose
 from .laurentchars import GroupTag, decompose_graded
+from .sparse import _Sparse, _add_into, _add_term
 from .symring import WeightMono, wmono_energy2  # noqa: F401  (wmono_energy2 re-exported)
 
 PSI_P, PSI_M, GAM_P, GAM_M, PHI, CHI = range(6)
@@ -106,10 +107,10 @@ def fmt_state(mono: tuple[Mode, ...]) -> str:
     return " ".join(fmt_mode(m) for m in mono) + (" " if mono else "") + "|0>"
 
 
-class FockVector:
+class FockVector(_Sparse):
     """Rational linear combination of canonical creation monomials."""
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space",)
 
     def __init__(self, space: Space, terms: dict[tuple[Mode, ...], Fraction] | None = None):
         self.space = space
@@ -120,6 +121,15 @@ class FockVector:
                 if coeff:
                     self.terms[mono] = coeff
 
+    def _context(self):
+        return self.space
+
+    def _new(self, terms: dict) -> "FockVector":
+        out = object.__new__(FockVector)
+        out.space = self.space
+        out.terms = terms
+        return out
+
     @staticmethod
     def vacuum(space: Space) -> "FockVector":
         return FockVector(space, {(): Fraction(1)})
@@ -127,38 +137,6 @@ class FockVector:
     @staticmethod
     def zero(space: Space) -> "FockVector":
         return FockVector(space)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, FockVector):
-            return self.space == other.space and self.terms == other.terms
-        if other == 0:
-            return not self.terms
-        return NotImplemented
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        assert self.space == other.space
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = out.get(mono, 0) + coeff
-            if new:
-                out[mono] = new
-            else:
-                out.pop(mono, None)
-        return FockVector(self.space, out)
-
-    def __sub__(self, other):
-        return self + (other * -1)
-
-    def __mul__(self, scalar) -> "FockVector":
-        scalar = Fraction(scalar)
-        if not scalar:
-            return FockVector(self.space)
-        return FockVector(self.space, {m: c * scalar for m, c in self.terms.items()})
-
-    __rmul__ = __mul__
 
     def energies2(self) -> set[int]:
         return {mono_energy2(m) for m in self.terms}
@@ -222,33 +200,25 @@ def apply_mode(space: Space, mode: Mode, vec: FockVector) -> FockVector:
     if not space.mode_ok(mode):
         raise ValueError(f"mode {fmt_mode(mode)} not admissible on {space}")
     out: dict[tuple[Mode, ...], Fraction] = {}
-
-    def add(mono, coeff):
-        new = out.get(mono, 0) + coeff
-        if new:
-            out[mono] = new
-        else:
-            out.pop(mono, None)
-
     if space.is_creation(mode):
         for mono, coeff in vec.terms.items():
             ins = _insert_creation(space, mode, mono)
             if ins is None:
                 continue
             sign, new = ins
-            add(new, sign * coeff)
-        return FockVector(space, out)
+            _add_term(out, new, sign * coeff)
+        return vec._new(out)
     fermi = FERMIONIC[mode[0]]
     for mono, coeff in vec.terms.items():
         sign = 1
         for i, m in enumerate(mono):
             k = _contraction(mode, m)
             if k:
-                add(mono[:i] + mono[i + 1 :], coeff * sign * k)
+                _add_term(out, mono[:i] + mono[i + 1 :], coeff * sign * k)
             if fermi and FERMIONIC[m[0]]:
                 sign = -sign
         # the annihilator then hits the vacuum: contributes nothing
-    return FockVector(space, out)
+    return vec._new(out)
 
 
 @dataclass
@@ -269,7 +239,7 @@ class RealizedOp:
                 cur = apply_mode(self.space, mode, cur)
                 if not cur:
                     break
-            out = out + cur * coeff
+            _add_into(out.terms, cur.terms, coeff)
         return out
 
     def __add__(self, other: "RealizedOp") -> "RealizedOp":
@@ -329,7 +299,7 @@ def realize_e(space: Space, p2: int, q2: int) -> RealizedOp:
 
 def realize_matrix(space: Space, a: SuperMatrix) -> RealizedOp:
     out = RealizedOp(space, [])
-    for (p2, q2), coeff in a.entries.items():
+    for (p2, q2), coeff in a.terms.items():
         out = out + realize_e(space, p2, q2) * coeff
     return out
 
@@ -537,9 +507,8 @@ def grassmann_det(space: Space, matrix: list[list[Mode]], r: int) -> FockVector:
         raise ValueError(f"minor size {r} out of range")
     total = FockVector.zero(space)
     for perm in itertools.permutations(range(r)):
-        sign = _perm_sign(perm)
         modes = [matrix[i][perm[i]] for i in range(r)]
-        total = total + creation_product(space, modes) * sign
+        _add_into(total.terms, creation_product(space, modes).terms, _perm_sign(perm))
     return total
 
 
@@ -606,12 +575,12 @@ def _vec_product(v1: FockVector, v2: FockVector) -> FockVector:
     out = FockVector.zero(v1.space)
     for m1, c1 in v1.terms.items():
         for m2, c2 in v2.terms.items():
-            partial = FockVector(v1.space, {m2: c1 * c2})
+            partial = v1._new({m2: c1 * c2})
             for mode in reversed(m1):
                 partial = apply_mode(v1.space, mode, partial)
                 if not partial:
                     break
-            out = out + partial
+            _add_into(out.terms, partial.terms)
     return out
 
 
@@ -642,13 +611,10 @@ def hwv_candidate(space: Space, algebra: str, lam: GeneralizedPartition, variant
         factors = [(x_matrix(space, j), cols[j - 1]) for j in range(1, len(cols) + 1)]
     elif algebra == "Deven":
         lam = Partition(lam.parts)
-        if lam.length != 2 * d:
-            raise ValueError(f"even orthogonal labels have length {2*d}")
+        _canonical, branch = o_label(lam, 2 * d)
         cols = _column_counts(lam)
         c1 = cols[0] if cols else 0
-        if c1 + (cols[1] if len(cols) > 1 else 0) > 2 * d:
-            raise ValueError("lambda'_1 + lambda'_2 too large")
-        if c1 <= d:
+        if branch > 0:
             if variant == "Xt":
                 if c1 != d:
                     raise ValueError("the sign-flipped vector exists only when lambda'_1 = d")

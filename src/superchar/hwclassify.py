@@ -21,9 +21,9 @@ from .partitions import (
     _partition_from_pos,
     bar_conjugate,
     from_frobenius,
+    o_label,
     split_signs,
     to_frobenius,
-    transpose,
 )
 
 ALGEBRAS = ("gl", "glone", "A", "C", "D")
@@ -156,11 +156,7 @@ def weight_from_partition(algebra: str, lam: GeneralizedPartition, level_param=N
         if not isinstance(lam, Partition):
             lam = Partition(lam.parts)
         n = lam.length
-        cols = () if lam.is_zero() else transpose(lam).parts
-        c1 = cols[0] if cols else 0
-        c2 = cols[1] if len(cols) > 1 else 0
-        if c1 + c2 > n:
-            raise ValueError(f"lambda'_1 + lambda'_2 = {c1+c2} > n = {n}")
+        o_label(lam, n)  # raises unless lambda'_1 + lambda'_2 <= n
         data = to_frobenius(lam)
         return Weight.make("D", _pos_side_coeffs(data), Fraction(n, 2))
     raise ValueError(f"no partition dictionary for algebra {algebra!r}")
@@ -377,9 +373,7 @@ def graded_dimension(w: Weight, cutoff2: int, source: str = "character") -> dict
             else:
                 # the even decomposition is keyed by canonical labels
                 dec = fock.duality_decompose(fock.Space("A", n // 2), "Deven", cutoff2)
-                cols = transpose(key).parts if not key.is_zero() else ()
-                if cols and 2 * cols[0] > n:
-                    key = bar_conjugate(key, n)
+                key = o_label(key, n)[0]
         else:
             raise ValueError(f"no Fock source for algebra {w.algebra!r}")
         series = energy_series(dec.get(key, {}))

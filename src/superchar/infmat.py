@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .sparse import _Sparse, _add_term
+
 
 def parity(p2: int) -> int:
     """1 for a half-integer (odd doubled) index, 0 for an integer one."""
@@ -38,18 +40,23 @@ def parse_half(text: str) -> int:
     return 2 * int(text)
 
 
-class SuperMatrix:
+class SuperMatrix(_Sparse):
     """Sparse finitely-supported element of gl_{inf|inf}^f, exact coefficients."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, entries: dict[tuple[int, int], Fraction] | None = None):
-        self.entries: dict[tuple[int, int], Fraction] = {}
-        if entries:
-            for key, val in entries.items():
+    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
+        self.terms: dict[tuple[int, int], Fraction] = {}
+        if terms:
+            for key, val in terms.items():
                 val = Fraction(val)
                 if val:
-                    self.entries[key] = val
+                    self.terms[key] = val
+
+    def _new(self, terms: dict) -> "SuperMatrix":
+        out = object.__new__(SuperMatrix)
+        out.terms = terms
+        return out
 
     @staticmethod
     def unit(p2: int, q2: int, coeff=1) -> "SuperMatrix":
@@ -59,55 +66,20 @@ class SuperMatrix:
     def zero() -> "SuperMatrix":
         return SuperMatrix()
 
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SuperMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(frozenset(self.entries.items()))
-
-    def __add__(self, other: "SuperMatrix") -> "SuperMatrix":
-        out = dict(self.entries)
-        for key, val in other.entries.items():
-            new = out.get(key, 0) + val
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-        return SuperMatrix(out)
-
-    def __sub__(self, other: "SuperMatrix") -> "SuperMatrix":
-        return self + (other * -1)
-
-    def __mul__(self, scalar) -> "SuperMatrix":
-        scalar = Fraction(scalar)
-        if not scalar:
-            return SuperMatrix()
-        return SuperMatrix({k: v * scalar for k, v in self.entries.items()})
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
         """Associative product e(p,q) e(q',s) = delta_{q,q'} e(p,s)."""
         by_row: dict[int, list[tuple[int, Fraction]]] = {}
-        for (q2, s2), val in other.entries.items():
+        for (q2, s2), val in other.terms.items():
             by_row.setdefault(q2, []).append((s2, val))
         out: dict[tuple[int, int], Fraction] = {}
-        for (p2, q2), a in self.entries.items():
+        for (p2, q2), a in self.terms.items():
             for s2, b in by_row.get(q2, ()):
-                key = (p2, s2)
-                new = out.get(key, 0) + a * b
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-        return SuperMatrix(out)
+                _add_term(out, (p2, s2), a * b)
+        return self._new(out)
 
     def entry_parity(self) -> int | None:
         """Common Z2-parity of the support, or None if mixed."""
-        parities = {(parity(p) + parity(q)) & 1 for p, q in self.entries}
+        parities = {(parity(p) + parity(q)) & 1 for p, q in self.terms}
         if not parities:
             return 0
         if len(parities) > 1:
@@ -116,7 +88,7 @@ class SuperMatrix:
 
     def degree(self):
         """Common doubled degree q - p of the support, or None if mixed."""
-        degs = {q - p for p, q in self.entries}
+        degs = {q - p for p, q in self.terms}
         if not degs:
             return 0
         if len(degs) > 1:
@@ -125,22 +97,22 @@ class SuperMatrix:
 
     def homogeneous_components(self) -> list["SuperMatrix"]:
         even, odd = {}, {}
-        for (p2, q2), val in self.entries.items():
+        for (p2, q2), val in self.terms.items():
             ((odd if (parity(p2) + parity(q2)) & 1 else even))[(p2, q2)] = val
         return [SuperMatrix(m) for m in (even, odd) if m]
 
     def support_indices(self) -> set[int]:
         out = set()
-        for p2, q2 in self.entries:
+        for p2, q2 in self.terms:
             out.add(p2)
             out.add(q2)
         return out
 
     def __str__(self) -> str:
-        if not self.entries:
+        if not self.terms:
             return "0"
         bits = []
-        for (p2, q2), val in sorted(self.entries.items()):
+        for (p2, q2), val in sorted(self.terms.items()):
             coeff = "" if val == 1 else ("-" if val == -1 else f"{val}*")
             bits.append(f"{coeff}e({fmt_half(p2)},{fmt_half(q2)})")
         return " + ".join(bits).replace("+ -", "- ")
@@ -148,7 +120,7 @@ class SuperMatrix:
     def to_json(self) -> list[dict]:
         return [
             {"p": fmt_half(p2), "q": fmt_half(q2), "coeff": str(val)}
-            for (p2, q2), val in sorted(self.entries.items())
+            for (p2, q2), val in sorted(self.terms.items())
         ]
 
 
@@ -165,7 +137,7 @@ def super_bracket(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
 def supertrace(a: SuperMatrix) -> Fraction:
     """Str(A) = sum (-1)^{2r} A_rr; the sign is -1 on half-integer indices."""
     total = Fraction(0)
-    for (p2, q2), val in a.entries.items():
+    for (p2, q2), val in a.terms.items():
         if p2 == q2:
             total += -val if parity(p2) else val
     return total
@@ -174,11 +146,11 @@ def supertrace(a: SuperMatrix) -> Fraction:
 def cocycle_alpha(a: SuperMatrix, b: SuperMatrix) -> Fraction:
     """alpha(A,B) = Str([J,A]B) with J = sum_{r<=0} e(r,r), computed entrywise."""
     total = Fraction(0)
-    for (p2, q2), av in a.entries.items():
+    for (p2, q2), av in a.terms.items():
         jfactor = (1 if p2 <= 0 else 0) - (1 if q2 <= 0 else 0)
         if not jfactor:
             continue
-        bv = b.entries.get((q2, p2))
+        bv = b.terms.get((q2, p2))
         if bv is None:
             continue
         sign = -1 if parity(p2) else 1
@@ -242,7 +214,7 @@ def preserves_form(a: SuperMatrix, family: str) -> bool:
         for w2 in hull:
             lhs = Fraction(0)
             rhs = Fraction(0)
-            for (p2, q2), coeff in a.entries.items():
+            for (p2, q2), coeff in a.terms.items():
                 if q2 == v2:
                     lhs += coeff * form_value(family, p2, w2)
                 if q2 == w2:

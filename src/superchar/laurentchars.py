@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import GeneralizedPartition, Partition, bar_conjugate, transpose
+from .partitions import GeneralizedPartition, Partition, bar_conjugate, o_label
 from .ringdet import pair_det, ring_det, spin_det
 from . import symring
+from .sparse import _Sparse, _add_into, _drop_zeros
 
 
 class DecompositionError(ValueError):
@@ -34,10 +35,13 @@ def _norm_coeff(c):
     return c
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial in z_1..z_n with doubled exponents and eps bit."""
+class LaurentPoly(_Sparse):
+    """Sparse Laurent polynomial in z_1..z_n with doubled exponents and eps bit.
 
-    __slots__ = ("nvars", "terms")
+    Integral coefficients are stored as int, the others as Fraction.
+    """
+
+    __slots__ = ("nvars",)
 
     def __init__(self, nvars: int, terms: dict | None = None):
         self.nvars = nvars
@@ -47,6 +51,18 @@ class LaurentPoly:
                 val = _norm_coeff(val)
                 if val:
                     self.terms[key] = val
+
+    def _context(self):
+        return self.nvars
+
+    def _new(self, terms: dict) -> "LaurentPoly":
+        for key, c in terms.items():
+            if type(c) is Fraction and c.denominator == 1:
+                terms[key] = c.numerator
+        out = object.__new__(LaurentPoly)
+        out.nvars = self.nvars
+        out.terms = terms
+        return out
 
     # -- constructors --------------------------------------------------
     @staticmethod
@@ -77,67 +93,17 @@ class LaurentPoly:
         return LaurentPoly.const(self.nvars)
 
     # -- arithmetic ------------------------------------------------------
-    def _check(self, other: "LaurentPoly"):
-        if self.nvars != other.nvars:
-            raise ValueError("variable counts differ")
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, LaurentPoly):
-            return self.nvars == other.nvars and self.terms == other.terms
-        if other == 0:
-            return not self.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.nvars, other)
-        self._check(other)
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            new = out.get(key, 0) + val
-            new = _norm_coeff(new)
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-        return LaurentPoly(self.nvars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly(self.nvars, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.nvars, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _norm_coeff(other)
-            if not other:
-                return LaurentPoly(self.nvars)
-            return LaurentPoly(self.nvars, {k: v * other for k, v in self.terms.items()})
+            return self._scaled(other)
         self._check(other)
         out: dict[tuple[tuple[int, ...], int], object] = {}
+        get = out.get
         for (e1, p1), c1 in self.terms.items():
             for (e2, p2), c2 in other.terms.items():
                 key = (tuple(a + b for a, b in zip(e1, e2)), p1 ^ p2)
-                new = out.get(key, 0) + c1 * c2
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-        return LaurentPoly(self.nvars, out)
+                out[key] = get(key, 0) + c1 * c2
+        return self._new(_drop_zeros(out))
 
     __rmul__ = __mul__
 
@@ -450,20 +416,6 @@ class GroupTag:
         return f"O({self.size})"
 
 
-def _o_core(group: GroupTag, lam: Partition) -> tuple[tuple[int, ...], Partition]:
-    """Top-rank rows of lam (or of bar-lam when the first column is long)."""
-    n, d = group.size, group.rank
-    if lam.length != n:
-        raise ValueError(f"O({n}) labels have declared length {n}: got {lam}")
-    cols = () if lam.is_zero() else transpose(lam).parts
-    c1 = cols[0] if cols else 0
-    c2 = cols[1] if len(cols) > 1 else 0
-    if c1 + c2 > n:
-        raise ValueError(f"lambda'_1 + lambda'_2 = {c1+c2} > {n}")
-    base = lam if 2 * c1 <= n else bar_conjugate(lam, n)
-    return tuple(base.parts[:d]), base
-
-
 def char_group(group: GroupTag, lam: GeneralizedPartition) -> LaurentPoly:
     """Irreducible character of the group, in z_1..z_rank (eps-graded for odd O)."""
     if group.kind == "GL":
@@ -490,7 +442,7 @@ def char_group(group: GroupTag, lam: GeneralizedPartition) -> LaurentPoly:
     n, d = group.size, group.rank
     if not isinstance(lam, Partition):
         lam = Partition(lam.parts)
-    nu, _base = _o_core(group, lam)
+    nu = o_label(lam, n)[0].parts[:d]
     if n % 2 == 0:
         return det_e(_conj(nu), d)
     chi = weyl_char_alternant("B", tuple(2 * v for v in nu), d) if d > 0 else LaurentPoly.const(0)
@@ -564,18 +516,9 @@ def decompose_graded(graded: dict, group: GroupTag) -> dict:
                 raise DecompositionError(f"negative or fractional multiplicity {coeff} at {use}: duality violated")
             for (exps, p), c in char_group(group, use).terms.items():
                 key = (tuple(e // 2 for e in exps), p)
-                slot = rem.setdefault(key, {})
-                for grade, mult in coeff.items():
-                    new = slot.get(grade, 0) - c * mult
-                    if new:
-                        slot[grade] = new
-                    else:
-                        slot.pop(grade, None)
-                if not slot:
+                if not _add_into(rem.setdefault(key, {}), coeff, -c):
                     del rem[key]
-            total = out.setdefault(use, {})
-            for grade, mult in coeff.items():
-                total[grade] = total.get(grade, 0) + mult
+            _add_into(out.setdefault(use, {}), coeff)
     return out
 
 

@@ -269,29 +269,47 @@ def from_frobenius(data: FrobeniusData) -> GeneralizedPartition:
     return GeneralizedPartition(parts)
 
 
+def _o_columns(lam: Partition, n: int) -> list[int]:
+    """Columns of lam after checking that it labels an O(n) module.
+
+    A label has declared length n and lambda'_1 + lambda'_2 <= n; anything
+    else raises ValueError.
+    """
+    if lam.length != n:
+        raise ValueError(f"O({n}) labels have declared length {n}: got {lam}")
+    cols = [] if lam.is_zero() else list(transpose(lam).parts)
+    first = cols[0] if cols else 0
+    second = cols[1] if len(cols) > 1 else 0
+    if first + second > n:
+        raise ValueError(f"lambda'_1 + lambda'_2 = {first+second} > n = {n}")
+    return cols
+
+
 def bar_conjugate(lam: Partition, n: int) -> Partition:
     """Replace the first column of lambda by one of length n - lambda'_1.
 
     Labels the det-twisted O(n) module; an involution on partitions of
     declared length n with lambda'_1 + lambda'_2 <= n.
     """
-    if lam.length != n:
-        raise ValueError(f"bar conjugate needs declared length {n}, got {lam.length}")
-    cols = [] if lam.is_zero() else list(transpose(lam).parts)
-    first = cols[0] if cols else 0
-    second = cols[1] if len(cols) > 1 else 0
-    if first + second > n:
-        raise ValueError(f"lambda'_1 + lambda'_2 = {first+second} > n = {n}")
-    new_cols = [n - first] + cols[1:]
+    cols = _o_columns(lam, n)
+    # n - lambda'_1 >= lambda'_2 by the label condition, so the columns stay non-increasing
+    new_cols = [n - (cols[0] if cols else 0)] + cols[1:]
     if new_cols[0] == 0:
         new_cols = new_cols[1:]
     if not new_cols:
         return Partition((0,) * n)
-    if new_cols[0] < (new_cols[1] if len(new_cols) > 1 else 0):
-        raise ValueError(f"bar conjugate not a partition: columns {new_cols}")
     bar = transpose(Partition(tuple(new_cols)))
     parts = bar.parts + (0,) * (n - len(bar.parts))
     return Partition(parts[:n])
+
+
+def o_label(lam: Partition, n: int) -> tuple[Partition, int]:
+    """Canonical O(n) label of lam and its branch: (lam, +1) when lambda'_1 <= n/2,
+    else (bar lam, -1).  Raises ValueError unless lam labels an O(n) module."""
+    cols = _o_columns(lam, n)
+    if 2 * (cols[0] if cols else 0) <= n:
+        return lam, 1
+    return bar_conjugate(lam, n), -1
 
 
 # -- literals ---------------------------------------------------------------

@@ -1,0 +1,120 @@
+"""Sparse exact-coefficient arithmetic shared by the algebra classes.
+
+`LaurentPoly`, `SymFunc`, `FockVector` and `SuperMatrix` are all a dict
+`terms` of nonzero exact coefficients plus a context that every operand must
+share: the variable count, the truncation cap, the Fock space, or nothing for
+supermatrices.  `_Sparse` holds what they have in common; each class supplies
+`_context()`, a trusted `_new(terms)` that wraps an internal result without
+copying or re-normalising it, and its own product.  The helpers below add in
+place and drop the zeros, so no other module hand-writes that loop.
+
+Every name here is private: a tracer that wraps each public function and
+method of the package charges this code to the layer that calls it.
+"""
+
+from fractions import Fraction as _Fraction
+
+
+def _add_term(out, key, c):
+    """out[key] += c in place, dropping the key when the sum is zero.
+
+    c may be a number or a ring element (a missing key is not read as 0).
+    """
+    cur = out.get(key)
+    new = c if cur is None else cur + c
+    if new:
+        out[key] = new
+    else:
+        out.pop(key, None)
+
+
+def _add_into(out, terms, scale=1):
+    """out += scale * terms in place, dropping zeros; returns out.
+
+    `terms` is a dict or an iterable of (key, coefficient) pairs.
+    """
+    items = terms.items() if isinstance(terms, dict) else terms
+    if scale != 1:
+        items = [(key, c * scale) for key, c in items]
+    get, pop = out.get, out.pop
+    for key, c in items:
+        new = get(key, 0) + c
+        if new:
+            out[key] = new
+        else:
+            pop(key, None)
+    return out
+
+
+def _drop_zeros(out):
+    """Delete the zero coefficients of a dict summed without pruning; returns out."""
+    for key in [key for key, c in out.items() if not c]:
+        del out[key]
+    return out
+
+
+class _Sparse:
+    """Comparison, sums, negation and scalar multiples of {key: coefficient} elements."""
+
+    __slots__ = ("terms",)
+
+    def _context(self):
+        return None
+
+    def _check(self, other):
+        if self._context() != other._context():
+            raise ValueError(f"{type(self).__name__} operands do not match: {self._context()} vs {other._context()}")
+
+    def _operand(self, other):
+        """Terms of a same-context operand; a scalar is a constant where the class has `const`."""
+        if isinstance(other, type(self)):
+            self._check(other)
+            return other.terms
+        const = getattr(type(self), "const", None)
+        if const is not None and isinstance(other, (int, _Fraction)):
+            return const(self._context(), other).terms
+        return None
+
+    def _scaled(self, s):
+        if not s:
+            return self._new({})
+        return self._new({key: c * s for key, c in self.terms.items()})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self._context() == other._context() and self.terms == other.terms
+        if other == 0:
+            return not self.terms
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self._context(), frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        terms = self._operand(other)
+        if terms is None:
+            return NotImplemented
+        return self._new(_add_into(dict(self.terms), terms))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        terms = self._operand(other)
+        if terms is None:
+            return NotImplemented
+        return self._new(_add_into(dict(self.terms), terms, -1))
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __mul__(self, scalar):
+        """Scalar multiple, the scalar read as a Fraction; the rings override this with their product."""
+        return self._scaled(_Fraction(scalar))
+
+    __rmul__ = __mul__

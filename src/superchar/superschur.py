@@ -22,10 +22,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import Partition, bar_conjugate, transpose
+from .partitions import Partition, bar_conjugate, o_label, transpose
 # ring_det stays bound here: perfbench's tracer test wraps it in every module that builds determinants
 from .ringdet import pair_det, ring_det, spin_det  # noqa: F401
 from .laurentchars import GroupTag, LaurentPoly, char_group, classical_char_so_even, tensor_multiplicity
+from .sparse import _add_term
 from .symring import SymFunc, elementary, generator, omega_x, omega_y, specialize
 
 
@@ -111,20 +112,6 @@ def _sum_e(cap: int, alphabet: str, alternating: bool) -> SymFunc:
     return acc
 
 
-def _o_split(lam: Partition, n: int) -> tuple[Partition, int]:
-    """Base partition (first column <= n/2) and the branch sign (+1 plain, -1 bar)."""
-    if lam.length != n:
-        raise ValueError(f"orthogonal labels have declared length {n}: got {lam}")
-    cols = () if lam.is_zero() else transpose(lam).parts
-    c1 = cols[0] if cols else 0
-    c2 = cols[1] if len(cols) > 1 else 0
-    if c1 + c2 > n:
-        raise ValueError(f"lambda'_1 + lambda'_2 = {c1+c2} > n = {n}")
-    if 2 * c1 <= n:
-        return lam, 1
-    return bar_conjugate(lam, n), -1
-
-
 def so_schur(lam: Partition, n: int, cap: int, alphabet: str = "x") -> SymFunc:
     """Orthogonal Schur function of weight n/2.
 
@@ -137,7 +124,7 @@ def so_schur(lam: Partition, n: int, cap: int, alphabet: str = "x") -> SymFunc:
     termp = lambda r: etilde_primed(r, "e", cap, alphabet)
     half = Fraction(1, 2)
     one = SymFunc.const(cap)
-    base, sign = _o_split(lam, n)
+    base, sign = o_label(lam, n)
     d = n // 2
     if n % 2 == 0:
         main = pair_det(_centres(base, d), term, one)
@@ -165,26 +152,13 @@ def so_hook(lam: Partition, n: int, cap: int) -> SymFunc:
 #
 # Tensor elements are dicts {(doubled z exponents, eps bit): SymFunc}.
 
-ZKey = tuple[tuple[int, ...], int]
-
-
-def _zs_add(acc: dict, key: ZKey, val: SymFunc):
-    if not val:
-        return
-    cur = acc.get(key)
-    new = val if cur is None else cur + val
-    if new:
-        acc[key] = new
-    else:
-        acc.pop(key, None)
-
 
 def _zs_mul_factor(acc: dict, factor: list[tuple[tuple[int, ...], int, SymFunc]]) -> dict:
     out: dict = {}
     for (exps, eps), f in acc.items():
         for dexps, deps, g in factor:
             key = (tuple(a + b for a, b in zip(exps, dexps)), eps ^ deps)
-            _zs_add(out, key, f * g)
+            _add_term(out, key, f * g)
     return out
 
 
@@ -270,7 +244,7 @@ def _rhs_sum(nz: int, pairs) -> dict:
     acc: dict = {}
     for chi, f in pairs:
         for key, c in chi.terms.items():
-            _zs_add(acc, key, f * c)
+            _add_term(acc, key, f * c)
     return acc
 
 
@@ -393,8 +367,7 @@ def verify_identity(tag: str, **params) -> dict:
                 mults = tensor_multiplicity(group, mu, nu)
                 prod = sp_schur(mu, cap) * sp_skew(nu, cap, alphabet="y")
                 for lam, c in mults.items():
-                    key = lam.parts
-                    tensor[key] = tensor.get(key, SymFunc.zero(cap)) + c * prod
+                    _add_term(tensor, lam.parts, c * prod)
         for lam in _lambda_box(min(lmax, cap), d):
             want = sp_hook(lam, cap)
             got = tensor.get(lam.parts, SymFunc.zero(cap))
@@ -418,8 +391,7 @@ def verify_identity(tag: str, **params) -> dict:
                 mults = tensor_multiplicity(group, mu, nu)
                 prod = so_schur(mu, n, cap) * _swap_to_y(so_skew(nu, n, cap))
                 for lam, c in mults.items():
-                    key = lam.parts
-                    tensor[key] = tensor.get(key, SymFunc.zero(cap)) + c * prod
+                    _add_term(tensor, lam.parts, c * prod)
         for lam in o_labels(n, min(lmax, cap)):
             if n % 2 == 1:
                 want = so_hook(lam, n, cap)
@@ -428,7 +400,7 @@ def verify_identity(tag: str, **params) -> dict:
                 # even case: only the bar-merged totals are determined
                 bar = bar_conjugate(lam, n)
                 want = so_hook(lam, n, cap) + so_hook(bar, n, cap)
-                got = tensor.get(_canon_o(lam, n).parts, SymFunc.zero(cap))
+                got = tensor.get(o_label(lam, n)[0].parts, SymFunc.zero(cap))
                 if bar.parts == lam.parts:
                     want = so_hook(lam, n, cap)
             if want != got:
@@ -460,12 +432,6 @@ def _laurent_report(tag: str, params: dict, lhs: LaurentPoly, rhs: LaurentPoly) 
             "rhs": str(rhs.terms.get(key, 0)),
         },
     }
-
-
-def _canon_o(lam: Partition, n: int) -> Partition:
-    cols = () if lam.is_zero() else transpose(lam).parts
-    c1 = cols[0] if cols else 0
-    return lam if 2 * c1 <= n else bar_conjugate(lam, n)
 
 
 def _swap_to_y(f: SymFunc) -> SymFunc:

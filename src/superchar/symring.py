@@ -16,6 +16,7 @@ from functools import lru_cache
 
 from .partitions import Partition, transpose
 from .ringdet import ring_det
+from .sparse import _Sparse, _add_into, _drop_zeros
 
 Mono = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
 
@@ -45,10 +46,10 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return (_part_mul(a[0], b[0]), _part_mul(a[1], b[1]))
 
 
-class SymFunc:
+class SymFunc(_Sparse):
     """Truncated two-alphabet symmetric function with exact coefficients."""
 
-    __slots__ = ("cap", "terms")
+    __slots__ = ("cap",)
 
     def __init__(self, cap: int, terms: dict[Mono, Fraction] | None = None):
         self.cap = cap
@@ -58,6 +59,15 @@ class SymFunc:
                 if coeff and mono_degree(mono) <= cap:
                     self.terms[mono] = coeff
 
+    def _context(self):
+        return self.cap
+
+    def _new(self, terms: dict) -> "SymFunc":
+        out = object.__new__(SymFunc)
+        out.cap = self.cap
+        out.terms = terms
+        return out
+
     @staticmethod
     def zero(cap: int) -> "SymFunc":
         return SymFunc(cap)
@@ -66,66 +76,21 @@ class SymFunc:
     def const(cap: int, value=1) -> "SymFunc":
         return SymFunc(cap, {EMPTY_MONO: Fraction(value)})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SymFunc):
-            return self.cap == other.cap and self.terms == other.terms
-        if other == 0:
-            return not self.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.cap, frozenset(self.terms.items())))
-
-    def _check(self, other: "SymFunc"):
-        if self.cap != other.cap:
-            raise ValueError(f"truncation caps differ: {self.cap} vs {other.cap}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SymFunc.const(self.cap, other)
-        self._check(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = out.get(mono, 0) + coeff
-            if new:
-                out[mono] = new
-            else:
-                out.pop(mono, None)
-        return SymFunc(self.cap, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SymFunc(self.cap, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SymFunc.const(self.cap, other)
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return SymFunc(self.cap)
-            return SymFunc(self.cap, {m: c * other for m, c in self.terms.items()})
+            return self._scaled(other)
         self._check(other)
         cap = self.cap
         out: dict[Mono, Fraction] = {}
+        get = out.get
         for m1, c1 in self.terms.items():
             d1 = mono_degree(m1)
             for m2, c2 in other.terms.items():
                 if d1 + mono_degree(m2) > cap:
                     continue
                 mono = mono_mul(m1, m2)
-                new = out.get(mono, 0) + c1 * c2
-                if new:
-                    out[mono] = new
-                else:
-                    out.pop(mono, None)
-        return SymFunc(cap, out)
+                out[mono] = get(mono, 0) + c1 * c2
+        return self._new(_drop_zeros(out))
 
     __rmul__ = __mul__
 
@@ -252,16 +217,16 @@ def schur(lam: Partition, alphabet: str, cap: int) -> SymFunc:
 def omega(f: SymFunc, alphabet: str) -> SymFunc:
     """Ring involution sending e_k(alphabet) -> h_k(alphabet), other alphabet fixed."""
     which = 0 if alphabet == "x" else 1
-    out = SymFunc.zero(f.cap)
+    out: dict[Mono, Fraction] = {}
     for mono, coeff in f.terms.items():
         kept: Mono = ((), mono[1]) if which == 0 else (mono[0], ())
-        term = SymFunc(f.cap, {kept: coeff})
+        term = f._new({kept: coeff})
         for k, mult in mono[which]:
             hk = generator("complete", k, alphabet, f.cap)
             for _ in range(mult):
                 term = term * hk
-        out = out + term
-    return out
+        _add_into(out, term.terms)
+    return f._new(out)
 
 
 def omega_y(f: SymFunc) -> SymFunc:
@@ -320,8 +285,8 @@ def specialize(f: SymFunc, x_values: list, y_values: list, one=None):
                 pow_cache[key] = power(which, k, mult - 1) * elems[which][k]
         return pow_cache[key]
 
-    # accumulate mutably when the target ring is a LaurentPoly
-    laurent = hasattr(one, "terms")
+    # accumulate mutably when the target ring is a sparse element such as a LaurentPoly
+    sparse = isinstance(one, _Sparse)
     acc_terms: dict = {}
     total_scalar = one * 0
     for mono, coeff in f.terms.items():
@@ -329,18 +294,11 @@ def specialize(f: SymFunc, x_values: list, y_values: list, one=None):
         for which in (0, 1):
             for k, mult in mono[which]:
                 term = term * power(which, k, mult)
-        if laurent:
-            for key, val in term.terms.items():
-                new = acc_terms.get(key, 0) + val
-                if new:
-                    acc_terms[key] = new
-                else:
-                    acc_terms.pop(key, None)
+        if sparse:
+            _add_into(acc_terms, term.terms)
         else:
             total_scalar = total_scalar + term
-    if laurent:
-        return type(one)(one.nvars, acc_terms)
-    return total_scalar
+    return one._new(acc_terms) if sparse else total_scalar
 
 
 # -- expansion into weight monomials ----------------------------------------
@@ -410,26 +368,13 @@ def weight_expansion(f: SymFunc, cap2: int) -> dict[WeightMono, Fraction]:
                             key = (merged[0], merged[1])
                             nxt[key] = nxt.get(key, 0) + c
                     partial = nxt
-        for wm, c in partial.items():
-            new = total.get(wm, 0) + c * coeff
-            if new:
-                total[wm] = new
-            else:
-                total.pop(wm, None)
+        _add_into(total, partial, coeff)
     return total
 
 
 def energy_series(wmonos: dict[WeightMono, Fraction]) -> dict[int, Fraction]:
     """Collect coefficients by doubled energy: x_n -> q^n, y_r -> q^r."""
-    out: dict[int, Fraction] = {}
-    for wmono, coeff in wmonos.items():
-        e2 = wmono_energy2(wmono)
-        new = out.get(e2, 0) + coeff
-        if new:
-            out[e2] = new
-        else:
-            out.pop(e2, None)
-    return out
+    return _add_into({}, [(wmono_energy2(wmono), coeff) for wmono, coeff in wmonos.items()])
 
 
 def q_series(f: SymFunc, cap2: int) -> dict[int, Fraction]:

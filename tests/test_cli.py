@@ -122,3 +122,48 @@ def test_failed_decomposition_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(fock, "fock_character", drop_one_state)
     code, _, err = run(capsys, "fock", "--space", "1", "--action", "decompose", "--cutoff", "1")
     assert code == 1 and "verification failure" in err
+
+
+def test_jobs_bounded_by_cpu_count_and_cases(capsys, monkeypatch):
+    import concurrent.futures
+    import os
+
+    built = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records the pool size and maps in this process."""
+
+        def __init__(self, max_workers=None):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    case = ["verify", "--identity", "HS", "--d", "1", "--deg", "2"]
+    for jobs in ("0", "-1", str((os.cpu_count() or 1) + 1), "100000", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(case + ["--jobs", jobs])
+        assert exc.value.code == 2 and "--jobs" in capsys.readouterr().err
+    assert built == []
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("--jobs 2 needs two CPUs")
+    code, out, _ = run(capsys, *case, "--jobs", "2")
+    assert code == 0 and out.startswith("PASS")
+    assert built == [1]
+
+
+def test_fock_sizes_capped_by_max_deg(capsys, monkeypatch):
+    monkeypatch.setenv("SUPERCHAR_MAX_DEG", "4")
+    code, _, err = run(capsys, "fock", "--space", "1", "--action", "decompose", "--cutoff", "3")
+    assert code == 2 and "SUPERCHAR_MAX_DEG" in err
+    code, _, err = run(capsys, "fock", "--space", "1", "--action", "gram", "--energy", "5/2")
+    assert code == 2 and "SUPERCHAR_MAX_DEG" in err
+    code, out, _ = run(capsys, "fock", "--space", "1", "--action", "decompose", "--cutoff", "2")
+    assert code == 0 and "lambda=[0]" in out

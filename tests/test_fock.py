@@ -126,7 +126,7 @@ def test_homomorphism_with_central_term():
                 v = FockVector(sp, {mono: Fraction(1)})
                 lhs = ra.apply(rb.apply(v)) - sign * rb.apply(ra.apply(v))
                 rhs = rbr.apply(v) + v * (alpha * sp.level)
-                assert lhs == rhs, (a.entries, b.entries, fmt_state(mono))
+                assert lhs == rhs, (a.terms, b.terms, fmt_state(mono))
 
 
 def test_dhalf_homomorphism_with_central_term():
@@ -145,7 +145,7 @@ def test_dhalf_homomorphism_with_central_term():
             br = super_bracket(x, y)
             # expand the bracket in the spanning elements: M = (1/2) sum M_pq te(p,q)
             rbr = RealizedOp(sp, [])
-            for (a2, b2), c in br.entries.items():
+            for (a2, b2), c in br.terms.items():
                 rbr = rbr + realize_te_dhalf(sp, a2, b2) * (Fraction(c) / 2)
             alpha = cocycle_alpha(x, y) * sp.level
             for mono in basis[:25]:

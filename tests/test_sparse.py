@@ -1,0 +1,89 @@
+"""Property tests of the sparse exact-coefficient arithmetic shared by
+LaurentPoly, SymFunc, FockVector and SuperMatrix, including the stored
+coefficient normal forms that internal results must keep."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from superchar.fock import FockVector, Space, enumerate_basis
+from superchar.infmat import SuperMatrix
+from superchar.laurentchars import LaurentPoly
+from superchar.symring import SymFunc
+
+COEFFS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+SPACE = Space("A", 1)
+SYM_MONOS = [
+    ((), ()), (((1, 1),), ()), ((), ((1, 1),)), (((1, 2),), ()),
+    (((2, 1),), ((1, 1),)), (((3, 1),), ()), ((), ((1, 3),)),
+]
+
+
+def _terms(keys):
+    return st.dictionaries(keys, COEFFS, max_size=5)
+
+
+ELEMENTS = {
+    "LaurentPoly": _terms(st.tuples(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(0, 1))).map(
+        lambda t: LaurentPoly(2, t)
+    ),
+    "SymFunc": _terms(st.sampled_from(SYM_MONOS)).map(lambda t: SymFunc(3, t)),
+    "FockVector": _terms(st.sampled_from(enumerate_basis(SPACE, 3))).map(lambda t: FockVector(SPACE, t)),
+    "SuperMatrix": _terms(st.tuples(st.integers(-3, 3), st.integers(-3, 3))).map(SuperMatrix),
+}
+
+
+def _normal(x):
+    """x after checking it stores no zero and the coefficient types its class promises."""
+    values = list(x.terms.values())
+    assert all(values), x.terms
+    if isinstance(x, LaurentPoly):
+        assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in values), x.terms
+    elif isinstance(x, (FockVector, SuperMatrix)):
+        assert all(type(c) is Fraction for c in values), x.terms
+    return x
+
+
+@pytest.mark.parametrize("kind", list(ELEMENTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sums_differences_and_scalar_multiples(kind, data):
+    a, b = data.draw(ELEMENTS[kind]), data.draw(ELEMENTS[kind])
+    k = data.draw(COEFFS)
+    total = _normal(a + b)
+    assert _normal(total - b) == a
+    assert total == b + a and hash(total) == hash(b + a)
+    assert not (a - a).terms and a - a == 0
+    assert not (a * 0).terms and not (0 * a).terms
+    assert _normal(-a) + a == 0
+    assert _normal(a * k) == _normal(k * a)
+    if k:
+        assert _normal(a * k * (Fraction(1) / k)) == a
+
+
+@pytest.mark.parametrize("kind", ["LaurentPoly", "SymFunc"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ring_products_distribute(kind, data):
+    a, b, c = (data.draw(ELEMENTS[kind]) for _ in range(3))
+    k = data.draw(COEFFS)
+    assert _normal(a * (b + c)) == _normal(a * b) + _normal(a * c)
+    assert _normal(a + k) - k == a
+    assert _normal(k - a) == -(a - k)
+
+
+def test_operands_must_share_context():
+    with pytest.raises(ValueError):
+        LaurentPoly.const(2) + LaurentPoly.const(3)
+    with pytest.raises(ValueError):
+        SymFunc.const(2) * SymFunc.const(3)
+    with pytest.raises(ValueError):
+        FockVector.vacuum(Space("A", 1)) - FockVector.vacuum(Space("A", 2))
+
+
+def test_cancelling_products_store_no_zero():
+    x, y = LaurentPoly.var(2, 0), LaurentPoly.var(2, 1)
+    assert _normal((x + y) * (x - y)) == x * x - y * y
+    ex, ey = SymFunc(3, {(((1, 1),), ()): 1}), SymFunc(3, {((), ((1, 1),)): 1})
+    assert _normal((ex + ey) * (ex - ey)) == ex * ex - ey * ey
