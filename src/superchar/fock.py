@@ -243,7 +243,8 @@ class RealizedOp:
         return out
 
     def __add__(self, other: "RealizedOp") -> "RealizedOp":
-        assert self.space == other.space
+        if self.space != other.space:
+            raise ValueError("operators live on different spaces")
         return RealizedOp(self.space, self.terms + other.terms, self.scalar + other.scalar)
 
     def __mul__(self, scalar) -> "RealizedOp":

@@ -22,17 +22,11 @@ from functools import lru_cache
 from .partitions import GeneralizedPartition, Partition, bar_conjugate, o_label
 from .ringdet import pair_det, ring_det, spin_det
 from . import symring
-from .sparse import _Sparse, _add_into, _drop_zeros
+from .sparse import _Sparse, _add_into, _drop_zeros, _fold_integral
 
 
 class DecompositionError(ValueError):
     pass
-
-
-def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
 
 
 class LaurentPoly(_Sparse):
@@ -45,23 +39,17 @@ class LaurentPoly(_Sparse):
 
     def __init__(self, nvars: int, terms: dict | None = None):
         self.nvars = nvars
-        self.terms: dict[tuple[tuple[int, ...], int], object] = {}
-        if terms:
-            for key, val in terms.items():
-                val = _norm_coeff(val)
-                if val:
-                    self.terms[key] = val
+        self.terms: dict[tuple[tuple[int, ...], int], object] = (
+            _fold_integral({key: val for key, val in terms.items() if val}) if terms else {}
+        )
 
     def _context(self):
         return self.nvars
 
     def _new(self, terms: dict) -> "LaurentPoly":
-        for key, c in terms.items():
-            if type(c) is Fraction and c.denominator == 1:
-                terms[key] = c.numerator
         out = object.__new__(LaurentPoly)
         out.nvars = self.nvars
-        out.terms = terms
+        out.terms = _fold_integral(terms)
         return out
 
     # -- constructors --------------------------------------------------
@@ -76,7 +64,8 @@ class LaurentPoly(_Sparse):
     @staticmethod
     def monomial(nvars: int, exps2, eps: int = 0, coeff=1) -> "LaurentPoly":
         exps2 = tuple(exps2)
-        assert len(exps2) == nvars
+        if len(exps2) != nvars:
+            raise ValueError(f"monomial needs {nvars} exponents, got {len(exps2)}")
         return LaurentPoly(nvars, {(exps2, eps & 1): coeff})
 
     @staticmethod

@@ -5,8 +5,10 @@
 share: the variable count, the truncation cap, the Fock space, or nothing for
 supermatrices.  `_Sparse` holds what they have in common; each class supplies
 `_context()`, a trusted `_new(terms)` that wraps an internal result without
-copying or re-normalising it, and its own product.  The helpers below add in
-place and drop the zeros, so no other module hand-writes that loop.
+copying it, and its own product.  The helpers below add in place and drop the
+zeros, so no other module hand-writes that loop; `_fold_integral` gives the
+two rings (`LaurentPoly`, `SymFunc`) their coefficient normal form: `int` when
+integral, `Fraction` otherwise.
 
 Every name here is private: a tracer that wraps each public function and
 method of the package charges this code to the layer that calls it.
@@ -44,6 +46,19 @@ def _add_into(out, terms, scale=1):
         else:
             pop(key, None)
     return out
+
+
+def _fold_integral(terms):
+    """Store each integral Fraction of terms as int, in place; returns terms.
+
+    `type(c) is Fraction` rather than `isinstance`, which goes through ABCMeta;
+    the set of types is built in C, so all-int terms cost no Python loop.
+    """
+    if _Fraction in set(map(type, terms.values())):
+        for key, c in terms.items():
+            if type(c) is _Fraction and c.denominator == 1:
+                terms[key] = c.numerator
+    return terms
 
 
 def _drop_zeros(out):

@@ -13,22 +13,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .partitions import Partition, transpose
 from .ringdet import ring_det
-from .sparse import _Sparse, _add_into, _drop_zeros
+from .sparse import _Sparse, _add_into, _drop_zeros, _fold_integral
 
 Mono = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
 
 EMPTY_MONO: Mono = ((), ())
 
 
-def _part_degree(part: tuple[tuple[int, int], ...]) -> int:
-    return sum(k * m for k, m in part)
-
-
+@lru_cache(maxsize=None)
 def mono_degree(mono: Mono) -> int:
-    return _part_degree(mono[0]) + _part_degree(mono[1])
+    """Total degree; cached, as every product asks it of each operand term."""
+    return sum(k * m for part in mono for k, m in part)
 
 
 def _part_mul(a, b):
@@ -47,17 +46,20 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
 
 
 class SymFunc(_Sparse):
-    """Truncated two-alphabet symmetric function with exact coefficients."""
+    """Truncated two-alphabet symmetric function with exact coefficients.
+
+    Integral coefficients are stored as int, the others as Fraction.
+    """
 
     __slots__ = ("cap",)
 
-    def __init__(self, cap: int, terms: dict[Mono, Fraction] | None = None):
+    def __init__(self, cap: int, terms: dict[Mono, object] | None = None):
         self.cap = cap
-        self.terms: dict[Mono, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff and mono_degree(mono) <= cap:
-                    self.terms[mono] = coeff
+        self.terms: dict[Mono, object] = (
+            _fold_integral({mono: c for mono, c in terms.items() if c and mono_degree(mono) <= cap})
+            if terms
+            else {}
+        )
 
     def _context(self):
         return self.cap
@@ -65,7 +67,7 @@ class SymFunc(_Sparse):
     def _new(self, terms: dict) -> "SymFunc":
         out = object.__new__(SymFunc)
         out.cap = self.cap
-        out.terms = terms
+        out.terms = _fold_integral(terms)
         return out
 
     @staticmethod
@@ -81,13 +83,15 @@ class SymFunc(_Sparse):
             return self._scaled(other)
         self._check(other)
         cap = self.cap
-        out: dict[Mono, Fraction] = {}
+        # right operand by degree, so each left term stops at the first pair over the cap
+        right = sorted(((mono_degree(m), m, c) for m, c in other.terms.items()), key=itemgetter(0))
+        out: dict[Mono, object] = {}
         get = out.get
         for m1, c1 in self.terms.items():
-            d1 = mono_degree(m1)
-            for m2, c2 in other.terms.items():
-                if d1 + mono_degree(m2) > cap:
-                    continue
+            room = cap - mono_degree(m1)
+            for d2, m2, c2 in right:
+                if d2 > room:
+                    break
                 mono = mono_mul(m1, m2)
                 out[mono] = get(mono, 0) + c1 * c2
         return self._new(_drop_zeros(out))
@@ -105,7 +109,7 @@ class SymFunc(_Sparse):
             tuple(sorted((x or {}).items())),
             tuple(sorted((y or {}).items())),
         )
-        return self.terms.get(mono, Fraction(0))
+        return self.terms.get(mono, 0)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -171,12 +175,12 @@ def generator(kind: str, k: int, alphabet: str, cap: int) -> SymFunc:
     if k > cap:
         return SymFunc.zero(cap)
     if kind == "elementary":
-        return SymFunc(cap, {_e_mono(alphabet, k): Fraction(1)})
+        return SymFunc(cap, {_e_mono(alphabet, k): 1})
     if kind == "complete":
-        terms: dict[Mono, Fraction] = {}
+        terms: dict[Mono, int] = {}
         for part, coeff in _h_in_e(k):
             mono = (part, ()) if alphabet == "x" else ((), part)
-            terms[mono] = Fraction(coeff)
+            terms[mono] = coeff
         return SymFunc(cap, terms)
     raise ValueError(f"unknown generator kind {kind!r}")
 

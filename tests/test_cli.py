@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from superchar import fock
+from superchar import fock, superschur
+from superchar.symring import SymFunc
 from superchar.cli import main
 
 
@@ -122,6 +123,23 @@ def test_failed_decomposition_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(fock, "fock_character", drop_one_state)
     code, _, err = run(capsys, "fock", "--space", "1", "--action", "decompose", "--cutoff", "1")
     assert code == 1 and "verification failure" in err
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [("sp_hook", ["--identity", "HS", "--d", "1"]), ("so_hook", ["--identity", "HS-O", "--n", "2"])],
+)
+def test_wrong_hook_schur_function_fails_verification(capsys, monkeypatch, name, argv):
+    real = getattr(superschur, name)
+
+    def off_by_one(*args):
+        f = real(*args)
+        return f + SymFunc(f.cap, {min(f.terms): 1})
+
+    monkeypatch.setattr(superschur, name, off_by_one)
+    code, out, _ = run(capsys, "verify", *argv, "--deg", "3", "--json")
+    report = json.loads(out)[0]
+    assert code == 1 and report["status"] == "fail" and report["first_mismatch"]
 
 
 def test_jobs_bounded_by_cpu_count_and_cases(capsys, monkeypatch):

@@ -65,6 +65,13 @@ def test_realize_examples():
     assert len(e11.terms) == 4  # psi+-_{-1},psi_1 and gam_{+-1/2} pairs
 
 
+def test_realized_ops_add_only_on_one_space():
+    a, b = realize_e(Space("A", 1), 1, 1), realize_e(Space("A", 2), 1, 1)
+    assert (a + a).terms == a.terms + a.terms
+    with pytest.raises(ValueError, match="different spaces"):
+        a + b
+
+
 def test_apply_examples():
     sp = Space("A", 1)
     gm = vec_of(sp, (GAM_M, 1, -1))

@@ -1,5 +1,8 @@
 import itertools
+import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -18,6 +21,7 @@ from superchar.laurentchars import (
     tensor_multiplicity,
     weyl_char_alternant,
 )
+import superchar
 from superchar.partitions import GeneralizedPartition, Partition, bar_conjugate, transpose
 
 from oracles import (
@@ -114,6 +118,26 @@ def test_divexact_errors():
     assert divexact(z * z - one, z - one) == z + one
     with pytest.raises(ArithmeticError):
         divexact(z + one + one, z - one)
+
+
+def test_monomial_checks_its_exponent_count():
+    assert LaurentPoly.monomial(2, (2, 4)).terms == {((2, 4), 0): 1}
+    with pytest.raises(ValueError, match="2 exponents, got 3"):
+        LaurentPoly.monomial(2, (2, 4, 6))
+
+
+def test_monomial_check_survives_optimized_mode():
+    src = os.path.dirname(os.path.dirname(superchar.__file__))
+    code = (
+        "from superchar.laurentchars import LaurentPoly\n"
+        "try:\n"
+        "    LaurentPoly.monomial(2, (2, 4, 6))\n"
+        "except ValueError:\n"
+        "    raise SystemExit(7)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 7, proc.stderr
 
 
 def test_char_group_examples():

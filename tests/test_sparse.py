@@ -2,6 +2,7 @@
 LaurentPoly, SymFunc, FockVector and SuperMatrix, including the stored
 coefficient normal forms that internal results must keep."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,7 @@ def _normal(x):
     """x after checking it stores no zero and the coefficient types its class promises."""
     values = list(x.terms.values())
     assert all(values), x.terms
-    if isinstance(x, LaurentPoly):
+    if isinstance(x, (LaurentPoly, SymFunc)):
         assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in values), x.terms
     elif isinstance(x, (FockVector, SuperMatrix)):
         assert all(type(c) is Fraction for c in values), x.terms
@@ -87,3 +88,44 @@ def test_cancelling_products_store_no_zero():
     assert _normal((x + y) * (x - y)) == x * x - y * y
     ex, ey = SymFunc(3, {(((1, 1),), ()): 1}), SymFunc(3, {((), ((1, 1),)): 1})
     assert _normal((ex + ey) * (ex - ey)) == ex * ex - ey * ey
+
+
+def test_symfunc_stores_integral_coefficients_as_int():
+    mono = (((1, 1),), ())
+    f = SymFunc(3, {mono: Fraction(4, 2)})
+    assert f.terms == {mono: 2} and type(f.terms[mono]) is int
+    assert _normal(f * Fraction(1, 2)).terms == {mono: 1}
+    assert _normal(SymFunc.const(3, Fraction(3, 3))) == SymFunc.const(3)
+    assert f.coefficient({1: 1}) == 2 and type(f.coefficient({2: 1})) is int
+
+
+# -- the truncated SymFunc product against a naive all-pairs oracle ----------
+
+# monomials of degree 0..6, so that products of drawn operands pass every cap drawn
+ORACLE_MONOS = SYM_MONOS + [
+    (((1, 1), (2, 1)), ((1, 1),)), (((4, 1),), ()), ((), ((2, 2),)), (((1, 3),), ((2, 1),)),
+    (((2, 1),), ((2, 1),)), (((1, 1),), ((1, 1), (3, 1))), (((5, 1),), ((1, 1),)),
+]
+
+
+def _naive_product(cap, a, b):
+    """All pairs, each kept when the degree of its product is at most cap."""
+    out = Counter()
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            xs = Counter(dict(m1[0])) + Counter(dict(m2[0]))
+            ys = Counter(dict(m1[1])) + Counter(dict(m2[1]))
+            if sum(k * m for k, m in xs.items()) + sum(k * m for k, m in ys.items()) <= cap:
+                out[(tuple(sorted(xs.items())), tuple(sorted(ys.items())))] += c1 * c2
+    return {mono: c for mono, c in out.items() if c}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cap=st.integers(0, 6),
+    a=st.dictionaries(st.sampled_from(ORACLE_MONOS), COEFFS, max_size=8),
+    b=st.dictionaries(st.sampled_from(ORACLE_MONOS), COEFFS, max_size=8),
+)
+def test_symfunc_product_matches_naive_truncated_product(cap, a, b):
+    fa, fb = SymFunc(cap, a), SymFunc(cap, b)
+    assert _normal(fa * fb).terms == _naive_product(cap, fa.terms, fb.terms)
