@@ -15,13 +15,12 @@ from .partitions import (
     transpose,
 )
 from .infmat import SuperMatrix, cocycle_alpha, preserves_form, super_bracket, supertrace, te_generator
-from .symring import SymFunc, generator, hook_schur, multiply, omega_x, omega_y, schur, specialize
+from .symring import SymFunc, generator, hook_schur, omega_x, omega_y, schur, specialize
 from .laurentchars import (
     DecompositionError,
     GroupTag,
     LaurentPoly,
     char_group,
-    classical_char_so,
     classical_char_so_even,
     classical_char_sp,
     decompose_character,

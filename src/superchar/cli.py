@@ -181,7 +181,7 @@ def _verify_cases(args):
     if args.deg is not None:
         _check_deg(args.deg)
         params["D"] = args.deg
-    missing = [p for p in superschur.IDENTITY_PARAMS.get(args.identity, ()) if p not in params]
+    missing = [p for p in superschur.IDENTITIES[args.identity][0] if p not in params]
     if missing:
         flags = ", ".join("--deg" if p == "D" else f"--{p}" for p in missing)
         raise UsageError(f"--identity {args.identity} needs {flags}")
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_schur)
 
     p = sub.add_parser("verify", help="check Cauchy/tensor identities coefficient by coefficient")
-    p.add_argument("--identity", help="tag, e.g. HS, combin-Sp, even-char, tensor-sp")
+    p.add_argument("--identity", choices=list(superschur.IDENTITIES), help="identity tag")
     p.add_argument("--all", action="store_true", help="run the whole battery")
     p.add_argument("--small", action="store_true", help="with --all: desk-scale grid only")
     p.add_argument("--d", type=int)

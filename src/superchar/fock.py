@@ -374,16 +374,14 @@ def realize_te_dhalf(space: Space, p2: int, q2: int) -> RealizedOp:
     return _op(space, f_is(-q2, -p2, False)) * -1
 
 
-def realize_diagonal(space: Space, algebra: str, s2: int) -> RealizedOp:
-    """Diagonal Cartan element: e(s,s) for gl/A, te(s,s) for C/D/Dodd."""
+def realize_algebra(space: Space, algebra: str, p2: int, q2: int) -> RealizedOp:
+    """Generator of the dual algebra: e(p,q) for gl/A, te(p,q) for C/Deven/Dodd."""
     if algebra in ("gl", "A"):
-        return realize_e(space, s2, s2)
-    if algebra == "C":
-        return realize_te(space, "C", s2, s2)
-    if algebra == "Deven":
-        return realize_te(space, "D", s2, s2)
+        return realize_e(space, p2, q2)
+    if algebra in ("C", "Deven"):
+        return realize_te(space, "C" if algebra == "C" else "D", p2, q2)
     if algebra == "Dodd":
-        return realize_te_dhalf(space, s2, s2)
+        return realize_te_dhalf(space, p2, q2)
     raise ValueError(algebra)
 
 
@@ -607,35 +605,22 @@ def hwv_candidate(space: Space, algebra: str, lam: GeneralizedPartition, variant
         plus_cols = _column_counts(Partition(plus.parts))
         for j in range(1, len(plus_cols) + 1):
             factors.append((x_matrix(space, j, sign=+1), plus_cols[j - 1]))
-    elif algebra == "C":
-        cols = _column_counts(Partition(lam.parts))
-        factors = [(x_matrix(space, j), cols[j - 1]) for j in range(1, len(cols) + 1)]
-    elif algebra == "Deven":
+    elif algebra in ("C", "Deven", "Dodd"):
         lam = Partition(lam.parts)
-        _canonical, branch = o_label(lam, 2 * d)
-        cols = _column_counts(lam)
-        c1 = cols[0] if cols else 0
-        if branch > 0:
-            if variant == "Xt":
-                if c1 != d:
-                    raise ValueError("the sign-flipped vector exists only when lambda'_1 = d")
-                factors = [(xt_matrix(space, j), cols[j - 1]) for j in range(1, len(cols) + 1)]
-            else:
-                factors = [(x_matrix(space, j), cols[j - 1]) for j in range(1, len(cols) + 1)]
-        else:
-            factors = [(gamma_matrix(space), c1)]
-            for j in range(2, len(cols) + 1):
-                factors.append((x_matrix(space, j), cols[j - 1]))
-    elif algebra == "Dodd":
-        lam = Partition(lam.parts)
-        if lam.length != 2 * d + 1:
+        if algebra == "Dodd" and lam.length != 2 * d + 1:
             raise ValueError(f"odd orthogonal labels have length {2*d+1}")
         cols = _column_counts(lam)
-        factors = []
-        if cols:
-            factors.append((gamma_matrix(space), cols[0]))
-        for j in range(2, len(cols) + 1):
-            factors.append((x_matrix(space, j), cols[j - 1]))
+        # the first column is spinorial (the gamma matrix) for every odd O label
+        # and for the even O labels with lambda'_1 > d
+        spinorial = algebra == "Dodd" or (algebra == "Deven" and o_label(lam, 2 * d)[1] < 0)
+        flipped = algebra == "Deven" and variant == "Xt" and not spinorial
+        if flipped and cols[:1] != [d]:
+            raise ValueError("the sign-flipped vector exists only when lambda'_1 = d")
+        column = xt_matrix if flipped else x_matrix
+        factors = [
+            (gamma_matrix(space) if spinorial and j == 1 else column(space, j), size)
+            for j, size in enumerate(cols, start=1)
+        ]
     else:
         raise ValueError(f"unknown algebra {algebra!r}")
     vec = FockVector.vacuum(space)
@@ -651,22 +636,14 @@ def hwv_candidate(space: Space, algebra: str, lam: GeneralizedPartition, variant
 
 def raising_elements(space: Space, algebra: str, max_idx2: int, max_deg2: int):
     """All positive-degree generators that can act non-trivially below max_idx2."""
-    if algebra in ("A", "gl"):
-        index_set = [i for i in range(-max_idx2, max_idx2 + 1) if i != 0 or space.kind == "gl"]
-        make = lambda p2, q2: realize_e(space, p2, q2)
-    elif algebra in ("C", "Deven"):
-        fam = "C" if algebra == "C" else "D"
-        index_set = [i for i in range(-max_idx2, max_idx2 + 1) if i != 0]
-        make = lambda p2, q2, f=fam: realize_te(space, f, p2, q2)
-    elif algebra == "Dodd":
-        index_set = [i for i in range(-max_idx2, max_idx2 + 1) if i != 0]
-        make = lambda p2, q2: realize_te_dhalf(space, p2, q2)
-    else:
+    if algebra not in ("gl", "A", "C", "Deven", "Dodd"):
         raise ValueError(algebra)
+    zero_mode = algebra in ("A", "gl") and space.kind == "gl"
+    index_set = [i for i in range(-max_idx2, max_idx2 + 1) if i != 0 or zero_mode]
     for p2 in index_set:
         for q2 in index_set:
             if 0 < q2 - p2 <= max_deg2:
-                yield (p2, q2), make(p2, q2)
+                yield (p2, q2), realize_algebra(space, algebra, p2, q2)
 
 
 def singularity_check(space: Space, algebra: str, vec: FockVector, max_deg2: int | None = None):
@@ -711,41 +688,28 @@ def group_raising_check(space: Space, group_kind: str, vec: FockVector):
 def diagonal_weight(space: Space, algebra: str, vec: FockVector):
     """(ghat diagonal weight dict, group weight tuple) of a joint eigen-vector."""
     top2 = max(vec.energies2())
-    coeffs: dict[int, int] = {}
     mono0, c0 = next(iter(vec.terms.items()))
-    for s2 in range(1, top2 + 1):
-        if algebra in ("A", "gl"):
-            for s in (s2, -s2):
-                out = realize_e(space, s, s).apply(vec)
-                if out:
-                    ratio = out.terms.get(mono0, Fraction(0)) / c0
-                    if out != vec * ratio:
-                        raise ValueError(f"not an e({fmt_half(s)},{fmt_half(s)}) eigenvector")
-                    if ratio:
-                        coeffs[s] = int(ratio)
-        else:
-            op = realize_diagonal(space, algebra, s2)
-            out = op.apply(vec)
-            if out:
-                ratio = out.terms.get(mono0, Fraction(0)) / c0
-                if out != vec * ratio:
-                    raise ValueError(f"not a te({fmt_half(s2)},{fmt_half(s2)}) eigenvector")
-                if ratio:
-                    coeffs[s2] = int(ratio)
-    if algebra == "gl" and space.kind == "gl":
-        out = realize_e(space, 0, 0).apply(vec)
-        if out:
-            ratio = out.terms.get(mono0, Fraction(0)) / c0
-            if ratio:
-                coeffs[0] = int(ratio)
-    group = []
-    for i in range(1, space.d + 1):
-        out = realize_E(space, i, i, top2).apply(vec)
-        ratio = out.terms.get(mono0, Fraction(0)) / c0 if out else Fraction(0)
+
+    def eigenvalue(op: RealizedOp, name: str) -> int:
+        out = op.apply(vec)
+        ratio = out.terms.get(mono0, Fraction(0)) / c0
         if out != vec * ratio:
-            raise ValueError(f"not an E_{i}{i} eigenvector")
-        group.append(int(ratio))
-    return coeffs, tuple(group)
+            raise ValueError(f"not an eigenvector of {name}")
+        return int(ratio)
+
+    # gl/A read e(s,s) at s and -s, C/Deven/Dodd read te(s,s) at s > 0; gl also e(0,0)
+    signs = (1, -1) if algebra in ("A", "gl") else (1,)
+    diagonal = [sign * s2 for s2 in range(1, top2 + 1) for sign in signs]
+    if algebra == "gl" and space.kind == "gl":
+        diagonal.append(0)
+    coeffs: dict[int, int] = {}
+    for s2 in diagonal:
+        name = f"the {algebra} element ({fmt_half(s2)},{fmt_half(s2)})"
+        value = eigenvalue(realize_algebra(space, algebra, s2, s2), name)
+        if value:
+            coeffs[s2] = value
+    group = tuple(eigenvalue(realize_E(space, i, i, top2), f"E_{i}{i}") for i in range(1, space.d + 1))
+    return coeffs, group
 
 
 # -- conjugation and Gram matrices ----------------------------------------------

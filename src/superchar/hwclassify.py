@@ -172,11 +172,11 @@ class UnitarityReport:
         return self.ok
 
 
-def _extract_chain(coeffs: dict[int, int], negate: bool = False) -> tuple[tuple, tuple, str | None]:
+def _extract_chain(coeffs: dict[int, int], negate: bool = False) -> tuple[tuple, tuple]:
     """Read the (xi_{1/2}, ..., xi_{r-1/2} | xi_1, ..., xi_r) chains from one side.
 
     With negate=True reads the negative indices and flips signs (the A case).
-    Returns (half, intg, problem) where problem is a violated-clause detail.
+    Returns (half, intg).
     """
     sign = -1 if negate else 1
     half_support = [i for i in coeffs if (sign * i) > 0 and i % 2]
@@ -186,7 +186,7 @@ def _extract_chain(coeffs: dict[int, int], negate: bool = False) -> tuple[tuple,
     r = max(r_half, r_int)
     half = tuple(sign * coeffs.get(sign * (2 * k - 1), 0) for k in range(1, r + 1))
     intg = tuple(sign * coeffs.get(sign * 2 * k, 0) for k in range(1, r + 1))
-    return half, intg, None
+    return half, intg
 
 
 def _partition_chain_ok(half: tuple, intg: tuple) -> str | None:
@@ -224,7 +224,7 @@ def is_unitarizable(w: Weight) -> UnitarityReport:
         return UnitarityReport(False, name, detail)
 
     if w.algebra in ("gl", "A", "C", "D"):
-        half, intg, _ = _extract_chain(c)
+        half, intg = _extract_chain(c)
         problem = _partition_chain_ok(half, intg)
         if problem:
             return bad("chains-positive", problem)
@@ -275,7 +275,7 @@ def is_unitarizable(w: Weight) -> UnitarityReport:
     if w.algebra == "A":
         if lvl.denominator != 1 or lvl < 0:
             return bad("level-integral", f"d = {lvl} not a non-negative integer")
-        mhalf, mintg, _ = _extract_chain(c, negate=True)
+        mhalf, mintg = _extract_chain(c, negate=True)
         problem = _partition_chain_ok(mhalf, mintg)
         if problem:
             return bad("chains-negative", problem)
@@ -309,7 +309,7 @@ def partition_from_weight(w: Weight) -> GeneralizedPartition:
     if not rep:
         raise ValueError(f"weight not of partition type ({rep.violated}: {rep.detail})")
     c = w.as_dict()
-    half, intg, _ = _extract_chain(c)
+    half, intg = _extract_chain(c)
     if w.algebra == "gl":
         d = int(w.level)
         s = max(
@@ -322,7 +322,7 @@ def partition_from_weight(w: Weight) -> GeneralizedPartition:
     if w.algebra == "A":
         d = int(w.level)
         plus = _partition_from_pos(half, intg, d)
-        mhalf, mintg, _ = _extract_chain(c, negate=True)
+        mhalf, mintg = _extract_chain(c, negate=True)
         mu = _partition_from_pos(mhalf, mintg, d)
         parts = tuple(a - b for a, b in zip(plus, reversed(mu)))
         return GeneralizedPartition(parts)

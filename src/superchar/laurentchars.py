@@ -337,15 +337,10 @@ def classical_char_so_even(nu2: tuple[int, ...], m: int) -> LaurentPoly:
     return term_plus + sign * term_minus
 
 
-# short name: the formulas above cover all so(2m) dominant weights
-classical_char_so = classical_char_so_even
-
-
 def weyl_char_alternant(kind: str, weights2: tuple[int, ...], d: int) -> LaurentPoly:
     """Weyl character formula as an alternant quotient; exact division.
 
-    kind "B": SO(2d+1); kind "C": Sp(2d); kind "A": gl_d (weights may be any
-    non-increasing doubled-even integers).
+    kind "B": SO(2d+1); kind "C": Sp(2d).
     """
     if len(weights2) != d:
         raise ValueError("weight length must equal the rank")
@@ -359,16 +354,6 @@ def weyl_char_alternant(kind: str, weights2: tuple[int, ...], d: int) -> Laurent
             mat.append(row)
         return ring_det(mat, LaurentPoly.const(d))
 
-    if kind == "A":
-        a2 = [weights2[i] + 2 * (d - 1 - i) for i in range(d)]
-        rho = [2 * (d - 1 - i) for i in range(d)]
-        num = ring_det(
-            [[LaurentPoly.var(d, j, ai) for j in range(d)] for ai in a2], LaurentPoly.const(d)
-        )
-        den = ring_det(
-            [[LaurentPoly.var(d, j, ri) for j in range(d)] for ri in rho], LaurentPoly.const(d)
-        )
-        return divexact(num, den)
     if kind == "C":
         a2 = [weights2[i] + 2 * (d - i) for i in range(d)]
         rho = [2 * (d - i) for i in range(d)]

@@ -150,7 +150,9 @@ def so_hook(lam: Partition, n: int, cap: int) -> SymFunc:
 
 # -- identity verification -----------------------------------------------------
 #
-# Tensor elements are dicts {(doubled z exponents, eps bit): SymFunc}.
+# Three shapes: series identities compare {(doubled z exponents, eps bit):
+# SymFunc} tensors, Laurent identities compare LaurentPolys in x and z, and
+# tensor identities compare one SymFunc per label.
 
 
 def _zs_mul_factor(acc: dict, factor: list[tuple[tuple[int, ...], int, SymFunc]]) -> dict:
@@ -162,15 +164,16 @@ def _zs_mul_factor(acc: dict, factor: list[tuple[tuple[int, ...], int, SymFunc]]
     return out
 
 
-def _geom_factor(nz: int, var: int, sign2: int, base: str, alphabet: str, cap: int, with_eps: bool):
-    """Series sum_k g_k(alphabet) z_var^{sign k} (eps^k when with_eps)."""
+def _geom_factor(nz: int, var: int | None, sign2: int, base: str, alphabet: str, cap: int, with_eps: bool):
+    """Series sum_k g_k(alphabet) z_var^{sign k} (eps^k when with_eps); var None for no z."""
     out = []
     for k in range(0, cap + 1):
         g = _unit(base, k, alphabet, cap)
         if not g:
             continue
         dexps = [0] * nz
-        dexps[var] = sign2 * k
+        if var is not None:
+            dexps[var] = sign2 * k
         out.append((tuple(dexps), (k & 1) if with_eps else 0, g))
     return out
 
@@ -207,231 +210,143 @@ def o_labels(n: int, max_size: int, max_width: int | None = None):
     return out
 
 
-def _compare(tag: str, params: dict, lhs: dict, rhs: dict) -> dict:
-    keys = sorted(set(lhs) | set(rhs))
-    for key in keys:
-        fl = lhs.get(key)
-        fr = rhs.get(key)
+def _labels(group: GroupTag, max_size: int):
+    """The labels an identity sums over: padded partitions for Sp, o_labels for O."""
+    if group.kind == "Sp":
+        return _lambda_box(max_size, group.size)
+    return o_labels(group.size, max_size)
+
+
+def _report(tag: str, params: dict, mismatch: dict | None = None) -> dict:
+    report = {"identity": tag, "params": params, "status": "pass" if mismatch is None else "fail"}
+    if mismatch is not None:
+        report["first_mismatch"] = mismatch
+    return report
+
+
+def _series_identity(group: GroupTag, cap: int, bases, sym_of) -> dict | None:
+    """Cauchy identity: prod_i sum_k g_k z_i^{+-k} (eps^k for odd O) = sum_lam chi_lam sym_of(lam).
+
+    bases lists the (generator family, alphabet) of the series g; odd O adds
+    one eps-marked series without z.  Both sides are {(doubled z exponents,
+    eps bit): SymFunc}; the mismatch is the first differing coefficient.
+    """
+    nz = group.rank
+    odd = group.kind == "O" and group.size % 2 == 1
+    lhs = {((0,) * nz, 0): SymFunc.const(cap)}
+    for i in range(nz):
+        for base, alph in bases:
+            for sign in (+2, -2):
+                lhs = _zs_mul_factor(lhs, _geom_factor(nz, i, sign, base, alph, cap, odd))
+    if odd:
+        for base, alph in bases:
+            lhs = _zs_mul_factor(lhs, _geom_factor(nz, None, 0, base, alph, cap, True))
+    rhs: dict = {}
+    for lam in _labels(group, cap):
+        chi, f = char_group(group, lam), sym_of(lam)
+        for key, c in chi.terms.items():
+            _add_term(rhs, key, f * c)
+    zero = SymFunc.zero(cap)
+    for key in sorted(set(lhs) | set(rhs)):
+        fl, fr = lhs.get(key, zero), rhs.get(key, zero)
         if fl == fr:
             continue
-        zero = fl if fl is not None else fr
-        zero = SymFunc.zero(zero.cap)
-        fl = fl if fl is not None else zero
-        fr = fr if fr is not None else zero
         monos = sorted(set(fl.terms) | set(fr.terms))
-        for mono in monos:
-            cl = fl.terms.get(mono, 0)
-            cr = fr.terms.get(mono, 0)
-            if cl != cr:
-                exps, eps = key
-                return {
-                    "identity": tag,
-                    "params": params,
-                    "status": "fail",
-                    "first_mismatch": {
-                        "z_exponent": [e / 2 for e in exps],
-                        "eps": eps,
-                        "sym_monomial": str(SymFunc(fl.cap, {mono: Fraction(1)})),
-                        "lhs": str(cl),
-                        "rhs": str(cr),
-                    },
-                }
-    return {"identity": tag, "params": params, "status": "pass"}
+        mono = next(m for m in monos if fl.terms.get(m, 0) != fr.terms.get(m, 0))
+        exps, eps = key
+        return {
+            "z_exponent": [e / 2 for e in exps],
+            "eps": eps,
+            "sym_monomial": str(SymFunc(cap, {mono: Fraction(1)})),
+            "lhs": str(fl.terms.get(mono, 0)),
+            "rhs": str(fr.terms.get(mono, 0)),
+        }
+    return None
 
 
-def _rhs_sum(nz: int, pairs) -> dict:
-    """Assemble sum over lambda of chi(z) tensor f(x,y)."""
-    acc: dict = {}
-    for chi, f in pairs:
-        for key, c in chi.terms.items():
-            _add_term(acc, key, f * c)
-    return acc
+def _xz_product(lhs: LaurentPoly, m: int, d: int, odd: bool) -> LaurentPoly:
+    """lhs * prod_{i<d, j<m} (1 + x_j z_i^{+-1} eps), times prod_{j<m} (1 + x_j eps) when odd.
+
+    eps enters only when odd; x_0..x_{m-1} come before z_1..z_d.
+    """
+    nv = lhs.nvars
+    one = LaurentPoly.const(nv)
+    zgroups = [[tuple(s if k == i else 0 for k in range(d)) for s in (2, -2)] for i in range(d)]
+    if odd:
+        zgroups.append([(0,) * d])
+    for zs in zgroups:
+        for j in range(m):
+            x = tuple(2 if k == j else 0 for k in range(m))
+            for z in zs:
+                lhs = lhs * (one + LaurentPoly.monomial(nv, x + z, eps=int(odd)))
+    return lhs
 
 
-# the parameters verify_identity reads for each tag; D is the truncation degree
-IDENTITY_PARAMS = {
-    **dict.fromkeys(("combin1-i", "combin1-ii", "HS", "tensor-sp"), ("d", "D")),
-    **dict.fromkeys(("combin1-evenodd-S", "combin1-evenodd-D", "HS-O", "tensor-o"), ("n", "D")),
-    **dict.fromkeys(("combin-Sp", "spchar"), ("d", "m")),
-    **dict.fromkeys(("even-char", "odd-char"), ("n", "m")),
-}
+def _laurent_identity(group: GroupTag, m: int) -> dict | None:
+    """Howe duality character identity in m variables x and the group's z, as Laurent polynomials.
 
-
-def verify_identity(tag: str, **params) -> dict:
-    """Check one of the Cauchy-type identities; returns a pass/fail report."""
-    if tag in ("combin1-i", "combin1-ii", "HS"):
-        d, cap = params["d"], params["D"]
-        nz = d
-        acc = {(((0,) * nz), 0): SymFunc.const(cap)}
-        bases = {"combin1-i": [("e", "x")], "combin1-ii": [("h", "x")], "HS": [("e", "x"), ("h", "y")]}[tag]
-        for i in range(d):
-            for base, alph in bases:
-                for sign in (+2, -2):
-                    acc = _zs_mul_factor(acc, _geom_factor(nz, i, sign, base, alph, cap, False))
-        group = GroupTag("Sp", d)
-        sym_of = {
-            "combin1-i": lambda lam: sp_schur(lam, cap),
-            "combin1-ii": lambda lam: sp_skew(lam, cap),
-            "HS": lambda lam: sp_hook(lam, cap),
-        }[tag]
-        pairs = [
-            (char_group(group, lam), sym_of(lam))
-            for lam in _lambda_box(cap, d)
-        ]
-        return _compare(tag, params, acc, _rhs_sum(nz, pairs))
-
-    if tag in ("combin1-evenodd-S", "combin1-evenodd-D", "HS-O"):
-        n, cap = params["n"], params["D"]
-        d = n // 2
-        odd = n % 2 == 1
-        nz = d
-        acc = {(((0,) * nz), 0): SymFunc.const(cap)}
-        bases = {"combin1-evenodd-S": [("e", "x")], "combin1-evenodd-D": [("h", "x")], "HS-O": [("e", "x"), ("h", "y")]}[tag]
-        for i in range(d):
-            for base, alph in bases:
-                for sign in (+2, -2):
-                    acc = _zs_mul_factor(acc, _geom_factor(nz, i, sign, base, alph, cap, odd))
-        if odd:
-            for base, alph in bases:
-                acc = _zs_mul_factor(acc, _geom_factor(nz, 0, 0, base, alph, cap, True) if nz else
-                                     [(tuple(), k & 1, _unit(base, k, alph, cap)) for k in range(cap + 1)])
-        group = GroupTag("O", n)
-        sym_of = {
-            "combin1-evenodd-S": lambda lam: so_schur(lam, n, cap),
-            "combin1-evenodd-D": lambda lam: so_skew(lam, n, cap),
-            "HS-O": lambda lam: so_hook(lam, n, cap),
-        }[tag]
-        pairs = [(char_group(group, lam), sym_of(lam)) for lam in o_labels(n, cap)]
-        return _compare(tag, params, acc, _rhs_sum(nz, pairs))
-
-    if tag in ("combin-Sp", "spchar"):
-        d, m = params["d"], params["m"]
-        nv = m + d
+    Sp(2d): prod (1 + x_j z_i^{+-1}) = sum_lam chi_lam(z) sp_lam(x).  O(n): the
+    normalised x^{-n} prod (1 + x_j z_i^{+-1} eps)(1 + x_j eps)^{odd} is
+    sum_lam chi_lam(z) times the so(2m) character of the dual weight.
+    """
+    n, d = group.size, group.rank
+    nv = m + d
+    odd = group.kind == "O" and n % 2 == 1
+    if group.kind == "Sp":
         lhs = LaurentPoly.const(nv)
-        for i in range(d):
-            for j in range(m):
-                for zsign in (2, -2):
-                    exps = [0] * nv
-                    exps[j] = 2
-                    exps[m + i] = zsign
-                    lhs = lhs * (LaurentPoly.const(nv) + LaurentPoly.monomial(nv, exps))
-        cap = 2 * d * m
-        rhs = LaurentPoly.zero(nv)
+        labels = [lam for lam in _lambda_box(d * m, d) if lam.parts[0] <= m]
         xs = [LaurentPoly.var(m, j, 2) for j in range(m)]
-        for lam in _lambda_box(d * m, d):
-            if lam.parts and lam.parts[0] > m:
-                continue
-            chi = char_group(GroupTag("Sp", d), lam).embed(nv, m)
-            s = specialize(sp_schur(lam, cap), xs, [], one=LaurentPoly.const(m)).embed(nv, 0)
-            rhs = rhs + chi * s
-        return _laurent_report(tag, params, lhs, rhs)
+        dual = lambda lam: specialize(sp_schur(lam, 2 * d * m), xs, [], one=LaurentPoly.const(m))
+    else:
+        lhs = LaurentPoly.monomial(nv, (-n,) * m + (0,) * d)
+        labels = o_labels(n, n * m, max_width=m)
 
-    if tag in ("even-char", "odd-char"):
-        n, m = params["n"], params["m"]
-        d = n // 2
-        odd = n % 2 == 1
-        nv = m + d
-        lhs = LaurentPoly.monomial(nv, tuple(-n if k < m else 0 for k in range(nv)))
-        for i in range(d):
-            for j in range(m):
-                for zsign in (2, -2):
-                    exps = [0] * nv
-                    exps[j] = 2
-                    exps[m + i] = zsign
-                    lhs = lhs * (LaurentPoly.const(nv) + LaurentPoly.monomial(nv, exps, eps=1 if odd else 0))
-        if odd:
-            for j in range(m):
-                exps = [0] * nv
-                exps[j] = 2
-                lhs = lhs * (LaurentPoly.const(nv) + LaurentPoly.monomial(nv, exps, eps=1))
-        rhs = LaurentPoly.zero(nv)
-        for lam in o_labels(n, n * m, max_width=m):
-            chi = char_group(GroupTag("O", n), lam).embed(nv, m)
-            cols = [0] * m
-            lamT = transpose(lam)
-            for j in range(m):
-                cols[j] = lamT.parts[j] if (not lam.is_zero() and j < len(lamT.parts)) else 0
-            nu_star2 = tuple(n - 2 * cols[m - 1 - i] for i in range(m))
-            tilde = classical_char_so_even(nu_star2, m).invert_reverse()
-            rhs = rhs + chi * tilde.embed(nv, 0)
-        return _laurent_report(tag, params, lhs, rhs)
+        def dual(lam):
+            cols = (() if lam.is_zero() else transpose(lam).parts) + (0,) * m
+            return classical_char_so_even(tuple(n - 2 * cols[m - 1 - i] for i in range(m)), m).invert_reverse()
 
-    if tag == "tensor-sp":
-        d, cap = params["d"], params["D"]
-        lmax = params.get("lmax", cap)
-        group = GroupTag("Sp", d)
-        smalls = _lambda_box(cap, d)
-        tensor: dict = {}
-        for mu in smalls:
-            for nu in smalls:
-                mults = tensor_multiplicity(group, mu, nu)
-                prod = sp_schur(mu, cap) * sp_skew(nu, cap, alphabet="y")
-                for lam, c in mults.items():
-                    _add_term(tensor, lam.parts, c * prod)
-        for lam in _lambda_box(min(lmax, cap), d):
-            want = sp_hook(lam, cap)
-            got = tensor.get(lam.parts, SymFunc.zero(cap))
-            if want != got:
-                return {
-                    "identity": tag,
-                    "params": params,
-                    "status": "fail",
-                    "first_mismatch": {"lambda": str(lam), "lhs": str(want), "rhs": str(got)},
-                }
-        return {"identity": tag, "params": params, "status": "pass"}
-
-    if tag == "tensor-o":
-        n, cap = params["n"], params["D"]
-        lmax = params.get("lmax", cap)
-        group = GroupTag("O", n)
-        labels = o_labels(n, cap)
-        tensor: dict = {}
-        for mu in labels:
-            for nu in labels:
-                mults = tensor_multiplicity(group, mu, nu)
-                prod = so_schur(mu, n, cap) * _swap_to_y(so_skew(nu, n, cap))
-                for lam, c in mults.items():
-                    _add_term(tensor, lam.parts, c * prod)
-        for lam in o_labels(n, min(lmax, cap)):
-            if n % 2 == 1:
-                want = so_hook(lam, n, cap)
-                got = tensor.get(lam.parts, SymFunc.zero(cap))
-            else:
-                # even case: only the bar-merged totals are determined
-                bar = bar_conjugate(lam, n)
-                want = so_hook(lam, n, cap) + so_hook(bar, n, cap)
-                got = tensor.get(o_label(lam, n)[0].parts, SymFunc.zero(cap))
-                if bar.parts == lam.parts:
-                    want = so_hook(lam, n, cap)
-            if want != got:
-                return {
-                    "identity": tag,
-                    "params": params,
-                    "status": "fail",
-                    "first_mismatch": {"lambda": str(lam), "lhs": str(want), "rhs": str(got)},
-                }
-        return {"identity": tag, "params": params, "status": "pass"}
-
-    raise ValueError(f"unknown identity tag {tag!r}")
-
-
-def _laurent_report(tag: str, params: dict, lhs: LaurentPoly, rhs: LaurentPoly) -> dict:
+    lhs = _xz_product(lhs, m, d, odd)
+    rhs = LaurentPoly.zero(nv)
+    for lam in labels:
+        rhs = rhs + char_group(group, lam).embed(nv, m) * dual(lam).embed(nv, 0)
     if lhs == rhs:
-        return {"identity": tag, "params": params, "status": "pass"}
-    diff = lhs - rhs
-    key = max(diff.terms)
+        return None
+    key = max((lhs - rhs).terms)
     return {
-        "identity": tag,
-        "params": params,
-        "status": "fail",
-        "first_mismatch": {
-            "z_exponent": [e / 2 for e in key[0]],
-            "eps": key[1],
-            "sym_monomial": "1",
-            "lhs": str(lhs.terms.get(key, 0)),
-            "rhs": str(rhs.terms.get(key, 0)),
-        },
+        "z_exponent": [e / 2 for e in key[0]],
+        "eps": key[1],
+        "sym_monomial": "1",
+        "lhs": str(lhs.terms.get(key, 0)),
+        "rhs": str(rhs.terms.get(key, 0)),
     }
+
+
+def _tensor_identity(group: GroupTag, cap: int, schur_of, skew_of, hook_of) -> dict | None:
+    """Hook function = sum over mu, nu of the tensor multiplicity times schur_of(mu) skew_of(nu).
+
+    For even O only the bar-merged totals are determined.
+    """
+    labels = _labels(group, cap)
+    rights = [skew_of(lam) for lam in labels]
+    tensor: dict = {}
+    for mu in labels:
+        f = schur_of(mu)
+        for nu, g in zip(labels, rights):
+            prod = f * g
+            for lam, c in tensor_multiplicity(group, mu, nu).items():
+                _add_term(tensor, lam.parts, c * prod)
+    n = group.size
+    for lam in labels:
+        want, key = hook_of(lam), lam
+        if group.kind == "O" and n % 2 == 0:
+            bar = bar_conjugate(lam, n)
+            if bar.parts != lam.parts:
+                want = want + hook_of(bar)
+            key = o_label(lam, n)[0]
+        got = tensor.get(key.parts, SymFunc.zero(cap))
+        if want != got:
+            return {"lambda": str(lam), "lhs": str(want), "rhs": str(got)}
+    return None
 
 
 def _swap_to_y(f: SymFunc) -> SymFunc:
@@ -442,3 +357,38 @@ def _swap_to_y(f: SymFunc) -> SymFunc:
             raise ValueError("not a pure-x function")
         out[((), xs)] = c
     return SymFunc(f.cap, out)
+
+
+_E, _H, _HOOK = (("e", "x"),), (("h", "x"),), (("e", "x"), ("h", "y"))
+
+# tag -> (the parameters it reads, in order; a check on them that returns the
+# first mismatch or None).  D is the truncation degree.  The checks name the
+# Schur functions by module global at call time, so monkeypatched or traced
+# bindings see every call.
+IDENTITIES = {
+    "combin-Sp": (("d", "m"), lambda d, m: _laurent_identity(GroupTag("Sp", d), m)),
+    "combin1-i": (("d", "D"), lambda d, D: _series_identity(GroupTag("Sp", d), D, _E, lambda lam: sp_schur(lam, D))),
+    "combin1-ii": (("d", "D"), lambda d, D: _series_identity(GroupTag("Sp", d), D, _H, lambda lam: sp_skew(lam, D))),
+    "HS": (("d", "D"), lambda d, D: _series_identity(GroupTag("Sp", d), D, _HOOK, lambda lam: sp_hook(lam, D))),
+    "odd-char": (("n", "m"), lambda n, m: _laurent_identity(GroupTag("O", n), m)),
+    "even-char": (("n", "m"), lambda n, m: _laurent_identity(GroupTag("O", n), m)),
+    "combin1-evenodd-S": (("n", "D"), lambda n, D: _series_identity(
+        GroupTag("O", n), D, _E, lambda lam: so_schur(lam, n, D))),
+    "combin1-evenodd-D": (("n", "D"), lambda n, D: _series_identity(
+        GroupTag("O", n), D, _H, lambda lam: so_skew(lam, n, D))),
+    "HS-O": (("n", "D"), lambda n, D: _series_identity(GroupTag("O", n), D, _HOOK, lambda lam: so_hook(lam, n, D))),
+    "tensor-sp": (("d", "D"), lambda d, D: _tensor_identity(
+        GroupTag("Sp", d), D, lambda lam: sp_schur(lam, D), lambda lam: sp_skew(lam, D, alphabet="y"),
+        lambda lam: sp_hook(lam, D))),
+    "tensor-o": (("n", "D"), lambda n, D: _tensor_identity(
+        GroupTag("O", n), D, lambda lam: so_schur(lam, n, D), lambda lam: _swap_to_y(so_skew(lam, n, D)),
+        lambda lam: so_hook(lam, n, D))),
+}
+
+
+def verify_identity(tag: str, **params) -> dict:
+    """Check one of the Cauchy-type identities; returns a pass/fail report."""
+    if tag not in IDENTITIES:
+        raise ValueError(f"unknown identity tag {tag!r}")
+    names, check = IDENTITIES[tag]
+    return _report(tag, params, check(*(params[p] for p in names)))

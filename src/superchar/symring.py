@@ -201,10 +201,6 @@ def elementary(k: int, alphabet: str, cap: int) -> SymFunc:
     raise ValueError(f"unknown alphabet {alphabet!r}")
 
 
-def multiply(a: SymFunc, b: SymFunc) -> SymFunc:
-    return a * b
-
-
 def schur(lam: Partition, alphabet: str, cap: int) -> SymFunc:
     """Schur function via the dual Jacobi-Trudi determinant det(e_{lam'_i - i + j})."""
     if lam.is_zero():
@@ -346,21 +342,22 @@ def wmono_energy2(wmono: WeightMono) -> int:
     return sum(2 * n * m for n, m in xs) + sum(r2 * m for r2, m in ys)
 
 
-def weight_expansion(f: SymFunc, cap2: int) -> dict[WeightMono, Fraction]:
+def weight_expansion(f: SymFunc, cap2: int) -> dict[WeightMono, int | Fraction]:
     """Expand into monomials in x_1..x_*, y_{1/2}.., keeping energy <= cap2.
 
     Keys are ((n, mult), ...) for x and ((r2, mult), ...) for y with r2 the
     doubled half-integer index.  Faithful below the cap provided f carries all
-    symmetric degrees <= cap2 (i.e. f.cap >= cap2).
+    symmetric degrees <= cap2 (i.e. f.cap >= cap2).  Values are int when
+    integral, like the coefficients of f.
     """
-    total: dict[WeightMono, Fraction] = {}
+    total: dict[WeightMono, int | Fraction] = {}
     for mono, coeff in f.terms.items():
-        partial: dict[WeightMono, Fraction] = {((), ()): Fraction(1)}
+        partial: dict[WeightMono, int] = {((), ()): 1}
         for which, kind in ((0, "x"), (1, "y")):
             for k, mult in mono[which]:
                 ek = _expand_e(kind, k, cap2)
                 for _ in range(mult):
-                    nxt: dict[WeightMono, Fraction] = {}
+                    nxt: dict[WeightMono, int] = {}
                     for wm, c in partial.items():
                         left = cap2 - wmono_energy2(wm)
                         for sub, _one in ek.items():
@@ -373,7 +370,7 @@ def weight_expansion(f: SymFunc, cap2: int) -> dict[WeightMono, Fraction]:
                             nxt[key] = nxt.get(key, 0) + c
                     partial = nxt
         _add_into(total, partial, coeff)
-    return total
+    return _fold_integral(total)
 
 
 def energy_series(wmonos: dict[WeightMono, Fraction]) -> dict[int, Fraction]:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from superchar import fock, superschur
+from superchar import cli, fock, superschur
+from superchar.laurentchars import LaurentPoly
 from superchar.symring import SymFunc
 from superchar.cli import main
 
@@ -100,6 +101,19 @@ def test_usage_errors(capsys):
     assert code == 2 and "--deg" in err
 
 
+def test_identity_tags_come_from_the_identity_table(capsys):
+    assert {tag for tag, _ in cli.SMALL_GRID} == set(superschur.IDENTITIES)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--identity", "HS-0", "--d", "1", "--deg", "2"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "invalid choice" in err
+    assert all(repr(tag) in err for tag in superschur.IDENTITIES)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and all(tag in out for tag in superschur.IDENTITIES)
+
+
 def test_fock_sizes_validated_where_parsed(capsys):
     for argv in (
         ["fock", "--space", "1", "--action", "decompose", "--cutoff", "-1"],
@@ -125,19 +139,29 @@ def test_failed_decomposition_exits_1(capsys, monkeypatch):
     assert code == 1 and "verification failure" in err
 
 
+# one wrong function per identity shape: series (HS, HS-O), tensor, Laurent
 @pytest.mark.parametrize(
     "name, argv",
-    [("sp_hook", ["--identity", "HS", "--d", "1"]), ("so_hook", ["--identity", "HS-O", "--n", "2"])],
+    [
+        ("sp_hook", ["--identity", "HS", "--d", "1", "--deg", "3"]),
+        ("so_hook", ["--identity", "HS-O", "--n", "2", "--deg", "3"]),
+        ("sp_hook", ["--identity", "tensor-sp", "--d", "1", "--deg", "3"]),
+        ("so_hook", ["--identity", "tensor-o", "--n", "2", "--deg", "3"]),
+        ("sp_schur", ["--identity", "combin-Sp", "--d", "1", "--m", "2"]),
+        ("classical_char_so_even", ["--identity", "even-char", "--n", "2", "--m", "2"]),
+    ],
 )
 def test_wrong_hook_schur_function_fails_verification(capsys, monkeypatch, name, argv):
     real = getattr(superschur, name)
 
-    def off_by_one(*args):
-        f = real(*args)
-        return f + SymFunc(f.cap, {min(f.terms): 1})
+    def off_by_one(*args, **kwargs):
+        f = real(*args, **kwargs)
+        if isinstance(f, SymFunc):
+            return f + SymFunc(f.cap, {min(f.terms): 1})
+        return f + LaurentPoly(f.nvars, {min(f.terms): 1})
 
     monkeypatch.setattr(superschur, name, off_by_one)
-    code, out, _ = run(capsys, "verify", *argv, "--deg", "3", "--json")
+    code, out, _ = run(capsys, "verify", *argv, "--json")
     report = json.loads(out)[0]
     assert code == 1 and report["status"] == "fail" and report["first_mismatch"]
 

@@ -10,7 +10,6 @@ from superchar.symring import (
     SymFunc,
     generator,
     hook_schur,
-    multiply,
     omega_x,
     omega_y,
     q_series,
@@ -40,12 +39,12 @@ def test_generator_examples():
 def test_multiply_truncation():
     e1 = generator("elementary", 1, "x", 2)
     e2 = generator("elementary", 2, "x", 2)
-    assert multiply(e1, e1).coefficient(x={1: 2}) == 1
-    assert multiply(e1, e2) == 0  # degree 3 > cap 2
+    assert (e1 * e1).coefficient(x={1: 2}) == 1
+    assert e1 * e2 == 0  # degree 3 > cap 2
     one = SymFunc.const(2)
     assert (one + e1) * (one - e1) == one - e1 * e1
     with pytest.raises(ValueError):
-        multiply(e1, generator("elementary", 1, "x", 3))
+        e1 * generator("elementary", 1, "x", 3)
 
 
 def test_schur_examples():
@@ -163,6 +162,19 @@ def test_weight_expansion_and_q_series():
     }
     qs = q_series(hs1, 4)
     assert qs == {1: 1, 2: 1, 3: 1, 4: 1}
+
+
+def test_weight_expansion_values_are_int_when_integral():
+    # the expansion keeps the coefficient normal form of the ring: int when
+    # integral (so_schur's halves included), Fraction only otherwise
+    from superchar.superschur import so_hook, sp_hook
+
+    for f in (sp_hook(Partition((1, 0)), 4), so_hook(Partition((1, 0)), 2, 4), so_hook(Partition((1, 1, 0)), 3, 4)):
+        exp = weight_expansion(f, 4)
+        assert exp and {type(c) for c in exp.values()} == {int}
+        assert {type(c) for c in q_series(f, 4).values()} == {int}
+    half = weight_expansion(generator("elementary", 1, "x", 2) * Fraction(1, 2), 2)
+    assert half == {(((1, 1),), ()): Fraction(1, 2)} and type(half[(((1, 1),), ())]) is Fraction
 
 
 def test_rendering():
