@@ -26,7 +26,6 @@ from .laurentchars import (
     decompose_character,
     elementary_laurent,
     tensor_multiplicity,
-    weyl_char_alternant,
 )
 from .superschur import (
     etilde_series,

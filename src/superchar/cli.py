@@ -181,10 +181,10 @@ def _verify_cases(args):
     if args.deg is not None:
         _check_deg(args.deg)
         params["D"] = args.deg
-    missing = [p for p in superschur.IDENTITIES[args.identity][0] if p not in params]
-    if missing:
-        flags = ", ".join("--deg" if p == "D" else f"--{p}" for p in missing)
-        raise UsageError(f"--identity {args.identity} needs {flags}")
+    faults = superschur.param_faults(args.identity, params)
+    if faults:
+        raise UsageError(f"--identity {args.identity}: " + "; ".join(
+            ("--deg" if p == "D" else f"--{p}") + f" {why}" for p, why in faults))
     return [(args.identity, params)]
 
 

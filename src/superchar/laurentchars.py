@@ -4,10 +4,11 @@ All exponents are stored doubled so that the half-integer weights of the
 orthogonal spin representations stay integral; the optional eps marker (the
 eigenvalue of -I in O(n), eps^2 = 1) is a mod-2 bit on each term.
 
-Characters are produced by the classical determinant formulas in the
-elementary symmetric polynomials E_r of the 2m eigenvalues {z_i, z_i^{-1}};
-SO(2d+1) characters come from the Weyl alternant quotient, computed by exact
-division.  Decomposition into irreducible characters peels the lex-largest
+Every character is a classical determinant over LaurentPoly: Jacobi-Trudi
+in the complete symmetric polynomials h_r(z_1..z_d) for GL(d), and for
+Sp(2d) and O(n) the determinants in the elementary symmetric polynomials E_r
+of the eigenvalues {z_i, z_i^{-1}} (with the eigenvalue 1 added for odd n).
+Decomposition into irreducible characters peels the lex-largest
 dominant exponent, which is valid because every character is unitriangular
 with leading term z^lambda; one peeler serves both plain characters and
 graded ones such as the Fock space character.
@@ -18,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .partitions import GeneralizedPartition, Partition, bar_conjugate, o_label
 from .ringdet import pair_det, ring_det, spin_det
-from . import symring
 from .sparse import _Sparse, _add_into, _drop_zeros, _fold_integral
 
 
@@ -195,41 +196,6 @@ class LaurentPoly(_Sparse):
         }
 
 
-def divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact division of Laurent polynomials (raises if not divisible)."""
-    if not den:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not num:
-        return LaurentPoly.zero(num.nvars)
-    # any exact quotient has exponents inside this box, which bounds the
-    # number of division steps (Laurent leads can otherwise descend forever)
-    spread = 1
-    for i in range(num.nvars):
-        nvals = [e[i] for (e, _) in num.terms]
-        dvals = [e[i] for (e, _) in den.terms]
-        spread *= (max(nvals) - min(nvals)) + (max(dvals) - min(dvals)) + 1
-    max_steps = 2 * spread + 1
-    quot = LaurentPoly.zero(num.nvars)
-    lead_d = max(den.terms)
-    cd = den.terms[lead_d]
-    rem = num
-    steps = 0
-    while rem:
-        steps += 1
-        if steps > max_steps:
-            raise ArithmeticError("not exactly divisible")
-        lead_n = max(rem.terms)
-        exps = tuple(a - b for a, b in zip(lead_n[0], lead_d[0]))
-        eps = lead_n[1] ^ lead_d[1]
-        coeff = Fraction(rem.terms[lead_n]) / Fraction(cd)
-        qterm = LaurentPoly(num.nvars, {(exps, eps): coeff})
-        quot = quot + qterm
-        rem = rem - qterm * den
-        if rem and max(rem.terms) >= lead_n:
-            raise ArithmeticError("not exactly divisible")
-    return quot
-
-
 # -- elementary symmetric polynomials of {z_i, z_i^{-1}} ---------------------
 
 @lru_cache(maxsize=None)
@@ -251,6 +217,20 @@ def elementary_laurent(r: int, m: int) -> LaurentPoly:
     if r < 0 or r > 2 * m:
         return LaurentPoly.zero(m)
     return _e_table_inv(m)[r]
+
+
+@lru_cache(maxsize=None)
+def _complete(r: int, d: int) -> LaurentPoly:
+    """h_r(z_1..z_d), the sum of all degree-r monomials; zero for r < 0."""
+    if r < 0:
+        return LaurentPoly.zero(d)
+    terms = {}
+    for idx in combinations_with_replacement(range(d), r):
+        exps = [0] * d
+        for i in idx:
+            exps[i] += 2
+        terms[(tuple(exps), 0)] = 1
+    return LaurentPoly(d, terms)
 
 
 def _eprime(r: int, m: int) -> LaurentPoly:
@@ -337,34 +317,6 @@ def classical_char_so_even(nu2: tuple[int, ...], m: int) -> LaurentPoly:
     return term_plus + sign * term_minus
 
 
-def weyl_char_alternant(kind: str, weights2: tuple[int, ...], d: int) -> LaurentPoly:
-    """Weyl character formula as an alternant quotient; exact division.
-
-    kind "B": SO(2d+1); kind "C": Sp(2d).
-    """
-    if len(weights2) != d:
-        raise ValueError("weight length must equal the rank")
-
-    def alt_det(a2: list[int], plus_minus: int) -> LaurentPoly:
-        mat = []
-        for ai in a2:
-            row = []
-            for j in range(d):
-                row.append(LaurentPoly.var(d, j, ai) + plus_minus * LaurentPoly.var(d, j, -ai))
-            mat.append(row)
-        return ring_det(mat, LaurentPoly.const(d))
-
-    if kind == "C":
-        a2 = [weights2[i] + 2 * (d - i) for i in range(d)]
-        rho = [2 * (d - i) for i in range(d)]
-    elif kind == "B":
-        a2 = [weights2[i] + 2 * (d - 1 - i) + 1 for i in range(d)]
-        rho = [2 * (d - 1 - i) + 1 for i in range(d)]
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return divexact(alt_det(a2, -1), alt_det(rho, -1))
-
-
 # -- groups -------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -397,14 +349,11 @@ def char_group(group: GroupTag, lam: GeneralizedPartition) -> LaurentPoly:
         if lam.length != d:
             raise ValueError(f"GL({d}) weights have length {d}")
         shift = lam.parts[-1]
-        core = Partition(tuple(p - shift for p in lam.parts))
-        poly = symring.specialize(
-            symring.schur(core, "x", sum(core.parts)),
-            [LaurentPoly.var(d, i, 2) for i in range(d)],
-            [],
-            one=LaurentPoly.const(d),
-        )
-        return poly * LaurentPoly.monomial(d, (2 * shift,) * d)
+        core = [p - shift for p in lam.parts if p > shift]
+        n = len(core)
+        jacobi_trudi = ring_det([[_complete(p - i + j, d) for j in range(n)] for i, p in enumerate(core)],
+                                LaurentPoly.const(d))
+        return jacobi_trudi * LaurentPoly.monomial(d, (2 * shift,) * d)
     if group.kind == "Sp":
         d = group.size
         if not isinstance(lam, Partition):
@@ -419,7 +368,9 @@ def char_group(group: GroupTag, lam: GeneralizedPartition) -> LaurentPoly:
     nu = o_label(lam, n)[0].parts[:d]
     if n % 2 == 0:
         return det_e(_conj(nu), d)
-    chi = weyl_char_alternant("B", tuple(2 * v for v in nu), d) if d > 0 else LaurentPoly.const(0)
+    # the E's of {z_i, z_i^{-1}, 1} are E_r + E_{r-1}
+    chi = pair_det(_centres(_conj(nu)), lambda r: elementary_laurent(r, d) + elementary_laurent(r - 1, d),
+                   LaurentPoly.const(d))
     if lam.size % 2:
         chi = chi * LaurentPoly.eps(d)
     return chi

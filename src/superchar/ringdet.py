@@ -2,37 +2,32 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 
 def ring_det(mat, one):
-    """Determinant by first-row expansion with memoised minors.
+    """Determinant by Laplace expansion, minors built bottom-up.
 
     `mat` is a square list of lists of ring elements; the empty matrix has
-    determinant `one`.  Complexity O(2^n n), fine for the small determinants
-    used throughout (n <= ~8).
+    determinant `one`.  The minors on the last k rows are kept in a table
+    keyed by their column subset, and each row's table is built from the one
+    below it, so only two tables are alive at a time.  Complexity O(2^n n),
+    fine for the small determinants used throughout (n <= ~10).
     """
     n = len(mat)
-    if n == 0:
-        return one
-    memo: dict[tuple[int, tuple[int, ...]], object] = {}
-
-    def minor(row: int, cols: tuple[int, ...]):
-        if row == n:
-            return one
-        key = (row, cols)
-        if key in memo:
-            return memo[key]
-        acc = None
-        for pos, col in enumerate(cols):
-            entry = mat[row][col]
-            rest = minor(row + 1, cols[:pos] + cols[pos + 1 :])
-            term = entry * rest
-            if pos % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        memo[key] = acc
-        return acc
-
-    return minor(0, tuple(range(n)))
+    minors = {(): one}
+    for row in range(n - 1, -1, -1):
+        above = {}
+        for cols in combinations(range(n), n - row):
+            acc = None
+            for pos, col in enumerate(cols):
+                term = mat[row][col] * minors[cols[:pos] + cols[pos + 1 :]]
+                if pos % 2:
+                    term = -term
+                acc = term if acc is None else acc + term
+            above[cols] = acc
+        minors = above
+    return minors[tuple(range(n))]
 
 
 def pair_det(centres, term, one):

@@ -361,34 +361,50 @@ def _swap_to_y(f: SymFunc) -> SymFunc:
 
 _E, _H, _HOOK = (("e", "x"),), (("h", "x"),), (("e", "x"), ("h", "y"))
 
-# tag -> (the parameters it reads, in order; a check on them that returns the
-# first mismatch or None).  D is the truncation degree.  The checks name the
-# Schur functions by module global at call time, so monkeypatched or traced
-# bindings see every call.
+# tag -> (the parameters it reads, in order; the parity n must have, or None;
+# a check on them that returns the first mismatch or None).  D is the
+# truncation degree.  The checks name the Schur functions by module global at
+# call time, so monkeypatched or traced bindings see every call.
 IDENTITIES = {
-    "combin-Sp": (("d", "m"), lambda d, m: _laurent_identity(GroupTag("Sp", d), m)),
-    "combin1-i": (("d", "D"), lambda d, D: _series_identity(GroupTag("Sp", d), D, _E, lambda lam: sp_schur(lam, D))),
-    "combin1-ii": (("d", "D"), lambda d, D: _series_identity(GroupTag("Sp", d), D, _H, lambda lam: sp_skew(lam, D))),
-    "HS": (("d", "D"), lambda d, D: _series_identity(GroupTag("Sp", d), D, _HOOK, lambda lam: sp_hook(lam, D))),
-    "odd-char": (("n", "m"), lambda n, m: _laurent_identity(GroupTag("O", n), m)),
-    "even-char": (("n", "m"), lambda n, m: _laurent_identity(GroupTag("O", n), m)),
-    "combin1-evenodd-S": (("n", "D"), lambda n, D: _series_identity(
+    "combin-Sp": (("d", "m"), None, lambda d, m: _laurent_identity(GroupTag("Sp", d), m)),
+    "combin1-i": (("d", "D"), None, lambda d, D: _series_identity(
+        GroupTag("Sp", d), D, _E, lambda lam: sp_schur(lam, D))),
+    "combin1-ii": (("d", "D"), None, lambda d, D: _series_identity(
+        GroupTag("Sp", d), D, _H, lambda lam: sp_skew(lam, D))),
+    "HS": (("d", "D"), None, lambda d, D: _series_identity(GroupTag("Sp", d), D, _HOOK, lambda lam: sp_hook(lam, D))),
+    "odd-char": (("n", "m"), 1, lambda n, m: _laurent_identity(GroupTag("O", n), m)),
+    "even-char": (("n", "m"), 0, lambda n, m: _laurent_identity(GroupTag("O", n), m)),
+    "combin1-evenodd-S": (("n", "D"), None, lambda n, D: _series_identity(
         GroupTag("O", n), D, _E, lambda lam: so_schur(lam, n, D))),
-    "combin1-evenodd-D": (("n", "D"), lambda n, D: _series_identity(
+    "combin1-evenodd-D": (("n", "D"), None, lambda n, D: _series_identity(
         GroupTag("O", n), D, _H, lambda lam: so_skew(lam, n, D))),
-    "HS-O": (("n", "D"), lambda n, D: _series_identity(GroupTag("O", n), D, _HOOK, lambda lam: so_hook(lam, n, D))),
-    "tensor-sp": (("d", "D"), lambda d, D: _tensor_identity(
+    "HS-O": (("n", "D"), None, lambda n, D: _series_identity(
+        GroupTag("O", n), D, _HOOK, lambda lam: so_hook(lam, n, D))),
+    "tensor-sp": (("d", "D"), None, lambda d, D: _tensor_identity(
         GroupTag("Sp", d), D, lambda lam: sp_schur(lam, D), lambda lam: sp_skew(lam, D, alphabet="y"),
         lambda lam: sp_hook(lam, D))),
-    "tensor-o": (("n", "D"), lambda n, D: _tensor_identity(
+    "tensor-o": (("n", "D"), None, lambda n, D: _tensor_identity(
         GroupTag("O", n), D, lambda lam: so_schur(lam, n, D), lambda lam: _swap_to_y(so_skew(lam, n, D)),
         lambda lam: so_hook(lam, n, D))),
 }
+
+
+def param_faults(tag: str, params: dict) -> list[tuple[str, str]]:
+    """(parameter, what is wrong) for each parameter of `params` the identity `tag` cannot use."""
+    names, parity, _ = IDENTITIES[tag]
+    faults = [(p, "is required") for p in names if p not in params]
+    faults += [(p, f"is not read by {tag}") for p in params if p not in names]
+    if parity is not None and "n" in params and params["n"] % 2 != parity:
+        faults.append(("n", "must be " + ("odd" if parity else "even")))
+    return faults
 
 
 def verify_identity(tag: str, **params) -> dict:
     """Check one of the Cauchy-type identities; returns a pass/fail report."""
     if tag not in IDENTITIES:
         raise ValueError(f"unknown identity tag {tag!r}")
-    names, check = IDENTITIES[tag]
+    faults = param_faults(tag, params)
+    if faults:
+        raise ValueError(f"{tag}: " + "; ".join(f"{p} {why}" for p, why in faults))
+    names, _, check = IDENTITIES[tag]
     return _report(tag, params, check(*(params[p] for p in names)))

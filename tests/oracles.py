@@ -4,13 +4,16 @@ Everything here is deliberately written against the definitions rather than
 the library's own formulas: tableau enumeration for Schur polynomials, hand
 weight tables plus the alternating Kostant/Klimyk sum for small symplectic
 tensor products, explicit two- and three-dimensional orthogonal group rules,
-and the Weyl dimension formulas.
+the Weyl dimension formulas, and the Weyl character formula as an alternant
+quotient with its own exact Laurent division.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+from superchar.laurentchars import LaurentPoly
 
 
 # -- Schur polynomials by semistandard tableaux --------------------------------
@@ -234,3 +237,70 @@ def dim_so_odd(nu, d: int) -> int:
 def so3_char_exponents(ell2: int) -> dict[int, int]:
     """Doubled-exponent character of SO(3) with doubled highest weight ell2."""
     return {k2: 1 for k2 in range(-ell2, ell2 + 1, 2)}
+
+
+# -- Weyl character formula as an alternant quotient ------------------------------
+
+def divexact(num, den):
+    """Exact division of Laurent polynomials (raises if not divisible)."""
+    if not den:
+        raise ZeroDivisionError("division by zero polynomial")
+    if not num:
+        return LaurentPoly.zero(num.nvars)
+    # any exact quotient has exponents inside this box, which bounds the
+    # number of division steps (Laurent leads can otherwise descend forever)
+    spread = 1
+    for i in range(num.nvars):
+        nvals = [e[i] for (e, _) in num.terms]
+        dvals = [e[i] for (e, _) in den.terms]
+        spread *= (max(nvals) - min(nvals)) + (max(dvals) - min(dvals)) + 1
+    max_steps = 2 * spread + 1
+    quot = LaurentPoly.zero(num.nvars)
+    lead_d = max(den.terms)
+    cd = den.terms[lead_d]
+    rem = num
+    steps = 0
+    while rem:
+        steps += 1
+        if steps > max_steps:
+            raise ArithmeticError("not exactly divisible")
+        lead_n = max(rem.terms)
+        exps = tuple(a - b for a, b in zip(lead_n[0], lead_d[0]))
+        eps = lead_n[1] ^ lead_d[1]
+        coeff = Fraction(rem.terms[lead_n]) / Fraction(cd)
+        qterm = LaurentPoly(num.nvars, {(exps, eps): coeff})
+        quot = quot + qterm
+        rem = rem - qterm * den
+        if rem and max(rem.terms) >= lead_n:
+            raise ArithmeticError("not exactly divisible")
+    return quot
+
+
+def weyl_char_alternant(kind: str, weights2: tuple[int, ...], d: int):
+    """Weyl character formula as an alternant quotient; exact division.
+
+    kind "B": SO(2d+1); kind "C": Sp(2d).  The alternants
+    det(z_j^{a_i} - z_j^{-a_i}) are Leibniz sums over permutations, so this
+    route shares no determinant code with the library.
+    """
+    if len(weights2) != d:
+        raise ValueError("weight length must equal the rank")
+
+    def alt_det(a2: list[int]):
+        total = LaurentPoly.zero(d)
+        for perm in itertools.permutations(range(d)):
+            term = LaurentPoly.const(d, _perm_parity(perm))
+            for i, ai in enumerate(a2):
+                term = term * (LaurentPoly.var(d, perm[i], ai) - LaurentPoly.var(d, perm[i], -ai))
+            total = total + term
+        return total
+
+    if kind == "C":
+        a2 = [weights2[i] + 2 * (d - i) for i in range(d)]
+        rho = [2 * (d - i) for i in range(d)]
+    elif kind == "B":
+        a2 = [weights2[i] + 2 * (d - 1 - i) + 1 for i in range(d)]
+        rho = [2 * (d - 1 - i) + 1 for i in range(d)]
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return divexact(alt_det(a2), alt_det(rho))

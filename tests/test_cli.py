@@ -101,6 +101,18 @@ def test_usage_errors(capsys):
     assert code == 2 and "--deg" in err
 
 
+def test_verify_rejects_parameters_the_identity_cannot_use(capsys):
+    for argv, fault in [
+        (("HS", "--d", "1", "--deg", "2", "--m", "7"), "--m is not read by HS"),
+        (("HS", "--d", "1", "--deg", "2", "--n", "9"), "--n is not read by HS"),
+        (("combin-Sp", "--d", "1", "--m", "1", "--deg", "3"), "--deg is not read by combin-Sp"),
+        (("even-char", "--n", "3", "--m", "2"), "--n must be even"),
+        (("odd-char", "--n", "2", "--m", "2"), "--n must be odd"),
+    ]:
+        code, out, err = run(capsys, "verify", "--identity", *argv)
+        assert code == 2 and fault in err and not out, argv
+
+
 def test_identity_tags_come_from_the_identity_table(capsys):
     assert {tag for tag, _ in cli.SMALL_GRID} == set(superschur.IDENTITIES)
     with pytest.raises(SystemExit) as exc:

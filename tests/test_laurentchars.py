@@ -1,3 +1,4 @@
+import gc
 import itertools
 import os
 import signal
@@ -15,24 +16,26 @@ from superchar.laurentchars import (
     classical_char_sp,
     decompose_character,
     dimension,
-    divexact,
     elementary_laurent,
     is_weyl_symmetric,
     tensor_multiplicity,
-    weyl_char_alternant,
 )
 import superchar
-from superchar.partitions import GeneralizedPartition, Partition, bar_conjugate, transpose
+from superchar.partitions import GeneralizedPartition, Partition, bar_conjugate, o_label, transpose
+from superchar.ringdet import ring_det
 
 from oracles import (
     dim_so_even,
     dim_so_odd,
     dim_sp,
+    divexact,
     klimyk_tensor_sp,
     o2_tensor,
     o3_tensor,
+    schur_monomials,
     sl2_tensor,
     so3_char_exponents,
+    weyl_char_alternant,
 )
 
 
@@ -118,6 +121,38 @@ def test_divexact_errors():
     assert divexact(z * z - one, z - one) == z + one
     with pytest.raises(ArithmeticError):
         divexact(z + one + one, z - one)
+
+
+def test_odd_orthogonal_characters_vs_alternant():
+    # the E-form determinant in the E's of {z, z^-1, 1} against the Weyl
+    # alternant quotient, with eps marking the labels of odd size
+    for n in (1, 3, 5, 7):
+        d = n // 2
+        group = GroupTag("O", n)
+        for parts in itertools.product(range(3, -1, -1), repeat=n):
+            if any(parts[i] < parts[i + 1] for i in range(n - 1)) or sum(parts) > 6:
+                continue
+            lam = Partition(parts)
+            try:
+                nu = o_label(lam, n)[0].parts[:d]
+            except ValueError:
+                continue
+            want = weyl_char_alternant("B", tuple(2 * v for v in nu), d)
+            if sum(parts) % 2:
+                want = want * LaurentPoly.eps(d)
+            assert char_group(group, lam) == want, (n, parts)
+
+
+def test_ring_det_leaves_no_reference_cycles():
+    mat = [[LaurentPoly.var(2, (i + j) % 2, 2 * (i - j)) + i for j in range(4)] for i in range(4)]
+    gc.collect()
+    gc.disable()
+    try:
+        det = ring_det(mat, LaurentPoly.const(2))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert det
 
 
 def test_monomial_checks_its_exponent_count():
@@ -314,3 +349,17 @@ def test_decompose_roundtrip_random_sums_o3(mults):
         want[lam] = want.get(lam, 0) + c
         total = total + char_group(group, lam) * c
     assert decompose_character(total, group) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda d: st.lists(st.integers(min_value=-3, max_value=4), min_size=d, max_size=d)))
+def test_gl_characters_vs_semistandard_tableaux(parts):
+    # Jacobi-Trudi against s_core(z) by SSYT enumeration, shifted by det^shift
+    parts = sorted(parts, reverse=True)
+    d, shift = len(parts), parts[-1]
+    want = {
+        (tuple(2 * (e + shift) for e in exps), 0): c
+        for exps, c in schur_monomials(tuple(p - shift for p in parts), d).items()
+    }
+    assert char_group(GroupTag("GL", d), GeneralizedPartition(tuple(parts))).terms == want

@@ -169,3 +169,14 @@ def test_verify_identity_reports_mismatch_as_data(monkeypatch):
 def test_unknown_tag():
     with pytest.raises(ValueError):
         verify_identity("nonsense", d=1)
+
+
+def test_verify_identity_rejects_parameters_the_tag_cannot_use():
+    with pytest.raises(ValueError, match="m is not read by HS"):
+        verify_identity("HS", d=1, D=2, m=7)
+    with pytest.raises(ValueError, match="D is required"):
+        verify_identity("HS", d=1)
+    with pytest.raises(ValueError, match="n must be even"):
+        verify_identity("even-char", n=3, m=2)
+    with pytest.raises(ValueError, match="n must be odd"):
+        verify_identity("odd-char", n=2, m=2)
