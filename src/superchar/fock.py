@@ -12,6 +12,7 @@ defined relative to that order.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -467,26 +468,31 @@ def realize_generator(space: Space, descriptor: str, *args, cutoff2: int = 8) ->
 
 # -- basis enumeration ---------------------------------------------------------
 
+def _walk(space: Space, cutoff2: int, step, root) -> list:
+    """Every canonical creation monomial of energy <= cutoff2, depth first.
+
+    A monomial takes its modes in the order of `space.creation_modes`; after a
+    fermionic mode the walk continues from the next mode, after a bosonic one
+    from the same mode.  The state of m_1 ... m_j is root + step(m_1) + ... +
+    step(m_j), built by one addition per node.
+    """
+    modes = space.creation_modes(cutoff2)
+    moves = [(abs(m[2]), step(m), k + FERMIONIC[m[0]]) for k, m in enumerate(modes)]
+    out = []
+
+    def rec(start: int, state, left2: int):
+        out.append(state)
+        for e2, delta, nxt in moves[start:]:
+            if e2 <= left2:
+                rec(nxt, state + delta, left2 - e2)
+
+    rec(0, root, cutoff2)
+    return out
+
+
 def enumerate_basis(space: Space, cutoff2: int) -> list[tuple[Mode, ...]]:
     """All canonical creation monomials with energy <= cutoff2, ordered."""
-    modes = space.creation_modes(cutoff2)
-    out: list[tuple[Mode, ...]] = []
-
-    def rec(start: int, current: list[Mode], left2: int):
-        out.append(tuple(current))
-        for k in range(start, len(modes)):
-            m = modes[k]
-            e2 = mode_energy2(m)
-            if e2 > left2:
-                continue
-            if FERMIONIC[m[0]] and current and current[-1] == m:
-                continue
-            current.append(m)
-            rec(k, current, left2 - e2)
-            current.pop()
-
-    rec(0, [], cutoff2)
-    return sorted(out, key=lambda m: (mono_energy2(m), m))
+    return sorted(_walk(space, cutoff2, lambda m: (m,), ()), key=lambda m: (mono_energy2(m), m))
 
 
 # -- Grassmann determinants and highest weight vectors --------------------------
@@ -814,35 +820,49 @@ def _dense_det(mat) -> Fraction:
 
 # -- characters and duality decomposition ----------------------------------------
 
-def _mono_weight(space: Space, mono: tuple[Mode, ...]):
-    """(z exponents, eps bit, weight monomial) of a basis state."""
-    xcount: dict[int, int] = {}
-    ycount: dict[int, int] = {}
-    z = [0] * space.d
-    for field, color, idx2 in mono:
-        e2 = abs(idx2)
-        if field in (PSI_P, PSI_M, PHI):
-            xcount[e2 // 2] = xcount.get(e2 // 2, 0) + 1
-        else:
-            ycount[e2] = ycount.get(e2, 0) + 1
-        if field in (PSI_P, GAM_P):
-            z[color - 1] += 1
-        elif field in (PSI_M, GAM_M):
-            z[color - 1] -= 1
-    eps = len(mono) & 1 if space.kind == "Dodd" else 0
-    wmono = (tuple(sorted(xcount.items())), tuple(sorted(ycount.items())))
-    return tuple(z), eps, wmono
-
-
 def fock_character(space: Space, cutoff2: int):
-    """ch F as {(z exponents, eps): {weight monomial: count}} up to the cutoff."""
+    """ch F as {(z exponents, eps): {weight monomial: count}} up to the cutoff.
+
+    Each state is packed into one int with one digit per slot: the d z
+    exponents, the x occupation of each energy, the y occupation of each
+    doubled energy, and the mode count, whose parity is eps.
+    """
     if space.kind == "gl":
         raise ValueError("character bookkeeping is for the reduced spaces")
+    d = space.d
+    xs = range(1, cutoff2 // 2 + 1)  # x energies of the psi and phi modes
+    ys = range(1, cutoff2 + 1, 2)  # doubled y energies of the gamma and chi modes
+    nslots = d + len(xs) + len(ys) + 1
+    # every mode has doubled energy >= 1, so no slot counts more than cutoff2
+    # modes: each digit lies in [-cutoff2, cutoff2] and never carries
+    base = 2 * cutoff2 + 1
+    unit = [base**i for i in range(nslots)]
+
+    def step(mode: Mode) -> int:
+        field, color, idx2 = mode
+        if field in (PSI_P, PSI_M, PHI):
+            key = unit[-1] + unit[d + abs(idx2) // 2 - 1]
+        else:
+            key = unit[-1] + unit[d + len(xs) + abs(idx2) // 2]
+        if field in (PSI_P, GAM_P):
+            key += unit[color - 1]
+        elif field in (PSI_M, GAM_M):
+            key -= unit[color - 1]
+        return key
+
     out: dict[tuple[tuple[int, ...], int], dict[WeightMono, int]] = {}
-    for mono in enumerate_basis(space, cutoff2):
-        z, eps, wmono = _mono_weight(space, mono)
-        slot = out.setdefault((z, eps), {})
-        slot[wmono] = slot.get(wmono, 0) + 1
+    for key, count in Counter(_walk(space, cutoff2, step, cutoff2 * sum(unit))).items():
+        digits = []
+        for _ in range(nslots):
+            key, digit = divmod(key, base)
+            digits.append(digit - cutoff2)
+        z = tuple(digits[:d])
+        eps = digits[-1] & 1 if space.kind == "Dodd" else 0
+        wmono = (
+            tuple((n, c) for n, c in zip(xs, digits[d : d + len(xs)]) if c),
+            tuple((r2, c) for r2, c in zip(ys, digits[d + len(xs) : -1]) if c),
+        )
+        out.setdefault((z, eps), {})[wmono] = count
     return out
 
 

@@ -12,20 +12,27 @@ def ring_det(mat, one):
     determinant `one`.  The minors on the last k rows are kept in a table
     keyed by their column subset, and each row's table is built from the one
     below it, so only two tables are alive at a time.  Complexity O(2^n n),
-    fine for the small determinants used throughout (n <= ~10).
+    fine for the small determinants used throughout (n <= ~10).  Zero
+    entries and zero minors are skipped; a minor with no nonzero term is
+    `one - one`, a zero that carries the ring's context (variable count, cap).
     """
     n = len(mat)
+    zero = one - one
     minors = {(): one}
     for row in range(n - 1, -1, -1):
         above = {}
         for cols in combinations(range(n), n - row):
             acc = None
             for pos, col in enumerate(cols):
-                term = mat[row][col] * minors[cols[:pos] + cols[pos + 1 :]]
+                entry = mat[row][col]
+                minor = minors[cols[:pos] + cols[pos + 1 :]]
+                if not entry or not minor:
+                    continue
+                term = entry * minor
                 if pos % 2:
                     term = -term
                 acc = term if acc is None else acc + term
-            above[cols] = acc
+            above[cols] = zero if acc is None else acc
         minors = above
     return minors[tuple(range(n))]
 

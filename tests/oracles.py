@@ -4,8 +4,9 @@ Everything here is deliberately written against the definitions rather than
 the library's own formulas: tableau enumeration for Schur polynomials, hand
 weight tables plus the alternating Kostant/Klimyk sum for small symplectic
 tensor products, explicit two- and three-dimensional orthogonal group rules,
-the Weyl dimension formulas, and the Weyl character formula as an alternant
-quotient with its own exact Laurent division.
+the Weyl dimension formulas, the Weyl character formula as an alternant
+quotient with its own exact Laurent division, and the Fock basis and character
+built one monomial at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from superchar.fock import FERMIONIC, GAM_M, GAM_P, PHI, PSI_M, PSI_P
 from superchar.laurentchars import LaurentPoly
 
 
@@ -304,3 +306,55 @@ def weyl_char_alternant(kind: str, weights2: tuple[int, ...], d: int):
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return divexact(alt_det(a2), alt_det(rho))
+
+
+# -- Fock spaces one monomial at a time --------------------------------------------
+
+def fock_basis_by_monomial(space, cutoff2: int) -> list[tuple]:
+    """Canonical creation monomials of energy <= cutoff2, sorted by (energy, modes).
+
+    Grows one list of modes and copies out each monomial; a fermionic mode may
+    not follow itself.
+    """
+    modes = space.creation_modes(cutoff2)
+    out = []
+
+    def rec(start: int, current: list, left2: int):
+        out.append(tuple(current))
+        for k in range(start, len(modes)):
+            m = modes[k]
+            e2 = abs(m[2])
+            if e2 > left2:
+                continue
+            if FERMIONIC[m[0]] and current and current[-1] == m:
+                continue
+            current.append(m)
+            rec(k, current, left2 - e2)
+            current.pop()
+
+    rec(0, [], cutoff2)
+    return sorted(out, key=lambda mono: (sum(abs(m[2]) for m in mono), mono))
+
+
+def fock_character_by_monomial(space, cutoff2: int) -> dict:
+    """ch F counted state by state, each state's z, eps and occupations from scratch."""
+    out: dict = {}
+    for mono in fock_basis_by_monomial(space, cutoff2):
+        xcount: dict[int, int] = {}
+        ycount: dict[int, int] = {}
+        z = [0] * space.d
+        for field, color, idx2 in mono:
+            e2 = abs(idx2)
+            if field in (PSI_P, PSI_M, PHI):
+                xcount[e2 // 2] = xcount.get(e2 // 2, 0) + 1
+            else:
+                ycount[e2] = ycount.get(e2, 0) + 1
+            if field in (PSI_P, GAM_P):
+                z[color - 1] += 1
+            elif field in (PSI_M, GAM_M):
+                z[color - 1] -= 1
+        eps = len(mono) & 1 if space.kind == "Dodd" else 0
+        wmono = (tuple(sorted(xcount.items())), tuple(sorted(ycount.items())))
+        slot = out.setdefault((tuple(z), eps), {})
+        slot[wmono] = slot.get(wmono, 0) + 1
+    return out

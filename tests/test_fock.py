@@ -38,6 +38,8 @@ from superchar.infmat import SuperMatrix, cocycle_alpha, super_bracket
 from superchar.partitions import GeneralizedPartition, Partition
 from superchar.hwclassify import weight_from_partition
 
+from oracles import fock_basis_by_monomial, fock_character_by_monomial
+
 
 def vec_of(space, *modes):
     return creation_product(space, list(modes))
@@ -331,6 +333,23 @@ def test_character_matches_product_formula():
     for sp in (Space("A", 1), Space("A", 2), Space("Dodd", 1)):
         cutoff2 = 4 if sp.d == 1 else 3
         assert fock_character(sp, cutoff2) == character_product_formula(sp, cutoff2)
+
+
+@pytest.mark.parametrize("kind,d", [("A", 0), ("A", 1), ("A", 2), ("A", 3), ("Dodd", 0), ("Dodd", 1), ("Dodd", 2)])
+def test_character_walk_matches_oracle_and_product_formula(kind, d):
+    # doubled cutoff 0 packs in base 1, cutoff 1 has no x slots, d = 0 no z slots
+    sp = Space(kind, d)
+    for cutoff2 in range(9):
+        ch = fock_character(sp, cutoff2)
+        assert ch == fock_character_by_monomial(sp, cutoff2) == character_product_formula(sp, cutoff2), cutoff2
+        assert all(type(c) is int for slot in ch.values() for c in slot.values())
+
+
+@pytest.mark.parametrize("kind,d", [("gl", 0), ("gl", 1), ("gl", 2), ("A", 1), ("A", 2), ("Dodd", 0), ("Dodd", 1)])
+def test_enumerate_basis_matches_oracle_in_order(kind, d):
+    sp = Space(kind, d)
+    for cutoff2 in range(9):
+        assert enumerate_basis(sp, cutoff2) == fock_basis_by_monomial(sp, cutoff2), cutoff2
 
 
 def test_character_example():
