@@ -16,8 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .infmat import SuperMatrix, fmt_half, parity
-from .partitions import GeneralizedPartition, Partition, o_label, split_signs, transpose
+from .infmat import SuperMatrix, _te_sign, fmt_half, parity
+from .partitions import GeneralizedPartition, Partition, _column_lengths, o_label, split_signs
 from .laurentchars import GroupTag, decompose_graded
 from .sparse import _Sparse, _add_into, _add_term
 from .symring import WeightMono, wmono_energy2  # noqa: F401  (wmono_energy2 re-exported)
@@ -86,10 +86,6 @@ class Space:
                     if self.mode_ok(mode):
                         out.append(mode)
         return sorted(out)
-
-
-def mode_energy2(mode: Mode) -> int:
-    return abs(mode[2])
 
 
 def mono_energy2(mono: tuple[Mode, ...]) -> int:
@@ -276,27 +272,34 @@ def _op(space: Space, entries: list[tuple[Fraction, Mode, Mode]]) -> RealizedOp:
     return RealizedOp(space, terms)
 
 
+# e(p,q) is sign * sum over colours c of :a^c_{-p} b^c_q:, keyed by the parities
+# of (p, q).  On the Dodd space te(p,q) adds one colourless c :F_{-p} F_q:, with
+# F = phi at an integer index and chi at a half-integer one (COLOURLESS), and c
+# given for q > 0 and for q < 0.  The mixed rows carry the opposite c to the
+# printed list: the two choices are conjugate under phi -> -phi, and only this
+# gauge makes the displayed Grassmann-minor vectors singular.
+BILINEARS = {
+    (0, 0): (1, PSI_P, PSI_M, (1, 1)),
+    (1, 1): (-1, GAM_P, GAM_M, (1, -1)),
+    (0, 1): (1, PSI_P, GAM_M, (-1, 1)),
+    (1, 0): (-1, GAM_P, PSI_M, (-1, -1)),
+}
+COLOURLESS = (PHI, CHI)
+
+
+def _e_entries(space: Space, p2: int, q2: int, coeff: int = 1) -> list[tuple[int, Mode, Mode]]:
+    """The coloured bilinear entries of coeff * e(p,q)."""
+    sign, a, b, _ = BILINEARS[parity(p2), parity(q2)]
+    return [(coeff * sign, (a, c, -p2), (b, c, q2)) for c in range(1, space.d + 1)]
+
+
 def realize_e(space: Space, p2: int, q2: int) -> RealizedOp:
     """The matrix unit e(p,q) acting through the free-field bilinears."""
     if space.kind == "Dodd":
         raise ValueError("use realize_te_dhalf on the d+1/2 space")
     if space.kind == "A" and (p2 == 0 or q2 == 0):
         raise ValueError("index 0 is outside the reduced space")
-    entries: list[tuple[Fraction, Mode, Mode]] = []
-    one = Fraction(1)
-    if parity(p2) == 0 and parity(q2) == 0:
-        for p in range(1, space.d + 1):
-            entries.append((one, (PSI_P, p, -p2), (PSI_M, p, q2)))
-    elif parity(p2) == 1 and parity(q2) == 1:
-        for p in range(1, space.d + 1):
-            entries.append((-one, (GAM_P, p, -p2), (GAM_M, p, q2)))
-    elif parity(p2) == 0 and parity(q2) == 1:
-        for p in range(1, space.d + 1):
-            entries.append((one, (PSI_P, p, -p2), (GAM_M, p, q2)))
-    else:
-        for p in range(1, space.d + 1):
-            entries.append((-one, (GAM_P, p, -p2), (PSI_M, p, q2)))
-    return _op(space, entries)
+    return _op(space, _e_entries(space, p2, q2))
 
 
 def realize_matrix(space: Space, a: SuperMatrix) -> RealizedOp:
@@ -307,72 +310,26 @@ def realize_matrix(space: Space, a: SuperMatrix) -> RealizedOp:
 
 
 def realize_te(space: Space, family: str, p2: int, q2: int) -> RealizedOp:
-    """te(p,q) of the C- or D-type subalgebra, realized on the reduced space."""
-    from .infmat import te_generator
+    """te(p,q) = e(p,q) + s e(-q,-p) of the C- or D-type subalgebra.
 
-    return realize_matrix(space, te_generator(family, p2, q2))
+    On the Dodd space only the D type is realized, at central charge d + 1/2,
+    with the colourless term of BILINEARS.
+    """
+    s = _te_sign(family, p2, q2)
+    entries = _e_entries(space, p2, q2) + _e_entries(space, -q2, -p2, s)
+    if space.kind == "Dodd":
+        if family != "D":
+            raise ValueError("the d+1/2 space realizes only the D-type te(p,q)")
+        c = BILINEARS[parity(p2), parity(q2)][3][q2 < 0]
+        entries.append((c, (COLOURLESS[parity(p2)], 0, -p2), (COLOURLESS[parity(q2)], 0, q2)))
+    return _op(space, entries)
 
 
 def realize_te_dhalf(space: Space, p2: int, q2: int) -> RealizedOp:
     """te(p,q) of the D-type subalgebra at central charge d + 1/2."""
     if space.kind != "Dodd":
         raise ValueError("the d+1/2 realization lives on the Dodd space")
-    one = Fraction(1)
-    d = space.d
-
-    def f_ij(i2, j2):
-        entries = []
-        for p in range(1, d + 1):
-            entries.append((one, (PSI_P, p, -i2), (PSI_M, p, j2)))
-            entries.append((-one, (PSI_P, p, j2), (PSI_M, p, -i2)))
-        entries.append((one, (PHI, 0, -i2), (PHI, 0, j2)))
-        return entries
-
-    def f_rs_pp(r2, s2):  # rs > 0, representative r, s > 0
-        entries = []
-        for p in range(1, d + 1):
-            entries.append((-one, (GAM_P, p, -r2), (GAM_M, p, s2)))
-            entries.append((one, (GAM_P, p, s2), (GAM_M, p, -r2)))
-        entries.append((one, (CHI, 0, -r2), (CHI, 0, s2)))
-        return entries
-
-    def f_rs_mixed(r2, s2, chi_sign):
-        entries = []
-        for p in range(1, d + 1):
-            entries.append((-one, (GAM_P, p, -r2), (GAM_M, p, s2)))
-            entries.append((-one, (GAM_P, p, s2), (GAM_M, p, -r2)))
-        entries.append((chi_sign * one, (CHI, 0, -r2), (CHI, 0, s2)))
-        return entries
-
-    def f_is(i2, s2, plus: bool):
-        # The phi-chi correction carries the opposite sign to the printed
-        # list: the two choices are conjugate under phi -> -phi, and only
-        # this gauge makes the displayed Grassmann-minor vectors singular.
-        entries = []
-        sgn = one if plus else -one
-        for p in range(1, d + 1):
-            entries.append((one, (PSI_P, p, -i2), (GAM_M, p, s2)))
-            entries.append((-sgn, (GAM_P, p, s2), (PSI_M, p, -i2)))
-        entries.append((-sgn, (PHI, 0, -i2), (CHI, 0, s2)))
-        return entries
-
-    pint, qint = parity(p2) == 0, parity(q2) == 0
-    if pint and qint:
-        return _op(space, f_ij(p2, q2))
-    if not pint and not qint:
-        if p2 * q2 > 0:
-            if p2 > 0:
-                return _op(space, f_rs_pp(p2, q2))
-            return _op(space, f_rs_pp(-q2, -p2)) * -1
-        if p2 < 0 < q2:
-            return _op(space, f_rs_mixed(p2, q2, +1))
-        return _op(space, f_rs_mixed(p2, q2, -1))
-    if pint:
-        return _op(space, f_is(p2, q2, q2 > 0))
-    # (half, int): resolve through the aliases te(i,s) = +/- te(-s,-i)
-    if p2 < 0:
-        return _op(space, f_is(-q2, -p2, True))
-    return _op(space, f_is(-q2, -p2, False)) * -1
+    return realize_te(space, "D", p2, q2)
 
 
 def realize_algebra(space: Space, algebra: str, p2: int, q2: int) -> RealizedOp:
@@ -390,28 +347,19 @@ def realize_algebra(space: Space, algebra: str, p2: int, q2: int) -> RealizedOp:
 
 def realize_E(space: Space, i: int, j: int, cutoff2: int) -> RealizedOp:
     """gl_d generator E_ij, truncated to annihilator energies <= cutoff2."""
-    one = Fraction(1)
-    entries = []
-    include_zero = space.kind == "gl"
-    nmax2 = cutoff2 - (cutoff2 % 2)
-    for n2 in range(-nmax2, nmax2 + 1, 2):
-        if n2 == 0 and not include_zero:
-            continue
-        entries.append((one, (PSI_P, i, -n2), (PSI_M, j, n2)))
-    rmax2 = cutoff2 if cutoff2 % 2 else cutoff2 - 1
-    for r2 in range(-rmax2, rmax2 + 1, 2):
-        entries.append((-one, (GAM_P, i, -r2), (GAM_M, j, r2)))
-    return _op(space, entries)
+    return _pair_generator(space, "E", (i, j), cutoff2)
 
 
 # Bilinear group generators: sum over n > 0 of s_lo :a_{-n} b_n: + s_hi :a_n b_{-n}:,
 # once for a fermionic field pair (n integral) and once for a bosonic one (n
 # half-integral).  Rows are ((a, b, s_lo, s_hi) fermionic, (a, b, s_lo, s_hi) bosonic).
+# "E" also takes the psi zero mode on the gl space.
 # "so+vec", the extra so(2d+1) raising generator on the d+1/2 space, pairs the
 # colourless phi/chi with colour i; it is written in the same phi -> -phi gauge
 # as the te realization, so its chi-gamma terms carry the opposite sign to the
 # printed form.
 PAIR_GENERATORS = {
+    "E": ((PSI_P, PSI_M, 1, 1), (GAM_P, GAM_M, -1, -1)),
     "sp+": ((PSI_P, PSI_P, 1, -1), (GAM_P, GAM_P, 1, 1)),
     "sp-": ((PSI_M, PSI_M, 1, -1), (GAM_M, GAM_M, -1, -1)),
     "so+": ((PSI_P, PSI_P, 1, 1), (GAM_P, GAM_P, 1, -1)),
@@ -421,13 +369,15 @@ PAIR_GENERATORS = {
 
 
 def _pair_generator(space: Space, descriptor: str, colors: tuple[int, ...], cutoff2: int) -> RealizedOp:
-    """sp+/sp-/so+/so- take colours (i, j); so+vec takes (i,)."""
+    """E/sp+/sp-/so+/so- take colours (i, j); so+vec takes (i,)."""
     ca, cb = (0, *colors) if descriptor == "so+vec" else colors
     entries = []
     for (fa, fb, s_lo, s_hi), start in zip(PAIR_GENERATORS[descriptor], (2, 1)):
         for n2 in range(start, cutoff2 + 1, 2):
             entries.append((s_lo, (fa, ca, -n2), (fb, cb, n2)))
             entries.append((s_hi, (fa, ca, n2), (fb, cb, -n2)))
+    if descriptor == "E" and space.kind == "gl":
+        entries.append((1, (PSI_P, ca, 0), (PSI_M, cb, 0)))
     return _op(space, entries)
 
 
@@ -457,7 +407,6 @@ def realize_generator(space: Space, descriptor: str, *args, cutoff2: int = 8) ->
         "te-C": lambda: realize_te(space, "C", *args),
         "te-D": lambda: realize_te(space, "D", *args),
         "te-dhalf": lambda: realize_te_dhalf(space, *args),
-        "E": lambda: realize_E(space, *args, cutoff2=cutoff2),
         "so-vec": lambda: op_adjoint(_pair_generator(space, "so+vec", args, cutoff2)),
         "C": lambda: RealizedOp(space, [], scalar=space.level),
     }
@@ -534,45 +483,40 @@ def _perm_sign(perm) -> int:
     return sign
 
 
+def _grassmann_rows(columns: list[tuple[int, int, int]], j: int) -> list[list[Mode]]:
+    """Square mode matrix over columns of (gamma field, psi field, colour): row
+    i <= j takes each column's gamma mode at -(2i - 1), every later row its psi
+    mode at -2j."""
+    return [
+        [(gam, c, -(2 * i - 1)) if i <= j else (psi, c, -2 * j) for gam, psi, c in columns]
+        for i in range(1, len(columns) + 1)
+    ]
+
+
+def _colour_columns(space: Space, sign: int) -> list[tuple[int, int, int]]:
+    """The + fields over colours 1..d (sign +1), or the - fields over d..1."""
+    if sign > 0:
+        return [(GAM_P, PSI_P, c) for c in range(1, space.d + 1)]
+    return [(GAM_M, PSI_M, c) for c in range(space.d, 0, -1)]
+
+
 def x_matrix(space: Space, j: int, sign: int = +1) -> list[list[Mode]]:
     """The d x d matrix X^j (sign +1) or X^{-j} (sign -1), j >= 1."""
-    d = space.d
-    j = min(j, d)
-    rows = []
-    for i in range(1, d + 1):
-        row = []
-        for c in range(1, d + 1):
-            color = c if sign > 0 else d - c + 1
-            if i <= j:
-                field = GAM_P if sign > 0 else GAM_M
-                row.append((field, color, -(2 * i - 1)))
-            else:
-                field = PSI_P if sign > 0 else PSI_M
-                row.append((field, color, -2 * j))
-        rows.append(row)
-    return rows
+    return _grassmann_rows(_colour_columns(space, sign), min(j, space.d))
 
 
 def xt_matrix(space: Space, j: int) -> list[list[Mode]]:
     """X-tilde: X^j with the last column replaced by the conjugate modes."""
-    rows = x_matrix(space, j)
-    j = min(j, space.d)
-    for i, row in enumerate(rows, start=1):
-        if i <= j:
-            row[-1] = (GAM_M, space.d, -(2 * i - 1))
-        else:
-            row[-1] = (PSI_M, space.d, -2 * j)
-    return rows
+    d = space.d
+    columns = [(GAM_M, PSI_M, c) if c == d else (GAM_P, PSI_P, c) for c in range(1, d + 1)]
+    return _grassmann_rows(columns, min(j, d))
 
 
 def gamma_matrix(space: Space) -> list[list[Mode]]:
     """One gamma row, then repeated psi_{-1} rows: 2d x 2d, or (2d+1) x (2d+1)
     with the chi/phi middle column on the Dodd space."""
-    mid = int(space.kind == "Dodd")
-    up, down = range(1, space.d + 1), range(space.d, 0, -1)
-    top = [(GAM_P, c, -1) for c in up] + [(CHI, 0, -1)] * mid + [(GAM_M, c, -1) for c in down]
-    psi = [(PSI_P, c, -2) for c in up] + [(PHI, 0, -2)] * mid + [(PSI_M, c, -2) for c in down]
-    return [top] + [list(psi) for _ in range(len(psi) - 1)]
+    mid = [(CHI, PHI, 0)] if space.kind == "Dodd" else []
+    return _grassmann_rows(_colour_columns(space, +1) + mid + _colour_columns(space, -1), 1)
 
 
 def _vec_product(v1: FockVector, v2: FockVector) -> FockVector:
@@ -589,10 +533,6 @@ def _vec_product(v1: FockVector, v2: FockVector) -> FockVector:
     return out
 
 
-def _column_counts(lam: Partition) -> list[int]:
-    return [] if lam.is_zero() else list(transpose(lam).parts)
-
-
 def hwv_candidate(space: Space, algebra: str, lam: GeneralizedPartition, variant: str = "X") -> FockVector:
     """Joint highest weight vector of the lam-component of the dual-pair decomposition.
 
@@ -603,24 +543,20 @@ def hwv_candidate(space: Space, algebra: str, lam: GeneralizedPartition, variant
     d = space.d
     if algebra == "A":
         plus, minus = split_signs(lam)
-        mu = Partition(minus.star().parts)
-        factors = []
-        mu_cols = _column_counts(mu)
-        for j in range(len(mu_cols), 0, -1):
-            factors.append((x_matrix(space, j, sign=-1), mu_cols[j - 1]))
-        plus_cols = _column_counts(Partition(plus.parts))
-        for j in range(1, len(plus_cols) + 1):
-            factors.append((x_matrix(space, j, sign=+1), plus_cols[j - 1]))
+        mu_cols = _column_lengths(minus.star().parts)
+        factors = [(x_matrix(space, j, sign=-1), mu_cols[j - 1]) for j in range(len(mu_cols), 0, -1)]
+        plus_cols = enumerate(_column_lengths(plus.parts), start=1)
+        factors += [(x_matrix(space, j, sign=+1), size) for j, size in plus_cols]
     elif algebra in ("C", "Deven", "Dodd"):
         lam = Partition(lam.parts)
         if algebra == "Dodd" and lam.length != 2 * d + 1:
             raise ValueError(f"odd orthogonal labels have length {2*d+1}")
-        cols = _column_counts(lam)
+        cols = _column_lengths(lam.parts)
         # the first column is spinorial (the gamma matrix) for every odd O label
         # and for the even O labels with lambda'_1 > d
         spinorial = algebra == "Dodd" or (algebra == "Deven" and o_label(lam, 2 * d)[1] < 0)
         flipped = algebra == "Deven" and variant == "Xt" and not spinorial
-        if flipped and cols[:1] != [d]:
+        if flipped and cols[:1] != (d,):
             raise ValueError("the sign-flipped vector exists only when lambda'_1 = d")
         column = xt_matrix if flipped else x_matrix
         factors = [

@@ -189,6 +189,19 @@ def _extract_chain(coeffs: dict[int, int], negate: bool = False) -> tuple[tuple,
     return half, intg
 
 
+def _gl_negative_chain(coeffs: dict[int, int]) -> tuple[tuple, tuple]:
+    """The gl negative side (xi_{-s+1/2}, ..., xi_{-1/2} | xi_{-s+1}, ..., xi_0).
+
+    s is the longer of the two chains; index 0 belongs to the integer chain.
+    """
+    s1 = max(((abs(i) + 1) // 2 for i in coeffs if i < 0 and i % 2), default=0)
+    s2 = max((abs(i) // 2 + 1 for i in coeffs if i <= 0 and i % 2 == 0), default=0)
+    s = max(s1, s2)
+    neg_half = tuple(coeffs.get(-(2 * t - 1), 0) for t in range(s, 0, -1))
+    neg_int = tuple(coeffs.get(-2 * (t - 1), 0) for t in range(s, 0, -1))
+    return neg_half, neg_int
+
+
 def _partition_chain_ok(half: tuple, intg: tuple) -> str | None:
     """Condition (i): strict chains, non-negativity, and the degenerate-zero rule."""
     for seq, name in ((half, "half-integer"), (intg, "integer")):
@@ -234,11 +247,7 @@ def is_unitarizable(w: Weight) -> UnitarityReport:
         if lvl.denominator != 1 or lvl < 0:
             return bad("level-integral", f"d = {lvl} not a non-negative integer")
         # mirror the negative side through mu = (lambda^-)* and validate there
-        s1 = max(((abs(i) + 1) // 2 for i in c if i < 0 and i % 2), default=0)
-        s2 = max((abs(i) // 2 + 1 for i in c if i <= 0 and i % 2 == 0), default=0)
-        s = max(s1, s2)
-        neg_half = tuple(c.get(-(2 * t - 1), 0) for t in range(s, 0, -1))
-        neg_int = tuple(c.get(-2 * (t - 1), 0) for t in range(s, 0, -1))
+        neg_half, neg_int = _gl_negative_chain(c)
         mu_half = tuple(1 - v for v in reversed(neg_half))
         mu_int = tuple(-1 - v for v in reversed(neg_int))
         problem = _partition_chain_ok(mu_half, mu_int)
@@ -312,12 +321,7 @@ def partition_from_weight(w: Weight) -> GeneralizedPartition:
     half, intg = _extract_chain(c)
     if w.algebra == "gl":
         d = int(w.level)
-        s = max(
-            max(((abs(i) + 1) // 2 for i in c if i < 0 and i % 2), default=0),
-            max((abs(i) // 2 + 1 for i in c if i <= 0 and i % 2 == 0), default=0),
-        )
-        neg_half = tuple(c.get(-(2 * t - 1), 0) for t in range(s, 0, -1))
-        neg_int = tuple(c.get(-2 * (t - 1), 0) for t in range(s, 0, -1))
+        neg_half, neg_int = _gl_negative_chain(c)
         return from_frobenius(FrobeniusData(neg_half, neg_int, half, intg, d))
     if w.algebra == "A":
         d = int(w.level)

@@ -160,6 +160,8 @@ def cocycle_alpha(a: SuperMatrix, b: SuperMatrix) -> Fraction:
 
 def _te_sign(family: str, p2: int, q2: int) -> int:
     """Sign s in te(p,q) = e(p,q) + s e(-q,-p) for the C- or D-type subalgebra."""
+    if p2 == 0 or q2 == 0:
+        raise ValueError("indices of the osp-type subalgebras exclude 0")
     pint, qint = parity(p2) == 0, parity(q2) == 0
     sgn = lambda v: 1 if v > 0 else -1
     if family == "C":
@@ -183,8 +185,6 @@ def _te_sign(family: str, p2: int, q2: int) -> int:
 
 def te_generator(family: str, p2: int, q2: int) -> SuperMatrix:
     """Spanning element te(p,q) of the C- or D-type subalgebra of A."""
-    if p2 == 0 or q2 == 0:
-        raise ValueError("indices of the osp-type subalgebras exclude 0")
     s = _te_sign(family, p2, q2)
     return SuperMatrix.unit(p2, q2) + s * SuperMatrix.unit(-q2, -p2)
 

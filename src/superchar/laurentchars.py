@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .partitions import GeneralizedPartition, Partition, bar_conjugate, o_label
+from .partitions import GeneralizedPartition, Partition, _column_lengths, bar_conjugate, o_label
 from .ringdet import pair_det, ring_det, spin_det
 from .sparse import _Sparse, _add_into, _drop_zeros, _fold_integral
 
@@ -237,12 +237,6 @@ def _eprime(r: int, m: int) -> LaurentPoly:
     return elementary_laurent(r, m) - elementary_laurent(r - 2, m)
 
 
-def _conj(parts: tuple[int, ...]) -> tuple[int, ...]:
-    if not parts or parts[0] == 0:
-        return ()
-    return tuple(sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1))
-
-
 def _centres(mu: tuple[int, ...]) -> list[int]:
     """Row centres mu_i - i + 1 of the classical determinants."""
     return [p - i for i, p in enumerate(mu)]
@@ -277,7 +271,7 @@ def classical_char_sp(lam: Partition, m: int) -> LaurentPoly:
     """Character of the irreducible sp(2m)-module with highest weight lam."""
     if lam.depth > m:
         raise ValueError(f"sp(2{m}) weight too deep: {lam}")
-    return det_eprime(_conj(lam.parts), m)
+    return det_eprime(_column_lengths(lam.parts), m)
 
 
 def classical_char_so_even(nu2: tuple[int, ...], m: int) -> LaurentPoly:
@@ -301,19 +295,19 @@ def classical_char_so_even(nu2: tuple[int, ...], m: int) -> LaurentPoly:
     if parities == {0} or not parities:
         nu = tuple(e // 2 for e in abs2)
         if nu[-1] == 0:
-            return det_e(_conj(nu), m)
+            return det_e(_column_lengths(nu), m)
         half = Fraction(1, 2)
-        base = det_e(_conj(nu), m) * half
+        base = det_e(_column_lengths(nu), m) * half
         shifted = tuple(v - 1 for v in nu)
-        extra = _prod_factor(m, plus=False, half=False) * det_eprime(_conj(shifted), m) * half
+        extra = _prod_factor(m, plus=False, half=False) * det_eprime(_column_lengths(shifted), m) * half
         return base + sign * extra
     # half-integral: nu = mu + (1/2,...,1/2) with mu a partition
     mu = tuple((e - 1) // 2 for e in abs2)
     half = Fraction(1, 2)
     # pairing fixed by the so(2) weight-3/2 and so(4) weight-(3/2,1/2) checks:
     # the "+" product goes with the minus-entry determinant
-    term_plus = _prod_factor(m, plus=True, half=True) * _det_m(_conj(mu), m, -1) * half
-    term_minus = _prod_factor(m, plus=False, half=True) * _det_m(_conj(mu), m, +1) * half
+    term_plus = _prod_factor(m, plus=True, half=True) * _det_m(_column_lengths(mu), m, -1) * half
+    term_minus = _prod_factor(m, plus=False, half=True) * _det_m(_column_lengths(mu), m, +1) * half
     return term_plus + sign * term_minus
 
 
@@ -365,11 +359,11 @@ def char_group(group: GroupTag, lam: GeneralizedPartition) -> LaurentPoly:
     n, d = group.size, group.rank
     if not isinstance(lam, Partition):
         lam = Partition(lam.parts)
-    nu = o_label(lam, n)[0].parts[:d]
+    cols = _column_lengths(o_label(lam, n)[0].parts[:d])
     if n % 2 == 0:
-        return det_e(_conj(nu), d)
+        return det_e(cols, d)
     # the E's of {z_i, z_i^{-1}, 1} are E_r + E_{r-1}
-    chi = pair_det(_centres(_conj(nu)), lambda r: elementary_laurent(r, d) + elementary_laurent(r - 1, d),
+    chi = pair_det(_centres(cols), lambda r: elementary_laurent(r, d) + elementary_laurent(r - 1, d),
                    LaurentPoly.const(d))
     if lam.size % 2:
         chi = chi * LaurentPoly.eps(d)

@@ -192,13 +192,14 @@ def _validate_negative_pair(half: tuple[int, ...], intg: tuple[int, ...]):
         raise FrobeniusError("xineggeq", f"negative quartet invalid: ({half}|{intg})") from exc
 
 
+def _column_lengths(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Column lengths lambda'_1 >= lambda'_2 >= ... of a partition; () for the zero one."""
+    return tuple(sum(1 for p in parts if p >= j) for j in range(1, max(parts, default=0) + 1))
+
+
 def transpose(lam: Partition) -> Partition:
     """Conjugate partition; declared length of the result is lambda_1 (1 if zero)."""
-    if lam.is_zero():
-        return Partition((0,))
-    width = lam.parts[0]
-    cols = [sum(1 for p in lam.parts if p >= j) for j in range(1, width + 1)]
-    return Partition(tuple(cols))
+    return Partition(_column_lengths(lam.parts) or (0,))
 
 
 def rank(lam: GeneralizedPartition) -> int:
@@ -269,7 +270,7 @@ def from_frobenius(data: FrobeniusData) -> GeneralizedPartition:
     return GeneralizedPartition(parts)
 
 
-def _o_columns(lam: Partition, n: int) -> list[int]:
+def _o_columns(lam: Partition, n: int) -> tuple[int, ...]:
     """Columns of lam after checking that it labels an O(n) module.
 
     A label has declared length n and lambda'_1 + lambda'_2 <= n; anything
@@ -277,11 +278,9 @@ def _o_columns(lam: Partition, n: int) -> list[int]:
     """
     if lam.length != n:
         raise ValueError(f"O({n}) labels have declared length {n}: got {lam}")
-    cols = [] if lam.is_zero() else list(transpose(lam).parts)
-    first = cols[0] if cols else 0
-    second = cols[1] if len(cols) > 1 else 0
-    if first + second > n:
-        raise ValueError(f"lambda'_1 + lambda'_2 = {first+second} > n = {n}")
+    cols = _column_lengths(lam.parts)
+    if sum(cols[:2]) > n:
+        raise ValueError(f"lambda'_1 + lambda'_2 = {sum(cols[:2])} > n = {n}")
     return cols
 
 
@@ -293,14 +292,8 @@ def bar_conjugate(lam: Partition, n: int) -> Partition:
     """
     cols = _o_columns(lam, n)
     # n - lambda'_1 >= lambda'_2 by the label condition, so the columns stay non-increasing
-    new_cols = [n - (cols[0] if cols else 0)] + cols[1:]
-    if new_cols[0] == 0:
-        new_cols = new_cols[1:]
-    if not new_cols:
-        return Partition((0,) * n)
-    bar = transpose(Partition(tuple(new_cols)))
-    parts = bar.parts + (0,) * (n - len(bar.parts))
-    return Partition(parts[:n])
+    rows = _column_lengths((n - (cols[0] if cols else 0),) + cols[1:])
+    return Partition(rows + (0,) * (n - len(rows)))
 
 
 def o_label(lam: Partition, n: int) -> tuple[Partition, int]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import Partition, bar_conjugate, o_label, transpose
+from .partitions import Partition, _column_lengths, bar_conjugate, o_label
 # ring_det stays bound here: perfbench's tracer test wraps it in every module that builds determinants
 from .ringdet import pair_det, ring_det, spin_det  # noqa: F401
 from .laurentchars import GroupTag, LaurentPoly, char_group, classical_char_so_even, tensor_multiplicity
@@ -190,22 +190,14 @@ def _lambda_box(max_size: int, max_len: int):
             rec(prefix + [p], remaining - p, p)
 
     rec([], max_size, max_size)
-    seen, uniq = set(), []
-    for lam in out:
-        if lam.parts not in seen:
-            seen.add(lam.parts)
-            uniq.append(lam)
-    return uniq
+    return out
 
 
 def o_labels(n: int, max_size: int, max_width: int | None = None):
     """Partitions of declared length n with lambda'_1 + lambda'_2 <= n, |lam| <= max_size."""
     out = []
     for core in _lambda_box(max_size, n):
-        cols = () if core.is_zero() else transpose(core).parts
-        c1 = cols[0] if cols else 0
-        c2 = cols[1] if len(cols) > 1 else 0
-        if c1 + c2 <= n and (max_width is None or core.parts[0] <= max_width):
+        if sum(_column_lengths(core.parts)[:2]) <= n and (max_width is None or core.parts[0] <= max_width):
             out.append(core)
     return out
 
@@ -302,7 +294,7 @@ def _laurent_identity(group: GroupTag, m: int) -> dict | None:
         labels = o_labels(n, n * m, max_width=m)
 
         def dual(lam):
-            cols = (() if lam.is_zero() else transpose(lam).parts) + (0,) * m
+            cols = _column_lengths(lam.parts) + (0,) * m
             return classical_char_so_even(tuple(n - 2 * cols[m - 1 - i] for i in range(m)), m).invert_reverse()
 
     lhs = _xz_product(lhs, m, d, odd)

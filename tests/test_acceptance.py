@@ -2,7 +2,7 @@
 
 Every check is an exact equality of integers, rationals, or coefficient
 tensors; there are no numerical tolerances to tune.  Each test prints one
-PASS line on success (visible under pytest -s or in scripts/run_battery.py).
+PASS line on success (visible under pytest -s).
 """
 
 import itertools

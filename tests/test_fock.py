@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from superchar.fock import (
+    CHI,
     GAM_M,
     GAM_P,
+    PHI,
     PSI_M,
     PSI_P,
     FockVector,
@@ -19,6 +21,7 @@ from superchar.fock import (
     enumerate_basis,
     fmt_state,
     fock_character,
+    gamma_matrix,
     gram_matrix,
     grassmann_det,
     mono_energy2,
@@ -33,6 +36,7 @@ from superchar.fock import (
     realize_te_dhalf,
     singularity_check,
     x_matrix,
+    xt_matrix,
 )
 from superchar.infmat import SuperMatrix, cocycle_alpha, super_bracket
 from superchar.partitions import GeneralizedPartition, Partition
@@ -106,6 +110,16 @@ def test_grassmann_det_basics():
     assert grassmann_det(sp, m, 0) == FockVector.vacuum(sp)
 
 
+def test_grassmann_matrix_layouts():
+    # rows i <= j take the gamma modes at -(2i-1), later rows the psi modes at -2j
+    assert xt_matrix(Space("A", 2), 1) == [
+        [(GAM_P, 1, -1), (GAM_M, 2, -1)],
+        [(PSI_P, 1, -2), (PSI_M, 2, -2)],
+    ]
+    psi_row = [(PSI_P, 1, -2), (PHI, 0, -2), (PSI_M, 1, -2)]
+    assert gamma_matrix(Space("Dodd", 1)) == [[(GAM_P, 1, -1), (CHI, 0, -1), (GAM_M, 1, -1)], psi_row, psi_row]
+
+
 def test_homomorphism_with_central_term():
     rng = random.Random(20260809)
 
@@ -162,6 +176,22 @@ def test_dhalf_homomorphism_with_central_term():
                 lhs = rx.apply(ry.apply(v)) - sign * ry.apply(rx.apply(v))
                 rhs = rbr.apply(v) + v * alpha
                 assert lhs == rhs, ((p2, q2), (r2, s2), fmt_state(mono))
+
+
+def test_dhalf_mixed_parity_terms_carry_the_gauge():
+    # the colourless phi-chi term of te(p,q) at one (int, half) and one (half, int)
+    # pair: its sign is the phi -> -phi gauge in which the Grassmann minors are singular
+    sp = Space("Dodd", 1)
+    assert sorted(realize_te_dhalf(sp, 2, 1).terms) == sorted([  # te(1, 1/2)
+        (Fraction(1), ((PSI_P, 1, -2), (GAM_M, 1, 1))),
+        (Fraction(-1), ((PSI_M, 1, -2), (GAM_P, 1, 1))),
+        (Fraction(-1), ((PHI, 0, -2), (CHI, 0, 1))),
+    ])
+    assert sorted(realize_te_dhalf(sp, -1, 2).terms) == sorted([  # te(-1/2, 1)
+        (Fraction(-1), ((GAM_P, 1, 1), (PSI_M, 1, 2))),
+        (Fraction(1), ((PSI_P, 1, 2), (GAM_M, 1, 1))),
+        (Fraction(-1), ((CHI, 0, 1), (PHI, 0, 2))),
+    ])
 
 
 def test_hwv_examples():
