@@ -11,6 +11,7 @@ defined relative to that order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -23,8 +24,20 @@ from .sparse import _Sparse, _add_into, _add_term
 from .symring import WeightMono, wmono_energy2  # noqa: F401  (wmono_energy2 re-exported)
 
 PSI_P, PSI_M, GAM_P, GAM_M, PHI, CHI = range(6)
-FIELD_NAMES = ("p+", "p-", "g+", "g-", "phi", "chi")
-FERMIONIC = (True, True, False, False, True, False)
+
+# One row per field: (name, fermionic, conjugate field, contraction sign when
+# this field annihilates its conjugate, colour charge).  A fermionic field has
+# integer indices and a bosonic one half-integer indices; a charged field
+# carries a colour 1..d, and the colourless phi and chi live on the Dodd space.
+FIELDS = (
+    ("p+", True, PSI_M, 1, 1),
+    ("p-", True, PSI_P, 1, -1),
+    ("g+", False, GAM_M, 1, 1),
+    ("g-", False, GAM_P, -1, -1),
+    ("phi", True, PHI, 1, 0),
+    ("chi", False, CHI, 1, 0),
+)
+FIELD_NAMES, FERMIONIC, CONJUGATE, CONTRACTION, CHARGE = zip(*FIELDS)
 
 Mode = tuple[int, int, int]  # (field, color, doubled index)
 
@@ -48,44 +61,18 @@ class Space:
 
     def mode_ok(self, mode: Mode) -> bool:
         field, color, idx2 = mode
-        if field in (PSI_P, PSI_M, GAM_P, GAM_M):
-            if not (1 <= color <= self.d):
-                return False
-        else:
-            if self.kind != "Dodd" or color != 0:
-                return False
-        if field in (PSI_P, PSI_M, PHI):
-            if idx2 % 2:
-                return False
-            if idx2 == 0 and not (self.kind == "gl" and field in (PSI_P, PSI_M)):
-                return False
-        else:
-            if idx2 % 2 == 0:
-                return False
-        return True
+        coloured = 1 <= color <= self.d if CHARGE[field] else self.kind == "Dodd" and color == 0
+        zero_ok = idx2 != 0 or (self.kind == "gl" and field in (PSI_P, PSI_M))
+        return coloured and (idx2 % 2 == 0) == FERMIONIC[field] and zero_ok
 
     def is_creation(self, mode: Mode) -> bool:
         field, _color, idx2 = mode
-        if idx2 < 0:
-            return True
-        return idx2 == 0 and field == PSI_M  # gl zero mode
+        return idx2 < 0 or (idx2 == 0 and field == PSI_M)  # psi-_0: the gl zero mode
 
     def creation_modes(self, max_energy2: int) -> list[Mode]:
-        out = []
-        for field in range(6):
-            colors = range(1, self.d + 1) if field < 4 else ((0,) if self.kind == "Dodd" else ())
-            for color in colors:
-                if field in (PSI_P, PSI_M, PHI):
-                    idxs = list(range(-2, -max_energy2 - 1, -2))
-                    if field == PSI_M and self.kind == "gl":
-                        idxs = [0] + idxs
-                else:
-                    idxs = list(range(-1, -max_energy2 - 1, -2))
-                for idx2 in idxs:
-                    mode = (field, color, idx2)
-                    if self.mode_ok(mode):
-                        out.append(mode)
-        return sorted(out)
+        """The admissible creation modes of doubled energy <= max_energy2, sorted."""
+        grid = itertools.product(range(len(FIELDS)), range(self.d + 1), range(-max_energy2, 1))
+        return [mode for mode in grid if self.mode_ok(mode) and self.is_creation(mode)]
 
 
 def mono_energy2(mono: tuple[Mode, ...]) -> int:
@@ -95,7 +82,7 @@ def mono_energy2(mono: tuple[Mode, ...]) -> int:
 def fmt_mode(mode: Mode) -> str:
     field, color, idx2 = mode
     tag = FIELD_NAMES[field]
-    if field < 4:
+    if CHARGE[field]:
         return f"{tag}[{color},{fmt_half(idx2)}]"
     return f"{tag}[{fmt_half(idx2)}]"
 
@@ -172,27 +159,6 @@ def _insert_creation(space: Space, mode: Mode, mono: tuple[Mode, ...]):
     return sign, mono[:pos] + (mode,) + mono[pos:]
 
 
-def _contraction(ann: Mode, cre: Mode) -> int:
-    """Scalar left over when the annihilator passes the creation operator."""
-    fa, ca, ia = ann
-    fc, cc, ic = cre
-    if ca != cc or ia + ic != 0:
-        return 0
-    if fa == PSI_P and fc == PSI_M:
-        return 1
-    if fa == PSI_M and fc == PSI_P:
-        return 1
-    if fa == GAM_P and fc == GAM_M:
-        return 1
-    if fa == GAM_M and fc == GAM_P:
-        return -1
-    if fa == PHI and fc == PHI:
-        return 1
-    if fa == CHI and fc == CHI:
-        return 1
-    return 0
-
-
 def apply_mode(space: Space, mode: Mode, vec: FockVector) -> FockVector:
     if not space.mode_ok(mode):
         raise ValueError(f"mode {fmt_mode(mode)} not admissible on {space}")
@@ -205,20 +171,31 @@ def apply_mode(space: Space, mode: Mode, vec: FockVector) -> FockVector:
             sign, new = ins
             _add_term(out, new, sign * coeff)
         return vec._new(out)
-    fermi = FERMIONIC[mode[0]]
+    # the annihilator contracts with its conjugate partner and passes the rest
+    field, color, idx2 = mode
+    partner = (CONJUGATE[field], color, -idx2)
+    fermi = FERMIONIC[field]
     for mono, coeff in vec.terms.items():
-        sign = 1
+        sign = CONTRACTION[field]
         for i, m in enumerate(mono):
-            k = _contraction(mode, m)
-            if k:
-                _add_term(out, mono[:i] + mono[i + 1 :], coeff * sign * k)
+            if m == partner:
+                _add_term(out, mono[:i] + mono[i + 1 :], coeff * sign)
             if fermi and FERMIONIC[m[0]]:
                 sign = -sign
         # the annihilator then hits the vacuum: contributes nothing
     return vec._new(out)
 
 
-@dataclass
+def _apply_word(space: Space, modes: tuple[Mode, ...] | list[Mode], vec: FockVector) -> FockVector:
+    """The product of `modes` applied to vec, rightmost mode first."""
+    for mode in reversed(modes):
+        vec = apply_mode(space, mode, vec)
+        if not vec:
+            break
+    return vec
+
+
+@dataclass(frozen=True)
 class RealizedOp:
     """Finite list of (coefficient, ordered mode products) plus a scalar part."""
 
@@ -231,12 +208,7 @@ class RealizedOp:
             raise ValueError("operator and vector live on different spaces")
         out = vec * self.scalar
         for coeff, modes in self.terms:
-            cur = vec
-            for mode in reversed(modes):
-                cur = apply_mode(self.space, mode, cur)
-                if not cur:
-                    break
-            _add_into(out.terms, cur.terms, coeff)
+            _add_into(out.terms, _apply_word(self.space, modes, vec).terms, coeff)
         return out
 
     def __add__(self, other: "RealizedOp") -> "RealizedOp":
@@ -332,8 +304,12 @@ def realize_te_dhalf(space: Space, p2: int, q2: int) -> RealizedOp:
     return realize_te(space, "D", p2, q2)
 
 
+@functools.lru_cache(maxsize=None)
 def realize_algebra(space: Space, algebra: str, p2: int, q2: int) -> RealizedOp:
-    """Generator of the dual algebra: e(p,q) for gl/A, te(p,q) for C/Deven/Dodd."""
+    """Generator of the dual algebra: e(p,q) for gl/A, te(p,q) for C/Deven/Dodd.
+
+    Cached: singularity checks ask for the same raising operators many times.
+    """
     if algebra in ("gl", "A"):
         return realize_e(space, p2, q2)
     if algebra in ("C", "Deven"):
@@ -447,12 +423,7 @@ def enumerate_basis(space: Space, cutoff2: int) -> list[tuple[Mode, ...]]:
 # -- Grassmann determinants and highest weight vectors --------------------------
 
 def creation_product(space: Space, modes: list[Mode]) -> FockVector:
-    vec = FockVector.vacuum(space)
-    for mode in reversed(modes):
-        vec = apply_mode(space, mode, vec)
-        if not vec:
-            break
-    return vec
+    return _apply_word(space, modes, FockVector.vacuum(space))
 
 
 def grassmann_det(space: Space, matrix: list[list[Mode]], r: int) -> FockVector:
@@ -467,20 +438,8 @@ def grassmann_det(space: Space, matrix: list[list[Mode]], r: int) -> FockVector:
 
 
 def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """(-1) to the number of inversions."""
+    return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
 
 
 def _grassmann_rows(columns: list[tuple[int, int, int]], j: int) -> list[list[Mode]]:
@@ -524,12 +483,7 @@ def _vec_product(v1: FockVector, v2: FockVector) -> FockVector:
     out = FockVector.zero(v1.space)
     for m1, c1 in v1.terms.items():
         for m2, c2 in v2.terms.items():
-            partial = v1._new({m2: c1 * c2})
-            for mode in reversed(m1):
-                partial = apply_mode(v1.space, mode, partial)
-                if not partial:
-                    break
-            _add_into(out.terms, partial.terms)
+            _add_into(out.terms, _apply_word(v1.space, m1, v1._new({m2: c1 * c2})).terms)
     return out
 
 
@@ -660,20 +614,12 @@ CONJUGATIONS = ("signed", "naive", "paper")  # "paper" is an alias of "signed"
 
 
 def omega_mode(mode: Mode, naive: bool = False) -> tuple[int, Mode]:
+    """(sign, conjugate mode).  The signed rule takes the contraction sign of
+    whichever mode of the pair annihilates, so every one-mode norm is +1."""
     field, color, idx2 = mode
-    if field == PSI_P:
-        return 1, (PSI_M, color, -idx2)
-    if field == PSI_M:
-        return 1, (PSI_P, color, -idx2)
-    if field == GAM_P:
-        sign = 1 if (idx2 > 0 or naive) else -1
-        return sign, (GAM_M, color, -idx2)
-    if field == GAM_M:
-        sign = -1 if (idx2 > 0 and not naive) else 1
-        return sign, (GAM_P, color, -idx2)
-    if field == PHI:
-        return 1, (PHI, color, -idx2)
-    return 1, (CHI, color, -idx2)
+    conj = CONJUGATE[field]
+    sign = 1 if naive else CONTRACTION[field if idx2 > 0 else conj]
+    return sign, (conj, color, -idx2)
 
 
 def inner_product(space: Space, bra: tuple[Mode, ...], ket: FockVector, conjugation: str = "signed") -> Fraction:
@@ -776,15 +722,8 @@ def fock_character(space: Space, cutoff2: int):
 
     def step(mode: Mode) -> int:
         field, color, idx2 = mode
-        if field in (PSI_P, PSI_M, PHI):
-            key = unit[-1] + unit[d + abs(idx2) // 2 - 1]
-        else:
-            key = unit[-1] + unit[d + len(xs) + abs(idx2) // 2]
-        if field in (PSI_P, GAM_P):
-            key += unit[color - 1]
-        elif field in (PSI_M, GAM_M):
-            key -= unit[color - 1]
-        return key
+        slot = d + abs(idx2) // 2 - 1 if FERMIONIC[field] else d + len(xs) + abs(idx2) // 2
+        return unit[-1] + unit[slot] + CHARGE[field] * unit[color - 1]
 
     out: dict[tuple[tuple[int, ...], int], dict[WeightMono, int]] = {}
     for key, count in Counter(_walk(space, cutoff2, step, cutoff2 * sum(unit))).items():

@@ -89,7 +89,10 @@ def parse_weight(algebra: str, text: str) -> Weight:
         tail = tail.strip()
         if not tail.startswith("level="):
             raise ValueError(f"expected level=... after ';' in {text!r}")
-        level = Fraction(tail[len("level="):].strip())
+        try:
+            level = Fraction(tail[len("level="):].strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in the level of {text!r}") from None
     coeffs: dict[int, int] = {}
     body = body.strip()
     if body and body != "0":

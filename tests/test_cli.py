@@ -101,6 +101,12 @@ def test_usage_errors(capsys):
     assert code == 2 and "--deg" in err
 
 
+def test_zero_level_denominator_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "classify", "--algebra", "gl", "--weight", "1:1;level=1/0")
+    assert code == 2 and not out
+    assert "usage error" in err and "Traceback" not in err
+
+
 def test_verify_rejects_parameters_the_identity_cannot_use(capsys):
     for argv, fault in [
         (("HS", "--d", "1", "--deg", "2", "--m", "7"), "--m is not read by HS"),

@@ -29,6 +29,8 @@ from superchar.fock import (
     hwv_candidate,
     inner_product,
     leading_principal_minors,
+    omega_mode,
+    realize_algebra,
     realize_E,
     realize_e,
     realize_generator,
@@ -69,6 +71,15 @@ def test_realize_examples():
     assert Space("Dodd", 1).level == Fraction(3, 2)
     e11 = realize_E(sp, 1, 1, 2)
     assert len(e11.terms) == 4  # psi+-_{-1},psi_1 and gam_{+-1/2} pairs
+
+
+def test_realize_algebra_builds_each_operator_once():
+    sp = Space("A", 2)
+    op = realize_algebra(sp, "C", -1, 3)
+    assert realize_algebra(Space("A", 2), "C", -1, 3) is op
+    assert realize_algebra(sp, "C", 1, 3) is not op
+    with pytest.raises(AttributeError):
+        op.scalar = Fraction(1)
 
 
 def test_realized_ops_add_only_on_one_space():
@@ -316,6 +327,48 @@ def test_gram_examples():
     assert any(m < 0 for m in leading_principal_minors(naive))
     _, zero = gram_matrix(sp, 0, "signed")
     assert zero == [[1]]
+
+
+def test_omega_mode_on_every_field():
+    # (mode, signed, naive): the conjugate field at -index; only a gamma pair
+    # whose gamma- member annihilates carries a sign, and only when signed
+    cases = [
+        ((PSI_P, 1, -2), (1, (PSI_M, 1, 2)), (1, (PSI_M, 1, 2))),
+        ((PSI_P, 1, 2), (1, (PSI_M, 1, -2)), (1, (PSI_M, 1, -2))),
+        ((PSI_M, 1, -2), (1, (PSI_P, 1, 2)), (1, (PSI_P, 1, 2))),
+        ((PSI_M, 1, 2), (1, (PSI_P, 1, -2)), (1, (PSI_P, 1, -2))),
+        ((GAM_P, 1, -1), (-1, (GAM_M, 1, 1)), (1, (GAM_M, 1, 1))),
+        ((GAM_P, 1, 1), (1, (GAM_M, 1, -1)), (1, (GAM_M, 1, -1))),
+        ((GAM_M, 1, -1), (1, (GAM_P, 1, 1)), (1, (GAM_P, 1, 1))),
+        ((GAM_M, 1, 1), (-1, (GAM_P, 1, -1)), (1, (GAM_P, 1, -1))),
+        ((PHI, 0, -2), (1, (PHI, 0, 2)), (1, (PHI, 0, 2))),
+        ((PHI, 0, 2), (1, (PHI, 0, -2)), (1, (PHI, 0, -2))),
+        ((CHI, 0, -1), (1, (CHI, 0, 1)), (1, (CHI, 0, 1))),
+        ((CHI, 0, 1), (1, (CHI, 0, -1)), (1, (CHI, 0, -1))),
+    ]
+    for mode, signed, naive in cases:
+        assert omega_mode(mode) == signed, mode
+        assert omega_mode(mode, naive=True) == naive, mode
+
+
+def test_creation_modes_literal():
+    assert Space("gl", 1).creation_modes(2) == [
+        (PSI_P, 1, -2), (PSI_M, 1, -2), (PSI_M, 1, 0), (GAM_P, 1, -1), (GAM_M, 1, -1),
+    ]
+    assert Space("Dodd", 1).creation_modes(3) == [
+        (PSI_P, 1, -2), (PSI_M, 1, -2), (GAM_P, 1, -3), (GAM_P, 1, -1), (GAM_M, 1, -3),
+        (GAM_M, 1, -1), (PHI, 0, -2), (CHI, 0, -3), (CHI, 0, -1),
+    ]
+
+
+def test_one_mode_norms():
+    # the signed conjugation gives every one-mode state norm 1; the naive one
+    # leaves the gamma+ contraction sign in place
+    for space in (Space("gl", 2), Space("A", 2), Space("Dodd", 1)):
+        for m in space.creation_modes(4):
+            state = creation_product(space, [m])
+            assert inner_product(space, (m,), state, "signed") == 1, (space, m)
+            assert inner_product(space, (m,), state, "naive") == (-1 if m[0] == GAM_P else 1), (space, m)
 
 
 def test_leading_principal_minors_after_zero_pivot():
