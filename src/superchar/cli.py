@@ -221,6 +221,8 @@ def cmd_fock(args) -> int:
     elif args.action != "hwv":
         _check_deg(args.cutoff2, f"--cutoff {Fraction(args.cutoff2, 2)}")
     if args.space.endswith("+1/2"):
+        if args.algebra not in (None, "D"):
+            raise UsageError(f"a d+1/2 space carries only the D algebra, not {args.algebra}")
         d = int(args.space[: -len("+1/2")])
         space = fock.Space("Dodd", d)
         default_algebra = "Dodd"
@@ -338,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fock", help="Fock space computations")
     p.add_argument("--space", required=True, help='"1", "2", or "1+1/2" style d or d+1/2')
     p.add_argument("--action", required=True, choices=["decompose", "gram", "character", "hwv"])
-    p.add_argument("--algebra", default="C", choices=["gl", "A", "C", "D"])
+    p.add_argument("--algebra", choices=["gl", "A", "C", "D"],
+                   help="dual algebra: C by default on a d space, D (the only one) on d+1/2")
     p.add_argument("--cutoff", dest="cutoff2", type=half_size, default="2", metavar="CUTOFF",
                    help="energy cutoff, a non-negative multiple of 1/2")
     p.add_argument("--energy", dest="energy2", type=half_size, default="1", metavar="ENERGY",

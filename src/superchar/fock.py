@@ -805,5 +805,5 @@ def duality_decompose(space: Space, algebra: str, cutoff2: int):
     d = space.d
     groups = {"A": ("GL", d), "C": ("Sp", d), "Deven": ("O", 2 * d), "Dodd": ("O", 2 * d + 1)}
     if algebra not in groups:
-        raise ValueError(algebra)
+        raise ValueError(f"no duality decomposition for algebra {algebra!r}; one of {', '.join(groups)}")
     return decompose_graded(fock_character(space, cutoff2), GroupTag(*groups[algebra]))

@@ -16,13 +16,15 @@ from .infmat import fmt_half, parse_half
 from .symring import energy_series, q_series
 from .partitions import (
     FrobeniusData,
+    FrobeniusError,
     GeneralizedPartition,
     Partition,
+    _mirror,
     _partition_from_pos,
+    _validate_positive_pair,
     bar_conjugate,
     from_frobenius,
     o_label,
-    split_signs,
     to_frobenius,
 )
 
@@ -104,64 +106,56 @@ def parse_weight(algebra: str, text: str) -> Weight:
     return Weight.make(algebra, coeffs, level)
 
 
-# -- weights from partitions ---------------------------------------------------
+# -- weights and their chains -------------------------------------------------
 
-def _pos_side_coeffs(data: FrobeniusData) -> dict[int, int]:
-    out = {}
-    for k, v in enumerate(data.pos_half, start=1):
-        if v:
-            out[2 * k - 1] = v
-    for k, v in enumerate(data.pos_int, start=1):
-        if v:
-            out[2 * k] = v
-    return out
+# Where entry k = 1, 2, ... of one side's (half-integer | integer) chains sits
+# in a weight: (its doubled half-integer index, its doubled integer index, the
+# sign of its value, whether the chains are displayed in reverse).  The gl
+# negative side is displayed most negative index first and ends at index 0.
+SIDES = {
+    "+": (lambda k: 2 * k - 1, lambda k: 2 * k, 1, False),
+    "A-": (lambda k: 1 - 2 * k, lambda k: -2 * k, -1, False),
+    "gl-": (lambda k: 1 - 2 * k, lambda k: 2 - 2 * k, 1, True),
+}
 
 
-def weight_from_partition(algebra: str, lam: GeneralizedPartition, level_param=None) -> Weight:
+def _chains(coeffs: dict[int, int], side: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Read one side's (half | integer) chains, as long as its last nonzero entry."""
+    half_at, int_at, sign, rev = SIDES[side]
+    top = max((abs(i) for i in coeffs), default=0) // 2 + 1
+    r = max((k for k in range(1, top + 1) if half_at(k) in coeffs or int_at(k) in coeffs), default=0)
+    order = range(r, 0, -1) if rev else range(1, r + 1)
+    return tuple(tuple(sign * coeffs.get(at(k), 0) for k in order) for at in (half_at, int_at))
+
+
+def _coeffs(half: tuple[int, ...], intg: tuple[int, ...], side: str) -> dict[int, int]:
+    """Write one side's chains as weight coefficients (the inverse of `_chains`)."""
+    half_at, int_at, sign, rev = SIDES[side]
+    pairs = ((half_at, half[::-1] if rev else half), (int_at, intg[::-1] if rev else intg))
+    return {at(k): sign * v for at, seq in pairs for k, v in enumerate(seq, start=1)}
+
+
+def weight_from_partition(algebra: str, lam: GeneralizedPartition) -> Weight:
     """The highest weight attached to a (generalized) partition label.
 
     gl and A take generalized partitions of length d and level d; C takes a
     partition of length d, level d; D takes a partition of length n with
     lambda'_1 + lambda'_2 <= n and level n/2.
     """
-    if algebra == "gl":
+    if algebra in ("gl", "A"):
         data = to_frobenius(lam)
-        coeffs = _pos_side_coeffs(data)
-        nh = len(data.neg_half)
-        for t in range(1, nh + 1):  # position nh - t holds the index -(2t-1)/2
-            v = data.neg_half[nh - t]
-            if v:
-                coeffs[-(2 * t - 1)] = v
-        ni = len(data.neg_int)
-        for t in range(1, ni + 1):  # neg_int ends at index 0
-            v = data.neg_int[ni - t]
-            if v:
-                coeffs[-2 * (t - 1)] = v
-        return Weight.make("gl", coeffs, lam.length)
-    if algebra == "A":
-        plus, minus = split_signs(lam)
-        dplus = to_frobenius(Partition(plus.parts))
-        dminus = to_frobenius(Partition(minus.star().parts))
-        coeffs = _pos_side_coeffs(dplus)
-        for k, v in enumerate(dminus.pos_half, start=1):
-            if v:
-                coeffs[-(2 * k - 1)] = -v
-        for k, v in enumerate(dminus.pos_int, start=1):
-            if v:
-                coeffs[-2 * k] = -v
-        return Weight.make("A", coeffs, lam.length)
-    if algebra == "C":
-        if not isinstance(lam, Partition):
-            lam = Partition(lam.parts)
+        neg = (data.neg_half, data.neg_int)
+        if algebra == "A":
+            neg = _mirror(*neg)  # A reads the chains of mu = (lambda^-)* with values negated
+        coeffs = {**_coeffs(data.pos_half, data.pos_int, "+"), **_coeffs(*neg, algebra + "-")}
+        return Weight.make(algebra, coeffs, lam.length)
+    if algebra in ("C", "D"):
+        lam = Partition(lam.parts)
+        if algebra == "D":
+            o_label(lam, lam.length)  # raises unless lambda'_1 + lambda'_2 <= n
         data = to_frobenius(lam)
-        return Weight.make("C", _pos_side_coeffs(data), lam.length)
-    if algebra == "D":
-        if not isinstance(lam, Partition):
-            lam = Partition(lam.parts)
-        n = lam.length
-        o_label(lam, n)  # raises unless lambda'_1 + lambda'_2 <= n
-        data = to_frobenius(lam)
-        return Weight.make("D", _pos_side_coeffs(data), Fraction(n, 2))
+        level = lam.length if algebra == "C" else Fraction(lam.length, 2)
+        return Weight.make(algebra, _coeffs(data.pos_half, data.pos_int, "+"), level)
     raise ValueError(f"no partition dictionary for algebra {algebra!r}")
 
 
@@ -175,50 +169,11 @@ class UnitarityReport:
         return self.ok
 
 
-def _extract_chain(coeffs: dict[int, int], negate: bool = False) -> tuple[tuple, tuple]:
-    """Read the (xi_{1/2}, ..., xi_{r-1/2} | xi_1, ..., xi_r) chains from one side.
-
-    With negate=True reads the negative indices and flips signs (the A case).
-    Returns (half, intg).
-    """
-    sign = -1 if negate else 1
-    half_support = [i for i in coeffs if (sign * i) > 0 and i % 2]
-    int_support = [i for i in coeffs if (sign * i) > 0 and i % 2 == 0]
-    r_half = max((abs(i) + 1) // 2 for i in half_support) if half_support else 0
-    r_int = max(abs(i) // 2 for i in int_support) if int_support else 0
-    r = max(r_half, r_int)
-    half = tuple(sign * coeffs.get(sign * (2 * k - 1), 0) for k in range(1, r + 1))
-    intg = tuple(sign * coeffs.get(sign * 2 * k, 0) for k in range(1, r + 1))
-    return half, intg
-
-
-def _gl_negative_chain(coeffs: dict[int, int]) -> tuple[tuple, tuple]:
-    """The gl negative side (xi_{-s+1/2}, ..., xi_{-1/2} | xi_{-s+1}, ..., xi_0).
-
-    s is the longer of the two chains; index 0 belongs to the integer chain.
-    """
-    s1 = max(((abs(i) + 1) // 2 for i in coeffs if i < 0 and i % 2), default=0)
-    s2 = max((abs(i) // 2 + 1 for i in coeffs if i <= 0 and i % 2 == 0), default=0)
-    s = max(s1, s2)
-    neg_half = tuple(coeffs.get(-(2 * t - 1), 0) for t in range(s, 0, -1))
-    neg_int = tuple(coeffs.get(-2 * (t - 1), 0) for t in range(s, 0, -1))
-    return neg_half, neg_int
-
-
-def _partition_chain_ok(half: tuple, intg: tuple) -> str | None:
-    """Condition (i): strict chains, non-negativity, and the degenerate-zero rule."""
-    for seq, name in ((half, "half-integer"), (intg, "integer")):
-        for a, b in zip(seq, seq[1:]):
-            if a <= b:
-                return f"{name} chain not strictly decreasing: {seq}"
-        if seq and seq[-1] < 0:
-            return f"{name} chain goes negative: {seq}"
-    if half and half[-1] == 0:
-        return f"xi_(r-1/2) = 0 with r = {len(half)} (only the zero weight may do this)"
-    if len(half) != len(intg):
-        # cannot happen by construction of _extract_chain; kept for safety
-        return "chain lengths differ"
-    return None
+# the classifier clause each quartet constraint of `partitions` checks
+CLAUSES = {
+    "xipos": "chains-positive", "xigeq": "chains-positive",
+    "xineggeq": "chains-negative", "length": "level-bound",
+}
 
 
 def _l12(x: int) -> int:
@@ -232,34 +187,17 @@ def is_quasifinite(w: Weight) -> tuple[bool, int]:
 
 
 def is_unitarizable(w: Weight) -> UnitarityReport:
-    """Evaluate the classification conditions for w's algebra, clause by clause."""
+    """Evaluate the classification conditions for w's algebra, clause by clause.
+
+    The chain conditions and the gl/C level bound are the quartet constraints of
+    `partitions`, checked on the chains read off the weight, not on a label.
+    """
     c = w.as_dict()
     lvl = w.level
 
     def bad(name, detail):
         return UnitarityReport(False, name, detail)
 
-    if w.algebra in ("gl", "A", "C", "D"):
-        half, intg = _extract_chain(c)
-        problem = _partition_chain_ok(half, intg)
-        if problem:
-            return bad("chains-positive", problem)
-        xi_h = half[0] if half else 0
-        xi_1 = intg[0] if intg else 0
-    if w.algebra == "gl":
-        if lvl.denominator != 1 or lvl < 0:
-            return bad("level-integral", f"d = {lvl} not a non-negative integer")
-        # mirror the negative side through mu = (lambda^-)* and validate there
-        neg_half, neg_int = _gl_negative_chain(c)
-        mu_half = tuple(1 - v for v in reversed(neg_half))
-        mu_int = tuple(-1 - v for v in reversed(neg_int))
-        problem = _partition_chain_ok(mu_half, mu_int)
-        if problem:
-            return bad("chains-negative", f"(mirrored) {problem}")
-        xi_0 = neg_int[-1] if neg_int else 0
-        if min(xi_h, 1) + xi_1 - xi_0 > lvl:
-            return bad("level-bound", f"min(xi_1/2,1)+xi_1-xi_0 = {min(xi_h,1)+xi_1-xi_0} > d = {lvl}")
-        return UnitarityReport(True)
     if w.algebra == "glone":
         if lvl.denominator != 1 or lvl < 0:
             return bad("level-integral", f"d = {lvl} not a non-negative integer")
@@ -284,35 +222,44 @@ def is_unitarizable(w: Weight) -> UnitarityReport:
         if xi_1 - xi_0 > lvl:
             return bad("level-bound", f"xi_1 - xi_0 = {xi_1-xi_0} > d = {lvl}")
         return UnitarityReport(True)
+    half, intg = _chains(c, "+")
+    try:
+        _validate_positive_pair(half, intg)
+    except FrobeniusError as exc:
+        return bad("chains-positive", str(exc))
+    if w.algebra == "D":
+        if (2 * lvl).denominator != 1 or lvl < 0:
+            return bad("level-integral", f"k = {lvl} not in (1/2)Z_+")
+    elif lvl.denominator != 1 or lvl < 0:
+        return bad("level-integral", f"d = {lvl} not a non-negative integer")
+    if w.algebra in ("gl", "C"):
+        # the quartet's length bound min(xi_1/2,1)+xi_1-xi_0 <= d is C's with xi_0 = 0
+        neg = _chains(c, "gl-") if w.algebra == "gl" else ((), ())
+        try:
+            FrobeniusData(*neg, half, intg, int(lvl)).validate()
+        except FrobeniusError as exc:
+            return bad(CLAUSES[exc.constraint], str(exc))
+        return UnitarityReport(True)
+    xi_h = half[0] if half else 0
+    xi_1 = intg[0] if intg else 0
     if w.algebra == "A":
-        if lvl.denominator != 1 or lvl < 0:
-            return bad("level-integral", f"d = {lvl} not a non-negative integer")
-        mhalf, mintg = _extract_chain(c, negate=True)
-        problem = _partition_chain_ok(mhalf, mintg)
-        if problem:
-            return bad("chains-negative", problem)
+        mhalf, mintg = _chains(c, "A-")
+        try:
+            _validate_positive_pair(mhalf, mintg)
+        except FrobeniusError as exc:
+            return bad("chains-negative", str(exc))
         xim_h = mhalf[0] if mhalf else 0
         xim_1 = mintg[0] if mintg else 0
         bound = min(xi_h, 1) + min(xim_h, 1) + xi_1 + xim_1
         if bound > lvl:
             return bad("level-bound", f"min(xi+_1/2,1)+min(xi-_1/2,1)+xi+_1+xi-_1 = {bound} > d = {lvl}")
         return UnitarityReport(True)
-    if w.algebra == "C":
-        if lvl.denominator != 1 or lvl < 0:
-            return bad("level-integral", f"d = {lvl} not a non-negative integer")
-        if min(xi_h, 1) + xi_1 > lvl:
-            return bad("level-bound", f"min(xi_1/2,1)+xi_1 = {min(xi_h,1)+xi_1} > d = {lvl}")
-        return UnitarityReport(True)
-    if w.algebra == "D":
-        if (2 * lvl).denominator != 1 or lvl < 0:
-            return bad("level-integral", f"k = {lvl} not in (1/2)Z_+")
-        xi_32 = c.get(3, 0)
-        xi_2 = c.get(4, 0)
-        bound = xi_1 + xi_2 + _l12(xi_h) + min(xi_32, 1)
-        if bound > 2 * lvl:
-            return bad("level-bound", f"xi_1+xi_2+l12(xi_1/2)+min(xi_3/2,1) = {bound} > 2k = {2*lvl}")
-        return UnitarityReport(True)
-    raise ValueError(f"no classifier for algebra {w.algebra!r}")
+    xi_32 = c.get(3, 0)
+    xi_2 = c.get(4, 0)
+    bound = xi_1 + xi_2 + _l12(xi_h) + min(xi_32, 1)
+    if bound > 2 * lvl:
+        return bad("level-bound", f"xi_1+xi_2+l12(xi_1/2)+min(xi_3/2,1) = {bound} > 2k = {2*lvl}")
+    return UnitarityReport(True)
 
 
 def partition_from_weight(w: Weight) -> GeneralizedPartition:
@@ -321,24 +268,16 @@ def partition_from_weight(w: Weight) -> GeneralizedPartition:
     if not rep:
         raise ValueError(f"weight not of partition type ({rep.violated}: {rep.detail})")
     c = w.as_dict()
-    half, intg = _extract_chain(c)
+    half, intg = _chains(c, "+")
+    d = int(2 * w.level) if w.algebra == "D" else int(w.level)
     if w.algebra == "gl":
-        d = int(w.level)
-        neg_half, neg_int = _gl_negative_chain(c)
-        return from_frobenius(FrobeniusData(neg_half, neg_int, half, intg, d))
+        return from_frobenius(FrobeniusData(*_chains(c, "gl-"), half, intg, d))
     if w.algebra == "A":
-        d = int(w.level)
         plus = _partition_from_pos(half, intg, d)
-        mhalf, mintg = _extract_chain(c, negate=True)
-        mu = _partition_from_pos(mhalf, mintg, d)
-        parts = tuple(a - b for a, b in zip(plus, reversed(mu)))
-        return GeneralizedPartition(parts)
-    if w.algebra == "C":
-        d = int(w.level)
+        mu = _partition_from_pos(*_chains(c, "A-"), d)
+        return GeneralizedPartition(tuple(a - b for a, b in zip(plus, reversed(mu))))
+    if w.algebra in ("C", "D"):
         return Partition(_partition_from_pos(half, intg, d))
-    if w.algebra == "D":
-        n = int(2 * w.level)
-        return Partition(_partition_from_pos(half, intg, n))
     raise ValueError(f"no partition dictionary for algebra {w.algebra!r}")
 
 

@@ -159,28 +159,14 @@ def cocycle_alpha(a: SuperMatrix, b: SuperMatrix) -> Fraction:
 
 
 def _te_sign(family: str, p2: int, q2: int) -> int:
-    """Sign s in te(p,q) = e(p,q) + s e(-q,-p) for the C- or D-type subalgebra."""
+    """Sign s in te(p,q) = e(p,q) + s e(-q,-p), the one that preserves the C or D
+    form: s = -(-1)^{|e(p,q)| |q|} (e_p|e_-p)(e_q|e_-q)."""
     if p2 == 0 or q2 == 0:
         raise ValueError("indices of the osp-type subalgebras exclude 0")
-    pint, qint = parity(p2) == 0, parity(q2) == 0
-    sgn = lambda v: 1 if v > 0 else -1
-    if family == "C":
-        if pint and qint:
-            return -sgn(p2 * q2)
-        if not pint and not qint:
-            return -1
-        if pint:
-            return sgn(p2)
-        return -sgn(q2)
-    if family == "D":
-        if pint and qint:
-            return -1
-        if not pint and not qint:
-            return -sgn(p2 * q2)
-        if pint:
-            return sgn(q2)
-        return -sgn(p2)
-    raise ValueError(f"unknown family {family!r}")
+    if family not in ("C", "D"):
+        raise ValueError(f"unknown family {family!r}")
+    sign = -1 if (parity(p2) ^ parity(q2)) & parity(q2) else 1
+    return -sign * form_value(family, p2, -p2) * form_value(family, q2, -q2)
 
 
 def te_generator(family: str, p2: int, q2: int) -> SuperMatrix:

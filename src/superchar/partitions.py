@@ -181,13 +181,14 @@ def _validate_positive_pair(half: tuple[int, ...], intg: tuple[int, ...]):
             raise FrobeniusError("xigeq", f"xi_{{r-1/2}} must be positive: {half}")
 
 
+def _mirror(half: tuple[int, ...], intg: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Negative half of a quartet <-> coordinates of mu = (lambda^-)*; its own inverse."""
+    return tuple(1 - v for v in reversed(half)), tuple(-1 - v for v in reversed(intg))
+
+
 def _validate_negative_pair(half: tuple[int, ...], intg: tuple[int, ...]):
-    # Mirror of the positive constraints through mu = (lambda^-)*.
     try:
-        _validate_positive_pair(
-            tuple(1 - v for v in reversed(half)),
-            tuple(-1 - v for v in reversed(intg)),
-        )
+        _validate_positive_pair(*_mirror(half, intg))
     except FrobeniusError as exc:
         raise FrobeniusError("xineggeq", f"negative quartet invalid: ({half}|{intg})") from exc
 
@@ -249,9 +250,7 @@ def to_frobenius(lam: GeneralizedPartition) -> FrobeniusData:
     """Shifted Frobenius quartet of a generalized partition of declared length d."""
     plus, minus = split_signs(lam)
     pos_half, pos_int = _pos_coordinates(plus.parts)
-    mu_half, mu_int = _pos_coordinates(minus.star().parts)
-    neg_half = tuple(1 - v for v in reversed(mu_half))
-    neg_int = tuple(-1 - v for v in reversed(mu_int))
+    neg_half, neg_int = _mirror(*_pos_coordinates(minus.star().parts))
     data = FrobeniusData(neg_half, neg_int, pos_half, pos_int, lam.length)
     data.validate()
     return data
@@ -262,9 +261,7 @@ def from_frobenius(data: FrobeniusData) -> GeneralizedPartition:
     data.validate()
     d = data.length_bound
     plus = _partition_from_pos(data.pos_half, data.pos_int, d)
-    mu_half = tuple(1 - v for v in reversed(data.neg_half))
-    mu_int = tuple(-1 - v for v in reversed(data.neg_int))
-    mu = _partition_from_pos(mu_half, mu_int, d)
+    mu = _partition_from_pos(*_mirror(data.neg_half, data.neg_int), d)
     minus = tuple(-p for p in reversed(mu))
     parts = tuple(a + b for a, b in zip(plus, minus))
     return GeneralizedPartition(parts)

@@ -94,6 +94,19 @@ def test_fock_actions(capsys):
     assert any(r["eps"] == 1 for r in rows)
 
 
+def test_fock_algebra_must_fit_the_space(capsys):
+    # a d+1/2 space carries only D: no --algebra or D, anything else is a usage error
+    base = ("fock", "--space", "1+1/2", "--action", "decompose", "--cutoff", "1")
+    code, out, _ = run(capsys, *base)
+    assert code == 0 and "lambda=[2, 0, 0]" in out
+    assert run(capsys, *base, "--algebra", "D") == (0, out, "")
+    code, out, err = run(capsys, *base, "--algebra", "A")
+    assert code == 2 and not out and "D" in err
+    # gl has no duality decomposition, and the message says so
+    code, out, err = run(capsys, "fock", "--space", "1", "--action", "decompose", "--algebra", "gl")
+    assert code == 2 and not out and "no duality decomposition for algebra 'gl'" in err
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "char", "--group", "Sp", "--size", "1", "--weight", "[1,1,1]")
     assert code == 2 and err

@@ -181,3 +181,72 @@ def test_graded_dimension_even_level_pair_totals():
     a = graded_dimension(weight_from_partition("D", Partition((1, 1))), 4, "fock")
     b = graded_dimension(weight_from_partition("D", Partition((0, 0))), 4, "fock")
     assert a == b
+
+
+def _labelled_weights():
+    """(algebra, coeffs, level) of every weight_from_partition label with parts in [-6, 6]
+    and level at most 3."""
+    out = set()
+    for d in range(4):
+        for parts in itertools.combinations_with_replacement(range(6, -7, -1), d):
+            for alg in ("gl", "A"):
+                w = weight_from_partition(alg, GeneralizedPartition(parts))
+                out.add((alg, w.coeffs, w.level))
+            if all(p >= 0 for p in parts):
+                w = weight_from_partition("C", Partition(parts))
+                out.add(("C", w.coeffs, w.level))
+    for n in range(7):
+        for parts in itertools.combinations_with_replacement(range(6, -1, -1), n):
+            if admissible_d(parts, n):
+                w = weight_from_partition("D", Partition(parts))
+                out.add(("D", w.coeffs, w.level))
+    return out
+
+
+def test_unitarizable_iff_labelled():
+    # the classification theorem on a grid: support <= 3, values +-1, +-2,
+    # doubled indices -3..3 (gl), the same without 0 (A), 1..4 (C, D), levels
+    # 0..3 (in halves for D); unitarizable exactly when the weight has a label
+    labelled = _labelled_weights()
+    grid = {
+        "gl": (range(-3, 4), range(4)),
+        "A": ((-3, -2, -1, 1, 2, 3), range(4)),
+        "C": (range(1, 5), range(4)),
+        "D": (range(1, 5), [Fraction(k, 2) for k in range(7)]),
+    }
+    count = 0
+    for alg, (idxs, levels) in grid.items():
+        for size in range(4):
+            for support in itertools.combinations(idxs, size):
+                for vals in itertools.product((1, -1, 2, -2), repeat=size):
+                    for lvl in levels:
+                        w = Weight.make(alg, dict(zip(support, vals)), lvl)
+                        key = (alg, w.coeffs, w.level)
+                        assert is_unitarizable(w).ok == (key in labelled), key
+                        count += 1
+    assert count == 20659
+
+
+def test_clause_order():
+    # the first violated clause is reported, in the order chains-positive,
+    # level-integral, chains-negative, level-bound
+    cases = [
+        ("C", "1/2:1,3/2:1; level=1/2", "chains-positive"),
+        ("gl", "0:1; level=1/2", "level-integral"),
+        ("gl", "0:1; level=3", "chains-negative"),
+        ("A", "-1:1; level=2", "chains-negative"),
+    ]
+    for alg, text, clause in cases:
+        assert is_unitarizable(parse_weight(alg, text)).violated == clause, (alg, text)
+
+
+def test_mixed_sign_label_weights():
+    cases = [
+        ((2, 0, -1), "0:-1,1/2:2; level=3", "-1/2:-1,1/2:2; level=3"),
+        ((2, 0, -2, -3), "-1:-1,-1/2:-2,0:-2,1/2:2; level=4", "-3/2:-1,-1:-1,-1/2:-3,1/2:2; level=4"),
+    ]
+    for parts, gl_text, a_text in cases:
+        lam = GeneralizedPartition(parts)
+        for alg, text in (("gl", gl_text), ("A", a_text)):
+            assert weight_from_partition(alg, lam) == parse_weight(alg, text), (alg, parts)
+            assert partition_from_weight(parse_weight(alg, text)) == lam

@@ -93,9 +93,25 @@ def test_cocycle_vanishes_without_boundary_crossing():
 
 
 def test_te_generator_examples():
-    assert te_generator("C", 1, 3) == e(1, 3) - e(-3, -1)
+    # one literal per sign case: (int, int), (half, half), (int, half),
+    # (half, int), each split by the sign the case depends on
+    assert te_generator("C", 2, 4) == e(2, 4) - e(-4, -2)
     assert te_generator("C", 2, -4) == e(2, -4) + e(4, -2)
+    assert te_generator("C", 1, 3) == e(1, 3) - e(-3, -1)
+    assert te_generator("C", 2, 3) == e(2, 3) + e(-3, -2)
+    assert te_generator("C", -2, 3) == e(-2, 3) - e(-3, 2)
+    assert te_generator("C", 1, 4) == e(1, 4) - e(-4, -1)
+    assert te_generator("C", 1, -4) == e(1, -4) + e(4, -1)
+    assert te_generator("D", 2, 4) == e(2, 4) - e(-4, -2)
+    assert te_generator("D", 1, 3) == e(1, 3) - e(-3, -1)
+    assert te_generator("D", 1, -3) == e(1, -3) + e(3, -1)
     assert te_generator("D", 2, 1) == e(2, 1) + e(-1, -2)
+    assert te_generator("D", 2, -1) == e(2, -1) - e(1, -2)
+    assert te_generator("D", 1, 2) == e(1, 2) - e(-2, -1)
+    assert te_generator("D", -1, 2) == e(-1, 2) + e(-2, 1)
+    for family, p2, q2 in (("C", 0, 1), ("D", 2, 0), ("B", 1, 2)):
+        with pytest.raises(ValueError):
+            te_generator(family, p2, q2)
 
 
 def test_te_generators_preserve_form_and_close():
