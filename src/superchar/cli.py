@@ -227,9 +227,12 @@ def cmd_fock(args) -> int:
         space = fock.Space("Dodd", d)
         default_algebra = "Dodd"
     else:
+        if args.algebra == "gl" and args.action != "gram":
+            raise UsageError(f"--algebra gl reads only --action gram, not {args.action}: "
+                             "there is no duality decomposition for algebra 'gl'")
         d = int(args.space)
         space = fock.Space("gl" if args.algebra == "gl" else "A", d)
-        default_algebra = {"gl": "gl", "A": "A", "C": "C", "D": "Deven"}.get(args.algebra, "C")
+        default_algebra = {"A": "A", "C": "C", "D": "Deven"}.get(args.algebra, "C")
     if args.action == "character":
         ch = fock.fock_character(space, args.cutoff2)
         out = []
@@ -341,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True, help='"1", "2", or "1+1/2" style d or d+1/2')
     p.add_argument("--action", required=True, choices=["decompose", "gram", "character", "hwv"])
     p.add_argument("--algebra", choices=["gl", "A", "C", "D"],
-                   help="dual algebra: C by default on a d space, D (the only one) on d+1/2")
+                   help="dual algebra: C by default on a d space, D (the only one) on d+1/2; "
+                   "gl only with --action gram")
     p.add_argument("--cutoff", dest="cutoff2", type=half_size, default="2", metavar="CUTOFF",
                    help="energy cutoff, a non-negative multiple of 1/2")
     p.add_argument("--energy", dest="energy2", type=half_size, default="1", metavar="ENERGY",

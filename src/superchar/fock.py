@@ -257,74 +257,50 @@ BILINEARS = {
     (1, 0): (-1, GAM_P, PSI_M, (-1, -1)),
 }
 COLOURLESS = (PHI, CHI)
+# The family of te(p,q) each dual algebra takes; gl and A take e(p,q) itself.
+TE_FAMILIES = {"gl": None, "A": None, "C": "C", "Deven": "D", "Dodd": "D"}
 
 
-def _e_entries(space: Space, p2: int, q2: int, coeff: int = 1) -> list[tuple[int, Mode, Mode]]:
+def _e_entries(space: Space, p2: int, q2: int, coeff: Fraction | int = 1) -> list:
     """The coloured bilinear entries of coeff * e(p,q)."""
+    if space.kind == "A" and (p2 == 0 or q2 == 0):
+        raise ValueError("index 0 is outside the reduced space")
     sign, a, b, _ = BILINEARS[parity(p2), parity(q2)]
     return [(coeff * sign, (a, c, -p2), (b, c, q2)) for c in range(1, space.d + 1)]
 
 
-def realize_e(space: Space, p2: int, q2: int) -> RealizedOp:
-    """The matrix unit e(p,q) acting through the free-field bilinears."""
-    if space.kind == "Dodd":
-        raise ValueError("use realize_te_dhalf on the d+1/2 space")
-    if space.kind == "A" and (p2 == 0 or q2 == 0):
-        raise ValueError("index 0 is outside the reduced space")
-    return _op(space, _e_entries(space, p2, q2))
-
-
 def realize_matrix(space: Space, a: SuperMatrix) -> RealizedOp:
-    out = RealizedOp(space, [])
-    for (p2, q2), coeff in a.terms.items():
-        out = out + realize_e(space, p2, q2) * coeff
-    return out
-
-
-def realize_te(space: Space, family: str, p2: int, q2: int) -> RealizedOp:
-    """te(p,q) = e(p,q) + s e(-q,-p) of the C- or D-type subalgebra.
-
-    On the Dodd space only the D type is realized, at central charge d + 1/2,
-    with the colourless term of BILINEARS.
-    """
-    s = _te_sign(family, p2, q2)
-    entries = _e_entries(space, p2, q2) + _e_entries(space, -q2, -p2, s)
+    """A finite sum of coeff * e(p,q) on the gl or A space."""
     if space.kind == "Dodd":
-        if family != "D":
-            raise ValueError("the d+1/2 space realizes only the D-type te(p,q)")
+        raise ValueError("the d+1/2 space realizes only the D-type te(p,q)")
+    entries = [entry for (p2, q2), coeff in a.terms.items() for entry in _e_entries(space, p2, q2, coeff)]
+    return _op(space, entries)
+
+
+@functools.lru_cache(maxsize=None)
+def realize_algebra(space: Space, algebra: str, p2: int, q2: int) -> RealizedOp:
+    """Generator of the dual algebra: e(p,q) for gl/A, te(p,q) = e(p,q) + s e(-q,-p)
+    of the C- or D-type subalgebra for C/Deven/Dodd.
+
+    The d+1/2 space realizes only the D type, at central charge d + 1/2, with
+    the colourless term of BILINEARS.  Cached: singularity checks ask for the
+    same raising operators many times.
+    """
+    if algebra not in TE_FAMILIES:
+        raise ValueError(algebra)
+    family = TE_FAMILIES[algebra]
+    if (space.kind == "Dodd" and family != "D") or (algebra == "Dodd" and space.kind != "Dodd"):
+        raise ValueError(f"the {space.kind} space does not realize the {algebra} algebra")
+    entries = _e_entries(space, p2, q2)
+    if family:
+        entries += _e_entries(space, -q2, -p2, _te_sign(family, p2, q2))
+    if space.kind == "Dodd":
         c = BILINEARS[parity(p2), parity(q2)][3][q2 < 0]
         entries.append((c, (COLOURLESS[parity(p2)], 0, -p2), (COLOURLESS[parity(q2)], 0, q2)))
     return _op(space, entries)
 
 
-def realize_te_dhalf(space: Space, p2: int, q2: int) -> RealizedOp:
-    """te(p,q) of the D-type subalgebra at central charge d + 1/2."""
-    if space.kind != "Dodd":
-        raise ValueError("the d+1/2 realization lives on the Dodd space")
-    return realize_te(space, "D", p2, q2)
-
-
-@functools.lru_cache(maxsize=None)
-def realize_algebra(space: Space, algebra: str, p2: int, q2: int) -> RealizedOp:
-    """Generator of the dual algebra: e(p,q) for gl/A, te(p,q) for C/Deven/Dodd.
-
-    Cached: singularity checks ask for the same raising operators many times.
-    """
-    if algebra in ("gl", "A"):
-        return realize_e(space, p2, q2)
-    if algebra in ("C", "Deven"):
-        return realize_te(space, "C" if algebra == "C" else "D", p2, q2)
-    if algebra == "Dodd":
-        return realize_te_dhalf(space, p2, q2)
-    raise ValueError(algebra)
-
-
 # -- group generators ---------------------------------------------------------
-
-def realize_E(space: Space, i: int, j: int, cutoff2: int) -> RealizedOp:
-    """gl_d generator E_ij, truncated to annihilator energies <= cutoff2."""
-    return _pair_generator(space, "E", (i, j), cutoff2)
-
 
 # Bilinear group generators: sum over n > 0 of s_lo :a_{-n} b_n: + s_hi :a_n b_{-n}:,
 # once for a fermionic field pair (n integral) and once for a bosonic one (n
@@ -344,9 +320,17 @@ PAIR_GENERATORS = {
 }
 
 
-def _pair_generator(space: Space, descriptor: str, colors: tuple[int, ...], cutoff2: int) -> RealizedOp:
-    """E/sp+/sp-/so+/so- take colours (i, j); so+vec takes (i,)."""
-    ca, cb = (0, *colors) if descriptor == "so+vec" else colors
+def realize_group(space: Space, descriptor: str, colours: tuple[int, ...], cutoff2: int) -> RealizedOp:
+    """Generator of the dual group, truncated to annihilator energies <= cutoff2.
+
+    E/sp+/sp-/so+/so- take colours (i, j); so+vec and so-vec take (i,), and
+    so-vec is the adjoint of so+vec, in the same gauge.
+    """
+    if descriptor == "so-vec":
+        return op_adjoint(realize_group(space, "so+vec", colours, cutoff2))
+    if descriptor not in PAIR_GENERATORS:
+        raise ValueError(f"unknown descriptor {descriptor!r}")
+    ca, cb = (0, *colours) if descriptor == "so+vec" else colours
     entries = []
     for (fa, fb, s_lo, s_hi), start in zip(PAIR_GENERATORS[descriptor], (2, 1)):
         for n2 in range(start, cutoff2 + 1, 2):
@@ -369,26 +353,6 @@ def op_adjoint(op: RealizedOp, naive: bool = False) -> RealizedOp:
             conj.append(w)
         terms.append((coeff * sign, tuple(reversed(conj))))
     return RealizedOp(op.space, terms, op.scalar)
-
-
-def realize_generator(space: Space, descriptor: str, *args, cutoff2: int = 8) -> RealizedOp:
-    """Named generators: "e", "te-C", "te-D", "te-dhalf", "E", "sp+-", "so+-", "so+-vec", "C".
-
-    "so-vec" is the adjoint of "so+vec", in the same gauge.
-    """
-    if descriptor in PAIR_GENERATORS:
-        return _pair_generator(space, descriptor, args, cutoff2)
-    table = {
-        "e": lambda: realize_e(space, *args),
-        "te-C": lambda: realize_te(space, "C", *args),
-        "te-D": lambda: realize_te(space, "D", *args),
-        "te-dhalf": lambda: realize_te_dhalf(space, *args),
-        "so-vec": lambda: op_adjoint(_pair_generator(space, "so+vec", args, cutoff2)),
-        "C": lambda: RealizedOp(space, [], scalar=space.level),
-    }
-    if descriptor not in table:
-        raise ValueError(f"unknown descriptor {descriptor!r}")
-    return table[descriptor]()
 
 
 # -- basis enumeration ---------------------------------------------------------
@@ -532,7 +496,7 @@ def hwv_candidate(space: Space, algebra: str, lam: GeneralizedPartition, variant
 
 def raising_elements(space: Space, algebra: str, max_idx2: int, max_deg2: int):
     """All positive-degree generators that can act non-trivially below max_idx2."""
-    if algebra not in ("gl", "A", "C", "Deven", "Dodd"):
+    if algebra not in TE_FAMILIES:
         raise ValueError(algebra)
     zero_mode = algebra in ("A", "gl") and space.kind == "gl"
     index_set = [i for i in range(-max_idx2, max_idx2 + 1) if i != 0 or zero_mode]
@@ -556,28 +520,18 @@ def singularity_check(space: Space, algebra: str, vec: FockVector, max_deg2: int
 
 def group_raising_check(space: Space, group_kind: str, vec: FockVector):
     """Annihilation by the group Borel raising operators (gl part + sp/so part)."""
+    pair = {"Sp": "sp+", "SOeven": "so+", "SOodd": "so+"}.get(group_kind)
+    if pair is None:
+        raise ValueError(group_kind)
     top2 = max(vec.energies2(), default=0)
-    d = space.d
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            if realize_E(space, i, j, top2).apply(vec):
-                return False, ("E", i, j)
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            if group_kind == "Sp":
-                op = _pair_generator(space, "sp+", (i, j), top2)
-            elif group_kind in ("SOeven", "SOodd"):
-                if i == j:
-                    continue
-                op = _pair_generator(space, "so+", (i, j), top2)
-            else:
-                raise ValueError(group_kind)
-            if op.apply(vec):
-                return False, (group_kind, i, j)
-    if group_kind == "SOodd":
-        for i in range(1, d + 1):
-            if _pair_generator(space, "so+vec", (i,), top2).apply(vec):
-                return False, ("so+vec", i)
+    colours = range(1, space.d + 1)
+    raising = [("E", (i, j)) for i in colours for j in colours if i < j]
+    # so+(i, i) vanishes: its terms cancel in pairs
+    raising += [(pair, (i, j)) for i in colours for j in colours if pair == "sp+" or i != j]
+    raising += [("so+vec", (i,)) for i in colours if group_kind == "SOodd"]
+    for descriptor, cols in raising:
+        if realize_group(space, descriptor, cols, top2).apply(vec):
+            return False, (group_kind if descriptor == pair else descriptor, *cols)
     return True, None
 
 
@@ -604,7 +558,7 @@ def diagonal_weight(space: Space, algebra: str, vec: FockVector):
         value = eigenvalue(realize_algebra(space, algebra, s2, s2), name)
         if value:
             coeffs[s2] = value
-    group = tuple(eigenvalue(realize_E(space, i, i, top2), f"E_{i}{i}") for i in range(1, space.d + 1))
+    group = tuple(eigenvalue(realize_group(space, "E", (i, i), top2), f"E_{i}{i}") for i in range(1, space.d + 1))
     return coeffs, group
 
 
@@ -643,7 +597,7 @@ def gram_matrix(space: Space, energy2: int, conjugation: str = "signed"):
     "signed" is the unitarizable gamma-conjugation (sign flips on the
     negative modes); "naive" drops the signs and loses positivity.
     """
-    basis = [m for m in enumerate_basis(space, energy2) if mono_energy2(m) == energy2]
+    basis = sorted(m for m in _walk(space, energy2, lambda m: (m,), ()) if mono_energy2(m) == energy2)
     mat = []
     for bra in basis:
         row = []

@@ -107,6 +107,15 @@ def test_fock_algebra_must_fit_the_space(capsys):
     assert code == 2 and not out and "no duality decomposition for algebra 'gl'" in err
 
 
+def test_fock_gl_algebra_reads_only_gram(capsys):
+    # the gl space has no duality decomposition: only the Gram matrix reads it
+    for action in ("hwv", "decompose", "character"):
+        code, out, err = run(capsys, "fock", "--space", "1", "--action", action, "--algebra", "gl")
+        assert code == 2 and not out and f"--algebra gl reads only --action gram, not {action}" in err
+    code, out, _ = run(capsys, "fock", "--space", "1", "--action", "gram", "--algebra", "gl", "--json")
+    assert code == 0 and json.loads(out)["positive_definite"] is True
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "char", "--group", "Sp", "--size", "1", "--weight", "[1,1,1]")
     assert code == 2 and err

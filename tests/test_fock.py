@@ -31,11 +31,8 @@ from superchar.fock import (
     leading_principal_minors,
     omega_mode,
     realize_algebra,
-    realize_E,
-    realize_e,
-    realize_generator,
+    realize_group,
     realize_matrix,
-    realize_te_dhalf,
     singularity_check,
     x_matrix,
     xt_matrix,
@@ -64,12 +61,10 @@ def test_enumerate_basis_counts():
 
 def test_realize_examples():
     sp = Space("A", 1)
-    op = realize_e(sp, 1, 1)  # e_{1/2,1/2} = -:gam+_{-1/2} gam-_{1/2}:
+    op = realize_algebra(sp, "A", 1, 1)  # e_{1/2,1/2} = -:gam+_{-1/2} gam-_{1/2}:
     assert op.terms == [(Fraction(-1), ((GAM_P, 1, -1), (GAM_M, 1, 1)))]
-    c = realize_generator(sp, "C")
-    assert c.scalar == 1 and not c.terms
     assert Space("Dodd", 1).level == Fraction(3, 2)
-    e11 = realize_E(sp, 1, 1, 2)
+    e11 = realize_group(sp, "E", (1, 1), 2)
     assert len(e11.terms) == 4  # psi+-_{-1},psi_1 and gam_{+-1/2} pairs
 
 
@@ -83,7 +78,7 @@ def test_realize_algebra_builds_each_operator_once():
 
 
 def test_realized_ops_add_only_on_one_space():
-    a, b = realize_e(Space("A", 1), 1, 1), realize_e(Space("A", 2), 1, 1)
+    a, b = realize_algebra(Space("A", 1), "A", 1, 1), realize_algebra(Space("A", 2), "A", 1, 1)
     assert (a + a).terms == a.terms + a.terms
     with pytest.raises(ValueError, match="different spaces"):
         a + b
@@ -92,8 +87,8 @@ def test_realized_ops_add_only_on_one_space():
 def test_apply_examples():
     sp = Space("A", 1)
     gm = vec_of(sp, (GAM_M, 1, -1))
-    assert realize_e(sp, 1, 1).apply(gm) == 0
-    assert realize_e(sp, -1, -1).apply(gm) == gm * -1
+    assert realize_algebra(sp, "A", 1, 1).apply(gm) == 0
+    assert realize_algebra(sp, "A", -1, -1).apply(gm) == gm * -1
     ann = apply_mode(sp, (GAM_P, 1, 1), FockVector.vacuum(sp))
     assert ann == 0
 
@@ -102,9 +97,18 @@ def test_gl_zero_modes():
     glsp = Space("gl", 1)
     v0 = vec_of(glsp, (PSI_M, 1, 0))
     assert v0
-    e00 = realize_e(glsp, 0, 0)
+    e00 = realize_algebra(glsp, "gl", 0, 0)
     assert e00.apply(v0) == v0 * -1
     assert e00.apply(FockVector.vacuum(glsp)) == 0
+
+
+def test_reduced_space_has_no_index_0():
+    # only the gl space has the psi zero modes
+    with pytest.raises(ValueError, match="index 0 is outside the reduced space"):
+        realize_algebra(Space("A", 1), "A", 0, 1)
+    with pytest.raises(ValueError, match="index 0 is outside the reduced space"):
+        realize_matrix(Space("A", 1), SuperMatrix({(2, 0): 1}))
+    assert realize_algebra(Space("gl", 1), "gl", 2, 0).terms
 
 
 def test_grassmann_det_basics():
@@ -175,12 +179,12 @@ def test_dhalf_homomorphism_with_central_term():
         for r2, s2 in rng.sample(tes, 6):
             x, y = te_generator("D", p2, q2), te_generator("D", r2, s2)
             sign = -1 if (x.entry_parity() and y.entry_parity()) else 1
-            rx, ry = realize_te_dhalf(sp, p2, q2), realize_te_dhalf(sp, r2, s2)
+            rx, ry = realize_algebra(sp, "Dodd", p2, q2), realize_algebra(sp, "Dodd", r2, s2)
             br = super_bracket(x, y)
             # expand the bracket in the spanning elements: M = (1/2) sum M_pq te(p,q)
             rbr = RealizedOp(sp, [])
             for (a2, b2), c in br.terms.items():
-                rbr = rbr + realize_te_dhalf(sp, a2, b2) * (Fraction(c) / 2)
+                rbr = rbr + realize_algebra(sp, "Dodd", a2, b2) * (Fraction(c) / 2)
             alpha = cocycle_alpha(x, y) * sp.level
             for mono in basis[:25]:
                 v = FockVector(sp, {mono: Fraction(1)})
@@ -193,12 +197,12 @@ def test_dhalf_mixed_parity_terms_carry_the_gauge():
     # the colourless phi-chi term of te(p,q) at one (int, half) and one (half, int)
     # pair: its sign is the phi -> -phi gauge in which the Grassmann minors are singular
     sp = Space("Dodd", 1)
-    assert sorted(realize_te_dhalf(sp, 2, 1).terms) == sorted([  # te(1, 1/2)
+    assert sorted(realize_algebra(sp, "Dodd", 2, 1).terms) == sorted([  # te(1, 1/2)
         (Fraction(1), ((PSI_P, 1, -2), (GAM_M, 1, 1))),
         (Fraction(-1), ((PSI_M, 1, -2), (GAM_P, 1, 1))),
         (Fraction(-1), ((PHI, 0, -2), (CHI, 0, 1))),
     ])
-    assert sorted(realize_te_dhalf(sp, -1, 2).terms) == sorted([  # te(-1/2, 1)
+    assert sorted(realize_algebra(sp, "Dodd", -1, 2).terms) == sorted([  # te(-1/2, 1)
         (Fraction(-1), ((GAM_P, 1, 1), (PSI_M, 1, 2))),
         (Fraction(1), ((PSI_P, 1, 2), (GAM_M, 1, 1))),
         (Fraction(-1), ((CHI, 0, 1), (PHI, 0, 2))),
@@ -401,8 +405,8 @@ def test_contravariance_of_realization():
     rng = random.Random(6)
     pairs = [(p2, q2) for p2 in range(-3, 4) for q2 in range(-3, 4)]
     for p2, q2 in rng.sample(pairs, 12):
-        op = realize_e(sp, p2, q2)
-        opw = realize_e(sp, q2, p2) * ((-1) ** (br(p2) + br(q2)))
+        op = realize_algebra(sp, "gl", p2, q2)
+        opw = realize_algebra(sp, "gl", q2, p2) * ((-1) ** (br(p2) + br(q2)))
         for u in basis[::3]:
             xu = op.apply(FockVector(sp, {u: Fraction(1)}))
             for v in basis[::3]:
@@ -633,8 +637,8 @@ def _so_decompose(m, d, odd):
 def _realize_desc(space, desc, cutoff2):
     kind, i, j = desc
     if kind in ("so+vec", "so-vec"):
-        return realize_generator(space, kind, i, cutoff2=cutoff2)
-    return realize_generator(space, kind, i, j, cutoff2=cutoff2)
+        return realize_group(space, kind, (i,), cutoff2)
+    return realize_group(space, kind, (i, j), cutoff2)
 
 
 def test_group_algebra_closure_on_states():
@@ -687,8 +691,8 @@ def test_adjointness_of_group_generators():
     space = Space("Dodd", 1)
     basis = enumerate_basis(space, 2)
     ops = [
-        (realize_generator(space, "so+vec", 1, cutoff2=4), realize_generator(space, "so-vec", 1, cutoff2=4)),
-        (realize_E(space, 1, 1, 4), realize_E(space, 1, 1, 4)),
+        (realize_group(space, "so+vec", (1,), 4), realize_group(space, "so-vec", (1,), 4)),
+        (realize_group(space, "E", (1, 1), 4), realize_group(space, "E", (1, 1), 4)),
     ]
     for op, adj in ops:
         for u in basis:
@@ -698,6 +702,71 @@ def test_adjointness_of_group_generators():
                 lhs = sum(inner_product(space, m, vv) * c for m, c in xu.terms.items())
                 rhs = inner_product(space, u, adj.apply(vv))
                 assert lhs == rhs
+
+
+def test_group_generator_examples():
+    # one literal per descriptor at cutoff 1: the fermionic pair at n = 1, the
+    # bosonic pair at n = 1/2, and the psi zero mode of E on the gl space
+    a2, gl2, d1 = Space("A", 2), Space("gl", 2), Space("Dodd", 1)
+    e12 = [
+        (Fraction(1), ((PSI_P, 1, -2), (PSI_M, 2, 2))),
+        (Fraction(-1), ((PSI_M, 2, -2), (PSI_P, 1, 2))),
+        (Fraction(-1), ((GAM_P, 1, -1), (GAM_M, 2, 1))),
+        (Fraction(-1), ((GAM_M, 2, -1), (GAM_P, 1, 1))),
+    ]
+    assert realize_group(a2, "E", (1, 2), 2).terms == e12
+    assert realize_group(gl2, "E", (1, 2), 2).terms == e12 + [(Fraction(-1), ((PSI_M, 2, 0), (PSI_P, 1, 0)))]
+    assert realize_group(a2, "sp+", (1, 2), 2).terms == [
+        (Fraction(1), ((PSI_P, 1, -2), (PSI_P, 2, 2))),
+        (Fraction(1), ((PSI_P, 2, -2), (PSI_P, 1, 2))),
+        (Fraction(1), ((GAM_P, 1, -1), (GAM_P, 2, 1))),
+        (Fraction(1), ((GAM_P, 2, -1), (GAM_P, 1, 1))),
+    ]
+    assert realize_group(a2, "sp-", (1, 2), 2).terms == [
+        (Fraction(1), ((PSI_M, 1, -2), (PSI_M, 2, 2))),
+        (Fraction(1), ((PSI_M, 2, -2), (PSI_M, 1, 2))),
+        (Fraction(-1), ((GAM_M, 1, -1), (GAM_M, 2, 1))),
+        (Fraction(-1), ((GAM_M, 2, -1), (GAM_M, 1, 1))),
+    ]
+    assert realize_group(a2, "so+", (1, 2), 2).terms == [
+        (Fraction(1), ((PSI_P, 1, -2), (PSI_P, 2, 2))),
+        (Fraction(-1), ((PSI_P, 2, -2), (PSI_P, 1, 2))),
+        (Fraction(1), ((GAM_P, 1, -1), (GAM_P, 2, 1))),
+        (Fraction(-1), ((GAM_P, 2, -1), (GAM_P, 1, 1))),
+    ]
+    assert realize_group(a2, "so-", (1, 2), 2).terms == [
+        (Fraction(1), ((PSI_M, 1, -2), (PSI_M, 2, 2))),
+        (Fraction(-1), ((PSI_M, 2, -2), (PSI_M, 1, 2))),
+        (Fraction(-1), ((GAM_M, 1, -1), (GAM_M, 2, 1))),
+        (Fraction(1), ((GAM_M, 2, -1), (GAM_M, 1, 1))),
+    ]
+    assert realize_group(d1, "so+vec", (1,), 2).terms == [
+        (Fraction(1), ((PHI, 0, -2), (PSI_P, 1, 2))),
+        (Fraction(-1), ((PSI_P, 1, -2), (PHI, 0, 2))),
+        (Fraction(1), ((CHI, 0, -1), (GAM_P, 1, 1))),
+        (Fraction(-1), ((GAM_P, 1, -1), (CHI, 0, 1))),
+    ]
+    assert realize_group(d1, "so-vec", (1,), 2).terms == [
+        (Fraction(1), ((PSI_M, 1, -2), (PHI, 0, 2))),
+        (Fraction(-1), ((PHI, 0, -2), (PSI_M, 1, 2))),
+        (Fraction(1), ((GAM_M, 1, -1), (CHI, 0, 1))),
+        (Fraction(1), ((CHI, 0, -1), (GAM_M, 1, 1))),
+    ]
+    with pytest.raises(ValueError, match="unknown descriptor"):
+        realize_group(a2, "sp", (1, 2), 2)
+
+
+def test_group_raising_check_names_its_witness():
+    # a one-mode state off the top of its colour is not highest: the witness is
+    # the first raising operator that does not kill it
+    a2, d1 = Space("A", 2), Space("Dodd", 1)
+    assert group_raising_check(a2, "Sp", vec_of(a2, (GAM_P, 1, -1))) == (True, None)
+    assert group_raising_check(a2, "Sp", vec_of(a2, (PSI_P, 2, -2))) == (False, ("E", 1, 2))
+    assert group_raising_check(a2, "Sp", vec_of(a2, (GAM_M, 2, -1))) == (False, ("Sp", 1, 2))
+    assert group_raising_check(a2, "SOeven", vec_of(a2, (GAM_M, 2, -1))) == (False, ("SOeven", 1, 2))
+    assert group_raising_check(d1, "SOodd", vec_of(d1, (PHI, 0, -2))) == (False, ("so+vec", 1))
+    with pytest.raises(ValueError):
+        group_raising_check(Space("Dodd", 0), "SO", FockVector.vacuum(Space("Dodd", 0)))
 
 
 def test_gl_space_levels_decompose_over_gl_d():
