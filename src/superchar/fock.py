@@ -526,8 +526,8 @@ def group_raising_check(space: Space, group_kind: str, vec: FockVector):
     top2 = max(vec.energies2(), default=0)
     colours = range(1, space.d + 1)
     raising = [("E", (i, j)) for i in colours for j in colours if i < j]
-    # so+(i, i) vanishes: its terms cancel in pairs
-    raising += [(pair, (i, j)) for i in colours for j in colours if pair == "sp+" or i != j]
+    # sp+(j, i) = sp+(i, j) and so+(j, i) = -so+(i, j), whose (i, i) terms cancel in pairs
+    raising += [(pair, (i, j)) for i in colours for j in colours if i < j or i == j and pair == "sp+"]
     raising += [("so+vec", (i,)) for i in colours if group_kind == "SOodd"]
     for descriptor, cols in raising:
         if realize_group(space, descriptor, cols, top2).apply(vec):
@@ -599,35 +599,36 @@ def gram_matrix(space: Space, energy2: int, conjugation: str = "signed"):
     """
     basis = sorted(m for m in _walk(space, energy2, lambda m: (m,), ()) if mono_energy2(m) == energy2)
     mat = []
-    for bra in basis:
-        row = []
-        for ket in basis:
-            row.append(inner_product(space, bra, FockVector(space, {ket: Fraction(1)}), conjugation))
+    for i, bra in enumerate(basis):
+        # omega turns each creation mode of the bra into an annihilator that removes one matching
+        # mode or gives 0, so only the ket with the bra's own monomial reaches the vacuum
+        row = [Fraction(0)] * len(basis)
+        row[i] = inner_product(space, bra, FockVector(space, {bra: Fraction(1)}), conjugation)
         mat.append(row)
     return basis, mat
 
 
 def leading_principal_minors(mat: list[list[Fraction]]) -> list[Fraction]:
-    """Exact leading principal minors by fraction-free Gaussian elimination."""
+    """Exact leading principal minors by Gaussian elimination on sparse rows."""
     n = len(mat)
-    work = [[Fraction(v) for v in row] for row in mat]
+    rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in mat]
     minors = []
     det = Fraction(1)
     for k in range(n):
         # pivoting inside the leading block would change the minors, so from
         # the first zero pivot on each minor is the determinant of its original block
-        pivot = work[k][k]
+        pivot = rows[k].get(k, 0)
         if pivot == 0:
             for j in range(k, n):
                 minors.append(_dense_det([[Fraction(v) for v in row[: j + 1]] for row in mat[: j + 1]]))
             break
         det = det * pivot
         minors.append(det)
-        for i in range(k + 1, n):
-            factor = work[i][k] / pivot
-            if factor:
-                for j in range(k, n):
-                    work[i][j] -= factor * work[k][j]
+        for row in rows[k + 1 :]:
+            entry = row.get(k)
+            if entry:
+                factor = entry / pivot
+                _add_into(row, rows[k], -factor)
     return minors
 
 

@@ -5,8 +5,9 @@ the library's own formulas: tableau enumeration for Schur polynomials, hand
 weight tables plus the alternating Kostant/Klimyk sum for small symplectic
 tensor products, explicit two- and three-dimensional orthogonal group rules,
 the Weyl dimension formulas, the Weyl character formula as an alternant
-quotient with its own exact Laurent division, and the Fock basis and character
-built one monomial at a time.
+quotient with its own exact Laurent division, the Fock basis and character
+built one monomial at a time, the Gram matrix from every pair of basis states,
+and leading principal minors as Leibniz sums.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from superchar.fock import FERMIONIC, GAM_M, GAM_P, PHI, PSI_M, PSI_P
+from superchar.fock import FERMIONIC, GAM_M, GAM_P, PHI, PSI_M, PSI_P, FockVector, inner_product
 from superchar.laurentchars import LaurentPoly
 
 
@@ -358,3 +359,31 @@ def fock_character_by_monomial(space, cutoff2: int) -> dict:
         slot = out.setdefault((tuple(z), eps), {})
         slot[wmono] = slot.get(wmono, 0) + 1
     return out
+
+
+def dense_gram(space, energy2: int, conjugation: str = "signed"):
+    """(basis, matrix) of the inner products of every pair of basis states at exact energy2."""
+    basis = [mono for mono in fock_basis_by_monomial(space, energy2) if sum(abs(m[2]) for m in mono) == energy2]
+    mat = []
+    for bra in basis:
+        row = []
+        for ket in basis:
+            row.append(inner_product(space, bra, FockVector(space, {ket: Fraction(1)}), conjugation))
+        mat.append(row)
+    return basis, mat
+
+
+# -- determinants as permutation sums ------------------------------------------------
+
+def leibniz_minors(mat) -> list[int]:
+    """Leading principal minors, each the signed sum over the permutations of its block."""
+    minors = []
+    for k in range(1, len(mat) + 1):
+        total = 0
+        for perm in itertools.permutations(range(k)):
+            term = _perm_parity(perm)
+            for i in range(k):
+                term *= mat[i][perm[i]]
+            total += term
+        minors.append(total)
+    return minors

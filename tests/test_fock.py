@@ -1,7 +1,10 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superchar.fock import (
     CHI,
@@ -41,7 +44,7 @@ from superchar.infmat import SuperMatrix, cocycle_alpha, super_bracket
 from superchar.partitions import GeneralizedPartition, Partition
 from superchar.hwclassify import weight_from_partition
 
-from oracles import fock_basis_by_monomial, fock_character_by_monomial
+from oracles import dense_gram, fock_basis_by_monomial, fock_character_by_monomial, leibniz_minors
 
 
 def vec_of(space, *modes):
@@ -379,6 +382,47 @@ def test_leading_principal_minors_after_zero_pivot():
     # from the first zero pivot on, each minor is the determinant of its own block
     assert leading_principal_minors([[0, 1, 0], [1, 0, 0], [0, 0, 2]]) == [0, -1, -2]
     assert leading_principal_minors([[1, 1, 1], [1, 1, 2], [1, 2, 3]]) == [1, 0, -1]
+
+
+@st.composite
+def _minor_matrices(draw):
+    """Square integer matrices up to 6x6: dense, mostly zero, or with a singular leading block."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    style = draw(st.sampled_from(["dense", "sparse", "zero pivot"]))
+    entry = st.sampled_from([0, 0, 0, -2, -1, 1, 2]) if style == "sparse" else st.integers(min_value=-3, max_value=3)
+    mat = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if style == "zero pivot" and n:
+        # row k repeats an earlier row on the first k + 1 columns, or the corner is 0,
+        # so the leading block of size k + 1 is singular and elimination meets a zero pivot
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        if k == 0:
+            mat[0][0] = 0
+        else:
+            r = draw(st.integers(min_value=0, max_value=k - 1))
+            mat[k][: k + 1] = mat[r][: k + 1]
+    return mat
+
+
+@settings(max_examples=200, deadline=None)
+@given(_minor_matrices())
+def test_leading_principal_minors_match_leibniz(mat):
+    assert leading_principal_minors(mat) == leibniz_minors(mat)
+
+
+def test_gram_matrix_matches_dense_oracle_and_closed_form_norms():
+    # the library computes only the diagonal; the oracle pairs every bra with every ket
+    cases = [(Space("gl", 1), 4), (Space("gl", 2), 3), (Space("A", 1), 4), (Space("A", 2), 3), (Space("Dodd", 1), 4)]
+    for space, top2 in cases:
+        for e2 in range(top2 + 1):
+            for conjugation in ("signed", "naive"):
+                basis, mat = gram_matrix(space, e2, conjugation)
+                assert (basis, mat) == dense_gram(space, e2, conjugation), (space, e2, conjugation)
+                for i, mono in enumerate(basis):
+                    # a mode met k times gives k!, and naive leaves a -1 on every gamma+ mode
+                    norm = math.prod(math.factorial(k) for k in Counter(mono).values())
+                    if conjugation == "naive":
+                        norm *= (-1) ** sum(1 for mode in mono if mode[0] == GAM_P)
+                    assert mat[i][i] == norm, (space, mono, conjugation)
 
 
 def test_gram_positive_definite_up_to_energy_2():
