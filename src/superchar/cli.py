@@ -141,7 +141,10 @@ def cmd_char(args) -> int:
     size = args.size
     group = laurentchars.GroupTag(args.group, size)
     lam = parse_partition(args.weight, generalized=(args.group == "GL"))
-    chi = laurentchars.char_group(group, lam)
+    try:
+        chi = laurentchars.char_group(group, lam)
+    except OverflowError as exc:  # the packed exponent width of LaurentPoly
+        raise UsageError(f"weight {list(lam.parts)} is too large: {exc}") from None
     if args.json:
         print(json.dumps({"group": str(group), "weight": lam.to_json(), "character": chi.to_json()}))
     else:
@@ -266,19 +269,21 @@ def cmd_fock(args) -> int:
         basis, mat = fock.gram_matrix(space, args.energy2, args.conjugation)
         minors = fock.leading_principal_minors(mat)
         posdef = all(m > 0 for m in minors)
+        # most entries are zero (the monomial basis is orthogonal); skip Fraction.__str__ on them
+        cells = [[str(v) if v else "0" for v in row] for row in mat]
         if args.json:
             print(
                 json.dumps(
                     {
                         "basis": [fock.fmt_state(b) for b in basis],
-                        "matrix": [[str(v) for v in row] for row in mat],
+                        "matrix": cells,
                         "positive_definite": posdef,
                     }
                 )
             )
         else:
-            for b, row in zip(basis, mat):
-                print(fock.fmt_state(b), [str(v) for v in row])
+            for b, row in zip(basis, cells):
+                print(fock.fmt_state(b), row)
             print("positive definite:", posdef)
         return 0
     if args.action == "hwv":

@@ -16,6 +16,7 @@ graded ones such as the Fock space character.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,28 +31,140 @@ class DecompositionError(ValueError):
     pass
 
 
+# Packed keys (Kronecker substitution).  A term z^e eps^p is stored under the
+# int 4 * sum_i e_i * B^i + p with B = 2^_W and balanced digits |e_i| < B/2.
+# Each LaurentPoly carries a bound on |e_i| over its terms: a product's bound
+# is the sum of its operands' bounds, every other operation keeps the larger
+# one, and construction and __mul__ raise OverflowError once the bound reaches
+# B/2 = 2^21.  So no digit ever carries into its neighbour.  Bit 1 is free: in
+# a product k1 + k2 the eps bits add to 0, 1 or 2 there, and `k -= k & 2`
+# folds 2 back to 0 (k & 3 is that sum for negative k too).
+# The width is also a hash choice: Python hashes an int modulo 2^61 - 1,
+# which moves digit i to bit (2 + _W * i) mod 61.  With _W = 22 these bits
+# lie at least 5 apart, and at least 5 below bit 61 (which wraps onto the eps
+# bit), for up to 11 variables, so keys whose doubled exponents differ by
+# less than 32 never share a hash.  _W = 20 would put digit 3 one bit from
+# digit 0 and digit 6 on the eps bit: the 1.8M product keys of
+# `superchar verify --all` then have only 0.5M distinct hashes.
+_W = 22
+_MASK = (1 << _W) - 1
+_HALF = 1 << (_W - 1)
+
+
+def _pack(exps, eps: int) -> int:
+    k = 0
+    for e in reversed(exps):
+        k = (k << _W) + e
+    return (k << 2) + eps
+
+
+def _unpack(k: int, nvars: int, shift: int = 0) -> tuple[tuple[int, ...], int]:
+    """(exponents >> shift, eps) of a packed key."""
+    eps = k & 1
+    k >>= 2
+    exps = []
+    for _ in range(nvars):
+        e = ((k + _HALF) & _MASK) - _HALF
+        exps.append(e >> shift)
+        k = (k - e) >> _W
+    return tuple(exps), eps
+
+
+def _check_bound(bound: int) -> int:
+    if bound >= _HALF:
+        raise OverflowError(f"doubled exponents up to {bound} do not fit the packed width, |e| < {_HALF}")
+    return bound
+
+
+class _Terms(Mapping):
+    """Read-only {(doubled exponents, eps): coefficient} view of a LaurentPoly.
+
+    Its length is the stored dict's; keys are decoded only when iterated or
+    looked up.
+    """
+
+    __slots__ = ("_store", "_nvars")
+
+    def __init__(self, poly: "LaurentPoly"):
+        self._store = poly._store
+        self._nvars = poly.nvars
+
+    def __len__(self):
+        return len(self._store)
+
+    def __iter__(self):
+        nvars = self._nvars
+        return (_unpack(k, nvars) for k in self._store)
+
+    def __getitem__(self, key):
+        c = None
+        try:
+            exps, eps = key
+            if len(exps) == self._nvars and eps in (0, 1) and all(-_HALF < e < _HALF for e in exps):
+                c = self._store.get(_pack(exps, eps))
+        except (TypeError, ValueError):
+            pass  # not an (exponents, eps) pair of this polynomial
+        if c is None:
+            raise KeyError(key)
+        return c
+
+    def items(self):
+        return _TermItems(self)
+
+    def values(self):
+        return self._store.values()
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class _TermItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        nvars = self._mapping._nvars
+        return ((_unpack(k, nvars), c) for k, c in self._mapping._store.items())
+
+
 class LaurentPoly(_Sparse):
     """Sparse Laurent polynomial in z_1..z_n with doubled exponents and eps bit.
 
-    Integral coefficients are stored as int, the others as Fraction.
+    Integral coefficients are stored as int, the others as Fraction.  `terms`
+    is a read-only view keyed by (doubled exponents, eps); the terms are
+    stored under packed int keys (see `_pack`).
     """
 
-    __slots__ = ("nvars",)
+    __slots__ = ("nvars", "_bound")
 
-    def __init__(self, nvars: int, terms: dict | None = None):
+    def __init__(self, nvars: int, terms: Mapping | None = None):
         self.nvars = nvars
-        self.terms: dict[tuple[tuple[int, ...], int], object] = (
-            _fold_integral({key: val for key, val in terms.items() if val}) if terms else {}
-        )
+        store, bound = {}, 0
+        for (exps, eps), c in (terms or {}).items():
+            if len(exps) != nvars or eps not in (0, 1):
+                raise ValueError(f"key {(exps, eps)!r} is not ({nvars} exponents, eps 0 or 1)")
+            if c:
+                bound = max(bound, max(map(abs, exps), default=0))
+                store[_pack(exps, eps)] = c
+        self._store = _fold_integral(store)
+        self._bound = _check_bound(bound)
+
+    @property
+    def terms(self) -> _Terms:
+        return _Terms(self)
 
     def _context(self):
         return self.nvars
 
-    def _new(self, terms: dict) -> "LaurentPoly":
+    def _new(self, terms: dict, bound: int | None = None) -> "LaurentPoly":
+        """Wrap packed terms; the bound is self's unless given."""
         out = object.__new__(LaurentPoly)
         out.nvars = self.nvars
-        out.terms = _fold_integral(terms)
+        out._store = _fold_integral(terms)
+        out._bound = self._bound if bound is None else bound
         return out
+
+    def _wider(self, other):
+        return self if self._bound >= other._bound else other
 
     # -- constructors --------------------------------------------------
     @staticmethod
@@ -87,13 +200,16 @@ class LaurentPoly(_Sparse):
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         self._check(other)
-        out: dict[tuple[tuple[int, ...], int], object] = {}
+        bound = _check_bound(self._bound + other._bound)
+        out: dict[int, object] = {}
         get = out.get
-        for (e1, p1), c1 in self.terms.items():
-            for (e2, p2), c2 in other.terms.items():
-                key = (tuple(a + b for a, b in zip(e1, e2)), p1 ^ p2)
-                out[key] = get(key, 0) + c1 * c2
-        return self._new(_drop_zeros(out))
+        right = list(other._store.items())
+        for k1, c1 in self._store.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                k -= k & 2
+                out[k] = get(k, 0) + c1 * c2
+        return self._new(_drop_zeros(out), bound)
 
     __rmul__ = __mul__
 
@@ -105,8 +221,9 @@ class LaurentPoly(_Sparse):
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     # -- queries ----------------------------------------------------------
@@ -115,47 +232,53 @@ class LaurentPoly(_Sparse):
 
     def eval_ones(self, eps_value: int = 1):
         total = 0
-        for (_, p), c in self.terms.items():
-            total += c * (eps_value ** p)
+        for k, c in self._store.items():
+            total += c * (eps_value ** (k & 1))
         return total
 
     # -- variable moves ----------------------------------------------------
+    def _moved(self, move) -> "LaurentPoly":
+        """The terms with each exponent tuple replaced by move(exponents); same bound."""
+        n = self.nvars
+        out = {}
+        for k, c in self._store.items():
+            exps, p = _unpack(k, n)
+            out[_pack(move(exps), p)] = c
+        return self._new(out)
+
     def permute(self, perm: tuple[int, ...]) -> "LaurentPoly":
         """Apply z_i -> z_{perm[i]}."""
-        out = {}
-        for (exps, p), c in self.terms.items():
+        def move(exps):
             new = [0] * self.nvars
             for i, e in enumerate(exps):
                 new[perm[i]] = e
-            out[(tuple(new), p)] = c
-        return LaurentPoly(self.nvars, out)
+            return new
+        return self._moved(move)
 
     def invert_var(self, i: int) -> "LaurentPoly":
-        out = {}
-        for (exps, p), c in self.terms.items():
+        def move(exps):
             new = list(exps)
             new[i] = -new[i]
-            out[(tuple(new), p)] = c
-        return LaurentPoly(self.nvars, out)
+            return new
+        return self._moved(move)
 
     def invert_reverse(self) -> "LaurentPoly":
         """The substitution z_i -> z_{n-i+1}^{-1} (the x/z dictionary)."""
-        out = {}
-        for (exps, p), c in self.terms.items():
-            out[(tuple(-e for e in reversed(exps)), p)] = c
-        return LaurentPoly(self.nvars, out)
+        return self._moved(lambda exps: [-e for e in reversed(exps)])
 
     def embed(self, nvars: int, offset: int) -> "LaurentPoly":
         """View inside a larger variable list, own variables shifted by offset."""
-        out = {}
-        for (exps, p), c in self.terms.items():
-            new = [0] * nvars
-            new[offset : offset + self.nvars] = exps
-            out[(tuple(new), p)] = c
-        return LaurentPoly(nvars, out)
+        if offset < 0 or offset + self.nvars > nvars:
+            raise ValueError(f"{self.nvars} variables at offset {offset} do not fit in {nvars}")
+        shift = _W * offset
+        out = object.__new__(LaurentPoly)
+        out.nvars = nvars
+        out._store = {((k & ~1) << shift) + (k & 1): c for k, c in self._store.items()}
+        out._bound = self._bound
+        return out
 
     def __str__(self):
-        if not self.terms:
+        if not self._store:
             return "0"
         def mono_str(exps, p):
             bits = []
@@ -170,10 +293,8 @@ class LaurentPoly(_Sparse):
             if p:
                 bits.append("eps")
             return "*".join(bits) if bits else "1"
-        keys = sorted(self.terms, key=lambda k: (k[0], k[1]), reverse=True)
         bits = []
-        for exps, p in keys:
-            c = self.terms[(exps, p)]
+        for (exps, p), c in sorted(self.terms.items(), reverse=True):
             ms = mono_str(exps, p)
             if ms == "1":
                 bits.append(str(c))
@@ -433,8 +554,9 @@ def decompose_graded(graded: dict, group: GroupTag) -> dict:
             use = lam if not odd_o or lam.size % 2 == eps else bar_conjugate(lam, group.size)
             if any(v < 0 or v % 1 for v in coeff.values()):
                 raise DecompositionError(f"negative or fractional multiplicity {coeff} at {use}: duality violated")
-            for (exps, p), c in char_group(group, use).terms.items():
-                key = (tuple(e // 2 for e in exps), p)
+            chi = char_group(group, use)
+            for k, c in chi._store.items():
+                key = _unpack(k, chi.nvars, 1)
                 if not _add_into(rem.setdefault(key, {}), coeff, -c):
                     del rem[key]
             _add_into(out.setdefault(use, {}), coeff)

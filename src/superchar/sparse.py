@@ -1,11 +1,14 @@
 """Sparse exact-coefficient arithmetic shared by the algebra classes.
 
-`LaurentPoly`, `SymFunc`, `FockVector` and `SuperMatrix` are all a dict
-`terms` of nonzero exact coefficients plus a context that every operand must
-share: the variable count, the truncation cap, the Fock space, or nothing for
+`LaurentPoly`, `SymFunc`, `FockVector` and `SuperMatrix` are all a stored dict
+of nonzero exact coefficients plus a context that every operand must share:
+the variable count, the truncation cap, the Fock space, or nothing for
 supermatrices.  `_Sparse` holds what they have in common; each class supplies
 `_context()`, a trusted `_new(terms)` that wraps an internal result without
-copying it, and its own product.  The helpers below add in place and drop the
+copying it, and its own product.  The stored dict is the `terms` slot, which
+the generic operations reach as `_store`: it is the public `terms` of every
+class but `LaurentPoly`, which stores packed keys there and shows a
+tuple-keyed view as `terms`.  The helpers below add in place and drop the
 zeros, so no other module hand-writes that loop; `_fold_integral` gives the
 two rings (`LaurentPoly`, `SymFunc`) their coefficient normal form: `int` when
 integral, `Fraction` otherwise.
@@ -76,54 +79,62 @@ class _Sparse:
     def _context(self):
         return None
 
+    def _wider(self, other):
+        """Whichever of self and other has the bookkeeping that covers both.
+
+        `_new` on it wraps a sum of the two.  Only `LaurentPoly` keeps any
+        (its exponent bound); every other class returns self.
+        """
+        return self
+
     def _check(self, other):
         if self._context() != other._context():
             raise ValueError(f"{type(self).__name__} operands do not match: {self._context()} vs {other._context()}")
 
     def _operand(self, other):
-        """Terms of a same-context operand; a scalar is a constant where the class has `const`."""
+        """A same-context operand; a scalar is a constant where the class has `const`."""
         if isinstance(other, type(self)):
             self._check(other)
-            return other.terms
+            return other
         const = getattr(type(self), "const", None)
         if const is not None and isinstance(other, (int, _Fraction)):
-            return const(self._context(), other).terms
+            return const(self._context(), other)
         return None
 
     def _scaled(self, s):
         if not s:
             return self._new({})
-        return self._new({key: c * s for key, c in self.terms.items()})
+        return self._new({key: c * s for key, c in self._store.items()})
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._store)
 
     def __eq__(self, other):
         if isinstance(other, type(self)):
-            return self._context() == other._context() and self.terms == other.terms
+            return self._context() == other._context() and self._store == other._store
         if other == 0:
-            return not self.terms
+            return not self._store
         return NotImplemented
 
     def __hash__(self):
-        return hash((self._context(), frozenset(self.terms.items())))
+        return hash((self._context(), frozenset(self._store.items())))
 
     def __add__(self, other):
-        terms = self._operand(other)
-        if terms is None:
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        return self._new(_add_into(dict(self.terms), terms))
+        return self._wider(other)._new(_add_into(dict(self._store), other._store))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._new({key: -c for key, c in self.terms.items()})
+        return self._new({key: -c for key, c in self._store.items()})
 
     def __sub__(self, other):
-        terms = self._operand(other)
-        if terms is None:
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        return self._new(_add_into(dict(self.terms), terms, -1))
+        return self._wider(other)._new(_add_into(dict(self._store), other._store, -1))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -133,3 +144,7 @@ class _Sparse:
         return self._scaled(_Fraction(scalar))
 
     __rmul__ = __mul__
+
+
+# the stored dict under a second name, so that a class can show another `terms`
+_Sparse._store = _Sparse.terms

@@ -288,6 +288,7 @@ def specialize(f: SymFunc, x_values: list, y_values: list, one=None):
     # accumulate mutably when the target ring is a sparse element such as a LaurentPoly
     sparse = isinstance(one, _Sparse)
     acc_terms: dict = {}
+    widest = one
     total_scalar = one * 0
     for mono, coeff in f.terms.items():
         term = one * coeff
@@ -295,10 +296,11 @@ def specialize(f: SymFunc, x_values: list, y_values: list, one=None):
             for k, mult in mono[which]:
                 term = term * power(which, k, mult)
         if sparse:
-            _add_into(acc_terms, term.terms)
+            _add_into(acc_terms, term._store)
+            widest = widest._wider(term)
         else:
             total_scalar = total_scalar + term
-    return one._new(acc_terms) if sparse else total_scalar
+    return widest._new(acc_terms) if sparse else total_scalar
 
 
 # -- expansion into weight monomials ----------------------------------------

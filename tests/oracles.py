@@ -5,7 +5,8 @@ the library's own formulas: tableau enumeration for Schur polynomials, hand
 weight tables plus the alternating Kostant/Klimyk sum for small symplectic
 tensor products, explicit two- and three-dimensional orthogonal group rules,
 the Weyl dimension formulas, the Weyl character formula as an alternant
-quotient with its own exact Laurent division, the Fock basis and character
+quotient with its own exact Laurent division, the Laurent product pair by
+pair on tuple keys, the Fock basis and character
 built one monomial at a time, the Gram matrix from every pair of basis states,
 and leading principal minors as Leibniz sums.
 """
@@ -242,41 +243,65 @@ def so3_char_exponents(ell2: int) -> dict[int, int]:
     return {k2: 1 for k2 in range(-ell2, ell2 + 1, 2)}
 
 
+# -- the Laurent product on tuple keys --------------------------------------------
+
+def laurent_product(a, b) -> dict:
+    """Product of two {(doubled exponents, eps): coefficient} mappings, pair by pair.
+
+    Exponents add componentwise and eps bits add mod 2; zero sums are dropped.
+    This is the product loop of LaurentPoly before its keys were packed.
+    """
+    out: dict = {}
+    for (e1, p1), c1 in a.items():
+        for (e2, p2), c2 in b.items():
+            key = (tuple(x + y for x, y in zip(e1, e2, strict=True)), p1 ^ p2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
 # -- Weyl character formula as an alternant quotient ------------------------------
 
 def divexact(num, den):
-    """Exact division of Laurent polynomials (raises if not divisible)."""
+    """Exact division of Laurent polynomials (raises if not divisible).
+
+    The long division runs on tuple-keyed dicts with `laurent_product`, so it
+    shares no arithmetic with LaurentPoly.
+    """
     if not den:
         raise ZeroDivisionError("division by zero polynomial")
     if not num:
         return LaurentPoly.zero(num.nvars)
+    rem, den = dict(num.terms), dict(den.terms)
     # any exact quotient has exponents inside this box, which bounds the
     # number of division steps (Laurent leads can otherwise descend forever)
     spread = 1
     for i in range(num.nvars):
-        nvals = [e[i] for (e, _) in num.terms]
-        dvals = [e[i] for (e, _) in den.terms]
+        nvals = [e[i] for (e, _) in rem]
+        dvals = [e[i] for (e, _) in den]
         spread *= (max(nvals) - min(nvals)) + (max(dvals) - min(dvals)) + 1
     max_steps = 2 * spread + 1
-    quot = LaurentPoly.zero(num.nvars)
-    lead_d = max(den.terms)
-    cd = den.terms[lead_d]
-    rem = num
+    quot = {}
+    lead_d = max(den)
+    cd = den[lead_d]
     steps = 0
     while rem:
         steps += 1
         if steps > max_steps:
             raise ArithmeticError("not exactly divisible")
-        lead_n = max(rem.terms)
+        lead_n = max(rem)
         exps = tuple(a - b for a, b in zip(lead_n[0], lead_d[0]))
         eps = lead_n[1] ^ lead_d[1]
-        coeff = Fraction(rem.terms[lead_n]) / Fraction(cd)
-        qterm = LaurentPoly(num.nvars, {(exps, eps): coeff})
-        quot = quot + qterm
-        rem = rem - qterm * den
-        if rem and max(rem.terms) >= lead_n:
+        coeff = Fraction(rem[lead_n]) / Fraction(cd)
+        if coeff.denominator == 1:
+            coeff = coeff.numerator  # keeps the remainder in int arithmetic
+        quot[(exps, eps)] = coeff
+        for key, c in laurent_product({(exps, eps): coeff}, den).items():
+            rem[key] = rem.get(key, 0) - c
+            if not rem[key]:
+                del rem[key]
+        if rem and max(rem) >= lead_n:
             raise ArithmeticError("not exactly divisible")
-    return quot
+    return LaurentPoly(num.nvars, quot)
 
 
 def weyl_char_alternant(kind: str, weights2: tuple[int, ...], d: int):

@@ -41,6 +41,13 @@ def test_char(capsys):
     assert code == 0 and json.loads(out)["character"]["terms"][0]["exps"] == [-4]
 
 
+def test_char_weight_beyond_the_exponent_width_is_a_usage_error(capsys):
+    code, out, _ = run(capsys, "char", "--group", "GL", "--size", "2", "--weight", "[1048575,1048574]")
+    assert code == 0 and "z1^1048575*z2^1048574" in out
+    code, _, err = run(capsys, "char", "--group", "GL", "--size", "1", "--weight", "[1048576]")
+    assert code == 2 and "usage error" in err and "too large" in err
+
+
 def test_schur(capsys):
     code, out, _ = run(
         capsys, "schur", "--family", "sp", "--variant", "plain", "--weight", "[1]", "--deg", "3"

@@ -6,11 +6,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superchar.laurentchars import (
     DecompositionError,
     GroupTag,
     LaurentPoly,
+    _HALF,
     char_group,
     classical_char_so_even,
     classical_char_sp,
@@ -30,6 +32,7 @@ from oracles import (
     dim_sp,
     divexact,
     klimyk_tensor_sp,
+    laurent_product,
     o2_tensor,
     o3_tensor,
     schur_monomials,
@@ -175,6 +178,126 @@ def test_monomial_check_survives_optimized_mode():
     assert proc.returncode == 7, proc.stderr
 
 
+def test_constructor_and_embed_check_their_shapes():
+    with pytest.raises(ValueError, match="not \\(2 exponents"):
+        LaurentPoly(2, {((1, 2, 3), 0): 1})
+    with pytest.raises(ValueError, match="eps 0 or 1"):
+        LaurentPoly(2, {((1, 2), 2): 1})
+    with pytest.raises(ValueError, match="eps 0 or 1"):
+        LaurentPoly(0, {((), -1): 1})
+    f = LaurentPoly.monomial(2, (2, 4))
+    with pytest.raises(ValueError, match="do not fit"):
+        f.embed(2, 1)
+    with pytest.raises(ValueError, match="do not fit"):
+        f.embed(3, -1)
+    assert f.embed(3, 1).terms == {((0, 2, 4), 0): 1}
+    assert f.embed(2, 0) == f
+
+
+def test_shape_checks_survive_optimized_mode():
+    src = os.path.dirname(os.path.dirname(superchar.__file__))
+    code = (
+        "from superchar.laurentchars import LaurentPoly\n"
+        "for make in (lambda: LaurentPoly(2, {((1, 2, 3), 0): 1}),\n"
+        "             lambda: LaurentPoly(2, {((1, 2), 2): 1}),\n"
+        "             lambda: LaurentPoly.monomial(2, (2, 4)).embed(2, 1)):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(3)\n"
+        "raise SystemExit(7)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 7, proc.stderr
+
+
+def test_packed_width_bound():
+    # doubled exponents must stay below _HALF = 2^19 in absolute value
+    edge = LaurentPoly.monomial(3, (0, _HALF - 1, 1 - _HALF), eps=1)
+    assert edge.terms == {((0, _HALF - 1, 1 - _HALF), 1): 1}
+    for e in (_HALF, -_HALF):
+        with pytest.raises(OverflowError):
+            LaurentPoly.monomial(3, (0, e, 0))
+    with pytest.raises(OverflowError):
+        edge * LaurentPoly.var(3, 1, 1)
+    below = LaurentPoly.monomial(3, (0, _HALF - 2, 2 - _HALF), eps=1)
+    assert (below * LaurentPoly.var(3, 1, 1)).terms == {((0, _HALF - 1, 2 - _HALF), 1): 1}
+
+
+# -- packed keys against tuple-level oracles --------------------------------------
+
+COEFFS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+def _terms(nvars: int, limit: int):
+    """Term dicts whose doubled exponents reach +-limit, with random eps bits."""
+    exp = st.one_of(st.integers(-3, 3), st.integers(-limit, limit), st.sampled_from([limit, -limit]))
+    return st.dictionaries(st.tuples(st.tuples(*[exp] * nvars), st.integers(0, 1)), COEFFS, max_size=6)
+
+
+def _sum(a, b, sign: int) -> dict:
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + sign * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _consistent(p: LaurentPoly, want: dict) -> None:
+    """p.terms equals want, and its packed storage round-trips through tuple keys."""
+    assert p.terms == want and dict(p.terms) == p.terms
+    assert len(p.terms) == len(set(p.terms)) == len(want)
+    assert LaurentPoly(p.nvars, p.terms) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_packed_ring_operations_match_tuple_oracle(data):
+    n = data.draw(st.integers(0, 8))
+    # each operand's exponents stay below a third of the width, so a * b * b stays below it
+    ta, tb = (data.draw(_terms(n, (_HALF - 1) // 3)) for _ in range(2))
+    a, b = LaurentPoly(n, ta), LaurentPoly(n, tb)
+    _consistent(a, {key: c for key, c in ta.items() if c})
+    _consistent(a * b, laurent_product(ta, tb))
+    _consistent(a * b * b, laurent_product(laurent_product(ta, tb), tb))
+    _consistent(a + b, _sum(ta, tb, 1))
+    _consistent(a - b, _sum(ta, tb, -1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_packed_variable_moves_match_tuple_oracle(data):
+    n = data.draw(st.integers(0, 8))
+    terms = {key: c for key, c in data.draw(_terms(n, _HALF - 1)).items() if c}
+    p = LaurentPoly(n, terms)
+    extra = data.draw(st.integers(0, 3))
+    offset = data.draw(st.integers(0, extra))
+    pad = lambda e: (0,) * offset + e + (0,) * (extra - offset)
+    _consistent(p.embed(n + extra, offset), {(pad(e), q): c for (e, q), c in terms.items()})
+    perm = data.draw(st.permutations(range(n)))
+
+    def permuted(e):
+        new = [0] * n
+        for i, v in enumerate(e):
+            new[perm[i]] = v
+        return tuple(new)
+
+    _consistent(p.permute(tuple(perm)), {(permuted(e), q): c for (e, q), c in terms.items()})
+    for i in range(n):
+        flip = lambda e: e[:i] + (-e[i],) + e[i + 1 :]
+        _consistent(p.invert_var(i), {(flip(e), q): c for (e, q), c in terms.items()})
+    _consistent(p.invert_reverse(), {(tuple(-v for v in reversed(e)), q): c for (e, q), c in terms.items()})
+    for (e, q), c in terms.items():
+        assert p.coefficient(e, q) == c and p.terms[(e, q)] == c
+    assert p.coefficient((0,) * (n + 1)) == 0 and ((0,) * (n + 1), 0) not in p.terms
+    assert p.terms.get("junk") is None and ((0,) * n,) not in p.terms
+    if n:
+        assert p.coefficient((_HALF,) * n, 1) == 0 and ((_HALF,) * n, 1) not in p.terms
+    for value in (1, -1):
+        assert p.eval_ones(value) == sum(c * value**q for (_, q), c in terms.items())
+
+
 def test_char_group_examples():
     assert char_group(GroupTag("Sp", 1), Partition((1,))) == zpow(1, 0, 1) + zpow(1, 0, -1)
     assert char_group(GroupTag("O", 2), Partition((1, 0))) == zpow(1, 0, 1) + zpow(1, 0, -1)
@@ -306,9 +429,6 @@ def test_rendering_and_json():
     assert blob["doubled"] is True and len(blob["terms"]) == 3
     half = classical_char_so_even((3,), 1)
     assert "3/2" in str(half)
-
-
-from hypothesis import given, settings, strategies as st
 
 
 @settings(max_examples=40, deadline=None)
