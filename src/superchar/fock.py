@@ -662,7 +662,9 @@ def fock_character(space: Space, cutoff2: int):
 
     Each state is packed into one int with one digit per slot: the d z
     exponents, the x occupation of each energy, the y occupation of each
-    doubled energy, and the mode count, whose parity is eps.
+    doubled energy, and the mode count, whose parity is eps.  A key splits
+    into its z digits and its weight digits; far fewer weight parts than keys
+    are distinct, so each part is decoded once.
     """
     if space.kind == "gl":
         raise ValueError("character bookkeeping is for the reduced spaces")
@@ -674,81 +676,98 @@ def fock_character(space: Space, cutoff2: int):
     # modes: each digit lies in [-cutoff2, cutoff2] and never carries
     base = 2 * cutoff2 + 1
     unit = [base**i for i in range(nslots)]
+    odd = space.kind == "Dodd"
 
     def step(mode: Mode) -> int:
         field, color, idx2 = mode
         slot = d + abs(idx2) // 2 - 1 if FERMIONIC[field] else d + len(xs) + abs(idx2) // 2
         return unit[-1] + unit[slot] + CHARGE[field] * unit[color - 1]
 
+    def decode(part: int, n: int) -> list[int]:
+        digits = []
+        for _ in range(n):
+            part, digit = divmod(part, base)
+            digits.append(digit - cutoff2)
+        return digits
+
+    zparts: dict[int, tuple[int, ...]] = {}
+    wparts: dict[int, tuple[int, WeightMono]] = {}
     out: dict[tuple[tuple[int, ...], int], dict[WeightMono, int]] = {}
     for key, count in Counter(_walk(space, cutoff2, step, cutoff2 * sum(unit))).items():
-        digits = []
-        for _ in range(nslots):
-            key, digit = divmod(key, base)
-            digits.append(digit - cutoff2)
-        z = tuple(digits[:d])
-        eps = digits[-1] & 1 if space.kind == "Dodd" else 0
-        wmono = (
-            tuple((n, c) for n, c in zip(xs, digits[d : d + len(xs)]) if c),
-            tuple((r2, c) for r2, c in zip(ys, digits[d + len(xs) : -1]) if c),
-        )
-        out.setdefault((z, eps), {})[wmono] = count
+        wpart, zpart = divmod(key, unit[d])
+        z = zparts.get(zpart)
+        if z is None:
+            z = zparts[zpart] = tuple(decode(zpart, d))
+        weight = wparts.get(wpart)
+        if weight is None:
+            digits = decode(wpart, nslots - d)
+            wmono = (
+                tuple((n, c) for n, c in zip(xs, digits) if c),
+                tuple((r2, c) for r2, c in zip(ys, digits[len(xs) : -1]) if c),
+            )
+            weight = wparts[wpart] = (digits[-1] & 1 if odd else 0, wmono)
+        out.setdefault((z, weight[0]), {})[weight[1]] = count
     return out
 
 
 def character_product_formula(space: Space, cutoff2: int):
-    """Expansion of the product formula for ch F, truncated by energy."""
+    """Expansion of the product formula for ch F, truncated by energy.
+
+    ch F is the product over the creation modes of (1 + u) for a fermionic
+    mode and 1/(1 - u) for a bosonic one, u its z, x or y weight (and eps on
+    the Dodd space).  The series is accumulated on flat tuple keys: z_1..z_d,
+    the x occupation of each energy, the y occupation of each doubled energy,
+    eps, and the doubled energy.  It shares no code with the walk, so a fault
+    in either shows as a mismatch.
+    """
     d = space.d
     odd = space.kind == "Dodd"
-    # keys carry the doubled energy of their weight monomial alongside it
-    acc: dict[tuple[tuple[int, ...], int, WeightMono, int], int] = {(tuple([0] * d), 0, ((), ()), 0): 1}
+    nx, ny = cutoff2 // 2, (cutoff2 + 1) // 2
+    acc: dict[tuple[int, ...], int] = {(0,) * (d + nx + ny + 2): 1}
 
-    def mul_series(acc, zdelta_sign, var_index, kind, energy2, fermionic, eps_marked):
+    def mul_series(acc, zslot, zsign, slot, energy2, fermionic):
+        # one factor: its k-th power bumps the z slot by zsign, the occupation
+        # slot by one, flips eps on the Dodd space and adds energy2
         out = {}
-        for (z, eps, wm, e2), c in acc.items():
-            budget = cutoff2 - e2
-            kmax = 1 if fermionic else (budget // energy2 if energy2 else 0)
-            for k in range(0, kmax + 1):
-                if k * energy2 > budget:
-                    break
-                nz = list(z)
-                if var_index is not None:
-                    nz[var_index] += zdelta_sign * k
-                xs, ys = wm
-                if kind == "x":
-                    nxs = _bump(xs, energy2 // 2, k)
-                    nwm = (nxs, ys)
-                else:
-                    nys = _bump(ys, energy2, k)
-                    nwm = (xs, nys)
-                key = (tuple(nz), eps ^ ((k & 1) if eps_marked else 0), nwm, e2 + k * energy2)
-                out[key] = out.get(key, 0) + c
+        get = out.get
+        for key, c in acc.items():
+            out[key] = get(key, 0) + c
+            kmax = (cutoff2 - key[-1]) // energy2
+            if fermionic and kmax > 1:
+                kmax = 1
+            if kmax:
+                bumped = list(key)
+                for _ in range(kmax):
+                    if zslot is not None:
+                        bumped[zslot] += zsign
+                    bumped[slot] += 1
+                    if odd:
+                        bumped[-2] ^= 1
+                    bumped[-1] += energy2
+                    power = tuple(bumped)
+                    out[power] = get(power, 0) + c
         return out
 
-    for n2 in range(2, cutoff2 + 1, 2):
-        for i in range(d):
-            for sgn in (+1, -1):
-                acc = mul_series(acc, sgn, i, "x", n2, True, odd)
-        if odd:
-            acc = mul_series(acc, 0, None, "x", n2, True, True)
-    for r2 in range(1, cutoff2 + 1, 2):
-        for i in range(d):
-            for sgn in (+1, -1):
-                acc = mul_series(acc, sgn, i, "y", r2, False, odd)
-        if odd:
-            acc = mul_series(acc, 0, None, "y", r2, False, True)
+    colours = [(i, sgn) for i in range(d) for sgn in (+1, -1)] + ([(None, 0)] if odd else [])
+    # highest energy first: a factor of high energy has few powers under the
+    # cutoff, so the accumulator stays small until the last few factors
+    for energy2 in range(cutoff2, 0, -1):
+        fermionic = energy2 % 2 == 0  # x modes at integer, y modes at half-integer energies
+        slot = d + energy2 // 2 - 1 if fermionic else d + nx + energy2 // 2
+        for zslot, zsign in colours:
+            acc = mul_series(acc, zslot, zsign, slot, energy2, fermionic)
+    wmonos: dict[tuple[int, ...], WeightMono] = {}
     out: dict[tuple[tuple[int, ...], int], dict[WeightMono, int]] = {}
-    for (z, eps, wm, _e2), c in acc.items():
-        out.setdefault((z, eps), {})[wm] = c
+    for key, c in acc.items():
+        occupation = key[d:-2]
+        wmono = wmonos.get(occupation)
+        if wmono is None:
+            wmono = wmonos[occupation] = (
+                tuple((n, m) for n, m in enumerate(occupation[:nx], 1) if m),
+                tuple((2 * r + 1, m) for r, m in enumerate(occupation[nx:]) if m),
+            )
+        out.setdefault((key[:d], key[-2]), {})[wmono] = c
     return out
-
-
-def _bump(part: tuple[tuple[int, int], ...], key: int, mult: int):
-    if mult == 0:
-        return part
-    d = dict(part)
-    d[key] = d.get(key, 0) + mult
-    return tuple(sorted(d.items()))
 
 
 def duality_decompose(space: Space, algebra: str, cutoff2: int):

@@ -476,6 +476,39 @@ def test_character_walk_matches_oracle_and_product_formula(kind, d):
         assert all(type(c) is int for slot in ch.values() for c in slot.values())
 
 
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["A", "Dodd"]), d=st.integers(0, 2), cutoff2=st.integers(0, 8))
+def test_character_routes_agree_on_drawn_spaces(kind, d, cutoff2):
+    sp = Space(kind, d)
+    walked = fock_character(sp, cutoff2)
+    formula = character_product_formula(sp, cutoff2)
+    assert walked == formula == fock_character_by_monomial(sp, cutoff2)
+    for ch in (walked, formula):
+        assert all(type(c) is int for slot in ch.values() for c in slot.values())
+
+
+@pytest.mark.parametrize("kind,d", [("A", 2), ("Dodd", 1)])
+def test_character_walk_matches_product_formula_at_cutoff_5(kind, d):
+    # the doubled cutoff of the fock-duality benchmark; the oracle is too slow here
+    sp = Space(kind, d)
+    assert fock_character(sp, 10) == character_product_formula(sp, 10)
+
+
+def test_product_formula_shares_nothing_with_the_walk():
+    # a fault in shared code would make both routes wrong together
+    import superchar.fock as fock
+
+    def names(code):
+        yield from code.co_names + code.co_varnames + code.co_freevars + code.co_cellvars
+        for const in code.co_consts:
+            if hasattr(const, "co_names"):
+                yield from names(const)
+
+    shared = {"_walk", "creation_modes", "Counter", "unit", "step", "decode"}
+    assert not shared & set(names(character_product_formula.__code__))
+    assert not hasattr(fock, "_bump")
+
+
 @pytest.mark.parametrize("kind,d", [("gl", 0), ("gl", 1), ("gl", 2), ("A", 1), ("A", 2), ("Dodd", 0), ("Dodd", 1)])
 def test_enumerate_basis_matches_oracle_in_order(kind, d):
     sp = Space(kind, d)
