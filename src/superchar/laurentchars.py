@@ -11,16 +11,21 @@ of the eigenvalues {z_i, z_i^{-1}} (with the eigenvalue 1 added for odd n).
 Decomposition into irreducible characters peels the lex-largest
 dominant exponent, which is valid because every character is unitriangular
 with leading term z^lambda; one peeler serves both plain characters and
-graded ones such as the Fock space character.
+graded ones such as the Fock space character.  A Weyl-invariant function is
+fixed by its coefficients at dominant weights, so the peeler checks the
+invariance of its input once, orbit by orbit (`_dominant_part`), and then
+carries and subtracts dominant weights only.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import factorial
 
 from .partitions import GeneralizedPartition, Partition, _column_lengths, bar_conjugate, o_label
 from .ringdet import pair_det, ring_det, spin_det
@@ -28,7 +33,14 @@ from .sparse import _Sparse, _add_into, _drop_zeros, _fold_integral
 
 
 class DecompositionError(ValueError):
-    pass
+    """The input is not a (graded) sum of irreducible characters.
+
+    `key` is the dominant (plain exponents, eps) weight where that showed.
+    """
+
+    def __init__(self, message: str, key: tuple | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 # Packed keys (Kronecker substitution).  A term z^e eps^p is stored under the
@@ -510,6 +522,64 @@ def is_weyl_symmetric(f: LaurentPoly, group: GroupTag) -> bool:
     return True
 
 
+def _dominant_rep(z: tuple[int, ...], group: GroupTag) -> tuple[int, ...]:
+    """The dominant weight in the Weyl orbit of z: its entries sorted descending, for Sp and O their absolute values."""
+    if group.kind == "GL":
+        return tuple(sorted(z, reverse=True))
+    return tuple(sorted(map(abs, z), reverse=True))
+
+
+def _orbit_size(rep: tuple[int, ...], group: GroupTag) -> int:
+    """The number of weights in the Weyl orbit of the dominant weight rep."""
+    size = factorial(len(rep))
+    for mult in Counter(rep).values():
+        size //= factorial(mult)
+    if group.kind != "GL":
+        size <<= sum(1 for e in rep if e)  # each nonzero entry takes both signs
+    return size
+
+
+def _dominant_part(items, group: GroupTag) -> dict:
+    """{dominant (z, eps): coefficient} of a Weyl-invariant function.
+
+    `items` are the function's ((z exponents, eps), coefficient) pairs, plain
+    or doubled exponents alike.  The Weyl group permutes z (GL), or permutes
+    it and flips signs (Sp, O), and leaves eps alone.  Every orbit must be
+    complete, each of its weights present with one and the same coefficient;
+    otherwise DecompositionError names the orbit's dominant weight.
+    """
+    orbits: dict = {}  # dominant key -> [coefficient, weights seen]
+    for (z, eps), c in items:
+        key = (_dominant_rep(z, group), eps)
+        seen = orbits.get(key)
+        if seen is None:
+            orbits[key] = [c, 1]
+            continue
+        if seen[0] != c:
+            raise DecompositionError(
+                f"the Weyl orbit of {key[0]} (eps = {eps}) over {group} carries both {seen[0]} and {c}: "
+                "not Weyl-symmetric", key)
+        seen[1] += 1
+    for key, (c, count) in orbits.items():
+        size = _orbit_size(key[0], group)
+        if count != size:
+            raise DecompositionError(
+                f"the Weyl orbit of {key[0]} (eps = {key[1]}) over {group} has {count} of its {size} weights: "
+                "not Weyl-symmetric", key)
+    return {key: c for key, (c, _count) in orbits.items()}
+
+
+@lru_cache(maxsize=None)
+def _dominant_terms(group: GroupTag, lam: GeneralizedPartition) -> tuple:
+    """The dominant ((plain z exponents, eps), coefficient) terms of char_group(group, lam).
+
+    Cached per label, so each character's Weyl symmetry is checked once; the
+    full character is not kept.
+    """
+    chi = char_group(group, lam)
+    return tuple(_dominant_part(((_unpack(k, chi.nvars, 1), c) for k, c in chi._store.items()), group).items())
+
+
 def _label(group: GroupTag, z: tuple[int, ...]) -> GeneralizedPartition:
     if group.kind == "GL":
         return GeneralizedPartition(z)
@@ -522,41 +592,36 @@ def decompose_graded(graded: dict, group: GroupTag) -> dict:
     """Graded multiplicities of irreducible characters (greedy dominant peeling).
 
     `graded` maps (z exponents, eps bit) to a graded coefficient {grade: int};
-    the exponents are plain, not doubled.  Each step takes the lex-largest
-    dominant z present and subtracts the irreducible characters sitting there,
-    times their coefficients, from the remainder in place.  Returns
-    {label: {grade: multiplicity}}.  For even O(n) the labels are the
-    canonical ones with lambda'_1 <= n/2 and the totals are bar-merged; for odd
-    O(n) the eps bit picks lambda or bar-lambda.
+    the exponents are plain, not doubled.  The input must be Weyl-invariant
+    (`_dominant_part`); only its dominant weights are kept.  Each step takes
+    the lex-largest z left and subtracts the dominant terms of the irreducible
+    characters sitting there, times their coefficients, from the remainder in
+    place.  A Weyl-invariant remainder is zero when its dominant part is, so
+    this is the full subtraction.  Returns {label: {grade: multiplicity}}.
+    For even O(n) the labels are the canonical ones with lambda'_1 <= n/2 and
+    the totals are bar-merged; for odd O(n) the eps bit picks lambda or
+    bar-lambda.
     """
     odd_o = group.kind == "O" and group.size % 2 == 1
-    rem = {key: dict(coeff) for key, coeff in graded.items() if coeff}
+    dominant = _dominant_part(((key, coeff) for key, coeff in graded.items() if coeff), group)
+    rem = {key: dict(coeff) for key, coeff in dominant.items()}
     out: dict[GeneralizedPartition, dict] = {}
     while rem:
-        best = None
-        for z, _eps in rem:
-            if any(z[i] < z[i + 1] for i in range(len(z) - 1)):
-                continue
-            if group.kind != "GL" and z and z[-1] < 0:
-                continue
-            if best is None or z > best:
-                best = z
-        if best is None:
-            raise DecompositionError(f"no dominant weight left in nonzero remainder over {group}")
+        best = max(z for z, _eps in rem)
         lam = _label(group, best)
         for eps in (0, 1) if odd_o else (0,):
             coeff = rem.get((best, eps))
             if coeff is None:
                 if odd_o:
                     continue
-                raise DecompositionError(f"nothing at the dominant weight {best} with eps = 0: not a character")
+                raise DecompositionError(
+                    f"nothing at the dominant weight {best} with eps = 0: not a character", (best, 1))
             coeff = dict(coeff)
             use = lam if not odd_o or lam.size % 2 == eps else bar_conjugate(lam, group.size)
             if any(v < 0 or v % 1 for v in coeff.values()):
-                raise DecompositionError(f"negative or fractional multiplicity {coeff} at {use}: duality violated")
-            chi = char_group(group, use)
-            for k, c in chi._store.items():
-                key = _unpack(k, chi.nvars, 1)
+                raise DecompositionError(
+                    f"negative or fractional multiplicity {coeff} at {use}: duality violated", (best, eps))
+            for key, c in _dominant_terms(group, use):
                 if not _add_into(rem.setdefault(key, {}), coeff, -c):
                     del rem[key]
             _add_into(out.setdefault(use, {}), coeff)
@@ -565,8 +630,6 @@ def decompose_graded(graded: dict, group: GroupTag) -> dict:
 
 def decompose_character(f: LaurentPoly, group: GroupTag) -> dict:
     """Multiplicities of irreducible characters in f: `decompose_graded` with one grade."""
-    if not is_weyl_symmetric(f, group):
-        raise DecompositionError("input is not Weyl-symmetric for " + str(group))
     graded = {}
     for (exps, p), c in f.terms.items():
         if any(e & 1 for e in exps):

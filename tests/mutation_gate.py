@@ -10,6 +10,13 @@ with PYTHONPATH on the copy.  pytest must report each named test as failed;
 a collection error does not count.  First the unmutated copy must pass every
 named test, and must be the package those runs import.
 
+Every run uses the Hypothesis profile "mutation" of tests/conftest.py, which
+skips shrinking: a mutant only has to fail a test, not yield a minimal
+example.  pytest prints no tracebacks (`--tb=no`): the gate reads only the
+FAILED lines, and rendering a deep RecursionError took 20 s.  A mutant's run
+gets TIMEOUT_S seconds; one that runs longer prints TIMEOUT and fails the
+gate, since a hang is not a kill.  Each mutant's line gives its seconds.
+
 Stdlib only, so it runs wherever the tier-1 suite does.  Exit 0 when every
 mutant is killed, 1 otherwise.
 """
@@ -22,10 +29,12 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = Path(__file__).with_name("mutants.json")
+TIMEOUT_S = 60
 
 
 def _env(src: Path) -> dict:
@@ -38,10 +47,11 @@ def _copy_src(tmp: Path) -> Path:
     return src
 
 
-def _failed(src: Path, tests: list[str]) -> tuple[int, set[str]]:
-    """pytest's exit code and the ids it reports as failed."""
-    cmd = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests]
-    run = subprocess.run(cmd, cwd=ROOT, env=_env(src), capture_output=True, text=True)
+def _failed(src: Path, tests: list[str], timeout: float | None = None) -> tuple[int, set[str]]:
+    """pytest's exit code and the ids it reports as failed; subprocess.TimeoutExpired past timeout."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-rf", "--tb=no", "-p", "no:cacheprovider",
+           "--hypothesis-profile=mutation", *tests]
+    run = subprocess.run(cmd, cwd=ROOT, env=_env(src), capture_output=True, text=True, timeout=timeout)
     failed = {line.split()[1] for line in run.stdout.splitlines() if line.startswith("FAILED ")}
     return run.returncode, failed
 
@@ -72,12 +82,19 @@ def main() -> int:
                 survivors += 1
                 continue
             path.write_text(text.replace(m["old"], m["new"]))
-            code, failed = _failed(src, m["tests"])
+            start = time.perf_counter()
+            try:
+                code, failed = _failed(src, m["tests"], TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                print(f"TIMEOUT  {m['name']}: still running after {TIMEOUT_S} s")
+                survivors += 1
+                continue
+            seconds = time.perf_counter() - start
             missed = [t for t in m["tests"] if t not in failed]
             if code == 1 and not missed:
-                print(f"killed   {m['name']}")
+                print(f"killed   {m['name']} ({seconds:.1f} s)")
             else:
-                print(f"SURVIVED {m['name']}: exit {code}, not failed: {missed}")
+                print(f"SURVIVED {m['name']} ({seconds:.1f} s): exit {code}, not failed: {missed}")
                 survivors += 1
     print(f"{len(mutants) - survivors} of {len(mutants)} mutants killed")
     return 1 if survivors else 0

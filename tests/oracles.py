@@ -6,7 +6,7 @@ weight tables plus the alternating Kostant/Klimyk sum for small symplectic
 tensor products, explicit two- and three-dimensional orthogonal group rules,
 the Weyl dimension formulas, the Weyl character formula as an alternant
 quotient with its own exact Laurent division, the Laurent product pair by
-pair on tuple keys, the Fock basis and character
+pair on tuple keys, the Cauchy series product on every z key, the Fock basis and character
 built one monomial at a time, the Gram matrix from every pair of basis states,
 and leading principal minors as Leibniz sums.
 """
@@ -18,6 +18,8 @@ from fractions import Fraction
 
 from superchar.fock import FERMIONIC, GAM_M, GAM_P, PHI, PSI_M, PSI_P, FockVector, inner_product
 from superchar.laurentchars import LaurentPoly
+from superchar.superschur import _unit
+from superchar.symring import SymFunc
 
 
 # -- Schur polynomials by semistandard tableaux --------------------------------
@@ -257,6 +259,37 @@ def laurent_product(a, b) -> dict:
             key = (tuple(x + y for x, y in zip(e1, e2, strict=True)), p1 ^ p2)
             out[key] = out.get(key, 0) + c1 * c2
     return {key: c for key, c in out.items() if c}
+
+
+# -- the left side of a Cauchy identity on every z key ------------------------------
+
+def series_product_full(kind: str, size: int, cap: int, bases) -> dict:
+    """prod_i prod_{(g, alphabet) in bases} (sum_k g_k z_i^k)(sum_k g_k z_i^{-k}) on every z key.
+
+    For odd O(n) each power k carries eps^k and one series sum_k g_k eps^k per
+    base multiplies in.  Returns {(plain z exponents, eps): SymFunc}, built one
+    factor at a time over full exponent vectors.
+    """
+    d = size if kind == "Sp" else size // 2
+    odd = kind == "O" and size % 2 == 1
+    factors = []
+    for i in range(d):
+        for base, alphabet in bases:
+            for sign in (1, -1):
+                factors.append([(tuple(sign * k if j == i else 0 for j in range(d)), k % 2 if odd else 0,
+                                 _unit(base, k, alphabet, cap)) for k in range(cap + 1)])
+    if odd:
+        for base, alphabet in bases:
+            factors.append([((0,) * d, k % 2, _unit(base, k, alphabet, cap)) for k in range(cap + 1)])
+    acc = {((0,) * d, 0): SymFunc.const(cap)}
+    for factor in factors:
+        out = {}
+        for (z, eps), f in acc.items():
+            for dz, deps, g in factor:
+                key = (tuple(a + b for a, b in zip(z, dz)), eps ^ deps)
+                out[key] = out[key] + f * g if key in out else f * g
+        acc = {key: f for key, f in out.items() if f}
+    return acc
 
 
 # -- Weyl character formula as an alternant quotient ------------------------------

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from superchar import cli, fock, superschur
+from superchar import cli, fock, laurentchars, superschur
 from superchar.laurentchars import LaurentPoly
 from superchar.symring import SymFunc
 from superchar.cli import main
@@ -211,6 +211,42 @@ def test_wrong_hook_schur_function_fails_verification(capsys, monkeypatch, name,
     code, out, _ = run(capsys, "verify", *argv, "--json")
     report = json.loads(out)[0]
     assert code == 1 and report["status"] == "fail" and report["first_mismatch"]
+
+
+@pytest.fixture
+def fresh_dominant_terms():
+    """An empty cache of dominant character terms before and after the test, so no entry outlives a patch."""
+    laurentchars._dominant_terms.cache_clear()
+    yield
+    laurentchars._dominant_terms.cache_clear()
+
+
+# the series identities (rank-1 Sp and odd O) read the characters' dominant
+# terms, the tensor identity decomposes products of full characters
+@pytest.mark.parametrize("argv, group", [
+    (["--identity", "HS", "--d", "1", "--deg", "3"], "Sp(2)"),
+    (["--identity", "HS-O", "--n", "3", "--deg", "3"], "O(3)"),
+    (["--identity", "tensor-sp", "--d", "1", "--deg", "3"], "Sp(2)"),
+])
+def test_character_with_a_broken_orbit_fails_verification(capsys, monkeypatch, fresh_dominant_terms, argv, group):
+    real = laurentchars.char_group
+
+    def drop_one_non_dominant_term(group, lam):
+        chi = real(group, lam)
+        terms = dict(chi.terms.items())
+        z, _eps = key = min(terms)
+        if z != tuple(sorted(map(abs, z), reverse=True)):
+            del terms[key]
+        return LaurentPoly(chi.nvars, terms)
+
+    monkeypatch.setattr(laurentchars, "char_group", drop_one_non_dominant_term)
+    code, out, _ = run(capsys, "verify", *argv, "--json")
+    [report] = json.loads(out)
+    mismatch = report["first_mismatch"]
+    assert code == 1 and report["status"] == "fail"
+    assert mismatch["group"] == group and mismatch["label"] and "not Weyl-symmetric" in mismatch["detail"]
+    z = mismatch["z_exponent"]
+    assert z and z == sorted(z, reverse=True) and min(z) >= 0
 
 
 def test_jobs_bounded_by_cpu_count_and_cases(capsys, monkeypatch):

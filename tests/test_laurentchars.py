@@ -13,6 +13,8 @@ from superchar.laurentchars import (
     GroupTag,
     LaurentPoly,
     _HALF,
+    _dominant_part,
+    _dominant_terms,
     char_group,
     classical_char_so_even,
     classical_char_sp,
@@ -329,6 +331,84 @@ def test_decompose_examples():
     bad = LaurentPoly.var(1, 0, 4) + LaurentPoly.var(1, 0, -4)  # symmetric, not a character
     with pytest.raises(DecompositionError):
         decompose_character(bad, sp2)
+
+
+# one group of each kind; a lex-smallest key is never dominant
+BROKEN_ORBIT_CASES = [
+    (GroupTag("GL", 3), GeneralizedPartition((2, 1, 0))),
+    (GroupTag("Sp", 2), Partition((2, 1))),
+    (GroupTag("O", 4), Partition((2, 1, 0, 0))),
+    (GroupTag("O", 5), Partition((1, 1, 0, 0, 0))),
+]
+
+
+@pytest.mark.parametrize("how", ["drop", "bump", "add"])
+@pytest.mark.parametrize("group, lam", BROKEN_ORBIT_CASES, ids=lambda x: str(x))
+def test_decompose_names_the_broken_orbit(group, lam, how):
+    chi = char_group(group, lam)
+    terms = dict(chi.terms.items())
+    z, eps = key = min(terms)
+    if how == "drop":
+        del terms[key]
+    elif how == "bump":
+        terms[key] += 1
+    else:  # a weight two steps above the highest one: its whole orbit is missing
+        z = (2 * lam.parts[0] + 4,) + (0,) * (chi.nvars - 1)
+        terms[(z, eps)] = 1
+    halves = [e // 2 for e in z]
+    want = tuple(sorted(halves if group.kind == "GL" else map(abs, halves), reverse=True))
+    with pytest.raises(DecompositionError) as exc:
+        decompose_character(LaurentPoly(chi.nvars, terms), group)
+    assert exc.value.key == (want, eps)
+
+
+GROUP_LABELS = {
+    GroupTag("GL", 1): [GeneralizedPartition((a,)) for a in range(-2, 3)],
+    GroupTag("GL", 2): [GeneralizedPartition((a, b)) for a in range(-1, 3) for b in range(-2, a + 1)],
+    GroupTag("GL", 3): [GeneralizedPartition(p) for p in [(0, 0, 0), (1, 0, 0), (1, 1, -1), (2, 1, 0), (1, 0, -2)]],
+    GroupTag("Sp", 1): [Partition((a,)) for a in range(4)],
+    GroupTag("Sp", 2): [Partition(p) for p in [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 1)]],
+    GroupTag("O", 2): [Partition(p) for p in [(0, 0), (1, 0), (1, 1), (2, 0), (3, 0)]],
+    GroupTag("O", 3): [Partition(p) for p in [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0), (1, 1, 1)]],
+    GroupTag("O", 4): [Partition(p) for p in [(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (2, 1, 0, 0), (1, 1, 1, 0)]],
+    GroupTag("O", 5): [Partition(p) for p in [(0,) * 5, (1, 0, 0, 0, 0), (1, 1, 0, 0, 0), (2, 1, 1, 0, 0)]],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_dominant_part_accepts_exactly_the_weyl_symmetric(data):
+    group = data.draw(st.sampled_from(sorted(GROUP_LABELS, key=str)))
+    chi = char_group(group, data.draw(st.sampled_from(GROUP_LABELS[group])))
+    terms = dict(chi.terms.items())
+    how = data.draw(st.sampled_from(["none", "drop", "bump", "add"]))
+    key = data.draw(st.sampled_from(sorted(terms)))
+    if how == "drop":
+        del terms[key]
+    elif how == "bump":
+        terms[key] += data.draw(st.sampled_from([-1, 1, 2]))
+    elif how == "add":
+        z = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=chi.nvars, max_size=chi.nvars)))
+        terms.setdefault((tuple(2 * e for e in z), data.draw(st.integers(0, 1))), 1)
+    f = LaurentPoly(chi.nvars, terms)
+    try:
+        dominant = _dominant_part(f.terms.items(), group)
+    except DecompositionError:
+        dominant = None
+    assert (dominant is not None) == is_weyl_symmetric(f, group)
+    if dominant is not None:
+        assert dominant == {(z, eps): c for (z, eps), c in f.terms.items()
+                            if z == tuple(sorted(z if group.kind == "GL" else map(abs, z), reverse=True))}
+
+
+def test_dominant_terms_are_cached_as_tuples_and_characters_are_not():
+    assert not hasattr(char_group, "cache_info")
+    group, lam = GroupTag("Sp", 2), Partition((2, 1))
+    terms = _dominant_terms(group, lam)
+    assert _dominant_terms(group, lam) is terms
+    assert isinstance(terms, tuple) and all(type(t) is tuple and type(t[0]) is tuple for t in terms)
+    assert dict(terms) == {(tuple(e // 2 for e in z), eps): c for (z, eps), c in char_group(group, lam).terms.items()
+                           if z[0] >= z[1] >= 0}
 
 
 def test_decompose_mass_only_at_eps_one_raises():

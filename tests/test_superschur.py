@@ -1,8 +1,13 @@
+import itertools
+
 import pytest
 
-from superchar.laurentchars import LaurentPoly, classical_char_so_even, classical_char_sp
+from oracles import series_product_full
+from superchar.laurentchars import GroupTag, LaurentPoly, classical_char_so_even, classical_char_sp
 from superchar.partitions import Partition, transpose
 from superchar.superschur import (
+    _HOOK,
+    _series_lhs,
     etilde_series,
     o_labels,
     so_hook,
@@ -180,3 +185,31 @@ def test_verify_identity_rejects_parameters_the_tag_cannot_use():
         verify_identity("even-char", n=3, m=2)
     with pytest.raises(ValueError, match="n must be odd"):
         verify_identity("odd-char", n=2, m=2)
+
+
+# HS d = 1..3 and HS-O n = 2..5: the rank-1 and rank-2 series of both parities
+@pytest.mark.parametrize("kind, size", [("Sp", 1), ("Sp", 2), ("Sp", 3), ("O", 2), ("O", 3), ("O", 4), ("O", 5)])
+def test_dominant_series_lhs_is_the_full_product_on_dominant_keys(kind, size):
+    cap = 4
+    full = series_product_full(kind, size, cap, _HOOK)
+    d = len(next(iter(full))[0])
+    # the reference is Weyl-invariant: every signed permutation of a key carries its coefficient
+    for (z, eps), f in full.items():
+        for perm in itertools.permutations(range(d)):
+            for signs in itertools.product((1, -1), repeat=d):
+                assert full.get((tuple(s * z[i] for i, s in zip(perm, signs)), eps)) == f, (z, perm, signs)
+    dominant = {(z, eps): f for (z, eps), f in full.items()
+                if all(a >= b for a, b in zip(z, z[1:])) and (not z or z[-1] >= 0)}
+    assert _series_lhs(GroupTag(kind, size), cap, _HOOK) == dominant
+
+
+@pytest.mark.parametrize("tag, params", [
+    ("HS", dict(d=2, D=3)), ("HS-O", dict(n=3, D=3)), ("combin-Sp", dict(d=1, m=2)), ("tensor-sp", dict(d=1, D=3)),
+])
+def test_verify_identity_reports_time_and_sizes(tag, params):
+    report = verify_identity(tag, **params)
+    assert report["status"] == "pass"
+    assert isinstance(report["seconds"], float) and report["seconds"] >= 0
+    assert report["labels"] > 0 and report["lhs_terms"] > 0 and report["rhs_terms"] > 0
+    if tag.startswith("HS"):  # both sides of a passing series identity have the same dominant keys
+        assert report["lhs_terms"] == report["rhs_terms"]
