@@ -509,19 +509,6 @@ def dimension(group: GroupTag, lam: GeneralizedPartition) -> int:
 
 # -- symmetry and decomposition ----------------------------------------------
 
-def is_weyl_symmetric(f: LaurentPoly, group: GroupTag) -> bool:
-    d = f.nvars
-    for i in range(d - 1):
-        perm = list(range(d))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        if f.permute(tuple(perm)) != f:
-            return False
-    if group.kind in ("Sp", "O") and d > 0:
-        if f.invert_var(d - 1) != f:
-            return False
-    return True
-
-
 def _dominant_rep(z: tuple[int, ...], group: GroupTag) -> tuple[int, ...]:
     """The dominant weight in the Weyl orbit of z: its entries sorted descending, for Sp and O their absolute values."""
     if group.kind == "GL":

@@ -12,11 +12,13 @@ identically), and only the r+2 reading matches the finite-variable classical
 characters; `literal_minus_two=True` keeps the degenerate reading available
 as a negative control.
 
-Identity checks compare coefficient tensors in (truncated symmetric
-functions) x (Laurent polynomials in z and eps).  Both sides of a series
-identity are Weyl-invariant in z, so they are compared on dominant weights
-only, which is exact (see `_series_identity`).  Failures, a broken Weyl orbit
-included, are reported as data, not exceptions.
+Identity checks compare coefficient tensors {(z exponents, eps): coefficient},
+the coefficients truncated symmetric functions in a series identity and
+Laurent polynomials in finitely many x variables in a Laurent (Howe duality)
+identity.  Both sides of either are Weyl-invariant in z, so one engine
+compares them on dominant z weights only, which is exact (see
+`_series_identity`).  Failures, a broken Weyl orbit included, are reported
+as data, not exceptions.
 """
 
 from __future__ import annotations
@@ -155,12 +157,14 @@ def so_hook(lam: Partition, n: int, cap: int) -> SymFunc:
 
 # -- identity verification -----------------------------------------------------
 #
-# Three shapes: series identities compare {(doubled z exponents, eps bit):
-# SymFunc} tensors, Laurent identities compare LaurentPolys in x and z, and
-# tensor identities compare one SymFunc per label.
+# Three shapes.  Series and Laurent identities go through one engine
+# (`_series_identity`) and compare {(dominant plain z exponents, eps bit):
+# coefficient} tensors: the coefficients are SymFunc in a series identity and
+# LaurentPoly in the x variables in a Laurent identity.  Tensor identities
+# compare one SymFunc per label.
 
 
-def _zs_mul_factor(acc: dict, factor: list[tuple[tuple[int, ...], int, SymFunc]]) -> dict:
+def _zs_mul_factor(acc: dict, factor: list[tuple[tuple[int, ...], int, object]]) -> dict:
     out: dict = {}
     for (exps, eps), f in acc.items():
         for dexps, deps, g in factor:
@@ -169,14 +173,9 @@ def _zs_mul_factor(acc: dict, factor: list[tuple[tuple[int, ...], int, SymFunc]]
     return out
 
 
-def _geom_factor(sign: int | None, base: str, alphabet: str, cap: int, with_eps: bool):
-    """Series sum_k g_k(alphabet) z^{sign k} in one variable z (eps^k when with_eps); sign None for no z."""
-    out = []
-    for k in range(0, cap + 1):
-        g = _unit(base, k, alphabet, cap)
-        if g:
-            out.append((() if sign is None else (sign * k,), (k & 1) if with_eps else 0, g))
-    return out
+def _geom_factor(sign: int | None, units, with_eps: bool):
+    """Series sum_k units[k] z^{sign k} in one variable z (eps^k when with_eps); sign None for no z."""
+    return [(() if sign is None else (sign * k,), (k & 1) if with_eps else 0, g) for k, g in enumerate(units) if g]
 
 
 def _lambda_box(max_size: int, max_len: int):
@@ -219,28 +218,30 @@ def _broken_orbit(group: GroupTag, label: str, exc: DecompositionError) -> dict:
     return out
 
 
-def _series_lhs(group: GroupTag, cap: int, bases) -> dict:
-    """Dominant part of prod_i P(z_i) (times sum_k g_k eps^k for odd O), plain exponents.
+def _series_lhs(group: GroupTag, one, series, start) -> dict:
+    """Dominant part of start * prod_i P(z_i) (times each sum_k g_k eps^k for odd O), plain exponents.
 
-    P(z) is the product over bases and signs of sum_k g_k z^{+-k} (eps^k for
-    odd O), built once in one variable.  The coefficient of z^a in
-    prod_i P(z_i) is prod_i P[a_i], so the dominant keys a_1 >= ... >= a_d >= 0
-    are built directly, one variable at a time.  P[a] = P[-a] is checked:
-    with the symmetry of the product in the z_i it makes the full product
+    `series` lists the units g_0..g_K of each generating series, elements of
+    the ring whose one is `one` (SymFunc, or LaurentPoly in x).  P(z) is the
+    product over series and signs of sum_k g_k z^{+-k} (eps^k for odd O),
+    built once in one variable.  The coefficient of z^a in prod_i P(z_i) is
+    prod_i P[a_i], so the dominant keys a_1 >= ... >= a_d >= 0 are built
+    directly, one variable at a time.  P[a] = P[-a] is checked: with the
+    symmetry of the product in the z_i it makes the full product
     Weyl-invariant.
     """
     odd = group.kind == "O" and group.size % 2 == 1
-    p = {((0,), 0): SymFunc.const(cap)}
-    for base, alph in bases:
+    p = {((0,), 0): one}
+    for units in series:
         for sign in (+1, -1):
-            p = _zs_mul_factor(p, _geom_factor(sign, base, alph, cap, odd))
+            p = _zs_mul_factor(p, _geom_factor(sign, units, odd))
     for ((a,), eps), f in p.items():
         if p.get(((-a,), eps)) != f:
             raise DecompositionError(f"the one-variable series differs at z^{a} and z^{-a}", ((a,), eps))
-    lhs = {((), 0): SymFunc.const(cap)}
+    lhs = {((), 0): start}
     if odd:
-        for base, alph in bases:
-            lhs = _zs_mul_factor(lhs, _geom_factor(None, base, alph, cap, True))
+        for units in series:
+            lhs = _zs_mul_factor(lhs, _geom_factor(None, units, True))
     steps = [(a, eps, f) for ((a,), eps), f in p.items() if a >= 0]
     for _ in range(group.rank):
         out: dict = {}
@@ -252,34 +253,34 @@ def _series_lhs(group: GroupTag, cap: int, bases) -> dict:
     return lhs
 
 
-def _series_identity(group: GroupTag, cap: int, bases, sym_of):
-    """Cauchy identity: prod_i sum_k g_k z_i^{+-k} (eps^k for odd O) = sum_lam chi_lam sym_of(lam).
+def _series_identity(group: GroupTag, one, series, start, labels, dual):
+    """start * prod_i prod_series sum_k g_k z_i^{+-k} (eps^k for odd O) = sum_lam chi_lam(z) dual(lam).
 
-    bases lists the (generator family, alphabet) of the series g; odd O adds
-    one eps-marked series without z.  Both sides are {(plain z exponents,
-    eps bit): SymFunc} on dominant weights; the mismatch is the first
-    differing coefficient.
+    `series` and `start` are as in `_series_lhs`; odd O adds each series once
+    more, eps-marked and without z.  Both sides are {(plain z exponents, eps
+    bit): coefficient} on dominant weights; the mismatch is the first
+    differing coefficient, at its first differing monomial.
     """
     # Exactness: the left side is Weyl-invariant, since P[a] = P[-a] is
     # checked in _series_lhs and the product is symmetric in the z_i.  The
     # right side is a sum of characters, each Weyl-invariant by the orbit
     # check of _dominant_terms.  A Weyl-invariant tensor is fixed by its
     # dominant coefficients, so the two sides agree on dominant keys if and
-    # only if they agree everywhere.
-    labels = _labels(group, cap)
+    # only if they agree everywhere.  The coefficients carry the x variables
+    # of a Laurent identity whole, so nothing is assumed about x.
     lhs: dict = {}
     rhs: dict = {}
     label = "the left-hand series"
     try:
-        lhs = _series_lhs(group, cap, bases)
+        lhs = _series_lhs(group, one, series, start)
         for lam in labels:
             label = str(lam)
-            terms, f = _dominant_terms(group, lam), sym_of(lam)
+            terms, f = _dominant_terms(group, lam), dual(lam)
             for key, c in terms:
                 _add_term(rhs, key, f * c)
     except DecompositionError as exc:
         return _broken_orbit(group, label, exc), len(lhs), len(rhs), len(labels)
-    zero = SymFunc.zero(cap)
+    zero = one - one
     for key in sorted(set(lhs) | set(rhs)):
         fl, fr = lhs.get(key, zero), rhs.get(key, zero)
         if fl == fr:
@@ -290,7 +291,7 @@ def _series_identity(group: GroupTag, cap: int, bases, sym_of):
         mismatch = {
             "z_exponent": list(z),
             "eps": eps,
-            "sym_monomial": str(SymFunc(cap, {mono: Fraction(1)})),
+            "sym_monomial": str(type(one)(one._context(), {mono: 1})),
             "lhs": str(fl.terms.get(mono, 0)),
             "rhs": str(fr.terms.get(mono, 0)),
         }
@@ -298,63 +299,36 @@ def _series_identity(group: GroupTag, cap: int, bases, sym_of):
     return None, len(lhs), len(rhs), len(labels)
 
 
-def _xz_product(lhs: LaurentPoly, m: int, d: int, odd: bool) -> LaurentPoly:
-    """lhs * prod_{i<d, j<m} (1 + x_j z_i^{+-1} eps), times prod_{j<m} (1 + x_j eps) when odd.
-
-    eps enters only when odd; x_0..x_{m-1} come before z_1..z_d.
-    """
-    nv = lhs.nvars
-    one = LaurentPoly.const(nv)
-    zgroups = [[tuple(s if k == i else 0 for k in range(d)) for s in (2, -2)] for i in range(d)]
-    if odd:
-        zgroups.append([(0,) * d])
-    for zs in zgroups:
-        for j in range(m):
-            x = tuple(2 if k == j else 0 for k in range(m))
-            for z in zs:
-                lhs = lhs * (one + LaurentPoly.monomial(nv, x + z, eps=int(odd)))
-    return lhs
+def _cauchy_identity(group: GroupTag, cap: int, bases, sym_of):
+    """The series identity truncated at degree cap, one series per (generator family, alphabet) in bases."""
+    one = SymFunc.const(cap)
+    series = [[_unit(base, k, alph, cap) for k in range(cap + 1)] for base, alph in bases]
+    return _series_identity(group, one, series, one, _labels(group, cap), sym_of)
 
 
 def _laurent_identity(group: GroupTag, m: int):
-    """Howe duality character identity in m variables x and the group's z, as Laurent polynomials.
+    """Howe duality character identity in m variables x: the series identity over LaurentPoly in x.
 
     Sp(2d): prod (1 + x_j z_i^{+-1}) = sum_lam chi_lam(z) sp_lam(x).  O(n): the
-    normalised x^{-n} prod (1 + x_j z_i^{+-1} eps)(1 + x_j eps)^{odd} is
-    sum_lam chi_lam(z) times the so(2m) character of the dual weight.
+    normalised x^{-n/2} prod (1 + x_j z_i^{+-1} eps)(1 + x_j eps)^{odd} is
+    sum_lam chi_lam(z) times the so(2m) character of the dual weight.  The one
+    series prod_j (1 + x_j w) has the units e_0..e_m(x).
     """
     n, d = group.size, group.rank
-    nv = m + d
-    odd = group.kind == "O" and n % 2 == 1
+    one = LaurentPoly.const(m)
+    xs = [LaurentPoly.var(m, j, 2) for j in range(m)]
+    series = [[specialize(elementary(k, "x", m), xs, [], one=one) for k in range(m + 1)]]
     if group.kind == "Sp":
-        lhs = LaurentPoly.const(nv)
-        labels = [lam for lam in _lambda_box(d * m, d) if lam.parts[0] <= m]
-        xs = [LaurentPoly.var(m, j, 2) for j in range(m)]
-        dual = lambda lam: specialize(sp_schur(lam, 2 * d * m), xs, [], one=LaurentPoly.const(m))
+        start, labels = one, [lam for lam in _lambda_box(d * m, d) if lam.parts[0] <= m]
+        dual = lambda lam: specialize(sp_schur(lam, 2 * d * m), xs, [], one=one)
     else:
-        lhs = LaurentPoly.monomial(nv, (-n,) * m + (0,) * d)
-        labels = o_labels(n, n * m, max_width=m)
+        start, labels = LaurentPoly.monomial(m, (-n,) * m), o_labels(n, n * m, max_width=m)
 
         def dual(lam):
             cols = _column_lengths(lam.parts) + (0,) * m
             return classical_char_so_even(tuple(n - 2 * cols[m - 1 - i] for i in range(m)), m).invert_reverse()
 
-    lhs = _xz_product(lhs, m, d, odd)
-    rhs = LaurentPoly.zero(nv)
-    for lam in labels:
-        rhs = rhs + laurentchars.char_group(group, lam).embed(nv, m) * dual(lam).embed(nv, 0)
-    counts = len(lhs.terms), len(rhs.terms), len(labels)
-    if lhs == rhs:
-        return None, *counts
-    key = max((lhs - rhs).terms)
-    mismatch = {
-        "z_exponent": [e / 2 for e in key[0]],
-        "eps": key[1],
-        "sym_monomial": "1",
-        "lhs": str(lhs.terms.get(key, 0)),
-        "rhs": str(rhs.terms.get(key, 0)),
-    }
-    return mismatch, *counts
+    return _series_identity(group, one, series, start, labels, dual)
 
 
 def _tensor_identity(group: GroupTag, cap: int, schur_of, skew_of, hook_of):
@@ -409,18 +383,18 @@ _E, _H, _HOOK = (("e", "x"),), (("h", "x"),), (("e", "x"), ("h", "y"))
 # call time, so monkeypatched or traced bindings see every call.
 IDENTITIES = {
     "combin-Sp": (("d", "m"), None, lambda d, m: _laurent_identity(GroupTag("Sp", d), m)),
-    "combin1-i": (("d", "D"), None, lambda d, D: _series_identity(
+    "combin1-i": (("d", "D"), None, lambda d, D: _cauchy_identity(
         GroupTag("Sp", d), D, _E, lambda lam: sp_schur(lam, D))),
-    "combin1-ii": (("d", "D"), None, lambda d, D: _series_identity(
+    "combin1-ii": (("d", "D"), None, lambda d, D: _cauchy_identity(
         GroupTag("Sp", d), D, _H, lambda lam: sp_skew(lam, D))),
-    "HS": (("d", "D"), None, lambda d, D: _series_identity(GroupTag("Sp", d), D, _HOOK, lambda lam: sp_hook(lam, D))),
+    "HS": (("d", "D"), None, lambda d, D: _cauchy_identity(GroupTag("Sp", d), D, _HOOK, lambda lam: sp_hook(lam, D))),
     "odd-char": (("n", "m"), 1, lambda n, m: _laurent_identity(GroupTag("O", n), m)),
     "even-char": (("n", "m"), 0, lambda n, m: _laurent_identity(GroupTag("O", n), m)),
-    "combin1-evenodd-S": (("n", "D"), None, lambda n, D: _series_identity(
+    "combin1-evenodd-S": (("n", "D"), None, lambda n, D: _cauchy_identity(
         GroupTag("O", n), D, _E, lambda lam: so_schur(lam, n, D))),
-    "combin1-evenodd-D": (("n", "D"), None, lambda n, D: _series_identity(
+    "combin1-evenodd-D": (("n", "D"), None, lambda n, D: _cauchy_identity(
         GroupTag("O", n), D, _H, lambda lam: so_skew(lam, n, D))),
-    "HS-O": (("n", "D"), None, lambda n, D: _series_identity(
+    "HS-O": (("n", "D"), None, lambda n, D: _cauchy_identity(
         GroupTag("O", n), D, _HOOK, lambda lam: so_hook(lam, n, D))),
     "tensor-sp": (("d", "D"), None, lambda d, D: _tensor_identity(
         GroupTag("Sp", d), D, lambda lam: sp_schur(lam, D), lambda lam: sp_skew(lam, D, alphabet="y"),

@@ -4,11 +4,13 @@ Everything here is deliberately written against the definitions rather than
 the library's own formulas: tableau enumeration for Schur polynomials, hand
 weight tables plus the alternating Kostant/Klimyk sum for small symplectic
 tensor products, explicit two- and three-dimensional orthogonal group rules,
-the Weyl dimension formulas, the Weyl character formula as an alternant
-quotient with its own exact Laurent division, the Laurent product pair by
-pair on tuple keys, the Cauchy series product on every z key, the Fock basis and character
-built one monomial at a time, the Gram matrix from every pair of basis states,
-and leading principal minors as Leibniz sums.
+the Weyl dimension formulas, Weyl symmetry by generating reflections, the Weyl
+character formula as an alternant quotient with its own exact Laurent
+division, the Laurent product pair by pair on tuple keys, the Cauchy series
+product on every z key, the Laurent Howe-duality identities on every (x, z)
+term, the Fock basis and character built one monomial at a time, the Gram
+matrix from every pair of basis states, and leading principal minors as
+Leibniz sums.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import itertools
 from fractions import Fraction
 
 from superchar.fock import FERMIONIC, GAM_M, GAM_P, PHI, PSI_M, PSI_P, FockVector, inner_product
-from superchar.laurentchars import LaurentPoly
-from superchar.superschur import _unit
-from superchar.symring import SymFunc
+from superchar.laurentchars import GroupTag, LaurentPoly, char_group, classical_char_so_even
+from superchar.partitions import _column_lengths
+from superchar.superschur import _lambda_box, _unit, o_labels, sp_schur
+from superchar.symring import SymFunc, specialize
 
 
 # -- Schur polynomials by semistandard tableaux --------------------------------
@@ -189,6 +192,22 @@ def o3_tensor(mu, nu) -> dict[tuple[int, int, int], int]:
     return out
 
 
+# -- Weyl symmetry by generating reflections ------------------------------------
+
+def is_weyl_symmetric(f: LaurentPoly, group: GroupTag) -> bool:
+    """f is fixed by each adjacent transposition of z and, for Sp and O, by z_d -> 1/z_d."""
+    d = f.nvars
+    for i in range(d - 1):
+        perm = list(range(d))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        if f.permute(tuple(perm)) != f:
+            return False
+    if group.kind in ("Sp", "O") and d > 0:
+        if f.invert_var(d - 1) != f:
+            return False
+    return True
+
+
 # -- Weyl dimension formulas ------------------------------------------------------
 
 def dim_sp(lam: tuple[int, ...], m: int) -> int:
@@ -290,6 +309,49 @@ def series_product_full(kind: str, size: int, cap: int, bases) -> dict:
                 out[key] = out[key] + f * g if key in out else f * g
         acc = {key: f for key, f in out.items() if f}
     return acc
+
+
+# -- a Laurent Howe-duality identity on every (x, z) term ----------------------------
+
+def laurent_identity_full(group: GroupTag, m: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """(left, right) of the Laurent identity of group in m variables x, in x_1..x_m, z_1..z_d.
+
+    The left side is x^{-n/2} (O(n) only) times one factor
+    (1 + x_j z_i^{+-1} eps) at a time, then (1 + x_j eps) for each j when n is
+    odd; eps enters only for odd O.  The right side is
+    sum_lam chi_lam(z) dual(lam)(x), each character and dual embedded whole:
+    sp_lam(x) for Sp(2d), the inverted so(2m) character of the dual weight for
+    O(n).  Every term is kept; nothing is read off dominant weights.
+    """
+    n, d = group.size, group.rank
+    nv = m + d
+    odd = group.kind == "O" and n % 2 == 1
+    if group.kind == "Sp":
+        lhs = LaurentPoly.const(nv)
+        labels = [lam for lam in _lambda_box(d * m, d) if lam.parts[0] <= m]
+        xs = [LaurentPoly.var(m, j, 2) for j in range(m)]
+        dual = lambda lam: specialize(sp_schur(lam, 2 * d * m), xs, [], one=LaurentPoly.const(m))
+    else:
+        lhs = LaurentPoly.monomial(nv, (-n,) * m + (0,) * d)
+        labels = o_labels(n, n * m, max_width=m)
+
+        def dual(lam):
+            cols = _column_lengths(lam.parts) + (0,) * m
+            return classical_char_so_even(tuple(n - 2 * cols[m - 1 - i] for i in range(m)), m).invert_reverse()
+
+    one = LaurentPoly.const(nv)
+    zgroups = [[tuple(s if k == i else 0 for k in range(d)) for s in (2, -2)] for i in range(d)]
+    if odd:
+        zgroups.append([(0,) * d])
+    for zs in zgroups:
+        for j in range(m):
+            x = tuple(2 if k == j else 0 for k in range(m))
+            for z in zs:
+                lhs = lhs * (one + LaurentPoly.monomial(nv, x + z, eps=int(odd)))
+    rhs = LaurentPoly.zero(nv)
+    for lam in labels:
+        rhs = rhs + char_group(group, lam).embed(nv, m) * dual(lam).embed(nv, 0)
+    return lhs, rhs
 
 
 # -- Weyl character formula as an alternant quotient ------------------------------

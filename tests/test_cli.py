@@ -221,12 +221,15 @@ def fresh_dominant_terms():
     laurentchars._dominant_terms.cache_clear()
 
 
-# the series identities (rank-1 Sp and odd O) read the characters' dominant
-# terms, the tensor identity decomposes products of full characters
+# the series and Laurent identities (rank-1 Sp, even and odd O) read the
+# characters' dominant terms, the tensor identity decomposes products of full
+# characters
 @pytest.mark.parametrize("argv, group", [
     (["--identity", "HS", "--d", "1", "--deg", "3"], "Sp(2)"),
     (["--identity", "HS-O", "--n", "3", "--deg", "3"], "O(3)"),
     (["--identity", "tensor-sp", "--d", "1", "--deg", "3"], "Sp(2)"),
+    (["--identity", "even-char", "--n", "2", "--m", "2"], "O(2)"),
+    (["--identity", "odd-char", "--n", "3", "--m", "3"], "O(3)"),
 ])
 def test_character_with_a_broken_orbit_fails_verification(capsys, monkeypatch, fresh_dominant_terms, argv, group):
     real = laurentchars.char_group

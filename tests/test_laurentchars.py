@@ -21,7 +21,6 @@ from superchar.laurentchars import (
     decompose_character,
     dimension,
     elementary_laurent,
-    is_weyl_symmetric,
     tensor_multiplicity,
 )
 import superchar
@@ -33,6 +32,7 @@ from oracles import (
     dim_so_odd,
     dim_sp,
     divexact,
+    is_weyl_symmetric,
     klimyk_tensor_sp,
     laurent_product,
     o2_tensor,

@@ -2,12 +2,14 @@ import itertools
 
 import pytest
 
-from oracles import series_product_full
+from oracles import laurent_identity_full, series_product_full
+from superchar import cli
 from superchar.laurentchars import GroupTag, LaurentPoly, classical_char_so_even, classical_char_sp
 from superchar.partitions import Partition, transpose
 from superchar.superschur import (
     _HOOK,
     _series_lhs,
+    _unit,
     etilde_series,
     o_labels,
     so_hook,
@@ -19,7 +21,7 @@ from superchar.superschur import (
     sp_skew,
     verify_identity,
 )
-from superchar.symring import SymFunc, generator, omega_x, specialize
+from superchar.symring import SymFunc, elementary, generator, omega_x, specialize
 
 
 def xs(m):
@@ -156,6 +158,8 @@ def test_verify_identity_examples():
     assert verify_identity("combin1-i", d=1, D=2)["status"] == "pass"
     assert verify_identity("HS", d=1, D=2)["status"] == "pass"
     assert verify_identity("combin-Sp", d=1, m=1)["status"] == "pass"
+    assert verify_identity("odd-char", n=1, m=1)["status"] == "pass"
+    assert verify_identity("even-char", n=2, m=2)["status"] == "pass"
 
 
 def test_verify_identity_reports_mismatch_as_data(monkeypatch):
@@ -187,12 +191,40 @@ def test_verify_identity_rejects_parameters_the_tag_cannot_use():
         verify_identity("odd-char", n=2, m=2)
 
 
-# HS d = 1..3 and HS-O n = 2..5: the rank-1 and rank-2 series of both parities
-@pytest.mark.parametrize("kind, size", [("Sp", 1), ("Sp", 2), ("Sp", 3), ("O", 2), ("O", 3), ("O", 4), ("O", 5)])
-def test_dominant_series_lhs_is_the_full_product_on_dominant_keys(kind, size):
-    cap = 4
-    full = series_product_full(kind, size, cap, _HOOK)
-    d = len(next(iter(full))[0])
+def by_z(f, m):
+    """{(plain z exponents, eps): LaurentPoly in x} of a LaurentPoly in x_1..x_m, z_1..z_d."""
+    out = {}
+    for (exps, eps), c in f.terms.items():
+        out.setdefault((tuple(e // 2 for e in exps[m:]), eps), {})[(exps[:m], 0)] = c
+    return {key: LaurentPoly(m, terms) for key, terms in out.items()}
+
+
+# HS d = 1..3 and HS-O n = 2..5 (m None): the rank-1 and rank-2 series of both
+# parities.  Then the Laurent identity in m variables x of each Laurent case of
+# the verify grid, against the full (x, z) route of the oracle.
+DOMINANT_CASES = [pytest.param(kind, size, None, id=f"{kind}-{size}")
+                  for kind, size in [("Sp", 1), ("Sp", 2), ("Sp", 3), ("O", 2), ("O", 3), ("O", 4), ("O", 5)]]
+DOMINANT_CASES += [pytest.param("Sp" if tag == "combin-Sp" else "O", p.get("d", p.get("n")), p["m"],
+                                id=tag + "".join(f"-{k}{v}" for k, v in p.items()))
+                   for tag, p in cli.IDENTITY_GRID if "m" in p]
+
+
+@pytest.mark.parametrize("kind, size, m", DOMINANT_CASES)
+def test_dominant_series_lhs_is_the_full_product_on_dominant_keys(kind, size, m):
+    group = GroupTag(kind, size)
+    if m is None:
+        cap = 4
+        full = series_product_full(kind, size, cap, _HOOK)
+        one = start = SymFunc.const(cap)
+        series = [[_unit(base, k, alph, cap) for k in range(cap + 1)] for base, alph in _HOOK]
+    else:
+        lhs, rhs = laurent_identity_full(group, m)
+        assert lhs == rhs
+        full = by_z(lhs, m)
+        one = LaurentPoly.const(m)
+        start = one if kind == "Sp" else LaurentPoly.monomial(m, (-size,) * m)
+        series = [[spec_x(elementary(k, "x", m), m) for k in range(m + 1)]]
+    d = group.rank
     # the reference is Weyl-invariant: every signed permutation of a key carries its coefficient
     for (z, eps), f in full.items():
         for perm in itertools.permutations(range(d)):
@@ -200,7 +232,7 @@ def test_dominant_series_lhs_is_the_full_product_on_dominant_keys(kind, size):
                 assert full.get((tuple(s * z[i] for i, s in zip(perm, signs)), eps)) == f, (z, perm, signs)
     dominant = {(z, eps): f for (z, eps), f in full.items()
                 if all(a >= b for a, b in zip(z, z[1:])) and (not z or z[-1] >= 0)}
-    assert _series_lhs(GroupTag(kind, size), cap, _HOOK) == dominant
+    assert _series_lhs(group, one, series, start) == dominant
 
 
 @pytest.mark.parametrize("tag, params", [
