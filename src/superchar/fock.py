@@ -494,26 +494,47 @@ def hwv_candidate(space: Space, algebra: str, lam: GeneralizedPartition, variant
 
 # -- singularity and weights ----------------------------------------------------
 
-def raising_elements(space: Space, algebra: str, max_idx2: int, max_deg2: int):
-    """All positive-degree generators that can act non-trivially below max_idx2."""
+# The centre generators of the C and D positive parts, beside te(p, p+1) for
+# p > 0.  te(-1/2, 1/2) is zero in C (with it in place of te(-1/2, 1), 33
+# raising te(p, q) with |p|, |q| <= 3 are not generated); D needs te(-1/2, 1/2)
+# itself, which te(-1/2, 1) does not generate.  tests/test_fock.py checks by
+# exact span closure that these lists generate every raising element.
+CENTRES = {"C": [(-1, 2)], "D": [(-1, 1)]}
+
+
+def raising_generators(space: Space, algebra: str, top2: int) -> list[tuple[int, int]]:
+    """Index pairs (p2, q2) of generators of the raising part of the dual
+    algebra inside the window |p2|, |q2| <= top2, in the order they are checked.
+
+    gl and A take the adjacent pairs of the index set, which holds 0 on the gl
+    space only, so on the A space the step across 0 is (-1/2, 1/2).  C and D
+    take te(p, p+1) for p > 0, then their centre generator.
+    """
     if algebra not in TE_FAMILIES:
         raise ValueError(algebra)
-    zero_mode = algebra in ("A", "gl") and space.kind == "gl"
-    index_set = [i for i in range(-max_idx2, max_idx2 + 1) if i != 0 or zero_mode]
-    for p2 in index_set:
-        for q2 in index_set:
-            if 0 < q2 - p2 <= max_deg2:
-                yield (p2, q2), realize_algebra(space, algebra, p2, q2)
+    family = TE_FAMILIES[algebra]
+    if family is None:
+        index_set = [i for i in range(-top2, top2 + 1) if i or space.kind == "gl"]
+        return list(zip(index_set, index_set[1:]))
+    adjacent = [(p2, p2 + 1) for p2 in range(1, top2)]
+    return adjacent + [(p2, q2) for p2, q2 in CENTRES[family] if q2 <= top2]
 
 
-def singularity_check(space: Space, algebra: str, vec: FockVector, max_deg2: int | None = None):
-    """True when every raising generator kills vec; otherwise a witness index pair."""
+def singularity_check(space: Space, algebra: str, vec: FockVector):
+    """True when every raising element kills vec; otherwise the first generator
+    of `raising_generators` that does not.
+
+    A vector killed by two operators is killed by their bracket, and a bracket
+    of raising elements carries no central term (the cocycle pairs e(p,q) only
+    with e(q,p)), so the generators stand for the raising part they generate.
+    The window is enough: an element with an index beyond the top doubled
+    energy top2 contracts a mode that no monomial of vec holds.
+    """
     if not vec:
         return False, "zero vector"
     top2 = max(vec.energies2())
-    max_deg2 = top2 if max_deg2 is None else max_deg2
-    for (p2, q2), op in raising_elements(space, algebra, top2, max_deg2):
-        if op.apply(vec):
+    for p2, q2 in raising_generators(space, algebra, top2):
+        if realize_algebra(space, algebra, p2, q2).apply(vec):
             return False, (p2, q2)
     return True, None
 

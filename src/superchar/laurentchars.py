@@ -278,18 +278,11 @@ class LaurentPoly(_Sparse):
         """The substitution z_i -> z_{n-i+1}^{-1} (the x/z dictionary)."""
         return self._moved(lambda exps: [-e for e in reversed(exps)])
 
-    def embed(self, nvars: int, offset: int) -> "LaurentPoly":
-        """View inside a larger variable list, own variables shifted by offset."""
-        if offset < 0 or offset + self.nvars > nvars:
-            raise ValueError(f"{self.nvars} variables at offset {offset} do not fit in {nvars}")
-        shift = _W * offset
-        out = object.__new__(LaurentPoly)
-        out.nvars = nvars
-        out._store = {((k & ~1) << shift) + (k & 1): c for k, c in self._store.items()}
-        out._bound = self._bound
-        return out
-
     def __str__(self):
+        return self._render("z")
+
+    def _render(self, var: str) -> str:
+        """The polynomial printed in the variables var1, var2, ...; str() uses z."""
         if not self._store:
             return "0"
         def mono_str(exps, p):
@@ -301,7 +294,7 @@ class LaurentPoly(_Sparse):
                     ex = str(e // 2)
                 else:
                     ex = f"({e}/2)"
-                bits.append(f"z{i+1}" + ("" if ex == "1" else f"^{ex}"))
+                bits.append(f"{var}{i+1}" + ("" if ex == "1" else f"^{ex}"))
             if p:
                 bits.append("eps")
             return "*".join(bits) if bits else "1"

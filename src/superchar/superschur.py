@@ -288,10 +288,12 @@ def _series_identity(group: GroupTag, one, series, start, labels, dual):
         monos = sorted(set(fl.terms) | set(fr.terms))
         mono = next(m for m in monos if fl.terms.get(m, 0) != fr.terms.get(m, 0))
         z, eps = key
+        # a Laurent identity's coefficients are polynomials in x, which str() would name z
+        sym = type(one)(one._context(), {mono: 1})
         mismatch = {
             "z_exponent": list(z),
             "eps": eps,
-            "sym_monomial": str(type(one)(one._context(), {mono: 1})),
+            "sym_monomial": sym._render("x") if isinstance(sym, LaurentPoly) else str(sym),
             "lhs": str(fl.terms.get(mono, 0)),
             "rhs": str(fr.terms.get(mono, 0)),
         }

@@ -6,11 +6,12 @@ weight tables plus the alternating Kostant/Klimyk sum for small symplectic
 tensor products, explicit two- and three-dimensional orthogonal group rules,
 the Weyl dimension formulas, Weyl symmetry by generating reflections, the Weyl
 character formula as an alternant quotient with its own exact Laurent
-division, the Laurent product pair by pair on tuple keys, the Cauchy series
-product on every z key, the Laurent Howe-duality identities on every (x, z)
-term, the Fock basis and character built one monomial at a time, the Gram
-matrix from every pair of basis states, and leading principal minors as
-Leibniz sums.
+division, the Laurent product pair by pair on tuple keys, embedding in more
+variables through the tuple-keyed constructor, the Cauchy series product on
+every z key, the Laurent Howe-duality identities on every (x, z) term, the
+Fock basis and character built one monomial at a time, singularity by every
+raising element, the Gram matrix from every pair of basis states, and
+leading principal minors as Leibniz sums.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from superchar.fock import FERMIONIC, GAM_M, GAM_P, PHI, PSI_M, PSI_P, FockVector, inner_product
+from superchar.fock import FERMIONIC, GAM_M, GAM_P, PHI, PSI_M, PSI_P, FockVector, inner_product, realize_algebra
 from superchar.laurentchars import GroupTag, LaurentPoly, char_group, classical_char_so_even
 from superchar.partitions import _column_lengths
 from superchar.superschur import _lambda_box, _unit, o_labels, sp_schur
@@ -282,6 +283,14 @@ def laurent_product(a, b) -> dict:
 
 # -- the left side of a Cauchy identity on every z key ------------------------------
 
+def embed(f: LaurentPoly, nvars: int, offset: int) -> LaurentPoly:
+    """f inside a list of nvars variables, its own variables shifted by offset."""
+    if offset < 0 or offset + f.nvars > nvars:
+        raise ValueError(f"{f.nvars} variables at offset {offset} do not fit in {nvars}")
+    pad = (0,) * offset, (0,) * (nvars - offset - f.nvars)
+    return LaurentPoly(nvars, {(pad[0] + exps + pad[1], eps): c for (exps, eps), c in f.terms.items()})
+
+
 def series_product_full(kind: str, size: int, cap: int, bases) -> dict:
     """prod_i prod_{(g, alphabet) in bases} (sum_k g_k z_i^k)(sum_k g_k z_i^{-k}) on every z key.
 
@@ -350,7 +359,7 @@ def laurent_identity_full(group: GroupTag, m: int) -> tuple[LaurentPoly, Laurent
                 lhs = lhs * (one + LaurentPoly.monomial(nv, x + z, eps=int(odd)))
     rhs = LaurentPoly.zero(nv)
     for lam in labels:
-        rhs = rhs + char_group(group, lam).embed(nv, m) * dual(lam).embed(nv, 0)
+        rhs = rhs + embed(char_group(group, lam), nv, m) * embed(dual(lam), nv, 0)
     return lhs, rhs
 
 
@@ -479,6 +488,24 @@ def fock_character_by_monomial(space, cutoff2: int) -> dict:
         slot = out.setdefault((tuple(z), eps), {})
         slot[wmono] = slot.get(wmono, 0) + 1
     return out
+
+
+def singularity_check_full(space, algebra: str, vec: FockVector):
+    """Singularity by every raising element: e(p,q), or te(p,q) for C/Deven/Dodd,
+    for each p < q of the index set with |p|, |q|, q - p <= the top doubled
+    energy of vec (the index set holds 0 only for gl/A on the gl space).
+    Returns (True, None) or (False, the first (p2, q2) that does not kill vec).
+    """
+    if not vec:
+        return False, "zero vector"
+    top2 = max(vec.energies2())
+    zero_mode = algebra in ("A", "gl") and space.kind == "gl"
+    index_set = [i for i in range(-top2, top2 + 1) if i != 0 or zero_mode]
+    for p2 in index_set:
+        for q2 in index_set:
+            if 0 < q2 - p2 <= top2 and realize_algebra(space, algebra, p2, q2).apply(vec):
+                return False, (p2, q2)
+    return True, None
 
 
 def dense_gram(space, energy2: int, conjugation: str = "signed"):

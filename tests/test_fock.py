@@ -13,6 +13,7 @@ from superchar.fock import (
     PHI,
     PSI_M,
     PSI_P,
+    TE_FAMILIES,
     FockVector,
     RealizedOp,
     Space,
@@ -33,6 +34,7 @@ from superchar.fock import (
     inner_product,
     leading_principal_minors,
     omega_mode,
+    raising_generators,
     realize_algebra,
     realize_group,
     realize_matrix,
@@ -40,11 +42,17 @@ from superchar.fock import (
     x_matrix,
     xt_matrix,
 )
-from superchar.infmat import SuperMatrix, cocycle_alpha, super_bracket
+from superchar.infmat import SuperMatrix, cocycle_alpha, super_bracket, te_generator
 from superchar.partitions import GeneralizedPartition, Partition
 from superchar.hwclassify import weight_from_partition
 
-from oracles import dense_gram, fock_basis_by_monomial, fock_character_by_monomial, leibniz_minors
+from oracles import (
+    dense_gram,
+    fock_basis_by_monomial,
+    fock_character_by_monomial,
+    leibniz_minors,
+    singularity_check_full,
+)
 
 
 def vec_of(space, *modes):
@@ -235,11 +243,99 @@ def test_singularity_examples():
     gg = vec_of(sp, (GAM_P, 1, -1), (GAM_M, 1, -1))
     assert singularity_check(sp, "C", gg)[0]
     bad = vec_of(sp, (GAM_P, 1, -3))
-    ok, witness = singularity_check(sp, "C", bad)
-    assert not ok and witness is not None
+    # the witness is the first generator that fails, te(1, 3/2); the first
+    # raising element to fail is te(-3/2, -1)
+    assert singularity_check(sp, "C", bad) == (False, (2, 3))
+    assert singularity_check_full(sp, "C", bad) == (False, (-3, -2))
     sp2 = Space("A", 2)
     h = hwv_candidate(sp2, "C", Partition((2, 1)))
     assert singularity_check(sp2, "C", h)[0]
+
+
+def _element(family, p2, q2) -> SuperMatrix:
+    return te_generator(family, p2, q2) if family else SuperMatrix.unit(p2, q2)
+
+
+def _reduce_into(basis: dict, terms) -> bool:
+    """Row-reduce terms against the echelon basis {pivot: row with 1 at its
+    largest key, the pivot}; add the remainder and return True if it is not 0."""
+    row = dict(terms)
+    while row:
+        pivot = max(row)
+        if pivot not in basis:
+            lead = row[pivot]
+            basis[pivot] = {key: c / lead for key, c in row.items()}
+            return True
+        factor = row[pivot]
+        for key, c in basis[pivot].items():
+            c = row.get(key, 0) - factor * c
+            if c:
+                row[key] = c
+            else:
+                row.pop(key, None)
+    return False
+
+
+def _missing_raising(family, zero_mode: bool, pairs, top2: int) -> list[tuple[int, int]]:
+    """The raising elements of the window |p2|, |q2| <= top2 outside the Lie
+    superalgebra generated by the elements of `pairs`, by exact span closure."""
+    gens = [_element(family, p2, q2) for p2, q2 in pairs]
+    basis: dict = {}
+    frontier = [g for g in gens if _reduce_into(basis, g.terms)]
+    while frontier:
+        # right-normed brackets of generators span the generated algebra
+        x = frontier.pop()
+        for g in gens:
+            y = super_bracket(g, x)
+            if _reduce_into(basis, y.terms):
+                frontier.append(y)
+    index_set = [i for i in range(-top2, top2 + 1) if i or zero_mode]
+    return [
+        (p2, q2)
+        for p2 in index_set
+        for q2 in index_set
+        if p2 < q2 and _reduce_into(dict(basis), _element(family, p2, q2).terms)
+    ]
+
+
+@pytest.mark.parametrize("kind, algebra", [("gl", "gl"), ("A", "A"), ("A", "C"), ("A", "Deven"), ("Dodd", "Dodd")])
+def test_raising_generators_generate_every_raising_element(kind, algebra):
+    space = Space(kind, 1)
+    for top2 in range(1, 9):
+        pairs = raising_generators(space, algebra, top2)
+        assert all(0 < q2 - p2 and max(-p2, q2) <= top2 for p2, q2 in pairs), pairs
+        assert _missing_raising(TE_FAMILIES[algebra], kind == "gl", pairs, top2) == [], top2
+
+
+def test_c_and_d_need_different_centre_generators():
+    space = Space("A", 1)
+    c_pairs = [(-1, 1) if pair == (-1, 2) else pair for pair in raising_generators(space, "C", 6)]
+    assert (-1, 1) in c_pairs  # te(-1/2, 1/2) = 0 in C
+    assert len(_missing_raising("C", False, c_pairs, 6)) == 33
+    d_pairs = [(-1, 2) if pair == (-1, 1) else pair for pair in raising_generators(space, "Deven", 6)]
+    assert (-1, 2) in d_pairs
+    assert _missing_raising("D", False, d_pairs, 6) == [(-1, 1)]
+
+
+# the four spaces of the fock-duality benchmark workload
+DUALITY_SPACES = [("A", 3, "C"), ("Dodd", 2, "Dodd"), ("A", 2, "A"), ("A", 2, "Deven")]
+
+
+@pytest.mark.parametrize("kind, d, algebra", DUALITY_SPACES)
+def test_singularity_check_agrees_with_every_raising_element(kind, d, algebra):
+    # every highest weight vector candidate at doubled cutoff 10, and every
+    # one-monomial state up to doubled energy 4, singular or not
+    space = Space(kind, d)
+    vectors = [hwv_candidate(space, algebra, lam) for lam in duality_decompose(space, algebra, 10)]
+    vectors += [FockVector(space, {mono: Fraction(1)}) for mono in enumerate_basis(space, 4)]
+    verdicts = Counter()
+    for vec in vectors:
+        ok, witness = singularity_check(space, algebra, vec)
+        assert ok == singularity_check_full(space, algebra, vec)[0], str(vec)
+        if vec and not ok:
+            assert witness in raising_generators(space, algebra, max(vec.energies2())), (str(vec), witness)
+        verdicts[ok] += 1
+    assert verdicts[True] and verdicts[False], verdicts
 
 
 def test_hwv_sweep_weights_and_singularity():

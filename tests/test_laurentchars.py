@@ -32,6 +32,7 @@ from oracles import (
     dim_so_odd,
     dim_sp,
     divexact,
+    embed,
     is_weyl_symmetric,
     klimyk_tensor_sp,
     laurent_product,
@@ -189,20 +190,21 @@ def test_constructor_and_embed_check_their_shapes():
         LaurentPoly(0, {((), -1): 1})
     f = LaurentPoly.monomial(2, (2, 4))
     with pytest.raises(ValueError, match="do not fit"):
-        f.embed(2, 1)
+        embed(f, 2, 1)
     with pytest.raises(ValueError, match="do not fit"):
-        f.embed(3, -1)
-    assert f.embed(3, 1).terms == {((0, 2, 4), 0): 1}
-    assert f.embed(2, 0) == f
+        embed(f, 3, -1)
+    assert embed(f, 3, 1).terms == {((0, 2, 4), 0): 1}
+    assert embed(f, 2, 0) == f
 
 
 def test_shape_checks_survive_optimized_mode():
     src = os.path.dirname(os.path.dirname(superchar.__file__))
     code = (
         "from superchar.laurentchars import LaurentPoly\n"
+        "from oracles import embed\n"
         "for make in (lambda: LaurentPoly(2, {((1, 2, 3), 0): 1}),\n"
         "             lambda: LaurentPoly(2, {((1, 2), 2): 1}),\n"
-        "             lambda: LaurentPoly.monomial(2, (2, 4)).embed(2, 1)):\n"
+        "             lambda: embed(LaurentPoly.monomial(2, (2, 4)), 2, 1)):\n"
         "    try:\n"
         "        make()\n"
         "    except ValueError:\n"
@@ -210,7 +212,7 @@ def test_shape_checks_survive_optimized_mode():
         "    raise SystemExit(3)\n"
         "raise SystemExit(7)\n"
     )
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, timeout=60)
     assert proc.returncode == 7, proc.stderr
 
@@ -276,7 +278,7 @@ def test_packed_variable_moves_match_tuple_oracle(data):
     extra = data.draw(st.integers(0, 3))
     offset = data.draw(st.integers(0, extra))
     pad = lambda e: (0,) * offset + e + (0,) * (extra - offset)
-    _consistent(p.embed(n + extra, offset), {(pad(e), q): c for (e, q), c in terms.items()})
+    _consistent(embed(p, n + extra, offset), {(pad(e), q): c for (e, q), c in terms.items()})
     perm = data.draw(st.permutations(range(n)))
 
     def permuted(e):

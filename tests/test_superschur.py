@@ -175,6 +175,19 @@ def test_verify_identity_reports_mismatch_as_data(monkeypatch):
     assert report["first_mismatch"]
 
 
+def test_laurent_mismatch_names_its_monomial_in_x(monkeypatch):
+    # the O dual with its first so(2m) weight entry one too high: the first
+    # mismatch is a monomial in x, printed x1..xm, not in LaurentPoly's z names
+    import superchar.superschur as ss
+
+    real = ss.classical_char_so_even
+    monkeypatch.setattr(ss, "classical_char_so_even", lambda nu, m: real((nu[0] + 2,) + tuple(nu[1:]), m))
+    report = verify_identity("odd-char", n=3, m=3)
+    assert report["status"] == "fail"
+    assert report["first_mismatch"]["z_exponent"] == [0]
+    assert report["first_mismatch"]["sym_monomial"] == "x1^(-5/2)*x2^(-3/2)*x3^(-3/2)"
+
+
 def test_unknown_tag():
     with pytest.raises(ValueError):
         verify_identity("nonsense", d=1)
