@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import fock, hwclassify, laurentchars, superschur, symring
+from .infmat import fmt_half
 from .partitions import (
     Partition,
     from_frobenius,
@@ -291,11 +292,15 @@ def cmd_fock(args) -> int:
         algebra = default_algebra
         vec = fock.hwv_candidate(space, algebra, lam_parts, variant=args.variant)
         ok, wit = fock.singularity_check(space, algebra, vec)
+        shown = wit
+        if isinstance(wit, tuple):  # the (p, q) of the first generator that does not kill vec, in halves
+            wit = [fmt_half(i2) for i2 in wit]
+            shown = f"({', '.join(wit)})"
         if args.json:
-            print(json.dumps({"vector": str(vec), "singular": ok, "witness": str(wit)}))
+            print(json.dumps({"vector": str(vec), "singular": ok, "witness": wit}))
         else:
             print(vec)
-            print("singular:", ok if ok else f"no (witness {wit})")
+            print("singular:", ok if ok else f"no (witness {shown})")
         return 0 if ok else 1
     raise UsageError(f"unknown action {args.action!r}")
 

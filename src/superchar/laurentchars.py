@@ -30,6 +30,7 @@ from math import factorial
 from .partitions import GeneralizedPartition, Partition, _column_lengths, bar_conjugate, o_label
 from .ringdet import pair_det, ring_det, spin_det
 from .sparse import _Sparse, _add_into, _drop_zeros, _fold_integral
+from .symring import _elem_of_values
 
 
 class DecompositionError(ValueError):
@@ -204,9 +205,6 @@ class LaurentPoly(_Sparse):
     def eps(nvars: int) -> "LaurentPoly":
         return LaurentPoly(nvars, {((0,) * nvars, 1): 1})
 
-    def ring_one(self) -> "LaurentPoly":
-        return LaurentPoly.const(self.nvars)
-
     # -- arithmetic ------------------------------------------------------
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -224,19 +222,6 @@ class LaurentPoly(_Sparse):
         return self._new(_drop_zeros(out), bound)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("use explicit inverse monomials")
-        out = LaurentPoly.const(self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
 
     # -- queries ----------------------------------------------------------
     def coefficient(self, exps2, eps: int = 0):
@@ -327,15 +312,8 @@ class LaurentPoly(_Sparse):
 @lru_cache(maxsize=None)
 def _e_table_inv(m: int) -> tuple[LaurentPoly, ...]:
     """E_0..E_{2m} of the 2m-element multiset {z_i, z_i^{-1}}."""
-    elems = [LaurentPoly.const(m)] + [LaurentPoly.zero(m) for _ in range(2 * m)]
-    values = []
-    for i in range(m):
-        values.append(LaurentPoly.var(m, i, 2))
-        values.append(LaurentPoly.var(m, i, -2))
-    for v in values:
-        for j in range(2 * m, 0, -1):
-            elems[j] = elems[j] + elems[j - 1] * v
-    return tuple(elems)
+    values = [LaurentPoly.var(m, i, s) for i in range(m) for s in (2, -2)]
+    return tuple(_elem_of_values(values, 2 * m, LaurentPoly.const(m)))
 
 
 def elementary_laurent(r: int, m: int) -> LaurentPoly:

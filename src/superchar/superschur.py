@@ -1,16 +1,20 @@
 """Symplectic and orthogonal Schur functions and the Cauchy-identity verifier.
 
 The building block is the folded series T_r = sum_{i>=0} g_i g_{r+i} taken
-over a generator family g (elementary, complete, or the hook units
+over a unit family g, truncated at total degree D.  There are three
+families, one per variant of each Schur function:
 
-    HS_{(1^k)}(x,y) = sum_j e_j(x) h_{k-j}(y)),
+    plain  e_k(x)
+    skew   h_k(x), or h_k(y) for the right side of a tensor identity
+    hook   HS_{(1^k)}(x,y) = sum_j e_j(x) h_{k-j}(y)
 
-truncated at total degree D.  T_r = T_{-r} by reindexing.  The primed series
-is T'_r = T_r - T_{r+2}: with the r-2 reading the antisymmetrised determinant
-degenerates (the weight-1 function of the single-box partition would vanish
-identically), and only the r+2 reading matches the finite-variable classical
-characters; `literal_minus_two=True` keeps the degenerate reading available
-as a negative control.
+Each group has one builder (`_sp`, `_so`), a determinant in the T_r of a
+family.  The skew and hook functions are the plain one with omega (in x,
+resp. in y) applied to every unit, so no omega follows the determinant.
+T_r = T_{-r} by reindexing.  The primed series is T'_r = T_r - T_{r+2}:
+with the r-2 reading the antisymmetrised determinant degenerates (the
+weight-1 function of the single-box partition would vanish identically),
+and only the r+2 reading matches the finite-variable classical characters.
 
 Identity checks compare coefficient tensors {(z exponents, eps): coefficient},
 the coefficients truncated symmetric functions in a series identity and
@@ -34,36 +38,27 @@ from . import laurentchars  # char_group by module attribute, so a patched chara
 from .laurentchars import (DecompositionError, GroupTag, LaurentPoly, _dominant_terms, classical_char_so_even,
                            decompose_character)
 from .sparse import _add_term
-from .symring import SymFunc, elementary, generator, omega_x, omega_y, specialize
-
-
-BASE_ALIASES = {"elementary": "e", "complete": "h", "hook-unit": "hs"}
+from .symring import SymFunc, elementary, generator, specialize
 
 
 @lru_cache(maxsize=None)
 def _unit(base: str, k: int, alphabet: str, cap: int) -> SymFunc:
-    base = BASE_ALIASES.get(base, base)
+    """g_k of the family base: "e" (e_k), "h" (h_k) or "hs" (the hook unit, alphabet "xy")."""
     if base == "e":
         return elementary(k, alphabet, cap)
     if base == "h":
         return generator("complete", k, alphabet, cap)
     if base == "hs":
-        if k < 0 or k > cap:
-            return SymFunc.zero(cap)
         acc = SymFunc.zero(cap)
-        for j in range(0, k + 1):
-            acc = acc + generator("elementary", j, "x", cap) * generator("complete", k - j, "y", cap)
+        for j in range(k + 1):
+            acc = acc + elementary(j, "x", cap) * generator("complete", k - j, "y", cap)
         return acc
     raise ValueError(f"unknown base {base!r}")
 
 
 @lru_cache(maxsize=None)
 def etilde_series(r: int, base: str, cap: int, alphabet: str = "x") -> SymFunc:
-    """T_r = sum_{i>=0} g_i g_{r+i}, truncated at degree cap.
-
-    base is "e"/"elementary", "h"/"complete", or "hs"/"hook-unit".
-    """
-    base = BASE_ALIASES.get(base, base)
+    """T_r = sum_{i>=0} g_i g_{r+i} over the units of `_unit(base, ., alphabet, cap)`, truncated at degree cap."""
     acc = SymFunc.zero(cap)
     i = max(0, -r)
     while 2 * i + r <= cap:
@@ -73,9 +68,7 @@ def etilde_series(r: int, base: str, cap: int, alphabet: str = "x") -> SymFunc:
 
 
 @lru_cache(maxsize=None)
-def etilde_primed(r: int, base: str, cap: int, alphabet: str = "x", literal_minus_two: bool = False) -> SymFunc:
-    if literal_minus_two:
-        return etilde_series(r, base, cap, alphabet) - etilde_series(r - 2, base, cap, alphabet)
+def etilde_primed(r: int, base: str, cap: int, alphabet: str = "x") -> SymFunc:
     return etilde_series(r, base, cap, alphabet) - etilde_series(r + 2, base, cap, alphabet)
 
 
@@ -85,74 +78,84 @@ def _centres(lam: Partition, size: int) -> list[int]:
     return [a + i for i, a in enumerate(reversed(parts))]
 
 
-def sp_schur(lam: Partition, cap: int, alphabet: str = "x", literal_minus_two: bool = False) -> SymFunc:
-    """Symplectic Schur function of weight d = declared length of lam."""
-    d = lam.length
-    term = lambda r: etilde_primed(r, "e", cap, alphabet, literal_minus_two)
-    return pair_det(_centres(lam, d), term, SymFunc.const(cap))
+# The skew function is omega in x of the plain one, and the hook function is
+# omega in y of the plain one in the combined alphabet (x, y).  omega is a
+# ring map, so it commutes with the determinant and with the unit sums: each
+# builder takes the family whose units are omega of e_k (h_k for skew, the
+# hook units for hook) and applies nothing after the determinant.
 
 
-def sp_skew(lam: Partition, cap: int, alphabet: str = "x") -> SymFunc:
-    """Skew symplectic Schur function (complete-symmetric folded series)."""
-    d = lam.length
-    term = lambda r: etilde_primed(r, "h", cap, alphabet)
-    return pair_det(_centres(lam, d), term, SymFunc.const(cap))
+def _sp(lam: Partition, cap: int, base: str, alphabet: str) -> SymFunc:
+    """Symplectic Schur function of weight d = declared length of lam over the family (base, alphabet)."""
+    term = lambda r: etilde_primed(r, base, cap, alphabet)
+    return pair_det(_centres(lam, lam.length), term, SymFunc.const(cap))
 
 
-def sp_hook(lam: Partition, cap: int) -> SymFunc:
-    """Hook symplectic Schur function: omega_y of the combined-alphabet function."""
-    return omega_y(sp_schur(lam, cap, alphabet="xy"))
-
-
-def sp_hook_det(lam: Partition, cap: int) -> SymFunc:
-    """The same function from the hook-unit folded series (cross-check route)."""
-    d = lam.length
-    term = lambda r: etilde_primed(r, "hs", cap, "xy")
-    return pair_det(_centres(lam, d), term, SymFunc.const(cap))
-
-
-def _sum_e(cap: int, alphabet: str, alternating: bool) -> SymFunc:
+def _unit_sum(base: str, alphabet: str, cap: int, alternating: bool) -> SymFunc:
+    """sum_i g_i, or sum_i (-1)^i g_i when alternating, over the units of degree <= cap."""
     acc = SymFunc.zero(cap)
     for i in range(0, cap + 1):
         sign = -1 if (alternating and i % 2) else 1
-        acc = acc + sign * elementary(i, alphabet, cap)
+        acc = acc + sign * _unit(base, i, alphabet, cap)
     return acc
 
 
-def so_schur(lam: Partition, n: int, cap: int, alphabet: str = "x") -> SymFunc:
-    """Orthogonal Schur function of weight n/2.
+def _so(lam: Partition, n: int, cap: int, base: str, alphabet: str) -> SymFunc:
+    """Orthogonal Schur function of weight n/2 over the family (base, alphabet).
 
     Even n = 2d splits by the first-column length against d; the boundary
     case lambda'_1 = d is the single unprimed determinant.  Odd n = 2d+1 uses
-    the spin determinants, paired so that sum_i e_i multiplies the minus-type
+    the spin determinants, paired so that sum_i g_i multiplies the minus-type
     determinant (pinned by the finite-variable classical characters).
     """
-    term = lambda r: etilde_series(r, "e", cap, alphabet)
-    termp = lambda r: etilde_primed(r, "e", cap, alphabet)
+    term = lambda r: etilde_series(r, base, cap, alphabet)
+    termp = lambda r: etilde_primed(r, base, cap, alphabet)
     half = Fraction(1, 2)
     one = SymFunc.const(cap)
-    base, sign = o_label(lam, n)
+    label, sign = o_label(lam, n)
     d = n // 2
     if n % 2 == 0:
-        main = pair_det(_centres(base, d), term, one)
-        if base.depth == d:
+        main = pair_det(_centres(label, d), term, one)
+        if label.depth == d:
             return main
-        extra = _sum_e(cap, alphabet, False) * _sum_e(cap, alphabet, True)
-        extra = extra * pair_det(_centres(base, d - 1), termp, one)
+        extra = _unit_sum(base, alphabet, cap, False) * _unit_sum(base, alphabet, cap, True)
+        extra = extra * pair_det(_centres(label, d - 1), termp, one)
         return half * main + (sign * half) * extra
-    minus_det = spin_det(_centres(base, d), term, -1, one)
-    plus_det = spin_det(_centres(base, d), term, +1, one)
-    return half * (_sum_e(cap, alphabet, False) * minus_det) + (sign * half) * (
-        _sum_e(cap, alphabet, True) * plus_det
+    minus_det = spin_det(_centres(label, d), term, -1, one)
+    plus_det = spin_det(_centres(label, d), term, +1, one)
+    return half * (_unit_sum(base, alphabet, cap, False) * minus_det) + (sign * half) * (
+        _unit_sum(base, alphabet, cap, True) * plus_det
     )
 
 
-def so_skew(lam: Partition, n: int, cap: int) -> SymFunc:
-    return omega_x(so_schur(lam, n, cap, alphabet="x"))
+def sp_schur(lam: Partition, cap: int) -> SymFunc:
+    """Symplectic Schur function of weight d = declared length of lam."""
+    return _sp(lam, cap, "e", "x")
+
+
+def sp_skew(lam: Partition, cap: int, alphabet: str = "x") -> SymFunc:
+    """Skew symplectic Schur function, over h_k(alphabet)."""
+    return _sp(lam, cap, "h", alphabet)
+
+
+def sp_hook(lam: Partition, cap: int) -> SymFunc:
+    """Hook symplectic Schur function, over the hook units in x and y."""
+    return _sp(lam, cap, "hs", "xy")
+
+
+def so_schur(lam: Partition, n: int, cap: int) -> SymFunc:
+    """Orthogonal Schur function of weight n/2."""
+    return _so(lam, n, cap, "e", "x")
+
+
+def so_skew(lam: Partition, n: int, cap: int, alphabet: str = "x") -> SymFunc:
+    """Skew orthogonal Schur function, over h_k(alphabet)."""
+    return _so(lam, n, cap, "h", alphabet)
 
 
 def so_hook(lam: Partition, n: int, cap: int) -> SymFunc:
-    return omega_y(so_schur(lam, n, cap, alphabet="xy"))
+    """Hook orthogonal Schur function, over the hook units in x and y."""
+    return _so(lam, n, cap, "hs", "xy")
 
 
 # -- identity verification -----------------------------------------------------
@@ -366,16 +369,6 @@ def _tensor_identity(group: GroupTag, cap: int, schur_of, skew_of, hook_of):
     return None, len(labels), len(tensor), len(labels)
 
 
-def _swap_to_y(f: SymFunc) -> SymFunc:
-    """Move a pure-x symmetric function onto the y alphabet."""
-    out = {}
-    for (xs, ys), c in f.terms.items():
-        if ys:
-            raise ValueError("not a pure-x function")
-        out[((), xs)] = c
-    return SymFunc(f.cap, out)
-
-
 _E, _H, _HOOK = (("e", "x"),), (("h", "x"),), (("e", "x"), ("h", "y"))
 
 # tag -> (the parameters it reads, in order; the parity n must have, or None;
@@ -402,7 +395,7 @@ IDENTITIES = {
         GroupTag("Sp", d), D, lambda lam: sp_schur(lam, D), lambda lam: sp_skew(lam, D, alphabet="y"),
         lambda lam: sp_hook(lam, D))),
     "tensor-o": (("n", "D"), None, lambda n, D: _tensor_identity(
-        GroupTag("O", n), D, lambda lam: so_schur(lam, n, D), lambda lam: _swap_to_y(so_skew(lam, n, D)),
+        GroupTag("O", n), D, lambda lam: so_schur(lam, n, D), lambda lam: so_skew(lam, n, D, alphabet="y"),
         lambda lam: so_hook(lam, n, D))),
 }
 

@@ -244,27 +244,15 @@ def hook_schur(lam: Partition, cap: int) -> SymFunc:
 
 def _elem_of_values(values: list, maxk: int, one):
     """e_0..e_maxk of an explicit finite value list, via prod (1 + v_i t)."""
-    elems = [one] + [None] * maxk
-    zero = one * 0
-    for j in range(1, maxk + 1):
-        elems[j] = zero
+    elems = [one] + [one * 0] * maxk
     for v in values:
-        prev = list(elems)
-        for j in range(maxk, 0, -1):
-            elems[j] = prev[j] + prev[j - 1] * v
+        for j in range(maxk, 0, -1):  # downward, so elems[j - 1] is still the previous value
+            elems[j] = elems[j] + elems[j - 1] * v
     return elems
 
 
-def specialize(f: SymFunc, x_values: list, y_values: list, one=None):
-    """Substitute finite alphabets; values may be scalars or ring elements."""
-    if one is None:
-        for v in list(x_values) + list(y_values):
-            maybe = getattr(v, "ring_one", None)
-            if maybe is not None:
-                one = maybe()
-                break
-        if one is None:
-            one = Fraction(1)
+def specialize(f: SymFunc, x_values: list, y_values: list, one=Fraction(1)):
+    """Substitute finite alphabets; values may be scalars, or elements of the ring whose one is `one`."""
     maxk = 0
     for mono in f.terms:
         for part in mono:

@@ -6,12 +6,14 @@ weight tables plus the alternating Kostant/Klimyk sum for small symplectic
 tensor products, explicit two- and three-dimensional orthogonal group rules,
 the Weyl dimension formulas, Weyl symmetry by generating reflections, the Weyl
 character formula as an alternant quotient with its own exact Laurent
-division, the Laurent product pair by pair on tuple keys, embedding in more
-variables through the tuple-keyed constructor, the Cauchy series product on
-every z key, the Laurent Howe-duality identities on every (x, z) term, the
-Fock basis and character built one monomial at a time, singularity by every
-raising element, the Gram matrix from every pair of basis states, and
-leading principal minors as Leibniz sums.
+division, the Laurent product pair by pair on tuple keys, the sp/so Schur
+functions by omega after a determinant, the degenerate r-2 reading of the
+primed folded series, embedding in more variables through the tuple-keyed
+constructor, the Cauchy series product on every z key, the Laurent
+Howe-duality identities on every (x, z) term, the Fock basis and character
+built one monomial at a time, singularity by every raising element, the Gram
+matrix from every pair of basis states, and leading principal minors as
+Leibniz sums.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from fractions import Fraction
 from superchar.fock import FERMIONIC, GAM_M, GAM_P, PHI, PSI_M, PSI_P, FockVector, inner_product, realize_algebra
 from superchar.laurentchars import GroupTag, LaurentPoly, char_group, classical_char_so_even
 from superchar.partitions import _column_lengths
-from superchar.superschur import _lambda_box, _unit, o_labels, sp_schur
-from superchar.symring import SymFunc, specialize
+from superchar.superschur import _lambda_box, _so, _sp, _unit, etilde_series, o_labels, sp_schur
+from superchar.symring import SymFunc, omega, specialize
 
 
 # -- Schur polynomials by semistandard tableaux --------------------------------
@@ -279,6 +281,37 @@ def laurent_product(a, b) -> dict:
             key = (tuple(x + y for x, y in zip(e1, e2, strict=True)), p1 ^ p2)
             out[key] = out.get(key, 0) + c1 * c2
     return {key: c for key, c in out.items() if c}
+
+
+# -- sp/so Schur functions by omega after the determinant -------------------------
+
+def _by_omega(build, variant: str, alphabet: str) -> SymFunc:
+    """omega applied to the determinant `build(base, alphabet)` of another unit family.
+
+    plain: omega in x of the determinant over h_k(x).  skew: omega in the
+    alphabet of the one over e_k(alphabet).  hook: omega in y of the one over
+    e_k(x, y), the combined alphabet.
+    """
+    if variant == "plain":
+        return omega(build("h", "x"), "x")
+    if variant == "skew":
+        return omega(build("e", alphabet), alphabet)
+    return omega(build("e", "xy"), "y")
+
+
+def sp_by_omega(variant: str, lam, cap: int, alphabet: str = "x") -> SymFunc:
+    """sp_schur, sp_skew or sp_hook (variant plain, skew, hook) with omega after the determinant."""
+    return _by_omega(lambda base, alph: _sp(lam, cap, base, alph), variant, alphabet)
+
+
+def so_by_omega(variant: str, lam, n: int, cap: int, alphabet: str = "x") -> SymFunc:
+    """so_schur, so_skew or so_hook (variant plain, skew, hook) with omega after the determinant."""
+    return _by_omega(lambda base, alph: _so(lam, n, cap, base, alph), variant, alphabet)
+
+
+def primed_minus_two(r: int, base: str, cap: int, alphabet: str = "x") -> SymFunc:
+    """The degenerate reading T_r - T_{r-2} of the primed folded series, a negative control."""
+    return etilde_series(r, base, cap, alphabet) - etilde_series(r - 2, base, cap, alphabet)
 
 
 # -- the left side of a Cauchy identity on every z key ------------------------------

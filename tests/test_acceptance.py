@@ -9,6 +9,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from superchar import superschur
 from superchar.fock import (
     FockVector,
     Space,
@@ -38,7 +39,7 @@ from superchar.superschur import so_hook, sp_hook, sp_schur, verify_identity
 from superchar.symring import specialize, weight_expansion
 from superchar.laurentchars import LaurentPoly, classical_char_sp
 
-from oracles import klimyk_tensor_sp, o2_tensor, o3_tensor, sl2_tensor
+from oracles import klimyk_tensor_sp, o2_tensor, o3_tensor, primed_minus_two, sl2_tensor
 
 
 def _report(criterion: int, text: str):
@@ -305,7 +306,7 @@ def test_criterion_7_tensor_multiplicities():
     _report(7, "Sp(2)/Sp(4)/O(2)/O(3) oracles and tensor expansions agree")
 
 
-def test_criterion_8_convention_fix_regression():
+def test_criterion_8_convention_fix_regression(monkeypatch):
     checked = 0
     for d in (1, 2):
         for parts in _partitions(4, d):
@@ -324,9 +325,10 @@ def test_criterion_8_convention_fix_regression():
                 assert got == chi * LaurentPoly.monomial(m, (2 * d,) * m), (d, parts, m)
                 checked += 1
     # documented negative control: the literal r-2 reading kills S^{sp,1}_{(1)}
-    assert sp_schur(Partition((1,)), 6, literal_minus_two=True) == 0
+    monkeypatch.setattr(superschur, "etilde_primed", primed_minus_two)
+    assert sp_schur(Partition((1,)), 6) == 0
     bad = specialize(
-        sp_schur(Partition((1,)), 4, literal_minus_two=True),
+        sp_schur(Partition((1,)), 4),
         [LaurentPoly.var(1, 0, 2)],
         [],
         one=LaurentPoly.const(1),

@@ -101,6 +101,30 @@ def test_fock_actions(capsys):
     assert any(r["eps"] == 1 for r in rows)
 
 
+def test_fock_hwv_witness_of_a_singular_vector_is_null(capsys):
+    argv = ("fock", "--space", "2", "--action", "hwv", "--algebra", "C", "--hw", "[2,1]")
+    code, out, _ = run(capsys, *argv, "--json")
+    blob = json.loads(out)
+    assert code == 0 and blob["singular"] is True and blob["witness"] is None
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.splitlines()[-1] == "singular: True"
+
+
+def test_fock_hwv_witness_is_printed_in_halves(capsys, monkeypatch):
+    # gamma+[1,-3/2]|0> under C: the first generator that fails is te(1, 3/2)
+    def bad(space, algebra, lam, variant="X"):
+        assert space == fock.Space("A", 1) and algebra == "C"
+        return fock.creation_product(space, [(fock.GAM_P, 1, -3)])
+
+    monkeypatch.setattr(fock, "hwv_candidate", bad)
+    argv = ("fock", "--space", "1", "--action", "hwv", "--algebra", "C", "--hw", "[1]")
+    code, out, _ = run(capsys, *argv, "--json")
+    blob = json.loads(out)
+    assert code == 1 and blob["singular"] is False and blob["witness"] == ["1", "3/2"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and out.splitlines()[-1] == "singular: no (witness (1, 3/2))"
+
+
 def test_fock_algebra_must_fit_the_space(capsys):
     # a d+1/2 space carries only D: no --algebra or D, anything else is a usage error
     base = ("fock", "--space", "1+1/2", "--action", "decompose", "--cutoff", "1")

@@ -2,12 +2,14 @@ import itertools
 
 import pytest
 
-from oracles import laurent_identity_full, series_product_full
+from oracles import laurent_identity_full, primed_minus_two, series_product_full, so_by_omega, sp_by_omega
 from superchar import cli
 from superchar.laurentchars import GroupTag, LaurentPoly, classical_char_so_even, classical_char_sp
 from superchar.partitions import Partition, transpose
+from superchar import superschur as ss
 from superchar.superschur import (
     _HOOK,
+    _labels,
     _series_lhs,
     _unit,
     etilde_series,
@@ -16,7 +18,6 @@ from superchar.superschur import (
     so_schur,
     so_skew,
     sp_hook,
-    sp_hook_det,
     sp_schur,
     sp_skew,
     verify_identity,
@@ -66,25 +67,53 @@ def test_sp_schur_basic_specializations():
     assert sp_schur(Partition(()), 0) == SymFunc.const(0)
 
 
-def test_literal_convention_degenerates():
+def test_literal_convention_degenerates(monkeypatch):
     # the r-2 reading kills the weight-1 single-box function identically
-    assert sp_schur(Partition((1,)), 6, literal_minus_two=True) == 0
     assert sp_schur(Partition((1,)), 6) != 0
+    monkeypatch.setattr(ss, "etilde_primed", primed_minus_two)
+    assert sp_schur(Partition((1,)), 6) == 0
 
 
 def test_skew_is_omega_of_plain():
     for parts in [(0,), (1,), (2,), (1, 1), (2, 1), (2, 2)]:
         lam = Partition(parts)
         assert omega_x(sp_schur(lam, 4)) == sp_skew(lam, 4)
+    # the right side of tensor-o: the skew function in y is omega in y of the plain one in y
+    for lam, n in [((0,), 1), ((1,), 1), ((0, 0), 2), ((1, 1), 2), ((2, 0), 2), ((1, 0, 0), 3), ((1, 1, 0), 3)]:
+        lam = Partition(lam)
+        f = so_skew(lam, n, 4, alphabet="y")
+        assert f == so_by_omega("skew", lam, n, 4, alphabet="y")
+        assert f == SymFunc(4, {((), xs): c for (xs, _), c in so_skew(lam, n, 4).terms.items()})
     lam = Partition((0,))
     f = sp_skew(lam, 2)
     assert f.coefficient() == 1 and f.coefficient(x={2: 1}) == 1  # 1 + e2 = 1 + h1^2 - h2
 
 
 def test_hook_equals_hook_unit_determinant():
+    # the determinant over the hook units is omega in y of the one over e_k(x, y)
     for parts in [(0,), (1,), (2,), (1, 1), (2, 1)]:
         lam = Partition(parts)
-        assert sp_hook(lam, 4) == sp_hook_det(lam, 4)
+        assert sp_hook(lam, 4) == sp_by_omega("hook", lam, 4)
+    for parts, n in [((0,), 1), ((1,), 1), ((0, 0), 2), ((1, 1), 2), ((1, 0, 0), 3), ((1, 1, 0, 0), 4)]:
+        lam = Partition(parts)
+        assert so_hook(lam, n, 4) == so_by_omega("hook", lam, n, 4)
+
+
+@pytest.mark.parametrize("kind, size", [("Sp", d) for d in (1, 2, 3)] + [("O", n) for n in range(1, 6)])
+def test_schur_functions_equal_the_omega_routes(kind, size):
+    # every public sp/so function, over its own unit family, against omega
+    # applied after the determinant of another family, bit for bit
+    for cap in range(5):
+        if kind == "Sp":
+            for lam in _labels(GroupTag("Sp", size), cap):
+                for variant, f in (("plain", sp_schur), ("skew", sp_skew), ("hook", sp_hook)):
+                    got, want = f(lam, cap), sp_by_omega(variant, lam, cap)
+                    assert got == want and str(got) == str(want), (variant, lam, cap)
+        else:
+            for lam in o_labels(size, cap):
+                for variant, f in (("plain", so_schur), ("skew", so_skew), ("hook", so_hook)):
+                    got, want = f(lam, size, cap), so_by_omega(variant, lam, size, cap)
+                    assert got == want and str(got) == str(want), (variant, lam, cap)
 
 
 def test_sp_hook_reduces_to_plain_without_y():
@@ -165,11 +194,8 @@ def test_verify_identity_examples():
 def test_verify_identity_reports_mismatch_as_data(monkeypatch):
     # sabotage check: the literal E~' convention must FAIL combin1-i, with the
     # failure reported in the payload rather than raised
-    import superchar.superschur as ss
-
     assert verify_identity("combin1-i", d=1, D=2)["status"] == "pass"
-    real = ss.sp_schur
-    monkeypatch.setattr(ss, "sp_schur", lambda lam, cap, *args, **kw: real(lam, cap, literal_minus_two=True))
+    monkeypatch.setattr(ss, "etilde_primed", primed_minus_two)
     report = verify_identity("combin1-i", d=1, D=2)
     assert report["status"] == "fail"
     assert report["first_mismatch"]
@@ -178,8 +204,6 @@ def test_verify_identity_reports_mismatch_as_data(monkeypatch):
 def test_laurent_mismatch_names_its_monomial_in_x(monkeypatch):
     # the O dual with its first so(2m) weight entry one too high: the first
     # mismatch is a monomial in x, printed x1..xm, not in LaurentPoly's z names
-    import superchar.superschur as ss
-
     real = ss.classical_char_so_even
     monkeypatch.setattr(ss, "classical_char_so_even", lambda nu, m: real((nu[0] + 2,) + tuple(nu[1:]), m))
     report = verify_identity("odd-char", n=3, m=3)
