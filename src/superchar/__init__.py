@@ -15,7 +15,7 @@ from .partitions import (
     transpose,
 )
 from .infmat import SuperMatrix, cocycle_alpha, preserves_form, super_bracket, supertrace, te_generator
-from .symring import SymFunc, generator, hook_schur, omega_x, omega_y, schur, specialize
+from .symring import SymFunc, hook_schur, omega_x, omega_y, schur, specialize
 from .laurentchars import (
     DecompositionError,
     GroupTag,

@@ -46,6 +46,12 @@ IDENTITY_GRID = [
 
 SMALL_GRID = [case for case in IDENTITY_GRID if case[1].get("m", 0) <= 3 and case[1].get("n", 0) <= 3]
 
+# The largest --d, --n and --m that verify and schur accept.  The work grows
+# exponentially in each (e_k of m variables has C(m, k) terms; combin-Sp at
+# d = 3, m = 5 takes about 25 s), and these admit every case of
+# IDENTITY_GRID, of the benchmark's hook identities and of CI.
+SIZE_CAPS = {"d": 3, "n": 5, "m": 5}
+
 
 class UsageError(Exception):
     pass
@@ -66,22 +72,29 @@ def half_size(text: str) -> int:
     return int(2 * val)
 
 
-def job_count(text: str) -> int:
-    """Argparse type: a worker count from 1 to the number of CPUs."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    limit = os.cpu_count() or 1
-    if not 1 <= jobs <= limit:
-        raise argparse.ArgumentTypeError(f"{jobs} is not between 1 and the CPU count {limit}")
-    return jobs
+def int_between(low: int, high: int | None = None):
+    """Argparse type: an integer from low up to high, or with no upper bound when high is None."""
+    def parse(text: str) -> int:
+        try:
+            val = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if val < low or high is not None and val > high:
+            raise argparse.ArgumentTypeError(f"{val} is below {low}" if val < low else f"{val} is above {high}")
+        return val
+    return parse
 
 
 def _check_deg(deg: int, flag: str = "--deg"):
     """Usage error when an option asks for a truncation degree above SUPERCHAR_MAX_DEG."""
     if deg > _max_deg():
         raise UsageError(f"{flag} needs degree {deg}, above SUPERCHAR_MAX_DEG={_max_deg()}; raise the cap explicitly")
+
+
+def _check_size(name: str, value: int):
+    """Usage error when --d, --n or --m is above its SIZE_CAPS entry."""
+    if value > SIZE_CAPS[name]:
+        raise UsageError(f"--{name} {value} is above its cap {SIZE_CAPS[name]}")
 
 
 def cmd_frobenius(args) -> int:
@@ -163,6 +176,7 @@ def cmd_schur(args) -> int:
     else:
         if args.n is None:
             raise UsageError("--family so requires --n")
+        _check_size("n", args.n)
         fn = {"plain": superschur.so_schur, "skew": superschur.so_skew, "hook": superschur.so_hook}
         f = fn[args.variant](lam, args.n, args.deg)
     if args.json:
@@ -189,6 +203,9 @@ def _verify_cases(args):
     if faults:
         raise UsageError(f"--identity {args.identity}: " + "; ".join(
             ("--deg" if p == "D" else f"--{p}") + f" {why}" for p, why in faults))
+    for name in SIZE_CAPS:
+        if name in params:
+            _check_size(name, params[name])
     return [(args.identity, params)]
 
 
@@ -288,6 +305,8 @@ def cmd_fock(args) -> int:
             print("positive definite:", posdef)
         return 0
     if args.action == "hwv":
+        if args.hw is None:
+            raise UsageError("--action hwv needs --hw")
         lam_parts = parse_partition(args.hw, generalized=True)
         algebra = default_algebra
         vec = fock.hwv_candidate(space, algebra, lam_parts, variant=args.variant)
@@ -333,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=["sp", "so"])
     p.add_argument("--variant", default="plain", choices=["plain", "skew", "hook"])
     p.add_argument("--weight", required=True, help="partition literal, declared length = weight")
-    p.add_argument("--n", type=int, help="n for the so family (weight n/2)")
-    p.add_argument("--deg", type=int, required=True, help="truncation degree")
+    p.add_argument("--n", type=int_between(1), help="n for the so family (weight n/2)")
+    p.add_argument("--deg", type=int_between(0), required=True, help="truncation degree")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_schur)
 
@@ -342,11 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identity", choices=list(superschur.IDENTITIES), help="identity tag")
     p.add_argument("--all", action="store_true", help="run the whole battery")
     p.add_argument("--small", action="store_true", help="with --all: desk-scale grid only")
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--deg", type=int)
-    p.add_argument("--jobs", type=job_count, default=1, help="worker processes, 1 to the CPU count")
+    for name in ("d", "n", "m"):
+        p.add_argument(f"--{name}", type=int_between(1), help=f"at most {SIZE_CAPS[name]}")
+    p.add_argument("--deg", type=int_between(0))
+    p.add_argument("--jobs", type=int_between(1, os.cpu_count() or 1), default=1,
+                   help="worker processes, 1 to the CPU count")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
@@ -361,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--energy", dest="energy2", type=half_size, default="1", metavar="ENERGY",
                    help="gram matrix level, a non-negative multiple of 1/2")
     p.add_argument("--conjugation", default="signed", choices=["signed", "naive", "paper"])
-    p.add_argument("--hw", default="[0]", help="partition label for hwv")
+    p.add_argument("--hw", help="partition label of declared length d (A, C) or 2d (D, d+1/2: 2d+1), for hwv")
     p.add_argument("--variant", default="X", choices=["X", "Xt"])
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_fock)

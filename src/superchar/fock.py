@@ -454,11 +454,14 @@ def _vec_product(v1: FockVector, v2: FockVector) -> FockVector:
 def hwv_candidate(space: Space, algebra: str, lam: GeneralizedPartition, variant: str = "X") -> FockVector:
     """Joint highest weight vector of the lam-component of the dual-pair decomposition.
 
-    For the even orthogonal case with lambda'_1 = d, variant "X" gives the
-    vector with group weight (lam_1..lam_d) and variant "Xt" the one with the
-    sign-flipped last entry.
+    lam has declared length d for A and C, 2d for Deven and 2d+1 for Dodd;
+    any other length is a ValueError.  For the even orthogonal case with
+    lambda'_1 = d, variant "X" gives the vector with group weight
+    (lam_1..lam_d) and variant "Xt" the one with the sign-flipped last entry.
     """
     d = space.d
+    if algebra in ("A", "C") and lam.length != d:
+        raise ValueError(f"{algebra} labels have length d = {d}, not {lam.length}")
     if algebra == "A":
         plus, minus = split_signs(lam)
         mu_cols = _column_lengths(minus.star().parts)

@@ -28,7 +28,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 from .partitions import GeneralizedPartition, Partition, _column_lengths, bar_conjugate, o_label
-from .ringdet import pair_det, ring_det, spin_det
+from .ringdet import orthogonal_det, pair_det, ring_det
 from .sparse import _Sparse, _add_into, _drop_zeros, _fold_integral
 from .symring import _elem_of_values
 
@@ -356,18 +356,12 @@ def det_eprime(mu: tuple[int, ...], m: int) -> LaurentPoly:
     return pair_det(_centres(mu), lambda r: _eprime(r, m), LaurentPoly.const(m))
 
 
-def _det_m(mu: tuple[int, ...], m: int, sign: int) -> LaurentPoly:
-    """Spin-type determinant with rows E_{mu_i-i+c} + sign * E_{mu_i-i-c+1} (mirrored spin_det)."""
-    centres = [-k for k in _centres(mu)]
-    return spin_det(centres, lambda r: elementary_laurent(-r, m), sign, LaurentPoly.const(m))
-
-
-def _prod_factor(m: int, plus: bool, half: bool) -> LaurentPoly:
-    """prod_i (z_i^{1/2} +/- z_i^{-1/2}) or prod_i (z_i +/- z_i^{-1})."""
-    step = 1 if half else 2
+@lru_cache(maxsize=None)
+def _prod_factor(m: int, s: int) -> LaurentPoly:
+    """prod_i (z_i^{1/2} + s z_i^{-1/2}) for s = +1 or -1."""
     acc = LaurentPoly.const(m)
     for i in range(m):
-        acc = acc * (LaurentPoly.var(m, i, step) + (1 if plus else -1) * LaurentPoly.var(m, i, -step))
+        acc = acc * (LaurentPoly.var(m, i, 1) + s * LaurentPoly.var(m, i, -1))
     return acc
 
 
@@ -395,24 +389,13 @@ def classical_char_so_even(nu2: tuple[int, ...], m: int) -> LaurentPoly:
     if m > 1 and (nu2[m - 2] < abs(nu2[m - 1])):
         raise ValueError(f"not dominant: {nu2}")
     sign = -1 if nu2[m - 1] < 0 else 1
-    abs2 = nu2[:-1] + (abs(nu2[-1]),)
-    if parities == {0} or not parities:
-        nu = tuple(e // 2 for e in abs2)
-        if nu[-1] == 0:
-            return det_e(_column_lengths(nu), m)
-        half = Fraction(1, 2)
-        base = det_e(_column_lengths(nu), m) * half
-        shifted = tuple(v - 1 for v in nu)
-        extra = _prod_factor(m, plus=False, half=False) * det_eprime(_column_lengths(shifted), m) * half
-        return base + sign * extra
-    # half-integral: nu = mu + (1/2,...,1/2) with mu a partition
-    mu = tuple((e - 1) // 2 for e in abs2)
-    half = Fraction(1, 2)
-    # pairing fixed by the so(2) weight-3/2 and so(4) weight-(3/2,1/2) checks:
-    # the "+" product goes with the minus-entry determinant
-    term_plus = _prod_factor(m, plus=True, half=True) * _det_m(_column_lengths(mu), m, -1) * half
-    term_minus = _prod_factor(m, plus=False, half=True) * _det_m(_column_lengths(mu), m, +1) * half
-    return term_plus + sign * term_minus
+    # integral nu, or nu = mu + (1/2, ..., 1/2) with mu a partition; the
+    # series E_{m-r} = E_{m+r} is centred at 0 like the T_r of superschur
+    spin = parities == {1}
+    mu = tuple((abs(e) - spin) // 2 for e in nu2)
+    centres = [m - k for k in _centres(_column_lengths(mu))]
+    return orthogonal_det(centres, lambda r: elementary_laurent(m - r, m), lambda r: _eprime(m - r, m),
+                          lambda s: _prod_factor(m, s), sign, spin, LaurentPoly.const(m))
 
 
 # -- groups -------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 
@@ -47,3 +48,26 @@ def spin_det(centres, term, sign, one):
     """det of the rows (T_{k-c+1} + sign * T_{k+c})_{c=1..n}, one per centre k."""
     n = len(centres)
     return ring_det([[term(k - c + 1) + sign * term(k + c) for c in range(1, n + 1)] for k in centres], one)
+
+
+def orthogonal_det(centres, term, termp, factor, sign, spin, one):
+    """The O(n) and so(2m) combination of the determinants above, over a series T_r = T_{-r}.
+
+    `termp(r)` is T_r - T_{r+2}, `factor(s)` is the product P_s for s = +1
+    or -1 (called only where the formula uses it) and `sign` is the sign of
+    the label.  Even (spin false): the main determinant
+    M = pair_det(centres, T) stands alone when there is no first centre or
+    it is not 0 (the boundary case), else the result is
+    (M + sign * P_+ P_- * pair_det(centres[1:] - 1, T')) / 2.  Spin:
+    (P_+ * spin_det(centres, T, -1) + sign * P_- * spin_det(centres, T, +1)) / 2,
+    the + factor with the minus-type determinant.
+    """
+    half = Fraction(1, 2)
+    if spin:
+        return half * (factor(+1) * spin_det(centres, term, -1, one)) + (sign * half) * (
+            factor(-1) * spin_det(centres, term, +1, one))
+    main = pair_det(centres, term, one)
+    if not centres or centres[0]:
+        return main
+    extra = factor(+1) * factor(-1) * pair_det([c - 1 for c in centres[1:]], termp, one)
+    return half * main + (sign * half) * extra

@@ -8,9 +8,12 @@ families, one per variant of each Schur function:
     skew   h_k(x), or h_k(y) for the right side of a tensor identity
     hook   HS_{(1^k)}(x,y) = sum_j e_j(x) h_{k-j}(y)
 
-Each group has one builder (`_sp`, `_so`), a determinant in the T_r of a
-family.  The skew and hook functions are the plain one with omega (in x,
-resp. in y) applied to every unit, so no omega follows the determinant.
+The units are `symring._unit(base, k, alphabet, cap)`.  Each group has one
+builder, a determinant in the T_r of a family: `_sp`, and `_so`, which
+hands its T_r, T'_r and factors to `ringdet.orthogonal_det`, the formula
+the so(2m) characters of `laurentchars` share.  The skew and hook functions
+are the plain one with omega (in x, resp. in y) applied to every unit, so
+no omega follows the determinant.
 T_r = T_{-r} by reindexing.  The primed series is T'_r = T_r - T_{r+2}:
 with the r-2 reading the antisymmetrised determinant degenerates (the
 weight-1 function of the single-box partition would vanish identically),
@@ -28,32 +31,16 @@ as data, not exceptions.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import Partition, _column_lengths, bar_conjugate, o_label
 # ring_det stays bound here: perfbench's tracer test wraps it in every module that builds determinants
-from .ringdet import pair_det, ring_det, spin_det  # noqa: F401
+from .ringdet import orthogonal_det, pair_det, ring_det  # noqa: F401
 from . import laurentchars  # char_group by module attribute, so a patched character is the one checked
 from .laurentchars import (DecompositionError, GroupTag, LaurentPoly, _dominant_terms, classical_char_so_even,
                            decompose_character)
 from .sparse import _add_term
-from .symring import SymFunc, elementary, generator, specialize
-
-
-@lru_cache(maxsize=None)
-def _unit(base: str, k: int, alphabet: str, cap: int) -> SymFunc:
-    """g_k of the family base: "e" (e_k), "h" (h_k) or "hs" (the hook unit, alphabet "xy")."""
-    if base == "e":
-        return elementary(k, alphabet, cap)
-    if base == "h":
-        return generator("complete", k, alphabet, cap)
-    if base == "hs":
-        acc = SymFunc.zero(cap)
-        for j in range(k + 1):
-            acc = acc + elementary(j, "x", cap) * generator("complete", k - j, "y", cap)
-        return acc
-    raise ValueError(f"unknown base {base!r}")
+from .symring import SymFunc, _unit, specialize
 
 
 @lru_cache(maxsize=None)
@@ -91,6 +78,7 @@ def _sp(lam: Partition, cap: int, base: str, alphabet: str) -> SymFunc:
     return pair_det(_centres(lam, lam.length), term, SymFunc.const(cap))
 
 
+@lru_cache(maxsize=None)
 def _unit_sum(base: str, alphabet: str, cap: int, alternating: bool) -> SymFunc:
     """sum_i g_i, or sum_i (-1)^i g_i when alternating, over the units of degree <= cap."""
     acc = SymFunc.zero(cap)
@@ -103,29 +91,13 @@ def _unit_sum(base: str, alphabet: str, cap: int, alternating: bool) -> SymFunc:
 def _so(lam: Partition, n: int, cap: int, base: str, alphabet: str) -> SymFunc:
     """Orthogonal Schur function of weight n/2 over the family (base, alphabet).
 
-    Even n = 2d splits by the first-column length against d; the boundary
-    case lambda'_1 = d is the single unprimed determinant.  Odd n = 2d+1 uses
-    the spin determinants, paired so that sum_i g_i multiplies the minus-type
-    determinant (pinned by the finite-variable classical characters).
+    `ringdet.orthogonal_det` over the T_r, with the factors sum_i g_i and
+    sum_i (-1)^i g_i; odd n = 2d+1 takes its spin determinants.
     """
-    term = lambda r: etilde_series(r, base, cap, alphabet)
-    termp = lambda r: etilde_primed(r, base, cap, alphabet)
-    half = Fraction(1, 2)
-    one = SymFunc.const(cap)
     label, sign = o_label(lam, n)
-    d = n // 2
-    if n % 2 == 0:
-        main = pair_det(_centres(label, d), term, one)
-        if label.depth == d:
-            return main
-        extra = _unit_sum(base, alphabet, cap, False) * _unit_sum(base, alphabet, cap, True)
-        extra = extra * pair_det(_centres(label, d - 1), termp, one)
-        return half * main + (sign * half) * extra
-    minus_det = spin_det(_centres(label, d), term, -1, one)
-    plus_det = spin_det(_centres(label, d), term, +1, one)
-    return half * (_unit_sum(base, alphabet, cap, False) * minus_det) + (sign * half) * (
-        _unit_sum(base, alphabet, cap, True) * plus_det
-    )
+    return orthogonal_det(_centres(label, n // 2), lambda r: etilde_series(r, base, cap, alphabet),
+                          lambda r: etilde_primed(r, base, cap, alphabet),
+                          lambda s: _unit_sum(base, alphabet, cap, s < 0), sign, n % 2, SymFunc.const(cap))
 
 
 def sp_schur(lam: Partition, cap: int) -> SymFunc:
@@ -322,7 +294,7 @@ def _laurent_identity(group: GroupTag, m: int):
     n, d = group.size, group.rank
     one = LaurentPoly.const(m)
     xs = [LaurentPoly.var(m, j, 2) for j in range(m)]
-    series = [[specialize(elementary(k, "x", m), xs, [], one=one) for k in range(m + 1)]]
+    series = [[specialize(_unit("e", k, "x", m), xs, [], one=one) for k in range(m + 1)]]
     if group.kind == "Sp":
         start, labels = one, [lam for lam in _lambda_box(d * m, d) if lam.parts[0] <= m]
         dual = lambda lam: specialize(sp_schur(lam, 2 * d * m), xs, [], one=one)

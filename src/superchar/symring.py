@@ -147,13 +147,6 @@ class SymFunc(_Sparse):
         return out
 
 
-def _e_mono(alphabet: str, k: int) -> Mono:
-    if k == 0:
-        return EMPTY_MONO
-    part = ((k, 1),)
-    return (part, ()) if alphabet == "x" else ((), part)
-
-
 @lru_cache(maxsize=None)
 def _h_in_e(k: int) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
     """Complete symmetric h_k as a polynomial in e_1..e_k (alphabet-free)."""
@@ -168,50 +161,39 @@ def _h_in_e(k: int) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
     return tuple(sorted((m, c) for m, c in acc.items() if c))
 
 
-def generator(kind: str, k: int, alphabet: str, cap: int) -> SymFunc:
-    """e_k or h_k of one alphabet, truncated at cap."""
-    if k < 0:
-        return SymFunc.zero(cap)
-    if k > cap:
-        return SymFunc.zero(cap)
-    if kind == "elementary":
-        return SymFunc(cap, {_e_mono(alphabet, k): 1})
-    if kind == "complete":
-        terms: dict[Mono, int] = {}
-        for part, coeff in _h_in_e(k):
-            mono = (part, ()) if alphabet == "x" else ((), part)
-            terms[mono] = coeff
-        return SymFunc(cap, terms)
-    raise ValueError(f"unknown generator kind {kind!r}")
+# the unit bases over each alphabet; over "xy", "e" is e_k(x, y) and "hs" the
+# hook unit HS_{(1^k)}(x, y), each a sum over j of e_j(x) g_{k-j}(y)
+_UNIT_BASES = {"x": ("e", "h"), "y": ("e", "h"), "xy": ("e", "hs")}
 
 
-def elementary(k: int, alphabet: str, cap: int) -> SymFunc:
-    """e_k of "x", "y", or the combined alphabet "xy"."""
-    if alphabet in ("x", "y"):
-        return generator("elementary", k, alphabet, cap)
+@lru_cache(maxsize=None)
+def _unit(base: str, k: int, alphabet: str, cap: int) -> SymFunc:
+    """g_k of the unit family (base, alphabet): e_k or h_k of "x" or "y", e_k(x, y) or the hook unit over "xy"."""
+    if base not in _UNIT_BASES.get(alphabet, ()):
+        raise ValueError(f"no unit base {base!r} over the alphabet {alphabet!r}")
+    if k < 0 or k > cap:
+        return SymFunc.zero(cap)
     if alphabet == "xy":
-        if k < 0 or k > cap:
-            return SymFunc.zero(cap)
+        y_base = "h" if base == "hs" else "e"
         acc = SymFunc.zero(cap)
-        for i in range(0, k + 1):
-            acc = acc + generator("elementary", i, "x", cap) * generator(
-                "elementary", k - i, "y", cap
-            )
+        for j in range(k + 1):
+            acc = acc + _unit("e", j, "x", cap) * _unit(y_base, k - j, "y", cap)
         return acc
-    raise ValueError(f"unknown alphabet {alphabet!r}")
+    parts = [(((k, 1),) if k else (), 1)] if base == "e" else _h_in_e(k)
+    return SymFunc(cap, {(part, ()) if alphabet == "x" else ((), part): c for part, c in parts})
+
+
+def _jacobi_trudi(lam: Partition, base: str, alphabet: str, cap: int) -> SymFunc:
+    """Dual Jacobi-Trudi determinant det(g_{lam'_i - i + j}) over the unit family (base, alphabet)."""
+    cols = transpose(lam).parts
+    n = len(cols)
+    mat = [[_unit(base, cols[i] - i + j, alphabet, cap) for j in range(n)] for i in range(n)]
+    return ring_det(mat, SymFunc.const(cap))
 
 
 def schur(lam: Partition, alphabet: str, cap: int) -> SymFunc:
-    """Schur function via the dual Jacobi-Trudi determinant det(e_{lam'_i - i + j})."""
-    if lam.is_zero():
-        return SymFunc.const(cap)
-    cols = transpose(lam).parts
-    n = len(cols)
-    mat = [
-        [elementary(cols[i] - (i + 1) + (j + 1), alphabet, cap) for j in range(n)]
-        for i in range(n)
-    ]
-    return ring_det(mat, SymFunc.const(cap))
+    """Schur function of "x", "y" or the combined alphabet "xy": the determinant over e_k."""
+    return _jacobi_trudi(lam, "e", alphabet, cap)
 
 
 def omega(f: SymFunc, alphabet: str) -> SymFunc:
@@ -222,7 +204,7 @@ def omega(f: SymFunc, alphabet: str) -> SymFunc:
         kept: Mono = ((), mono[1]) if which == 0 else (mono[0], ())
         term = f._new({kept: coeff})
         for k, mult in mono[which]:
-            hk = generator("complete", k, alphabet, f.cap)
+            hk = _unit("h", k, alphabet, f.cap)
             for _ in range(mult):
                 term = term * hk
         _add_into(out, term.terms)
@@ -238,8 +220,8 @@ def omega_x(f: SymFunc) -> SymFunc:
 
 
 def hook_schur(lam: Partition, cap: int) -> SymFunc:
-    """Super (hook) Schur function HS_lam(x,y) = omega_y of the combined Schur."""
-    return omega_y(schur(lam, "xy", cap))
+    """Super (hook) Schur function HS_lam(x,y): the determinant over the hook units, omega_y of the combined Schur."""
+    return _jacobi_trudi(lam, "hs", "xy", cap)
 
 
 def _elem_of_values(values: list, maxk: int, one):

@@ -24,8 +24,8 @@ from fractions import Fraction
 from superchar.fock import FERMIONIC, GAM_M, GAM_P, PHI, PSI_M, PSI_P, FockVector, inner_product, realize_algebra
 from superchar.laurentchars import GroupTag, LaurentPoly, char_group, classical_char_so_even
 from superchar.partitions import _column_lengths
-from superchar.superschur import _lambda_box, _so, _sp, _unit, etilde_series, o_labels, sp_schur
-from superchar.symring import SymFunc, omega, specialize
+from superchar.superschur import _lambda_box, _so, _sp, etilde_series, o_labels, sp_schur
+from superchar.symring import SymFunc, _unit, omega, specialize
 
 
 # -- Schur polynomials by semistandard tableaux --------------------------------
@@ -444,30 +444,36 @@ def divexact(num, den):
 def weyl_char_alternant(kind: str, weights2: tuple[int, ...], d: int):
     """Weyl character formula as an alternant quotient; exact division.
 
-    kind "B": SO(2d+1); kind "C": Sp(2d).  The alternants
-    det(z_j^{a_i} - z_j^{-a_i}) are Leibniz sums over permutations, so this
-    route shares no determinant code with the library.
+    kind "B": SO(2d+1); kind "C": Sp(2d); kind "D": SO(2d), whose Weyl group
+    changes an even number of signs, so its alternant is half the sum of
+    det(z_j^{a_i} + z_j^{-a_i}) and det(z_j^{a_i} - z_j^{-a_i}).  The
+    alternants are Leibniz sums over permutations, so this route shares no
+    determinant code with the library.
     """
     if len(weights2) != d:
         raise ValueError("weight length must equal the rank")
 
-    def alt_det(a2: list[int]):
+    def alt_det(a2: list[int], s: int = -1):
         total = LaurentPoly.zero(d)
         for perm in itertools.permutations(range(d)):
             term = LaurentPoly.const(d, _perm_parity(perm))
             for i, ai in enumerate(a2):
-                term = term * (LaurentPoly.var(d, perm[i], ai) - LaurentPoly.var(d, perm[i], -ai))
+                term = term * (LaurentPoly.var(d, perm[i], ai) + s * LaurentPoly.var(d, perm[i], -ai))
             total = total + term
         return total
 
     if kind == "C":
-        a2 = [weights2[i] + 2 * (d - i) for i in range(d)]
         rho = [2 * (d - i) for i in range(d)]
     elif kind == "B":
-        a2 = [weights2[i] + 2 * (d - 1 - i) + 1 for i in range(d)]
         rho = [2 * (d - 1 - i) + 1 for i in range(d)]
+    elif kind == "D":
+        rho = [2 * (d - 1 - i) for i in range(d)]
     else:
         raise ValueError(f"unknown kind {kind!r}")
+    a2 = [w + r for w, r in zip(weights2, rho)]
+    if kind == "D":
+        half = Fraction(1, 2)
+        return divexact(half * (alt_det(a2, 1) + alt_det(a2)), half * (alt_det(rho, 1) + alt_det(rho)))
     return divexact(alt_det(a2), alt_det(rho))
 
 

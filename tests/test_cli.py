@@ -195,6 +195,50 @@ def test_fock_sizes_validated_where_parsed(capsys):
         assert exc.value.code == 2 and "multiple of 1/2" in capsys.readouterr().err
 
 
+def test_verify_and_schur_sizes_validated_where_parsed(capsys):
+    # --deg is at least 0 and --d, --n, --m at least 1; argparse names the flag
+    for argv, flag in [
+        (["verify", "--identity", "HS", "--d", "1", "--deg", "-3"], "--deg"),
+        (["schur", "--family", "sp", "--weight", "[1]", "--deg", "-1"], "--deg"),
+        (["verify", "--identity", "odd-char", "--n", "1", "--m", "0"], "--m"),
+        (["verify", "--identity", "odd-char", "--n", "1", "--m", "-2"], "--m"),
+        (["verify", "--identity", "HS", "--d", "0", "--deg", "2"], "--d"),
+        (["schur", "--family", "so", "--weight", "[1]", "--n", "0", "--deg", "2"], "--n"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and f"argument {flag}:" in out.err and not out.out, argv
+
+
+def test_sizes_above_their_caps_run_nothing(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a size above its cap reached the library")
+
+    monkeypatch.setattr(superschur, "verify_identity", refuse)
+    monkeypatch.setattr(superschur, "so_schur", refuse)
+    for argv, flag in [
+        (["verify", "--identity", "odd-char", "--n", "1", "--m", "6"], "--m 6"),
+        (["verify", "--identity", "combin-Sp", "--d", "4", "--m", "1"], "--d 4"),
+        (["verify", "--identity", "HS-O", "--n", "6", "--deg", "2"], "--n 6"),
+        (["schur", "--family", "so", "--weight", "[1]", "--n", "6", "--deg", "2"], "--n 6"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and f"{flag} is above its cap" in err, argv
+    for _, params in cli.IDENTITY_GRID:
+        assert all(params[p] <= cap for p, cap in cli.SIZE_CAPS.items() if p in params), params
+
+
+def test_fock_hwv_label_has_its_declared_length(capsys):
+    for argv in (["--space", "2", "--algebra", "A", "--hw", "[2,0,-1]"], ["--space", "2", "--algebra", "C", "--hw", "[5]"]):
+        code, out, err = run(capsys, "fock", "--action", "hwv", *argv)
+        assert code == 2 and not out and "have length d = 2" in err, argv
+    code, out, err = run(capsys, "fock", "--space", "2", "--action", "hwv", "--algebra", "C")
+    assert code == 2 and not out and "--action hwv needs --hw" in err
+    code, out, _ = run(capsys, "fock", "--space", "3", "--action", "hwv", "--algebra", "A", "--hw", "[2,0,-1]")
+    assert code == 0 and out.splitlines()[-1] == "singular: True"
+
+
 def test_failed_decomposition_exits_1(capsys, monkeypatch):
     real = fock.fock_character
 

@@ -121,6 +121,19 @@ def test_b_type_alternant():
         assert chi.eval_ones() == dim_so_odd(nu, 2)
 
 
+def test_so_even_characters_vs_d_alternant():
+    # the O formula of ringdet.orthogonal_det, shared with so_schur, against
+    # the type-D Weyl alternant: integral and half-integral weights with
+    # |nu_i| <= 3, both signs of nu_m
+    for m in (1, 2, 3):
+        for nu2 in itertools.product(range(-6, 7), repeat=m):
+            if len({e & 1 for e in nu2}) > 1 or any(nu2[i] < nu2[i + 1] for i in range(m - 2)):
+                continue
+            if m > 1 and nu2[m - 2] < abs(nu2[m - 1]):
+                continue
+            assert classical_char_so_even(nu2, m) == weyl_char_alternant("D", nu2, m), nu2
+
+
 def test_divexact_errors():
     one = LaurentPoly.const(1)
     z = LaurentPoly.var(1, 0, 2)

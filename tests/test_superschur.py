@@ -22,7 +22,7 @@ from superchar.superschur import (
     sp_skew,
     verify_identity,
 )
-from superchar.symring import SymFunc, elementary, generator, omega_x, specialize
+from superchar.symring import SymFunc, omega_x, specialize
 
 
 def xs(m):
@@ -47,9 +47,9 @@ def partitions_upto(size, length):
 
 
 def test_etilde_examples():
-    e1x = generator("elementary", 1, "x", 2)
+    e1x = _unit("e", 1, "x", 2)
     assert etilde_series(0, "e", 2) == SymFunc.const(2) + e1x * e1x
-    assert etilde_series(1, "e", 1) == generator("elementary", 1, "x", 1)
+    assert etilde_series(1, "e", 1) == _unit("e", 1, "x", 1)
     assert etilde_series(0, "e", 0) == SymFunc.const(0)
     assert etilde_series(3, "e", 0) == SymFunc.zero(0)
 
@@ -142,8 +142,8 @@ def test_so_schur_small_values():
     # refined odd case: S_(0) and S_(1) at weight 1/2
     s0 = so_schur(Partition((0,)), 1, 4)
     s1 = so_schur(Partition((1,)), 1, 4)
-    evens = SymFunc.const(4) + generator("elementary", 2, "x", 4) + generator("elementary", 4, "x", 4)
-    odds = generator("elementary", 1, "x", 4) + generator("elementary", 3, "x", 4)
+    evens = SymFunc.const(4) + _unit("e", 2, "x", 4) + _unit("e", 4, "x", 4)
+    odds = _unit("e", 1, "x", 4) + _unit("e", 3, "x", 4)
     assert s0 == evens and s1 == odds
     # merged pair reproduces the naive 1 + x1 at one variable
     z = LaurentPoly.var(1, 0, 2)
@@ -260,7 +260,7 @@ def test_dominant_series_lhs_is_the_full_product_on_dominant_keys(kind, size, m)
         full = by_z(lhs, m)
         one = LaurentPoly.const(m)
         start = one if kind == "Sp" else LaurentPoly.monomial(m, (-size,) * m)
-        series = [[spec_x(elementary(k, "x", m), m) for k in range(m + 1)]]
+        series = [[spec_x(_unit("e", k, "x", m), m) for k in range(m + 1)]]
     d = group.rank
     # the reference is Weyl-invariant: every signed permutation of a key carries its coefficient
     for (z, eps), f in full.items():

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from superchar.laurentchars import LaurentPoly
 from superchar.partitions import Partition
+from superchar.superschur import _lambda_box
 from superchar.symring import (
     SymFunc,
-    generator,
+    _unit,
     hook_schur,
     omega_x,
     omega_y,
@@ -30,27 +31,35 @@ def as_monomials(poly: LaurentPoly):
 
 
 def test_generator_examples():
-    h2 = generator("complete", 2, "x", 4)
+    h2 = _unit("h", 2, "x", 4)
     assert h2.coefficient(x={1: 2}) == 1 and h2.coefficient(x={2: 1}) == -1
-    assert generator("elementary", 0, "x", 3) == SymFunc.const(3)
-    assert generator("complete", 5, "x", 4) == 0
+    assert _unit("e", 0, "x", 3) == SymFunc.const(3)
+    assert _unit("h", 5, "x", 4) == 0
+
+
+def test_unit_rejects_a_base_its_alphabet_does_not_carry():
+    # e and h over one alphabet, e and the hook unit hs over the combined one
+    assert _unit("hs", 1, "xy", 2) == _unit("e", 1, "x", 2) + _unit("e", 1, "y", 2)
+    for base, alphabet in (("hs", "x"), ("hs", "y"), ("h", "xy"), ("e", "z"), ("elementary", "x")):
+        with pytest.raises(ValueError, match="alphabet"):
+            _unit(base, 1, alphabet, 2)
 
 
 def test_multiply_truncation():
-    e1 = generator("elementary", 1, "x", 2)
-    e2 = generator("elementary", 2, "x", 2)
+    e1 = _unit("e", 1, "x", 2)
+    e2 = _unit("e", 2, "x", 2)
     assert (e1 * e1).coefficient(x={1: 2}) == 1
     assert e1 * e2 == 0  # degree 3 > cap 2
     one = SymFunc.const(2)
     assert (one + e1) * (one - e1) == one - e1 * e1
     with pytest.raises(ValueError):
-        e1 * generator("elementary", 1, "x", 3)
+        e1 * _unit("e", 1, "x", 3)
 
 
 def test_schur_examples():
-    assert schur(Partition((1,)), "x", 3) == generator("elementary", 1, "x", 3)
-    assert schur(Partition((2,)), "x", 3) == generator("complete", 2, "x", 3)
-    assert schur(Partition((1, 1)), "x", 3) == generator("elementary", 2, "x", 3)
+    assert schur(Partition((1,)), "x", 3) == _unit("e", 1, "x", 3)
+    assert schur(Partition((2,)), "x", 3) == _unit("h", 2, "x", 3)
+    assert schur(Partition((1, 1)), "x", 3) == _unit("e", 2, "x", 3)
 
 
 def test_schur_vs_tableau_oracle():
@@ -67,15 +76,21 @@ def test_schur_vs_tableau_oracle():
 
 def test_hook_schur_examples():
     hs1 = hook_schur(Partition((1,)), 3)
-    assert hs1 == generator("elementary", 1, "x", 3) + generator("elementary", 1, "y", 3)
+    assert hs1 == _unit("e", 1, "x", 3) + _unit("e", 1, "y", 3)
     hs11 = hook_schur(Partition((1, 1)), 3)
     expect = (
-        generator("elementary", 2, "x", 3)
-        + generator("elementary", 1, "x", 3) * generator("elementary", 1, "y", 3)
-        + generator("complete", 2, "y", 3)
+        _unit("e", 2, "x", 3)
+        + _unit("e", 1, "x", 3) * _unit("e", 1, "y", 3)
+        + _unit("h", 2, "y", 3)
     )
     assert hs11 == expect
     assert hook_schur(Partition((0,)), 2) == SymFunc.const(2)
+
+
+def test_hook_schur_is_omega_y_of_the_combined_schur():
+    # the omega route stays the reference for the determinant over the hook units
+    for lam in _lambda_box(5, 5):
+        assert hook_schur(lam, 5) == omega_y(schur(lam, "xy", 5)), lam
 
 
 def test_hook_schur_separately_symmetric():
@@ -95,9 +110,9 @@ def test_hook_schur_separately_symmetric():
 
 
 def test_omega_examples():
-    f = generator("elementary", 2, "y", 4)
-    assert omega_y(f) == generator("complete", 2, "y", 4)
-    g = generator("elementary", 2, "x", 4)
+    f = _unit("e", 2, "y", 4)
+    assert omega_y(f) == _unit("h", 2, "y", 4)
+    g = _unit("e", 2, "x", 4)
     assert omega_y(g) == g
 
 
@@ -137,7 +152,7 @@ def test_truncation_coherence():
 
 
 def test_specialize_examples():
-    e2 = generator("elementary", 2, "x", 4)
+    e2 = _unit("e", 2, "x", 4)
     assert specialize(e2, [Fraction(2), Fraction(3)], []) == 6
     hs1 = hook_schur(Partition((1,)), 2)
     val = specialize(hs1, x_vars(1), [], one=LaurentPoly.const(1))
@@ -147,7 +162,7 @@ def test_specialize_examples():
 
 
 def test_coefficient_examples():
-    h2 = generator("complete", 2, "x", 4)
+    h2 = _unit("h", 2, "x", 4)
     assert h2.coefficient(x={1: 2}) == 1
     assert h2.coefficient(x={2: 1}) == -1
     assert SymFunc.zero(4).coefficient(x={1: 1}) == 0
@@ -173,12 +188,12 @@ def test_weight_expansion_values_are_int_when_integral():
         exp = weight_expansion(f, 4)
         assert exp and {type(c) for c in exp.values()} == {int}
         assert {type(c) for c in q_series(f, 4).values()} == {int}
-    half = weight_expansion(generator("elementary", 1, "x", 2) * Fraction(1, 2), 2)
+    half = weight_expansion(_unit("e", 1, "x", 2) * Fraction(1, 2), 2)
     assert half == {(((1, 1),), ()): Fraction(1, 2)} and type(half[(((1, 1),), ())]) is Fraction
 
 
 def test_rendering():
-    h2 = generator("complete", 2, "x", 4)
+    h2 = _unit("h", 2, "x", 4)
     assert str(h2) == "e1(x)^2 - e2(x)"
 
 
@@ -188,5 +203,5 @@ def test_hook_schur_of_a_column():
     for d in (1, 2, 3):
         want = SymFunc.zero(4)
         for i in range(0, d + 1):
-            want = want + generator("elementary", i, "x", 4) * generator("complete", d - i, "y", 4)
+            want = want + _unit("e", i, "x", 4) * _unit("h", d - i, "y", 4)
         assert hook_schur(Partition((1,) * d), 4) == want
