@@ -233,36 +233,6 @@ class LaurentPoly(_Sparse):
             total += c * (eps_value ** (k & 1))
         return total
 
-    # -- variable moves ----------------------------------------------------
-    def _moved(self, move) -> "LaurentPoly":
-        """The terms with each exponent tuple replaced by move(exponents); same bound."""
-        n = self.nvars
-        out = {}
-        for k, c in self._store.items():
-            exps, p = _unpack(k, n)
-            out[_pack(move(exps), p)] = c
-        return self._new(out)
-
-    def permute(self, perm: tuple[int, ...]) -> "LaurentPoly":
-        """Apply z_i -> z_{perm[i]}."""
-        def move(exps):
-            new = [0] * self.nvars
-            for i, e in enumerate(exps):
-                new[perm[i]] = e
-            return new
-        return self._moved(move)
-
-    def invert_var(self, i: int) -> "LaurentPoly":
-        def move(exps):
-            new = list(exps)
-            new[i] = -new[i]
-            return new
-        return self._moved(move)
-
-    def invert_reverse(self) -> "LaurentPoly":
-        """The substitution z_i -> z_{n-i+1}^{-1} (the x/z dictionary)."""
-        return self._moved(lambda exps: [-e for e in reversed(exps)])
-
     def __str__(self):
         return self._render("z")
 
@@ -346,16 +316,6 @@ def _centres(mu: tuple[int, ...]) -> list[int]:
     return [p - i for i, p in enumerate(mu)]
 
 
-def det_e(mu: tuple[int, ...], m: int) -> LaurentPoly:
-    """|E_mu|: rows E_{mu_i-i+1}, E_{mu_i-i+2}+E_{mu_i-i}, ..."""
-    return pair_det(_centres(mu), lambda r: elementary_laurent(r, m), LaurentPoly.const(m))
-
-
-def det_eprime(mu: tuple[int, ...], m: int) -> LaurentPoly:
-    """|E'_mu| with E'_r = E_r - E_{r-2}."""
-    return pair_det(_centres(mu), lambda r: _eprime(r, m), LaurentPoly.const(m))
-
-
 @lru_cache(maxsize=None)
 def _prod_factor(m: int, s: int) -> LaurentPoly:
     """prod_i (z_i^{1/2} + s z_i^{-1/2}) for s = +1 or -1."""
@@ -369,7 +329,8 @@ def classical_char_sp(lam: Partition, m: int) -> LaurentPoly:
     """Character of the irreducible sp(2m)-module with highest weight lam."""
     if lam.depth > m:
         raise ValueError(f"sp(2{m}) weight too deep: {lam}")
-    return det_eprime(_column_lengths(lam.parts), m)
+    # |E'_{lam'}| with E'_r = E_r - E_{r-2}
+    return pair_det(_centres(_column_lengths(lam.parts)), lambda r: _eprime(r, m), LaurentPoly.const(m))
 
 
 def classical_char_so_even(nu2: tuple[int, ...], m: int) -> LaurentPoly:
@@ -448,7 +409,7 @@ def char_group(group: GroupTag, lam: GeneralizedPartition) -> LaurentPoly:
         lam = Partition(lam.parts)
     cols = _column_lengths(o_label(lam, n)[0].parts[:d])
     if n % 2 == 0:
-        return det_e(cols, d)
+        return pair_det(_centres(cols), lambda r: elementary_laurent(r, d), LaurentPoly.const(d))
     # the E's of {z_i, z_i^{-1}, 1} are E_r + E_{r-1}
     chi = pair_det(_centres(cols), lambda r: elementary_laurent(r, d) + elementary_laurent(r - 1, d),
                    LaurentPoly.const(d))

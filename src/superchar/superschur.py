@@ -38,9 +38,9 @@ from .partitions import Partition, _column_lengths, bar_conjugate, o_label
 from .ringdet import orthogonal_det, pair_det, ring_det  # noqa: F401
 from . import laurentchars  # char_group by module attribute, so a patched character is the one checked
 from .laurentchars import (DecompositionError, GroupTag, LaurentPoly, _dominant_terms, classical_char_so_even,
-                           decompose_character)
+                           classical_char_sp, decompose_character)
 from .sparse import _add_term
-from .symring import SymFunc, _unit, specialize
+from .symring import SymFunc, _elem_of_values, _unit
 
 
 @lru_cache(maxsize=None)
@@ -168,13 +168,9 @@ def _lambda_box(max_size: int, max_len: int):
     return out
 
 
-def o_labels(n: int, max_size: int, max_width: int | None = None):
+def o_labels(n: int, max_size: int):
     """Partitions of declared length n with lambda'_1 + lambda'_2 <= n, |lam| <= max_size."""
-    out = []
-    for core in _lambda_box(max_size, n):
-        if sum(_column_lengths(core.parts)[:2]) <= n and (max_width is None or core.parts[0] <= max_width):
-            out.append(core)
-    return out
+    return [core for core in _lambda_box(max_size, n) if sum(_column_lengths(core.parts)[:2]) <= n]
 
 
 def _labels(group: GroupTag, max_size: int):
@@ -284,28 +280,31 @@ def _cauchy_identity(group: GroupTag, cap: int, bases, sym_of):
 
 
 def _laurent_identity(group: GroupTag, m: int):
-    """Howe duality character identity in m variables x: the series identity over LaurentPoly in x.
+    """Skew Howe duality on Lambda(V (x) C^m), V of dimension N: the series identity over LaurentPoly in x.
 
-    Sp(2d): prod (1 + x_j z_i^{+-1}) = sum_lam chi_lam(z) sp_lam(x).  O(n): the
-    normalised x^{-n/2} prod (1 + x_j z_i^{+-1} eps)(1 + x_j eps)^{odd} is
-    sum_lam chi_lam(z) times the so(2m) character of the dual weight.  The one
-    series prod_j (1 + x_j w) has the units e_0..e_m(x).
+    N = 2d for Sp(2d) and n for O(n).  The normalised x^{-N/2} prod (1 +
+    x_j z_i^{+-1} eps)(1 + x_j eps)^{odd n} is sum_lam chi_lam(z) times the
+    sp(2m) or so(2m) character, at x^{-1}, of the doubled weight
+    nu = (N - 2 lam'_m, ..., N - 2 lam'_1).  That is the character of -w0 nu:
+    of nu itself for sp(2m) (the partition nu/2) and for so(2m) with m even,
+    of nu with nu_m negated for so(2m) with m odd.  The one series
+    prod_j (1 + x_j w) has the units e_0..e_m(x).
     """
-    n, d = group.size, group.rank
+    dim = 2 * group.size if group.kind == "Sp" else group.size
     one = LaurentPoly.const(m)
-    xs = [LaurentPoly.var(m, j, 2) for j in range(m)]
-    series = [[specialize(_unit("e", k, "x", m), xs, [], one=one) for k in range(m + 1)]]
-    if group.kind == "Sp":
-        start, labels = one, [lam for lam in _lambda_box(d * m, d) if lam.parts[0] <= m]
-        dual = lambda lam: specialize(sp_schur(lam, 2 * d * m), xs, [], one=one)
-    else:
-        start, labels = LaurentPoly.monomial(m, (-n,) * m), o_labels(n, n * m, max_width=m)
+    series = [_elem_of_values([LaurentPoly.var(m, j) for j in range(m)], m, one)]
+    labels = [lam for lam in _labels(group, group.size * m) if lam.parts[0] <= m]
 
-        def dual(lam):
-            cols = _column_lengths(lam.parts) + (0,) * m
-            return classical_char_so_even(tuple(n - 2 * cols[m - 1 - i] for i in range(m)), m).invert_reverse()
+    def dual(lam):
+        cols = _column_lengths(lam.parts) + (0,) * m
+        nu = [dim - 2 * c for c in reversed(cols[:m])]
+        if group.kind == "Sp":
+            return classical_char_sp(Partition(tuple(v // 2 for v in nu)), m)
+        if m % 2:
+            nu[-1] = -nu[-1]
+        return classical_char_so_even(tuple(nu), m)
 
-    return _series_identity(group, one, series, start, labels, dual)
+    return _series_identity(group, one, series, LaurentPoly.monomial(m, (-dim,) * m), labels, dual)
 
 
 def _tensor_identity(group: GroupTag, cap: int, schur_of, skew_of, hook_of):
@@ -346,8 +345,9 @@ _E, _H, _HOOK = (("e", "x"),), (("h", "x"),), (("e", "x"), ("h", "y"))
 # tag -> (the parameters it reads, in order; the parity n must have, or None;
 # a check on them that returns the first mismatch or None, then the numbers
 # of left- and right-hand keys compared and of labels summed over).  D is the
-# truncation degree.  The checks name the Schur functions by module global at
-# call time, so monkeypatched or traced bindings see every call.
+# truncation degree.  The checks name the Schur functions and the Laurent
+# duals by module global at call time, so monkeypatched or traced bindings
+# see every call.
 IDENTITIES = {
     "combin-Sp": (("d", "m"), None, lambda d, m: _laurent_identity(GroupTag("Sp", d), m)),
     "combin1-i": (("d", "D"), None, lambda d, D: _cauchy_identity(

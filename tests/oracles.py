@@ -8,12 +8,13 @@ the Weyl dimension formulas, Weyl symmetry by generating reflections, the Weyl
 character formula as an alternant quotient with its own exact Laurent
 division, the Laurent product pair by pair on tuple keys, the sp/so Schur
 functions by omega after a determinant, the degenerate r-2 reading of the
-primed folded series, embedding in more variables through the tuple-keyed
-constructor, the Cauchy series product on every z key, the Laurent
-Howe-duality identities on every (x, z) term, the Fock basis and character
-built one monomial at a time, singularity by every raising element, the Gram
-matrix from every pair of basis states, and leading principal minors as
-Leibniz sums.
+primed folded series, embedding in more variables and moving variables
+through the tuple-keyed constructor, the Cauchy series product on every z
+key, the Laurent Howe-duality identities on every (x, z) term with the duals
+of the older route (sp_schur specialised to x, the so(2m) character at
+x^{-1}), the Fock basis and character built one monomial at a time,
+singularity by every raising element, the Gram matrix from every pair of
+basis states, and leading principal minors as Leibniz sums.
 """
 
 from __future__ import annotations
@@ -197,16 +198,19 @@ def o3_tensor(mu, nu) -> dict[tuple[int, int, int], int]:
 
 # -- Weyl symmetry by generating reflections ------------------------------------
 
+def moved(f: LaurentPoly, move) -> LaurentPoly:
+    """f with each exponent tuple e replaced by move(e), built through the tuple-keyed constructor."""
+    return LaurentPoly(f.nvars, {(tuple(move(exps)), eps): c for (exps, eps), c in f.terms.items()})
+
+
 def is_weyl_symmetric(f: LaurentPoly, group: GroupTag) -> bool:
     """f is fixed by each adjacent transposition of z and, for Sp and O, by z_d -> 1/z_d."""
     d = f.nvars
     for i in range(d - 1):
-        perm = list(range(d))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        if f.permute(tuple(perm)) != f:
+        if moved(f, lambda e: e[:i] + (e[i + 1], e[i]) + e[i + 2:]) != f:
             return False
     if group.kind in ("Sp", "O") and d > 0:
-        if f.invert_var(d - 1) != f:
+        if moved(f, lambda e: e[:-1] + (-e[-1],)) != f:
             return False
     return True
 
@@ -358,29 +362,33 @@ def series_product_full(kind: str, size: int, cap: int, bases) -> dict:
 def laurent_identity_full(group: GroupTag, m: int) -> tuple[LaurentPoly, LaurentPoly]:
     """(left, right) of the Laurent identity of group in m variables x, in x_1..x_m, z_1..z_d.
 
-    The left side is x^{-n/2} (O(n) only) times one factor
+    The left side is x^{-N/2} (N = 2d for Sp(2d), n for O(n)) times one factor
     (1 + x_j z_i^{+-1} eps) at a time, then (1 + x_j eps) for each j when n is
     odd; eps enters only for odd O.  The right side is
     sum_lam chi_lam(z) dual(lam)(x), each character and dual embedded whole:
-    sp_lam(x) for Sp(2d), the inverted so(2m) character of the dual weight for
-    O(n).  Every term is kept; nothing is read off dominant weights.
+    x^{-d} sp_lam(x) for Sp(2d), the so(2m) character of the dual weight with
+    every x_j inverted for O(n).  Every term is kept; nothing is read off
+    dominant weights.
     """
     n, d = group.size, group.rank
     nv = m + d
     odd = group.kind == "O" and n % 2 == 1
     if group.kind == "Sp":
-        lhs = LaurentPoly.const(nv)
+        dim = 2 * d
         labels = [lam for lam in _lambda_box(d * m, d) if lam.parts[0] <= m]
         xs = [LaurentPoly.var(m, j, 2) for j in range(m)]
-        dual = lambda lam: specialize(sp_schur(lam, 2 * d * m), xs, [], one=LaurentPoly.const(m))
+        shift = LaurentPoly.monomial(m, (-dim,) * m)
+        dual = lambda lam: shift * specialize(sp_schur(lam, 2 * d * m), xs, [], one=LaurentPoly.const(m))
     else:
-        lhs = LaurentPoly.monomial(nv, (-n,) * m + (0,) * d)
-        labels = o_labels(n, n * m, max_width=m)
+        dim = n
+        labels = [lam for lam in o_labels(n, n * m) if lam.parts[0] <= m]
 
         def dual(lam):
             cols = _column_lengths(lam.parts) + (0,) * m
-            return classical_char_so_even(tuple(n - 2 * cols[m - 1 - i] for i in range(m)), m).invert_reverse()
+            chi = classical_char_so_even(tuple(n - 2 * cols[m - 1 - i] for i in range(m)), m)
+            return moved(chi, lambda e: [-v for v in reversed(e)])
 
+    lhs = LaurentPoly.monomial(nv, (-dim,) * m + (0,) * d)
     one = LaurentPoly.const(nv)
     zgroups = [[tuple(s if k == i else 0 for k in range(d)) for s in (2, -2)] for i in range(d)]
     if odd:

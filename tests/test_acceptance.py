@@ -39,7 +39,7 @@ from superchar.superschur import so_hook, sp_hook, sp_schur, verify_identity
 from superchar.symring import specialize, weight_expansion
 from superchar.laurentchars import LaurentPoly, classical_char_sp
 
-from oracles import klimyk_tensor_sp, o2_tensor, o3_tensor, primed_minus_two, sl2_tensor
+from oracles import klimyk_tensor_sp, moved, o2_tensor, o3_tensor, primed_minus_two, sl2_tensor
 
 
 def _report(criterion: int, text: str):
@@ -321,7 +321,7 @@ def test_criterion_8_convention_fix_regression(monkeypatch):
                     for j in range(m)
                 ]
                 nu_star = tuple(d - cols[m - 1 - i] for i in range(m))
-                chi = classical_char_sp(Partition(nu_star), m).invert_reverse()
+                chi = moved(classical_char_sp(Partition(nu_star), m), lambda e: tuple(-v for v in reversed(e)))
                 assert got == chi * LaurentPoly.monomial(m, (2 * d,) * m), (d, parts, m)
                 checked += 1
     # documented negative control: the literal r-2 reading kills S^{sp,1}_{(1)}

@@ -254,7 +254,7 @@ def test_failed_decomposition_exits_1(capsys, monkeypatch):
     assert code == 1 and "verification failure" in err
 
 
-# one wrong function per identity shape: series (HS, HS-O), tensor, Laurent
+# one wrong function per identity shape: series (HS, HS-O), tensor, Laurent (Sp; O at even and odd m)
 @pytest.mark.parametrize(
     "name, argv",
     [
@@ -262,8 +262,9 @@ def test_failed_decomposition_exits_1(capsys, monkeypatch):
         ("so_hook", ["--identity", "HS-O", "--n", "2", "--deg", "3"]),
         ("sp_hook", ["--identity", "tensor-sp", "--d", "1", "--deg", "3"]),
         ("so_hook", ["--identity", "tensor-o", "--n", "2", "--deg", "3"]),
-        ("sp_schur", ["--identity", "combin-Sp", "--d", "1", "--m", "2"]),
+        ("classical_char_sp", ["--identity", "combin-Sp", "--d", "1", "--m", "2"]),
         ("classical_char_so_even", ["--identity", "even-char", "--n", "2", "--m", "2"]),
+        ("classical_char_so_even", ["--identity", "even-char", "--n", "2", "--m", "3"]),
     ],
 )
 def test_wrong_hook_schur_function_fails_verification(capsys, monkeypatch, name, argv):

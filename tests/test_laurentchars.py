@@ -36,6 +36,7 @@ from oracles import (
     is_weyl_symmetric,
     klimyk_tensor_sp,
     laurent_product,
+    moved,
     o2_tensor,
     o3_tensor,
     schur_monomials,
@@ -121,17 +122,32 @@ def test_b_type_alternant():
         assert chi.eval_ones() == dim_so_odd(nu, 2)
 
 
+def _so_even_weights(m: int, top2: int):
+    """The dominant doubled so(2m) weights with entries from -top2 to top2, integral and half-integral."""
+    for nu2 in itertools.product(range(-top2, top2 + 1), repeat=m):
+        if len({e & 1 for e in nu2}) > 1 or any(nu2[i] < nu2[i + 1] for i in range(m - 2)):
+            continue
+        if m == 1 or nu2[m - 2] >= abs(nu2[m - 1]):
+            yield nu2
+
+
 def test_so_even_characters_vs_d_alternant():
     # the O formula of ringdet.orthogonal_det, shared with so_schur, against
     # the type-D Weyl alternant: integral and half-integral weights with
     # |nu_i| <= 3, both signs of nu_m
     for m in (1, 2, 3):
-        for nu2 in itertools.product(range(-6, 7), repeat=m):
-            if len({e & 1 for e in nu2}) > 1 or any(nu2[i] < nu2[i + 1] for i in range(m - 2)):
-                continue
-            if m > 1 and nu2[m - 2] < abs(nu2[m - 1]):
-                continue
+        for nu2 in _so_even_weights(m, 6):
             assert classical_char_so_even(nu2, m) == weyl_char_alternant("D", nu2, m), nu2
+
+
+def test_so_even_character_at_inverted_variables_is_the_minus_w0_weight():
+    # chi_nu(z^{-1}) is the character of -w0 nu: nu itself for even m, nu with
+    # nu_m negated for odd m; the O Laurent identities read their duals so
+    for m in (1, 2, 3, 4):
+        for nu2 in _so_even_weights(m, 4):
+            want = nu2[:-1] + (-nu2[-1],) if m % 2 else nu2
+            inverted = moved(classical_char_so_even(nu2, m), lambda e: tuple(-v for v in e))
+            assert inverted == classical_char_so_even(want, m), nu2
 
 
 def test_divexact_errors():
@@ -300,11 +316,12 @@ def test_packed_variable_moves_match_tuple_oracle(data):
             new[perm[i]] = v
         return tuple(new)
 
-    _consistent(p.permute(tuple(perm)), {(permuted(e), q): c for (e, q), c in terms.items()})
+    _consistent(moved(p, permuted), {(permuted(e), q): c for (e, q), c in terms.items()})
     for i in range(n):
         flip = lambda e: e[:i] + (-e[i],) + e[i + 1 :]
-        _consistent(p.invert_var(i), {(flip(e), q): c for (e, q), c in terms.items()})
-    _consistent(p.invert_reverse(), {(tuple(-v for v in reversed(e)), q): c for (e, q), c in terms.items()})
+        _consistent(moved(p, flip), {(flip(e), q): c for (e, q), c in terms.items()})
+    reverse = lambda e: tuple(-v for v in reversed(e))
+    _consistent(moved(p, reverse), {(reverse(e), q): c for (e, q), c in terms.items()})
     for (e, q), c in terms.items():
         assert p.coefficient(e, q) == c and p.terms[(e, q)] == c
     assert p.coefficient((0,) * (n + 1)) == 0 and ((0,) * (n + 1), 0) not in p.terms

@@ -2,10 +2,10 @@ import itertools
 
 import pytest
 
-from oracles import laurent_identity_full, primed_minus_two, series_product_full, so_by_omega, sp_by_omega
+from oracles import laurent_identity_full, moved, primed_minus_two, series_product_full, so_by_omega, sp_by_omega
 from superchar import cli
 from superchar.laurentchars import GroupTag, LaurentPoly, classical_char_so_even, classical_char_sp
-from superchar.partitions import Partition, transpose
+from superchar.partitions import Partition, _column_lengths, transpose
 from superchar import superschur as ss
 from superchar.superschur import (
     _HOOK,
@@ -31,19 +31,6 @@ def xs(m):
 
 def spec_x(f, m):
     return specialize(f, xs(m), [], one=LaurentPoly.const(m))
-
-
-def partitions_upto(size, length):
-    seen = {(0,) * length}
-    def rec(prefix, rem, mx):
-        if len(prefix) <= length:
-            seen.add(tuple(prefix + [0] * (length - len(prefix))))
-        if len(prefix) == length:
-            return
-        for p in range(min(mx, rem), 0, -1):
-            rec(prefix + [p], rem - p, p)
-    rec([], size, size)
-    return [Partition(p) for p in sorted(seen)]
 
 
 def test_etilde_examples():
@@ -124,18 +111,19 @@ def test_sp_hook_reduces_to_plain_without_y():
 
 
 def test_sp_stability_oracle():
-    # specialize(S, m vars) = (z_1..z_m)^d * chartilde for m = lam_1 + d, +1
-    for d in (1, 2):
-        for lam in partitions_upto(3, d):
-            for m in (lam.parts[0] + d, lam.parts[0] + d + 1):
-                cap = 2 * d * m
-                got = spec_x(sp_schur(lam, cap), m)
-                lamT = transpose(lam)
-                cols = [lamT.parts[j] if (not lam.is_zero() and j < len(lamT.parts)) else 0 for j in range(m)]
-                nu_star = tuple(d - cols[m - 1 - i] for i in range(m))
-                chi = classical_char_sp(Partition(nu_star), m).invert_reverse()
-                want = chi * LaurentPoly.monomial(m, (2 * d,) * m)
-                assert got == want, (d, lam, m)
+    # specialize(S, m vars) = (x_1..x_m)^d * the sp(2m) character of the
+    # complementary weight (d - lam'_m, ..., d - lam'_1), with no variable
+    # inverted, on every label combin-Sp sums over: every m >= lam_1 up to 6
+    # for d <= 2, up to 3 for d = 3
+    for d, top in ((1, 6), (2, 6), (3, 3)):
+        for m in range(1, top + 1):
+            for lam in _labels(GroupTag("Sp", d), d * m):
+                if lam.parts[0] > m:
+                    continue
+                cols = _column_lengths(lam.parts) + (0,) * m
+                nu = tuple(d - c for c in reversed(cols[:m]))
+                want = classical_char_sp(Partition(nu), m) * LaurentPoly.monomial(m, (2 * d,) * m)
+                assert spec_x(sp_schur(lam, 2 * d * m), m) == want, (d, lam, m)
 
 
 def test_so_schur_small_values():
@@ -178,7 +166,7 @@ def test_so_stability_oracle():
                 lamT = transpose(lam)
                 cols = [lamT.parts[j] if (not lam.is_zero() and j < len(lamT.parts)) else 0 for j in range(m)]
                 nu_star2 = tuple(n - 2 * cols[m - 1 - i] for i in range(m))
-                chi = classical_char_so_even(nu_star2, m).invert_reverse()
+                chi = moved(classical_char_so_even(nu_star2, m), lambda e: tuple(-v for v in reversed(e)))
                 want = chi * LaurentPoly.monomial(m, (n,) * m)
                 assert got == want, (n, lam, m)
 
@@ -259,7 +247,7 @@ def test_dominant_series_lhs_is_the_full_product_on_dominant_keys(kind, size, m)
         assert lhs == rhs
         full = by_z(lhs, m)
         one = LaurentPoly.const(m)
-        start = one if kind == "Sp" else LaurentPoly.monomial(m, (-size,) * m)
+        start = LaurentPoly.monomial(m, (-2 * size if kind == "Sp" else -size,) * m)
         series = [[spec_x(_unit("e", k, "x", m), m) for k in range(m + 1)]]
     d = group.rank
     # the reference is Weyl-invariant: every signed permutation of a key carries its coefficient
