@@ -15,7 +15,7 @@ from .partitions import (
     transpose,
 )
 from .infmat import SuperMatrix, cocycle_alpha, preserves_form, super_bracket, supertrace, te_generator
-from .symring import SymFunc, hook_schur, omega_x, omega_y, schur, specialize
+from .symring import SymFunc, hook_schur, schur
 from .laurentchars import (
     DecompositionError,
     GroupTag,
@@ -25,7 +25,6 @@ from .laurentchars import (
     classical_char_sp,
     decompose_character,
     elementary_laurent,
-    tensor_multiplicity,
 )
 from .superschur import (
     etilde_series,
@@ -39,7 +38,6 @@ from .superschur import (
 )
 from .hwclassify import (
     Weight,
-    graded_dimension,
     is_quasifinite,
     is_unitarizable,
     parse_weight,

@@ -286,10 +286,12 @@ def cmd_fock(args) -> int:
         return 0
     if args.action == "gram":
         basis, mat = fock.gram_matrix(space, args.energy2, args.conjugation)
-        minors = fock.leading_principal_minors(mat)
-        posdef = all(m > 0 for m in minors)
-        # most entries are zero (the monomial basis is orthogonal); skip Fraction.__str__ on them
-        cells = [[str(v) if v else "0" for v in row] for row in mat]
+        # the monomial basis is orthogonal: the form is positive definite iff every norm is positive
+        norms = [row[i] for i, row in enumerate(mat)]
+        posdef = all(norm > 0 for norm in norms)
+        cells = [["0"] * len(norms) for _ in norms]
+        for i, norm in enumerate(norms):
+            cells[i][i] = str(norm)
         if args.json:
             print(
                 json.dumps(

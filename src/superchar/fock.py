@@ -618,6 +618,8 @@ def inner_product(space: Space, bra: tuple[Mode, ...], ket: FockVector, conjugat
 def gram_matrix(space: Space, energy2: int, conjugation: str = "signed"):
     """(basis, matrix) of inner products at exact energy level energy2.
 
+    The monomial basis is orthogonal, so the matrix is diagonal and the form
+    is positive definite exactly when every norm on the diagonal is positive.
     "signed" is the unitarizable gamma-conjugation (sign flips on the
     negative modes); "naive" drops the signs and loses positivity.
     """
@@ -630,53 +632,6 @@ def gram_matrix(space: Space, energy2: int, conjugation: str = "signed"):
         row[i] = inner_product(space, bra, FockVector(space, {bra: Fraction(1)}), conjugation)
         mat.append(row)
     return basis, mat
-
-
-def leading_principal_minors(mat: list[list[Fraction]]) -> list[Fraction]:
-    """Exact leading principal minors by Gaussian elimination on sparse rows."""
-    n = len(mat)
-    rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in mat]
-    minors = []
-    det = Fraction(1)
-    for k in range(n):
-        # pivoting inside the leading block would change the minors, so from
-        # the first zero pivot on each minor is the determinant of its original block
-        pivot = rows[k].get(k, 0)
-        if pivot == 0:
-            for j in range(k, n):
-                minors.append(_dense_det([[Fraction(v) for v in row[: j + 1]] for row in mat[: j + 1]]))
-            break
-        det = det * pivot
-        minors.append(det)
-        for row in rows[k + 1 :]:
-            entry = row.get(k)
-            if entry:
-                factor = entry / pivot
-                _add_into(row, rows[k], -factor)
-    return minors
-
-
-def _dense_det(mat) -> Fraction:
-    n = len(mat)
-    work = [row[:] for row in mat]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = None
-        for i in range(k, n):
-            if work[i][k]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-            det = -det
-        det *= work[k][k]
-        for i in range(k + 1, n):
-            factor = work[i][k] / work[k][k]
-            for j in range(k, n):
-                work[i][j] -= factor * work[k][j]
-    return det
 
 
 # -- characters and duality decomposition ----------------------------------------

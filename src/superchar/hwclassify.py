@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .infmat import fmt_half, parse_half
-from .symring import energy_series, q_series
 from .partitions import (
     FrobeniusData,
     FrobeniusError,
@@ -22,7 +21,6 @@ from .partitions import (
     _mirror,
     _partition_from_pos,
     _validate_positive_pair,
-    bar_conjugate,
     from_frobenius,
     o_label,
     to_frobenius,
@@ -279,60 +277,3 @@ def partition_from_weight(w: Weight) -> GeneralizedPartition:
     if w.algebra in ("C", "D"):
         return Partition(_partition_from_pos(half, intg, d))
     raise ValueError(f"no partition dictionary for algebra {w.algebra!r}")
-
-
-def graded_dimension(w: Weight, cutoff2: int, source: str = "character") -> dict[int, int]:
-    """Graded dimensions of L(w) up to doubled energy cutoff2, normalised to
-    start at the highest weight (exponent 0).
-
-    Exact for C and odd-level D; for integral-level D the result is the
-    bar-merged pair total (the refined split is not determined by the paired
-    character formula).
-    """
-    lam = partition_from_weight(w)
-    if source == "character":
-        from .superschur import sp_hook, so_hook
-
-        if w.algebra == "C":
-            f = sp_hook(Partition(lam.parts), cutoff2)
-        elif w.algebra == "D":
-            n = int(2 * w.level)
-            f = so_hook(Partition(lam.parts), n, cutoff2)
-            if n % 2 == 0:
-                bar = bar_conjugate(Partition(lam.parts), n)
-                if bar.parts != lam.parts:
-                    f = f + so_hook(bar, n, cutoff2)
-        else:
-            raise ValueError(f"no closed character for algebra {w.algebra!r}")
-        series = q_series(f, cutoff2)
-    elif source == "fock":
-        from . import fock
-
-        key = Partition(lam.parts)
-        if w.algebra == "C":
-            d = int(w.level)
-            dec = fock.duality_decompose(fock.Space("A", d), "C", cutoff2)
-        elif w.algebra == "D":
-            n = int(2 * w.level)
-            if n % 2:
-                dec = fock.duality_decompose(fock.Space("Dodd", n // 2), "Dodd", cutoff2)
-            else:
-                # the even decomposition is keyed by canonical labels
-                dec = fock.duality_decompose(fock.Space("A", n // 2), "Deven", cutoff2)
-                key = o_label(key, n)[0]
-        else:
-            raise ValueError(f"no Fock source for algebra {w.algebra!r}")
-        series = energy_series(dec.get(key, {}))
-    else:
-        raise ValueError(f"unknown source {source!r}")
-    if not series:
-        return {}
-    base = min(series)
-    out = {}
-    for e2, coeff in sorted(series.items()):
-        val = int(coeff)
-        if val != coeff or val < 0:
-            raise ValueError(f"non-integral graded dimension at q^{e2}/2: {coeff}")
-        if val:
-            out[e2 - base] = val
-    return out

@@ -418,10 +418,6 @@ def char_group(group: GroupTag, lam: GeneralizedPartition) -> LaurentPoly:
     return chi
 
 
-def dimension(group: GroupTag, lam: GeneralizedPartition) -> int:
-    return char_group(group, lam).eval_ones()
-
-
 # -- symmetry and decomposition ----------------------------------------------
 
 def _dominant_rep(z: tuple[int, ...], group: GroupTag) -> tuple[int, ...]:
@@ -538,8 +534,3 @@ def decompose_character(f: LaurentPoly, group: GroupTag) -> dict:
             raise DecompositionError(f"half-integer exponent in input: {exps}")
         graded[(tuple(e // 2 for e in exps), p)] = {(): c}
     return {lam: mults[()] for lam, mults in decompose_graded(graded, group).items()}
-
-
-def tensor_multiplicity(group: GroupTag, mu: GeneralizedPartition, nu: GeneralizedPartition) -> dict:
-    """Multiplicities in the tensor product of the mu and nu irreducibles."""
-    return decompose_character(char_group(group, mu) * char_group(group, nu), group)

@@ -1,8 +1,11 @@
-"""Exact determinant over any commutative ring with +, unary -, * and a one."""
+"""Exact determinant over any commutative ring with +, unary -, * and a one.
+
+`orthogonal_det` also halves its result, through the ring element's exact
+`_halved` (see sparse.py).
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 
@@ -60,14 +63,15 @@ def orthogonal_det(centres, term, termp, factor, sign, spin, one):
     it is not 0 (the boundary case), else the result is
     (M + sign * P_+ P_- * pair_det(centres[1:] - 1, T')) / 2.  Spin:
     (P_+ * spin_det(centres, T, -1) + sign * P_- * spin_det(centres, T, +1)) / 2,
-    the + factor with the minus-type determinant.
+    the + factor with the minus-type determinant.  The sum is built first and
+    halved once, exactly (`_halved` of the ring element).
     """
-    half = Fraction(1, 2)
     if spin:
-        return half * (factor(+1) * spin_det(centres, term, -1, one)) + (sign * half) * (
+        doubled = factor(+1) * spin_det(centres, term, -1, one) + sign * (
             factor(-1) * spin_det(centres, term, +1, one))
+        return doubled._halved()
     main = pair_det(centres, term, one)
     if not centres or centres[0]:
         return main
     extra = factor(+1) * factor(-1) * pair_det([c - 1 for c in centres[1:]], termp, one)
-    return half * main + (sign * half) * extra
+    return (main + sign * extra)._halved()

@@ -106,6 +106,11 @@ class _Sparse:
             return self._new({})
         return self._new({key: c * s for key, c in self._store.items()})
 
+    def _halved(self):
+        """self / 2 exactly: an even int coefficient halves to an int, any other to a Fraction."""
+        return self._new({key: c // 2 if type(c) is int and not c & 1 else _Fraction(c, 2)
+                          for key, c in self._store.items()})
+
     def __bool__(self):
         return bool(self._store)
 

@@ -98,12 +98,6 @@ class SymFunc(_Sparse):
 
     __rmul__ = __mul__
 
-    def reduce(self, cap: int) -> "SymFunc":
-        """Image in the smaller quotient (cap <= current cap)."""
-        if cap > self.cap:
-            raise ValueError("cannot extend a truncated element")
-        return SymFunc(cap, self.terms)
-
     def coefficient(self, x: dict[int, int] | None = None, y: dict[int, int] | None = None):
         mono = (
             tuple(sorted((x or {}).items())),
@@ -196,31 +190,8 @@ def schur(lam: Partition, alphabet: str, cap: int) -> SymFunc:
     return _jacobi_trudi(lam, "e", alphabet, cap)
 
 
-def omega(f: SymFunc, alphabet: str) -> SymFunc:
-    """Ring involution sending e_k(alphabet) -> h_k(alphabet), other alphabet fixed."""
-    which = 0 if alphabet == "x" else 1
-    out: dict[Mono, Fraction] = {}
-    for mono, coeff in f.terms.items():
-        kept: Mono = ((), mono[1]) if which == 0 else (mono[0], ())
-        term = f._new({kept: coeff})
-        for k, mult in mono[which]:
-            hk = _unit("h", k, alphabet, f.cap)
-            for _ in range(mult):
-                term = term * hk
-        _add_into(out, term.terms)
-    return f._new(out)
-
-
-def omega_y(f: SymFunc) -> SymFunc:
-    return omega(f, "y")
-
-
-def omega_x(f: SymFunc) -> SymFunc:
-    return omega(f, "x")
-
-
 def hook_schur(lam: Partition, cap: int) -> SymFunc:
-    """Super (hook) Schur function HS_lam(x,y): the determinant over the hook units, omega_y of the combined Schur."""
+    """Super (hook) Schur function HS_lam(x,y): the determinant over the hook units, omega in y of the combined Schur."""
     return _jacobi_trudi(lam, "hs", "xy", cap)
 
 
@@ -231,46 +202,6 @@ def _elem_of_values(values: list, maxk: int, one):
         for j in range(maxk, 0, -1):  # downward, so elems[j - 1] is still the previous value
             elems[j] = elems[j] + elems[j - 1] * v
     return elems
-
-
-def specialize(f: SymFunc, x_values: list, y_values: list, one=Fraction(1)):
-    """Substitute finite alphabets; values may be scalars, or elements of the ring whose one is `one`."""
-    maxk = 0
-    for mono in f.terms:
-        for part in mono:
-            for k, _ in part:
-                maxk = max(maxk, k)
-    elems = (
-        _elem_of_values(list(x_values), maxk, one),
-        _elem_of_values(list(y_values), maxk, one),
-    )
-    pow_cache: dict[tuple[int, int, int], object] = {}
-
-    def power(which, k, mult):
-        key = (which, k, mult)
-        if key not in pow_cache:
-            if mult == 1:
-                pow_cache[key] = elems[which][k]
-            else:
-                pow_cache[key] = power(which, k, mult - 1) * elems[which][k]
-        return pow_cache[key]
-
-    # accumulate mutably when the target ring is a sparse element such as a LaurentPoly
-    sparse = isinstance(one, _Sparse)
-    acc_terms: dict = {}
-    widest = one
-    total_scalar = one * 0
-    for mono, coeff in f.terms.items():
-        term = one * coeff
-        for which in (0, 1):
-            for k, mult in mono[which]:
-                term = term * power(which, k, mult)
-        if sparse:
-            _add_into(acc_terms, term._store)
-            widest = widest._wider(term)
-        else:
-            total_scalar = total_scalar + term
-    return widest._new(acc_terms) if sparse else total_scalar
 
 
 # -- expansion into weight monomials ----------------------------------------
@@ -348,8 +279,3 @@ def weight_expansion(f: SymFunc, cap2: int) -> dict[WeightMono, int | Fraction]:
 def energy_series(wmonos: dict[WeightMono, Fraction]) -> dict[int, Fraction]:
     """Collect coefficients by doubled energy: x_n -> q^n, y_r -> q^r."""
     return _add_into({}, [(wmono_energy2(wmono), coeff) for wmono, coeff in wmonos.items()])
-
-
-def q_series(f: SymFunc, cap2: int) -> dict[int, Fraction]:
-    """Graded dimension series of f up to q^{cap2/2}."""
-    return energy_series(weight_expansion(f, cap2))

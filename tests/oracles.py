@@ -15,6 +15,11 @@ of the older route (sp_schur specialised to x, the so(2m) character at
 x^{-1}), the Fock basis and character built one monomial at a time,
 singularity by every raising element, the Gram matrix from every pair of
 basis states, and leading principal minors as Leibniz sums.
+
+It also holds the helpers that only tests call: tensor multiplicities and
+dimensions read off the characters, omega, specialisation to finite
+alphabets, q-series, and graded dimensions from the hook Schur functions or
+from the Fock decomposition.
 """
 
 from __future__ import annotations
@@ -22,11 +27,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from superchar import fock
 from superchar.fock import FERMIONIC, GAM_M, GAM_P, PHI, PSI_M, PSI_P, FockVector, inner_product, realize_algebra
-from superchar.laurentchars import GroupTag, LaurentPoly, char_group, classical_char_so_even
-from superchar.partitions import _column_lengths
-from superchar.superschur import _lambda_box, _so, _sp, etilde_series, o_labels, sp_schur
-from superchar.symring import SymFunc, _unit, omega, specialize
+from superchar.hwclassify import Weight, partition_from_weight
+from superchar.laurentchars import GroupTag, LaurentPoly, char_group, classical_char_so_even, decompose_character
+from superchar.partitions import GeneralizedPartition, Partition, _column_lengths, bar_conjugate, o_label
+from superchar.sparse import _Sparse, _add_into
+from superchar.superschur import _lambda_box, _so, _sp, etilde_series, o_labels, so_hook, sp_hook, sp_schur
+from superchar.symring import Mono, SymFunc, _elem_of_values, _unit, energy_series, weight_expansion
 
 
 # -- Schur polynomials by semistandard tableaux --------------------------------
@@ -196,6 +204,18 @@ def o3_tensor(mu, nu) -> dict[tuple[int, int, int], int]:
     return out
 
 
+# -- tensor products and dimensions from the characters -----------------------------
+
+def tensor_multiplicity(group: GroupTag, mu: GeneralizedPartition, nu: GeneralizedPartition) -> dict:
+    """Multiplicities in the tensor product of the mu and nu irreducibles: the product of characters, peeled."""
+    return decompose_character(char_group(group, mu) * char_group(group, nu), group)
+
+
+def dimension(group: GroupTag, lam: GeneralizedPartition) -> int:
+    """The character at z = 1."""
+    return char_group(group, lam).eval_ones()
+
+
 # -- Weyl symmetry by generating reflections ------------------------------------
 
 def moved(f: LaurentPoly, move) -> LaurentPoly:
@@ -285,6 +305,121 @@ def laurent_product(a, b) -> dict:
             key = (tuple(x + y for x, y in zip(e1, e2, strict=True)), p1 ^ p2)
             out[key] = out.get(key, 0) + c1 * c2
     return {key: c for key, c in out.items() if c}
+
+
+# -- omega, specialisation and graded dimensions of symmetric functions -------------
+
+def omega(f: SymFunc, alphabet: str) -> SymFunc:
+    """Ring involution sending e_k(alphabet) -> h_k(alphabet), other alphabet fixed."""
+    which = 0 if alphabet == "x" else 1
+    out: dict[Mono, Fraction] = {}
+    for mono, coeff in f.terms.items():
+        kept: Mono = ((), mono[1]) if which == 0 else (mono[0], ())
+        term = SymFunc(f.cap, {kept: coeff})
+        for k, mult in mono[which]:
+            hk = _unit("h", k, alphabet, f.cap)
+            for _ in range(mult):
+                term = term * hk
+        _add_into(out, term.terms)
+    return SymFunc(f.cap, out)
+
+
+def specialize(f: SymFunc, x_values: list, y_values: list, one=Fraction(1)):
+    """Substitute finite alphabets; values may be scalars, or elements of the ring whose one is `one`."""
+    maxk = 0
+    for mono in f.terms:
+        for part in mono:
+            for k, _ in part:
+                maxk = max(maxk, k)
+    elems = (
+        _elem_of_values(list(x_values), maxk, one),
+        _elem_of_values(list(y_values), maxk, one),
+    )
+    pow_cache: dict[tuple[int, int, int], object] = {}
+
+    def power(which, k, mult):
+        key = (which, k, mult)
+        if key not in pow_cache:
+            if mult == 1:
+                pow_cache[key] = elems[which][k]
+            else:
+                pow_cache[key] = power(which, k, mult - 1) * elems[which][k]
+        return pow_cache[key]
+
+    # accumulate mutably when the target ring is a sparse element such as a LaurentPoly
+    sparse = isinstance(one, _Sparse)
+    acc_terms: dict = {}
+    widest = one
+    total_scalar = one * 0
+    for mono, coeff in f.terms.items():
+        term = one * coeff
+        for which in (0, 1):
+            for k, mult in mono[which]:
+                term = term * power(which, k, mult)
+        if sparse:
+            _add_into(acc_terms, term._store)
+            widest = widest._wider(term)
+        else:
+            total_scalar = total_scalar + term
+    return widest._new(acc_terms) if sparse else total_scalar
+
+
+def q_series(f: SymFunc, cap2: int) -> dict[int, Fraction]:
+    """Graded dimension series of f up to q^{cap2/2}."""
+    return energy_series(weight_expansion(f, cap2))
+
+
+def graded_dimension(w: Weight, cutoff2: int, source: str = "character") -> dict[int, int]:
+    """Graded dimensions of L(w) up to doubled energy cutoff2, normalised to
+    start at the highest weight (exponent 0).
+
+    source "character" reads the sp or so hook Schur function, "fock" the
+    Fock-space duality decomposition.  Exact for C and odd-level D; for
+    integral-level D the result is the bar-merged pair total (the refined
+    split is not determined by the paired character formula).
+    """
+    lam = partition_from_weight(w)
+    if source == "character":
+        if w.algebra == "C":
+            f = sp_hook(Partition(lam.parts), cutoff2)
+        elif w.algebra == "D":
+            n = int(2 * w.level)
+            f = so_hook(Partition(lam.parts), n, cutoff2)
+            if n % 2 == 0:
+                bar = bar_conjugate(Partition(lam.parts), n)
+                if bar.parts != lam.parts:
+                    f = f + so_hook(bar, n, cutoff2)
+        else:
+            raise ValueError(f"no closed character for algebra {w.algebra!r}")
+        series = q_series(f, cutoff2)
+    elif source == "fock":
+        key = Partition(lam.parts)
+        if w.algebra == "C":
+            dec = fock.duality_decompose(fock.Space("A", int(w.level)), "C", cutoff2)
+        elif w.algebra == "D":
+            n = int(2 * w.level)
+            if n % 2:
+                dec = fock.duality_decompose(fock.Space("Dodd", n // 2), "Dodd", cutoff2)
+            else:
+                # the even decomposition is keyed by canonical labels
+                dec = fock.duality_decompose(fock.Space("A", n // 2), "Deven", cutoff2)
+                key = o_label(key, n)[0]
+        else:
+            raise ValueError(f"no Fock source for algebra {w.algebra!r}")
+        series = energy_series(dec.get(key, {}))
+    else:
+        raise ValueError(f"unknown source {source!r}")
+    if not series:
+        return {}
+    base = min(series)
+    out = {}
+    for e2, coeff in sorted(series.items()):
+        val = int(coeff)
+        if val != coeff or val < 0:
+            raise ValueError(f"non-integral graded dimension at q^{e2}/2: {coeff}")
+        if val:
+            out[e2 - base] = val
+    return out
 
 
 # -- sp/so Schur functions by omega after the determinant -------------------------

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -6,6 +7,8 @@ from superchar import cli, fock, laurentchars, superschur
 from superchar.laurentchars import LaurentPoly
 from superchar.symring import SymFunc
 from superchar.cli import main
+
+from oracles import dense_gram, leibniz_minors
 
 
 def run(capsys, *argv):
@@ -145,6 +148,35 @@ def test_fock_gl_algebra_reads_only_gram(capsys):
         assert code == 2 and not out and f"--algebra gl reads only --action gram, not {action}" in err
     code, out, _ = run(capsys, "fock", "--space", "1", "--action", "gram", "--algebra", "gl", "--json")
     assert code == 0 and json.loads(out)["positive_definite"] is True
+
+
+# (--space argv, --algebra argv, Space, doubled energies); every basis has at most 5 states, so the
+# Leibniz minors stay small
+GRAM_ROUTES = [
+    (["--space", "1", "--algebra", "gl"], fock.Space("gl", 1), (0, 1)),
+    (["--space", "2", "--algebra", "gl"], fock.Space("gl", 2), (0,)),
+    (["--space", "1"], fock.Space("A", 1), (0, 1, 2)),
+    (["--space", "2"], fock.Space("A", 2), (0, 1)),
+    (["--space", "1+1/2"], fock.Space("Dodd", 1), (0, 1)),
+]
+
+
+@pytest.mark.parametrize("space_argv, space, energies2", GRAM_ROUTES, ids=["gl1", "gl2", "A1", "A2", "Dodd1"])
+def test_fock_gram_matches_dense_oracle_and_leibniz(capsys, space_argv, space, energies2):
+    # the CLI reads definiteness off the norms; the oracle pairs every basis state with every
+    # other one, and its leading principal minors are permutation sums
+    for e2 in energies2:
+        for conjugation in fock.CONJUGATIONS:
+            code, out, _ = run(capsys, "fock", *space_argv, "--action", "gram", "--energy", str(Fraction(e2, 2)),
+                               "--conjugation", conjugation, "--json")
+            report = json.loads(out)
+            basis, mat = dense_gram(space, e2, conjugation)
+            assert code == 0
+            assert report["basis"] == [fock.fmt_state(b) for b in basis]
+            assert report["matrix"] == [[str(v) for v in row] for row in mat], (space, e2, conjugation)
+            assert report["positive_definite"] == all(m > 0 for m in leibniz_minors(mat)), (space, e2, conjugation)
+            if e2 and conjugation == "naive":
+                assert report["positive_definite"] is False, space
 
 
 def test_usage_errors(capsys):

@@ -32,7 +32,6 @@ from superchar.fock import (
     group_raising_check,
     hwv_candidate,
     inner_product,
-    leading_principal_minors,
     omega_mode,
     raising_generators,
     realize_algebra,
@@ -48,9 +47,9 @@ from superchar.hwclassify import weight_from_partition
 
 from oracles import (
     dense_gram,
+    dimension,
     fock_basis_by_monomial,
     fock_character_by_monomial,
-    leibniz_minors,
     singularity_check_full,
 )
 
@@ -425,9 +424,9 @@ def test_gram_examples():
     basis, mat = gram_matrix(sp, 1, "signed")
     assert mat == [[1, 0], [0, 1]]
     _, naive = gram_matrix(sp, 1, "naive")
-    diag = sorted(naive[i][i] for i in range(2))
-    assert diag == [-1, 1]
-    assert any(m < 0 for m in leading_principal_minors(naive))
+    norms = [row[i] for i, row in enumerate(naive)]
+    assert sorted(norms) == [-1, 1]
+    assert any(norm < 0 for norm in norms)
     _, zero = gram_matrix(sp, 0, "signed")
     assert zero == [[1]]
 
@@ -474,37 +473,6 @@ def test_one_mode_norms():
             assert inner_product(space, (m,), state, "naive") == (-1 if m[0] == GAM_P else 1), (space, m)
 
 
-def test_leading_principal_minors_after_zero_pivot():
-    # from the first zero pivot on, each minor is the determinant of its own block
-    assert leading_principal_minors([[0, 1, 0], [1, 0, 0], [0, 0, 2]]) == [0, -1, -2]
-    assert leading_principal_minors([[1, 1, 1], [1, 1, 2], [1, 2, 3]]) == [1, 0, -1]
-
-
-@st.composite
-def _minor_matrices(draw):
-    """Square integer matrices up to 6x6: dense, mostly zero, or with a singular leading block."""
-    n = draw(st.integers(min_value=0, max_value=6))
-    style = draw(st.sampled_from(["dense", "sparse", "zero pivot"]))
-    entry = st.sampled_from([0, 0, 0, -2, -1, 1, 2]) if style == "sparse" else st.integers(min_value=-3, max_value=3)
-    mat = [[draw(entry) for _ in range(n)] for _ in range(n)]
-    if style == "zero pivot" and n:
-        # row k repeats an earlier row on the first k + 1 columns, or the corner is 0,
-        # so the leading block of size k + 1 is singular and elimination meets a zero pivot
-        k = draw(st.integers(min_value=0, max_value=n - 1))
-        if k == 0:
-            mat[0][0] = 0
-        else:
-            r = draw(st.integers(min_value=0, max_value=k - 1))
-            mat[k][: k + 1] = mat[r][: k + 1]
-    return mat
-
-
-@settings(max_examples=200, deadline=None)
-@given(_minor_matrices())
-def test_leading_principal_minors_match_leibniz(mat):
-    assert leading_principal_minors(mat) == leibniz_minors(mat)
-
-
 def test_gram_matrix_matches_dense_oracle_and_closed_form_norms():
     # the library computes only the diagonal; the oracle pairs every bra with every ket
     cases = [(Space("gl", 1), 4), (Space("gl", 2), 3), (Space("A", 1), 4), (Space("A", 2), 3), (Space("Dodd", 1), 4)]
@@ -526,8 +494,7 @@ def test_gram_positive_definite_up_to_energy_2():
         sp = Space("gl", d)
         for e2 in (1, 2, 3, 4):
             basis, mat = gram_matrix(sp, e2, "signed")
-            minors = leading_principal_minors(mat)
-            assert all(m > 0 for m in minors), (d, e2)
+            assert all(row[i] > 0 for i, row in enumerate(mat)), (d, e2)
             for i, row in enumerate(mat):
                 for j, v in enumerate(row):
                     if i != j:
@@ -691,7 +658,7 @@ def test_state_rendering():
 
 def test_duality_decompose_gl_side():
     from superchar.fock import wmono_energy2
-    from superchar.laurentchars import GroupTag, dimension
+    from superchar.laurentchars import GroupTag
     from superchar.hwclassify import is_unitarizable
 
     for d in (1, 2):
@@ -946,7 +913,7 @@ def test_gl_space_levels_decompose_over_gl_d():
     # the full space (with fermionic zero modes) is a sum of finite-dim
     # GL_d representations level by level; labels are generalized partitions
     # whose weights classify as unitarizable
-    from superchar.laurentchars import GroupTag, LaurentPoly, decompose_character, dimension
+    from superchar.laurentchars import GroupTag, LaurentPoly, decompose_character
     from superchar.hwclassify import is_unitarizable
 
     for d in (1, 2):
@@ -985,4 +952,4 @@ def test_gram_positive_definite_dodd_space():
     sp = Space("Dodd", 1)
     for e2 in (1, 2, 3, 4):
         _, mat = gram_matrix(sp, e2, "signed")
-        assert all(m > 0 for m in leading_principal_minors(mat)), e2
+        assert all(row[i] > 0 for i, row in enumerate(mat)), e2

@@ -5,7 +5,6 @@ import pytest
 
 from superchar.hwclassify import (
     Weight,
-    graded_dimension,
     is_quasifinite,
     is_unitarizable,
     parse_weight,
@@ -13,6 +12,8 @@ from superchar.hwclassify import (
     weight_from_partition,
 )
 from superchar.partitions import GeneralizedPartition, Partition, transpose
+
+from oracles import graded_dimension
 
 
 def gen_partitions(maxsize, length):

@@ -19,9 +19,7 @@ from superchar.laurentchars import (
     classical_char_so_even,
     classical_char_sp,
     decompose_character,
-    dimension,
     elementary_laurent,
-    tensor_multiplicity,
 )
 import superchar
 from superchar.partitions import GeneralizedPartition, Partition, bar_conjugate, o_label, transpose
@@ -31,6 +29,7 @@ from oracles import (
     dim_so_even,
     dim_so_odd,
     dim_sp,
+    dimension,
     divexact,
     embed,
     is_weyl_symmetric,
@@ -42,6 +41,7 @@ from oracles import (
     schur_monomials,
     sl2_tensor,
     so3_char_exponents,
+    tensor_multiplicity,
     weyl_char_alternant,
 )
 

@@ -74,6 +74,16 @@ def test_ring_products_distribute(kind, data):
     assert _normal(k - a) == -(a - k)
 
 
+@pytest.mark.parametrize("kind", ["LaurentPoly", "SymFunc"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_halved_is_the_exact_half(kind, data):
+    # orthogonal_det halves its doubled sums this way: an even int stays an int, the rest go to Fraction
+    a = data.draw(ELEMENTS[kind])
+    assert _normal(a._halved()) == a * Fraction(1, 2)
+    assert _normal((a + a)._halved()) == a
+
+
 def test_operands_must_share_context():
     with pytest.raises(ValueError):
         LaurentPoly.const(2) + LaurentPoly.const(3)

@@ -2,7 +2,16 @@ import itertools
 
 import pytest
 
-from oracles import laurent_identity_full, moved, primed_minus_two, series_product_full, so_by_omega, sp_by_omega
+from oracles import (
+    laurent_identity_full,
+    moved,
+    omega,
+    primed_minus_two,
+    series_product_full,
+    so_by_omega,
+    sp_by_omega,
+    specialize,
+)
 from superchar import cli
 from superchar.laurentchars import GroupTag, LaurentPoly, classical_char_so_even, classical_char_sp
 from superchar.partitions import Partition, _column_lengths, transpose
@@ -22,7 +31,7 @@ from superchar.superschur import (
     sp_skew,
     verify_identity,
 )
-from superchar.symring import SymFunc, omega_x, specialize
+from superchar.symring import SymFunc
 
 
 def xs(m):
@@ -64,7 +73,7 @@ def test_literal_convention_degenerates(monkeypatch):
 def test_skew_is_omega_of_plain():
     for parts in [(0,), (1,), (2,), (1, 1), (2, 1), (2, 2)]:
         lam = Partition(parts)
-        assert omega_x(sp_schur(lam, 4)) == sp_skew(lam, 4)
+        assert omega(sp_schur(lam, 4), "x") == sp_skew(lam, 4)
     # the right side of tensor-o: the skew function in y is omega in y of the plain one in y
     for lam, n in [((0,), 1), ((1,), 1), ((0, 0), 2), ((1, 1), 2), ((2, 0), 2), ((1, 0, 0), 3), ((1, 1, 0), 3)]:
         lam = Partition(lam)
@@ -147,7 +156,7 @@ def test_so_schur_small_values():
 def test_so_skew_and_hook():
     for (lam, n) in [((0,), 1), ((1,), 1), ((0, 0), 2), ((1, 1), 2), ((1, 0, 0), 3)]:
         lam = Partition(lam)
-        assert omega_x(so_skew(lam, n, 3)) == so_schur(lam, n, 3)
+        assert omega(so_skew(lam, n, 3), "x") == so_schur(lam, n, 3)
         h = so_hook(lam, n, 3)
         pure_x = SymFunc(3, {m: c for m, c in h.terms.items() if not m[1]})
         assert pure_x == so_schur(lam, n, 3)
