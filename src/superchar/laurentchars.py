@@ -4,17 +4,21 @@ All exponents are stored doubled so that the half-integer weights of the
 orthogonal spin representations stay integral; the optional eps marker (the
 eigenvalue of -I in O(n), eps^2 = 1) is a mod-2 bit on each term.
 
-Every character is a classical determinant over LaurentPoly: Jacobi-Trudi
+A full character is a classical determinant over LaurentPoly: Jacobi-Trudi
 in the complete symmetric polynomials h_r(z_1..z_d) for GL(d), and for
 Sp(2d) and O(n) the determinants in the elementary symmetric polynomials E_r
 of the eigenvalues {z_i, z_i^{-1}} (with the eigenvalue 1 added for odd n).
-Decomposition into irreducible characters peels the lex-largest
-dominant exponent, which is valid because every character is unitriangular
-with leading term z^lambda; one peeler serves both plain characters and
-graded ones such as the Fock space character.  A Weyl-invariant function is
-fixed by its coefficients at dominant weights, so the peeler checks the
-invariance of its input once, orbit by orbit (`_dominant_part`), and then
-carries and subtracts dominant weights only.
+A Weyl-invariant function is fixed by its coefficients at dominant weights,
+and those of an irreducible character are its dominant weight
+multiplicities: `_dominant_terms` reads them off Freudenthal's formula on
+the group's root system (A, B, C or D), with no determinant, and the
+determinants are the independent route the tests compare it with.
+Decomposition into irreducible characters peels the lex-largest dominant
+exponent, which is valid because every character is unitriangular with
+leading term z^lambda; one peeler serves both plain characters and graded
+ones such as the Fock space character.  It checks the invariance of its
+input once, orbit by orbit (`_dominant_part`), and then carries and
+subtracts dominant weights only.
 """
 
 from __future__ import annotations
@@ -71,14 +75,14 @@ def _pack(exps, eps: int) -> int:
     return (k << 2) + eps
 
 
-def _unpack(k: int, nvars: int, shift: int = 0) -> tuple[tuple[int, ...], int]:
-    """(exponents >> shift, eps) of a packed key."""
+def _unpack(k: int, nvars: int) -> tuple[tuple[int, ...], int]:
+    """(exponents, eps) of a packed key."""
     eps = k & 1
     k >>= 2
     exps = []
     for _ in range(nvars):
         e = ((k + _HALF) & _MASK) - _HALF
-        exps.append(e >> shift)
+        exps.append(e)
         k = (k - e) >> _W
     return tuple(exps), eps
 
@@ -420,11 +424,20 @@ def char_group(group: GroupTag, lam: GeneralizedPartition) -> LaurentPoly:
 
 # -- symmetry and decomposition ----------------------------------------------
 
-def _dominant_rep(z: tuple[int, ...], group: GroupTag) -> tuple[int, ...]:
-    """The dominant weight in the Weyl orbit of z: its entries sorted descending, for Sp and O their absolute values."""
-    if group.kind == "GL":
-        return tuple(sorted(z, reverse=True))
-    return tuple(sorted(map(abs, z), reverse=True))
+def _dominant_weight(kind: str, w: tuple[int, ...]) -> tuple[int, ...]:
+    """The dominant weight in the W(kind) orbit of w, for the root system kind A, B, C or D.
+
+    W(A) permutes the entries, so they are sorted descending; W(B) = W(C)
+    also flips signs, so their absolute values are.  W(D) flips an even
+    number of signs: the last entry stays negative when an odd number of
+    entries are negative and none is zero.
+    """
+    if kind == "A":
+        return tuple(sorted(w, reverse=True))
+    rep = tuple(sorted(map(abs, w), reverse=True))
+    if kind == "D" and rep and rep[-1] and sum(e < 0 for e in w) % 2:
+        return rep[:-1] + (-rep[-1],)
+    return rep
 
 
 def _orbit_size(rep: tuple[int, ...], group: GroupTag) -> int:
@@ -442,13 +455,15 @@ def _dominant_part(items, group: GroupTag) -> dict:
 
     `items` are the function's ((z exponents, eps), coefficient) pairs, plain
     or doubled exponents alike.  The Weyl group permutes z (GL), or permutes
-    it and flips signs (Sp, O), and leaves eps alone.  Every orbit must be
-    complete, each of its weights present with one and the same coefficient;
-    otherwise DecompositionError names the orbit's dominant weight.
+    it and flips signs (Sp, O), and leaves eps alone: W(A) or W(C) of
+    `_dominant_weight`.  Every orbit must be complete, each of its weights
+    present with one and the same coefficient; otherwise DecompositionError
+    names the orbit's dominant weight.
     """
+    kind = "A" if group.kind == "GL" else "C"
     orbits: dict = {}  # dominant key -> [coefficient, weights seen]
     for (z, eps), c in items:
-        key = (_dominant_rep(z, group), eps)
+        key = (_dominant_weight(kind, z), eps)
         seen = orbits.get(key)
         if seen is None:
             orbits[key] = [c, 1]
@@ -467,15 +482,140 @@ def _dominant_part(items, group: GroupTag) -> dict:
     return {key: c for key, (c, _count) in orbits.items()}
 
 
+# -- dominant multiplicities by Freudenthal's formula -------------------------
+
+# 2 rho_i = 2 (rank - i) - shift for i = 0 .. rank - 1.  A takes the rho of D:
+# on gl(rank) it differs from (rank - 1, ..., 1 - rank) / 2 by a multiple of
+# (1, ..., 1), which is orthogonal to every root and to every difference of
+# weights of one module, so Freudenthal's formula does not see it.
+_RHO_SHIFT = {"A": 2, "B": 1, "C": 0, "D": 2}
+
+
+@lru_cache(maxsize=None)
+def _root_system(kind: str, rank: int) -> tuple[tuple, tuple[int, ...]]:
+    """(positive roots, rho) of type kind A, B, C or D in the standard basis e_1..e_rank, doubled.
+
+    A root is the tuple of its nonzero (index, doubled coefficient) pairs:
+    e_i - e_j (i < j) in every type, with A read as gl(rank); e_i + e_j in B,
+    C and D; e_i in B and 2 e_i in C.
+    """
+    pairs = [(i, j) for i in range(rank) for j in range(i + 1, rank)]
+    roots = [((i, 2), (j, -2)) for i, j in pairs]
+    if kind != "A":
+        roots += [((i, 2), (j, 2)) for i, j in pairs]
+    if kind == "B":
+        roots += [((i, 2),) for i in range(rank)]
+    if kind == "C":
+        roots += [((i, 4),) for i in range(rank)]
+    rho = tuple(2 * (rank - i) - _RHO_SHIFT[kind] for i in range(rank))
+    return tuple(roots), rho
+
+
+def _freudenthal(kind: str, top: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """{dominant weight: multiplicity} of the irreducible module of highest weight top, type kind.
+
+    Weights are doubled and in the standard basis, and dominance is that of
+    `_dominant_weight`.  The dominant weights of the module are those below
+    top, and each of them is reached from top by subtracting positive roots
+    while staying dominant (J. R. Stembridge, "The partial order of dominant
+    weights", Adv. Math., 1998).  Freudenthal's formula (J. E. Humphreys,
+    *Introduction to Lie Algebras and Representation Theory*, §22.3)
+
+        (|top + rho|^2 - |mu + rho|^2) m(mu)
+            = 2 sum_{alpha > 0} sum_{k >= 1} m(mu + k alpha) (mu + k alpha, alpha)
+
+    then gives their multiplicities in order of decreasing |mu + rho|^2.  The
+    dominant representative of a weight mu + k alpha lies above mu, so its
+    |. + rho|^2 is larger and its multiplicity is already known.  An alpha-
+    string of weights is unbroken, so each inner sum stops at the first k
+    whose representative is not a weight.  The formula is homogeneous, so it
+    holds as it stands on doubled weights, roots and rho.  A quotient that is
+    not an integer raises ArithmeticError.
+    """
+    roots, rho = _root_system(kind, len(top))
+    dominant = {top}
+    stack = [top]
+    while stack:
+        mu = stack.pop()
+        for root in roots:
+            nu = list(mu)
+            for i, a in root:
+                nu[i] -= a
+            nu = tuple(nu)
+            if nu not in dominant and _dominant_weight(kind, nu) == nu:
+                dominant.add(nu)
+                stack.append(nu)
+
+    def norm(w):
+        return sum((e + r) ** 2 for e, r in zip(w, rho))
+
+    top_norm = norm(top)
+    mult = {top: 1}
+    for mu in sorted(dominant - {top}, key=lambda w: (norm(w), w), reverse=True):
+        total = 0
+        for root in roots:
+            w = list(mu)
+            while True:
+                for i, a in root:
+                    w[i] += a
+                rep = _dominant_weight(kind, w)
+                if rep not in dominant:
+                    break
+                total += mult[rep] * sum(w[i] * a for i, a in root)
+        m, rest = divmod(2 * total, top_norm - norm(mu))
+        if rest:
+            raise ArithmeticError(f"type {kind} highest weight {top} (doubled) at {mu}: "
+                                  f"Freudenthal quotient {2 * total}/{top_norm - norm(mu)} is not an integer")
+        mult[mu] = m
+    return mult
+
+
 @lru_cache(maxsize=None)
 def _dominant_terms(group: GroupTag, lam: GeneralizedPartition) -> tuple:
     """The dominant ((plain z exponents, eps), coefficient) terms of char_group(group, lam).
 
-    Cached per label, so each character's Weyl symmetry is checked once; the
-    full character is not kept.
+    The multiplicities come from `_freudenthal` on the group's root system,
+    and the full character is never built.  GL(d) is A, with parts of any
+    sign.  Sp(2d) is C.  O(2d+1) is B on the first d rows of the canonical
+    label (`o_label`), with eps = |lam| mod 2.  O(2d) is D on the canonical
+    label nu.  Its Weyl group is that of C, one sign flip more than D's:
+    when nu_d > 0 its character is that of so(2d) at nu plus that at nu with
+    nu_d negated, so a D-dominant weight mu counts at mu with |mu_d|, and
+    twice when mu_d = 0.  When nu_d = 0 the so(2d)-module is stable under
+    the flip, and its weights with mu_d < 0 only mirror those with mu_d > 0.
+    Cached per label.
     """
-    chi = char_group(group, lam)
-    return tuple(_dominant_part(((_unpack(k, chi.nvars, 1), c) for k, c in chi._store.items()), group).items())
+    d, eps = group.rank, 0
+    if group.kind == "GL":
+        if lam.length != d:
+            raise ValueError(f"GL({d}) weights have length {d}")
+        kind, top = "A", lam.parts
+    elif group.kind == "Sp":
+        if Partition(lam.parts).depth > d:
+            raise ValueError(f"Sp(2{d}) labels have at most {d} rows")
+        kind, top = "C", lam.parts[:d]
+    else:
+        top = o_label(Partition(lam.parts), group.size)[0].parts[:d]
+        kind = "B" if group.size % 2 else "D"
+        if kind == "B":
+            eps = lam.size % 2
+    top = tuple(top) + (0,) * (d - len(top))
+    try:
+        mults = _freudenthal(kind, tuple(2 * p for p in top))
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"{group} label {lam}: {exc}") from exc
+    terms: dict = {}
+    for mu, c in mults.items():
+        z = tuple(e // 2 for e in mu)
+        if kind == "D":
+            if z[-1] < 0:
+                if not top[-1]:
+                    continue
+                z = z[:-1] + (-z[-1],)
+            elif not z[-1] and top[-1]:
+                c *= 2
+        terms[(z, eps)] = terms.get((z, eps), 0) + c
+    return tuple(terms.items())
 
 
 def _label(group: GroupTag, z: tuple[int, ...]) -> GeneralizedPartition:

@@ -234,23 +234,21 @@ def _series_identity(group: GroupTag, one, series, start, labels, dual):
     """
     # Exactness: the left side is Weyl-invariant, since P[a] = P[-a] is
     # checked in _series_lhs and the product is symmetric in the z_i.  The
-    # right side is a sum of characters, each Weyl-invariant by the orbit
-    # check of _dominant_terms.  A Weyl-invariant tensor is fixed by its
-    # dominant coefficients, so the two sides agree on dominant keys if and
-    # only if they agree everywhere.  The coefficients carry the x variables
-    # of a Laurent identity whole, so nothing is assumed about x.
-    lhs: dict = {}
-    rhs: dict = {}
-    label = "the left-hand series"
+    # right side is a sum of characters, Weyl-invariant by construction:
+    # _dominant_terms gives each one as its dominant weight multiplicities,
+    # which fix a Weyl-invariant function.  A Weyl-invariant tensor is fixed
+    # by its dominant coefficients, so the two sides agree on dominant keys
+    # if and only if they agree everywhere.  The coefficients carry the x
+    # variables of a Laurent identity whole, so nothing is assumed about x.
     try:
         lhs = _series_lhs(group, one, series, start)
-        for lam in labels:
-            label = str(lam)
-            terms, f = _dominant_terms(group, lam), dual(lam)
-            for key, c in terms:
-                _add_term(rhs, key, f * c)
     except DecompositionError as exc:
-        return _broken_orbit(group, label, exc), len(lhs), len(rhs), len(labels)
+        return _broken_orbit(group, "the left-hand series", exc), 0, 0, len(labels)
+    rhs: dict = {}
+    for lam in labels:
+        terms, f = _dominant_terms(group, lam), dual(lam)
+        for key, c in terms:
+            _add_term(rhs, key, f * c)
     zero = one - one
     for key in sorted(set(lhs) | set(rhs)):
         fl, fr = lhs.get(key, zero), rhs.get(key, zero)

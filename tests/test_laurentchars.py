@@ -15,6 +15,9 @@ from superchar.laurentchars import (
     _HALF,
     _dominant_part,
     _dominant_terms,
+    _dominant_weight,
+    _freudenthal,
+    _orbit_size,
     char_group,
     classical_char_so_even,
     classical_char_sp,
@@ -22,7 +25,8 @@ from superchar.laurentchars import (
     elementary_laurent,
 )
 import superchar
-from superchar.partitions import GeneralizedPartition, Partition, bar_conjugate, o_label, transpose
+from superchar import cli, laurentchars
+from superchar.partitions import GeneralizedPartition, Partition, _column_lengths, bar_conjugate, o_label, transpose
 from superchar.ringdet import ring_det
 
 from oracles import (
@@ -441,6 +445,112 @@ def test_dominant_terms_are_cached_as_tuples_and_characters_are_not():
     assert isinstance(terms, tuple) and all(type(t) is tuple and type(t[0]) is tuple for t in terms)
     assert dict(terms) == {(tuple(e // 2 for e in z), eps): c for (z, eps), c in char_group(group, lam).terms.items()
                            if z[0] >= z[1] >= 0}
+
+
+# -- the Freudenthal engine against the determinants ---------------------------
+
+def _determinant_dominant_part(group, lam) -> dict:
+    """The dominant part of char_group's determinant, with plain exponents, as `_dominant_terms` gives it."""
+    chi = char_group(group, lam)
+    return _dominant_part((((tuple(e // 2 for e in z), eps), c) for (z, eps), c in chi.terms.items()), group)
+
+
+def _label_of_columns(group, cols) -> Partition:
+    """The Sp or O label with columns cols, of declared length rank (Sp) or n (O)."""
+    length = group.size
+    rows = _column_lengths(cols)
+    return Partition(rows + (0,) * (length - len(rows)))
+
+
+def _engine_labels(group, width: int):
+    """Every label with at most `width` columns; for GL, every weight with parts from -width to width.
+
+    The O(n) labels run over all first columns up to n, so they hold the
+    non-canonical ones (lambda'_1 > n/2), both parities of |lam| and, for
+    even n, both lambda'_1 = n/2 and lambda'_1 < n/2.
+    """
+    d = group.rank
+    if group.kind == "GL":
+        for parts in itertools.combinations_with_replacement(range(width, -width - 1, -1), d):
+            yield GeneralizedPartition(parts)
+        return
+    first = range(d + 1) if group.kind == "Sp" else range(group.size + 1)
+    for c1 in first:
+        second = min(c1, d if group.kind == "Sp" else group.size - c1)
+        for rest in itertools.combinations_with_replacement(range(second, -1, -1), width - 1):
+            yield _label_of_columns(group, tuple(c for c in (c1,) + rest if c))
+
+
+# every group kind with rank <= 4, with fewer columns as the rank grows
+ENGINE_SWEEP = [
+    (group, 3 if group.rank <= 2 else 2 if group.rank == 3 else 1)
+    for group in [GroupTag("GL", d) for d in range(1, 5)] + [GroupTag("Sp", d) for d in range(1, 5)]
+    + [GroupTag("O", n) for n in range(1, 10)]
+]
+
+
+@pytest.mark.parametrize("group, width", ENGINE_SWEEP, ids=lambda x: str(x))
+def test_freudenthal_is_the_dominant_part_of_the_determinant(group, width):
+    labels = list(_engine_labels(group, width))
+    assert labels
+    for lam in labels:
+        terms = _dominant_terms(group, lam)
+        assert dict(terms) == _determinant_dominant_part(group, lam), lam
+        # each dominant weight stands for its Weyl orbit
+        assert sum(c * _orbit_size(z, group) for (z, _eps), c in terms) == dimension(group, lam), lam
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_freudenthal_is_the_dominant_part_of_the_determinant_on_random_labels(data):
+    kind = data.draw(st.sampled_from(["GL", "Sp", "O"]))
+    size = data.draw(st.integers(1, 9 if kind == "O" else 4))
+    group = GroupTag(kind, size)
+    if kind == "GL":
+        parts = sorted(data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)), reverse=True)
+        lam = GeneralizedPartition(tuple(parts))
+    else:
+        d, n = group.rank, group.size
+        c1 = data.draw(st.integers(0, d if kind == "Sp" else n))
+        c2 = data.draw(st.integers(0, min(c1, d if kind == "Sp" else n - c1)))
+        c3 = data.draw(st.integers(0, min(c2, 1 if d > 3 else 2)))
+        lam = _label_of_columns(group, tuple(c for c in (c1, c2, c3) if c))
+    assert dict(_dominant_terms(group, lam)) == _determinant_dominant_part(group, lam)
+
+
+def test_freudenthal_type_d_matches_the_so_even_characters():
+    # spin and integral so(2m) weights with both signs of nu_m, against the
+    # determinant of ringdet.orthogonal_det; doubled exponents on both sides
+    for m, top2 in ((1, 6), (2, 6), (3, 5), (4, 3)):
+        for nu2 in _so_even_weights(m, top2):
+            chi = classical_char_so_even(nu2, m)
+            want = {z: c for (z, _eps), c in chi.terms.items() if _dominant_weight("D", z) == z}
+            assert _freudenthal("D", nu2) == want, nu2
+
+
+@pytest.fixture
+def rho_off_by_one_in_c(monkeypatch):
+    """Type C's doubled rho one too large in every entry, with no engine cache outliving the patch."""
+    monkeypatch.setitem(laurentchars._RHO_SHIFT, "C", -1)
+    laurentchars._root_system.cache_clear()
+    laurentchars._dominant_terms.cache_clear()
+    yield
+    laurentchars._root_system.cache_clear()
+    laurentchars._dominant_terms.cache_clear()
+
+
+def test_inexact_freudenthal_quotient_raises_arithmetic_error(rho_off_by_one_in_c):
+    # Sp(2) at (2): the weight 0 gets (2 * 16) / 40 with rho = 3/2 in place of 1
+    with pytest.raises(ArithmeticError) as exc:
+        _dominant_terms(GroupTag("Sp", 1), Partition((2,)))
+    assert not isinstance(exc.value, ValueError)
+    assert "Sp(2)" in str(exc.value) and "[2]" in str(exc.value) and "(0,)" in str(exc.value)
+
+
+def test_cli_lets_an_inexact_quotient_propagate(rho_off_by_one_in_c):
+    # an internal fault is not a usage error: no exit code 2 and no message swallowed
+    with pytest.raises(ArithmeticError):
+        cli.main(["verify", "--identity", "HS", "--d", "1", "--deg", "3"])
 
 
 def test_decompose_mass_only_at_eps_one_raises():
