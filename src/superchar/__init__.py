@@ -21,8 +21,6 @@ from .laurentchars import (
     GroupTag,
     LaurentPoly,
     char_group,
-    classical_char_so_even,
-    classical_char_sp,
     decompose_character,
     elementary_laurent,
 )

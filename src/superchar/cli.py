@@ -47,9 +47,10 @@ IDENTITY_GRID = [
 SMALL_GRID = [case for case in IDENTITY_GRID if case[1].get("m", 0) <= 3 and case[1].get("n", 0) <= 3]
 
 # The largest --d, --n and --m that verify and schur accept.  The work grows
-# exponentially in each (e_k of m variables has C(m, k) terms; combin-Sp at
-# d = 3, m = 5 takes about 3.5 s in process on a 2-core Xeon with Python
-# 3.11), and these admit every case of IDENTITY_GRID, of the benchmark's
+# exponentially in each (e_k of m variables has C(m, k) terms).  The worst
+# admitted cases, combin-Sp at d = 3, m = 5 and odd-char at n = 5, m = 5,
+# take about 1.5-1.9 s and 0.5-0.7 s in process on a 2-core Xeon with Python
+# 3.11.  These caps admit every case of IDENTITY_GRID, of the benchmark's
 # hook identities and of CI.
 SIZE_CAPS = {"d": 3, "n": 5, "m": 5}
 

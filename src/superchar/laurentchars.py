@@ -12,12 +12,15 @@ A Weyl-invariant function is fixed by its coefficients at dominant weights,
 and those of an irreducible character are its dominant weight
 multiplicities: `_dominant_terms` reads them off Freudenthal's formula on
 the group's root system (A, B, C or D), with no determinant, and the
-determinants are the independent route the tests compare it with.
+determinants are the independent route the tests compare it with.  The
+sp(2m) and so(2m) duals of the Laurent identities in `superschur` are
+`_freudenthal`'s multiplicities too (types C and D).
 Decomposition into irreducible characters peels the lex-largest dominant
 exponent, which is valid because every character is unitriangular with
 leading term z^lambda; one peeler serves both plain characters and graded
 ones such as the Fock space character.  It checks the invariance of its
-input once, orbit by orbit (`_dominant_part`), and then carries and
+input once, orbit by orbit (`_dominant_part`, of Weyl type A, C or D, which
+also checks the x side of the Laurent identities), and then carries and
 subtracts dominant weights only.
 """
 
@@ -32,7 +35,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 from .partitions import GeneralizedPartition, Partition, _column_lengths, bar_conjugate, o_label
-from .ringdet import orthogonal_det, pair_det, ring_det
+from .ringdet import pair_det, ring_det
 from .sparse import _Sparse, _add_into, _drop_zeros, _fold_integral
 from .symring import _elem_of_values
 
@@ -320,49 +323,6 @@ def _centres(mu: tuple[int, ...]) -> list[int]:
     return [p - i for i, p in enumerate(mu)]
 
 
-@lru_cache(maxsize=None)
-def _prod_factor(m: int, s: int) -> LaurentPoly:
-    """prod_i (z_i^{1/2} + s z_i^{-1/2}) for s = +1 or -1."""
-    acc = LaurentPoly.const(m)
-    for i in range(m):
-        acc = acc * (LaurentPoly.var(m, i, 1) + s * LaurentPoly.var(m, i, -1))
-    return acc
-
-
-def classical_char_sp(lam: Partition, m: int) -> LaurentPoly:
-    """Character of the irreducible sp(2m)-module with highest weight lam."""
-    if lam.depth > m:
-        raise ValueError(f"sp(2{m}) weight too deep: {lam}")
-    # |E'_{lam'}| with E'_r = E_r - E_{r-2}
-    return pair_det(_centres(_column_lengths(lam.parts)), lambda r: _eprime(r, m), LaurentPoly.const(m))
-
-
-def classical_char_so_even(nu2: tuple[int, ...], m: int) -> LaurentPoly:
-    """Character of the irreducible so(2m)-module with highest weight nu.
-
-    `nu2` holds doubled entries; dominance means nu_1 >= ... >= nu_{m-1} >= |nu_m|
-    with all entries integral or all half-integral.
-    """
-    if len(nu2) != m:
-        raise ValueError("weight length must equal the rank")
-    parities = {e & 1 for e in nu2}
-    if len(parities) > 1:
-        raise ValueError(f"mixed integral/half-integral weight: {nu2}")
-    for i in range(m - 2):
-        if nu2[i] < nu2[i + 1]:
-            raise ValueError(f"not dominant: {nu2}")
-    if m > 1 and (nu2[m - 2] < abs(nu2[m - 1])):
-        raise ValueError(f"not dominant: {nu2}")
-    sign = -1 if nu2[m - 1] < 0 else 1
-    # integral nu, or nu = mu + (1/2, ..., 1/2) with mu a partition; the
-    # series E_{m-r} = E_{m+r} is centred at 0 like the T_r of superschur
-    spin = parities == {1}
-    mu = tuple((abs(e) - spin) // 2 for e in nu2)
-    centres = [m - k for k in _centres(_column_lengths(mu))]
-    return orthogonal_det(centres, lambda r: elementary_laurent(m - r, m), lambda r: _eprime(m - r, m),
-                          lambda s: _prod_factor(m, s), sign, spin, LaurentPoly.const(m))
-
-
 # -- groups -------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -406,7 +366,8 @@ def char_group(group: GroupTag, lam: GeneralizedPartition) -> LaurentPoly:
             lam = Partition(lam.parts)
         if lam.depth > d:
             raise ValueError(f"Sp(2{d}) labels have at most {d} rows")
-        return classical_char_sp(lam, d)
+        # |E'_{lam'}| with E'_r = E_r - E_{r-2}
+        return pair_det(_centres(_column_lengths(lam.parts)), lambda r: _eprime(r, d), LaurentPoly.const(d))
     # O(n)
     n, d = group.size, group.rank
     if not isinstance(lam, Partition):
@@ -440,27 +401,32 @@ def _dominant_weight(kind: str, w: tuple[int, ...]) -> tuple[int, ...]:
     return rep
 
 
-def _orbit_size(rep: tuple[int, ...], group: GroupTag) -> int:
-    """The number of weights in the Weyl orbit of the dominant weight rep."""
+def _orbit_size(rep: tuple[int, ...], kind: str) -> int:
+    """The number of weights in the W(kind) orbit of the dominant weight rep, for kind A, C or D.
+
+    The permutations of the entries (of their absolute values for D, whose
+    last entry may be negative), times a sign for each nonzero entry when
+    the type is not A; W(D) flips an even number of signs, so it has one
+    sign fewer when no entry is zero.
+    """
     size = factorial(len(rep))
-    for mult in Counter(rep).values():
+    for mult in Counter(map(abs, rep) if kind == "D" else rep).values():
         size //= factorial(mult)
-    if group.kind != "GL":
-        size <<= sum(1 for e in rep if e)  # each nonzero entry takes both signs
+    if kind != "A":
+        signs = sum(1 for e in rep if e)
+        size <<= signs - (kind == "D" and signs == len(rep))
     return size
 
 
-def _dominant_part(items, group: GroupTag) -> dict:
-    """{dominant (z, eps): coefficient} of a Weyl-invariant function.
+def _dominant_part(items, kind: str) -> dict:
+    """{dominant (z, eps): coefficient} of a W(kind)-invariant function, for kind A, C or D.
 
     `items` are the function's ((z exponents, eps), coefficient) pairs, plain
-    or doubled exponents alike.  The Weyl group permutes z (GL), or permutes
-    it and flips signs (Sp, O), and leaves eps alone: W(A) or W(C) of
-    `_dominant_weight`.  Every orbit must be complete, each of its weights
-    present with one and the same coefficient; otherwise DecompositionError
-    names the orbit's dominant weight.
+    or doubled exponents alike.  The Weyl group acts on z as in
+    `_dominant_weight` and leaves eps alone.  Every orbit must be complete,
+    each of its weights present with one and the same coefficient; otherwise
+    DecompositionError names the orbit's dominant weight.
     """
-    kind = "A" if group.kind == "GL" else "C"
     orbits: dict = {}  # dominant key -> [coefficient, weights seen]
     for (z, eps), c in items:
         key = (_dominant_weight(kind, z), eps)
@@ -470,14 +436,14 @@ def _dominant_part(items, group: GroupTag) -> dict:
             continue
         if seen[0] != c:
             raise DecompositionError(
-                f"the Weyl orbit of {key[0]} (eps = {eps}) over {group} carries both {seen[0]} and {c}: "
+                f"the W({kind}) orbit of {key[0]} (eps = {eps}) carries both {seen[0]} and {c}: "
                 "not Weyl-symmetric", key)
         seen[1] += 1
     for key, (c, count) in orbits.items():
-        size = _orbit_size(key[0], group)
+        size = _orbit_size(key[0], kind)
         if count != size:
             raise DecompositionError(
-                f"the Weyl orbit of {key[0]} (eps = {key[1]}) over {group} has {count} of its {size} weights: "
+                f"the W({kind}) orbit of {key[0]} (eps = {key[1]}) has {count} of its {size} weights: "
                 "not Weyl-symmetric", key)
     return {key: c for key, (c, _count) in orbits.items()}
 
@@ -641,7 +607,8 @@ def decompose_graded(graded: dict, group: GroupTag) -> dict:
     bar-lambda.
     """
     odd_o = group.kind == "O" and group.size % 2 == 1
-    dominant = _dominant_part(((key, coeff) for key, coeff in graded.items() if coeff), group)
+    weyl = "A" if group.kind == "GL" else "C"
+    dominant = _dominant_part(((key, coeff) for key, coeff in graded.items() if coeff), weyl)
     rem = {key: dict(coeff) for key, coeff in dominant.items()}
     out: dict[GeneralizedPartition, dict] = {}
     while rem:

@@ -1,7 +1,8 @@
 """Exact determinant over any commutative ring with +, unary -, * and a one.
 
-`orthogonal_det` also halves its result, through the ring element's exact
-`_halved` (see sparse.py).
+`orthogonal_det`, the O(n) formula of `superschur._so` (its one caller in the
+library), also halves its result, through the ring element's exact `_halved`
+(see sparse.py).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def spin_det(centres, term, sign, one):
 
 
 def orthogonal_det(centres, term, termp, factor, sign, spin, one):
-    """The O(n) and so(2m) combination of the determinants above, over a series T_r = T_{-r}.
+    """The O(n) (and so(2m)) combination of the determinants above, over a series T_r = T_{-r}.
 
     `termp(r)` is T_r - T_{r+2}, `factor(s)` is the product P_s for s = +1
     or -1 (called only where the formula uses it) and `sign` is the sign of

@@ -10,8 +10,8 @@ families, one per variant of each Schur function:
 
 The units are `symring._unit(base, k, alphabet, cap)`.  Each group has one
 builder, a determinant in the T_r of a family: `_sp`, and `_so`, which
-hands its T_r, T'_r and factors to `ringdet.orthogonal_det`, the formula
-the so(2m) characters of `laurentchars` share.  The skew and hook functions
+hands its T_r, T'_r and factors to `ringdet.orthogonal_det`, the one caller
+of that formula in the library.  The skew and hook functions
 are the plain one with omega (in x, resp. in y) applied to every unit, so
 no omega follows the determinant.
 T_r = T_{-r} by reindexing.  The primed series is T'_r = T_r - T_{r+2}:
@@ -24,8 +24,12 @@ the coefficients truncated symmetric functions in a series identity and
 Laurent polynomials in finitely many x variables in a Laurent (Howe duality)
 identity.  Both sides of either are Weyl-invariant in z, so one engine
 compares them on dominant z weights only, which is exact (see
-`_series_identity`).  Failures, a broken Weyl orbit included, are reported
-as data, not exceptions.
+`_series_identity`).  The coefficients of a Laurent identity are invariant
+in x as well, under W(C_m) or W(D_m), and are compared on dominant x weights
+too: the left side's through the orbit check `_dominant_part`, the sp(2m)
+and so(2m) duals as the dominant multiplicities of `_freudenthal`, so no
+character in x is built as a determinant.  Failures, a broken Weyl orbit in
+z or in x included, are reported as data, not exceptions.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ from .partitions import Partition, _column_lengths, bar_conjugate, o_label
 # ring_det stays bound here: perfbench's tracer test wraps it in every module that builds determinants
 from .ringdet import orthogonal_det, pair_det, ring_det  # noqa: F401
 from . import laurentchars  # char_group by module attribute, so a patched character is the one checked
-from .laurentchars import (DecompositionError, GroupTag, LaurentPoly, _dominant_terms, classical_char_so_even,
-                           classical_char_sp, decompose_character)
+from .laurentchars import (DecompositionError, GroupTag, LaurentPoly, _dominant_part, _dominant_terms, _freudenthal,
+                           decompose_character)
 from .sparse import _add_term
 from .symring import SymFunc, _elem_of_values, _unit
 
@@ -180,12 +184,22 @@ def _labels(group: GroupTag, max_size: int):
     return o_labels(group.size, max_size)
 
 
-def _broken_orbit(group: GroupTag, label: str, exc: DecompositionError) -> dict:
-    """The mismatch for a side that is not Weyl-symmetric: the group, the label and the orbit's dominant weight."""
+def _broken_orbit(group: GroupTag, label: str, exc: DecompositionError, zkey=None) -> dict:
+    """The mismatch for a side that is not Weyl-symmetric: the group, the label and where the orbit breaks.
+
+    A z orbit is named by its dominant (z, eps) weight, the key of `exc`.  An
+    x orbit of a Laurent coefficient is named by the coefficient's (z, eps)
+    key `zkey` and, as `x_monomial`, by the orbit's dominant x weight; its
+    `detail` gives the x weights doubled, as LaurentPoly stores them.
+    """
     out = {"group": str(group), "label": label}
-    if exc.key is not None:
-        out["z_exponent"], out["eps"] = list(exc.key[0]), exc.key[1]
+    key = exc.key if zkey is None else zkey
+    if key is not None:
+        out["z_exponent"], out["eps"] = list(key[0]), key[1]
     out["detail"] = str(exc)
+    if zkey is not None:
+        out["x_monomial"] = LaurentPoly.monomial(len(exc.key[0]), exc.key[0])._render("x")
+        out["detail"] += " (x weights doubled)"
     return out
 
 
@@ -224,26 +238,40 @@ def _series_lhs(group: GroupTag, one, series, start) -> dict:
     return lhs
 
 
-def _series_identity(group: GroupTag, one, series, start, labels, dual):
+def _series_identity(group: GroupTag, one, series, start, labels, dual, x_weyl=None):
     """start * prod_i prod_series sum_k g_k z_i^{+-k} (eps^k for odd O) = sum_lam chi_lam(z) dual(lam).
 
     `series` and `start` are as in `_series_lhs`; odd O adds each series once
     more, eps-marked and without z.  Both sides are {(plain z exponents, eps
-    bit): coefficient} on dominant weights; the mismatch is the first
-    differing coefficient, at its first differing monomial.
+    bit): coefficient} on dominant weights.  A Laurent identity names the
+    Weyl type x_weyl ("C" or "D") of its x variables: its coefficients are
+    then LaurentPoly in x on dominant x weights only, each dual(lam) given
+    so.  The mismatch is the first differing coefficient, at its first
+    differing monomial.
     """
-    # Exactness: the left side is Weyl-invariant, since P[a] = P[-a] is
+    # Exactness in z: the left side is Weyl-invariant, since P[a] = P[-a] is
     # checked in _series_lhs and the product is symmetric in the z_i.  The
     # right side is a sum of characters, Weyl-invariant by construction:
     # _dominant_terms gives each one as its dominant weight multiplicities,
     # which fix a Weyl-invariant function.  A Weyl-invariant tensor is fixed
-    # by its dominant coefficients, so the two sides agree on dominant keys
-    # if and only if they agree everywhere.  The coefficients carry the x
-    # variables of a Laurent identity whole, so nothing is assumed about x.
+    # by its dominant coefficients, so the two sides agree on dominant z keys
+    # if and only if they agree everywhere.
+    # Exactness in x: each coefficient of the left side is W(x_weyl)-invariant
+    # in x, checked orbit by orbit by _dominant_part, which also keeps only
+    # its dominant x weights.  Each dual is an sp(2m) or so(2m) character,
+    # invariant by construction and given by its dominant multiplicities.
+    # Both sides are so invariant under W(z) x W(x) term by term, and agree
+    # on doubly dominant keys if and only if they agree everywhere.
     try:
         lhs = _series_lhs(group, one, series, start)
     except DecompositionError as exc:
         return _broken_orbit(group, "the left-hand series", exc), 0, 0, len(labels)
+    if x_weyl is not None:
+        for key, f in lhs.items():
+            try:
+                lhs[key] = LaurentPoly(f.nvars, _dominant_part(f.terms.items(), x_weyl))
+            except DecompositionError as exc:
+                return _broken_orbit(group, "the left-hand series", exc, key), 0, 0, len(labels)
     rhs: dict = {}
     for lam in labels:
         terms, f = _dominant_terms(group, lam), dual(lam)
@@ -285,10 +313,13 @@ def _laurent_identity(group: GroupTag, m: int):
     sp(2m) or so(2m) character, at x^{-1}, of the doubled weight
     nu = (N - 2 lam'_m, ..., N - 2 lam'_1).  That is the character of -w0 nu:
     of nu itself for sp(2m) (the partition nu/2) and for so(2m) with m even,
-    of nu with nu_m negated for so(2m) with m odd.  The one series
-    prod_j (1 + x_j w) has the units e_0..e_m(x).
+    of nu with nu_m negated for so(2m) with m odd.  Each dual is the
+    LaurentPoly of its dominant terms, read from `_freudenthal` of type C or
+    D (by module global, so a patched binding is the one checked).  The one
+    series prod_j (1 + x_j w) has the units e_0..e_m(x).
     """
     dim = 2 * group.size if group.kind == "Sp" else group.size
+    kind = "C" if group.kind == "Sp" else "D"
     one = LaurentPoly.const(m)
     series = [_elem_of_values([LaurentPoly.var(m, j) for j in range(m)], m, one)]
     labels = [lam for lam in _labels(group, group.size * m) if lam.parts[0] <= m]
@@ -296,13 +327,11 @@ def _laurent_identity(group: GroupTag, m: int):
     def dual(lam):
         cols = _column_lengths(lam.parts) + (0,) * m
         nu = [dim - 2 * c for c in reversed(cols[:m])]
-        if group.kind == "Sp":
-            return classical_char_sp(Partition(tuple(v // 2 for v in nu)), m)
-        if m % 2:
+        if kind == "D" and m % 2:
             nu[-1] = -nu[-1]
-        return classical_char_so_even(tuple(nu), m)
+        return LaurentPoly(m, {(mu, 0): c for mu, c in _freudenthal(kind, tuple(nu)).items()})
 
-    return _series_identity(group, one, series, LaurentPoly.monomial(m, (-dim,) * m), labels, dual)
+    return _series_identity(group, one, series, LaurentPoly.monomial(m, (-dim,) * m), labels, dual, kind)
 
 
 def _tensor_identity(group: GroupTag, cap: int, schur_of, skew_of, hook_of):

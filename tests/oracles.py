@@ -10,11 +10,13 @@ division, the Laurent product pair by pair on tuple keys, the sp/so Schur
 functions by omega after a determinant, the degenerate r-2 reading of the
 primed folded series, embedding in more variables and moving variables
 through the tuple-keyed constructor, the Cauchy series product on every z
-key, the Laurent Howe-duality identities on every (x, z) term with the duals
-of the older route (sp_schur specialised to x, the so(2m) character at
-x^{-1}), the Fock basis and character built one monomial at a time,
-singularity by every raising element, the Gram matrix from every pair of
-basis states, and leading principal minors as Leibniz sums.
+key, the so(2m) characters as determinants (the reference for the duals
+the library reads from Freudenthal's formula), the Laurent Howe-duality
+identities on every (x, z) term with the duals of the older route (sp_schur
+specialised to x, the so(2m) determinant at x^{-1}), the Fock basis and
+character built one monomial at a time, singularity by every raising
+element, the Gram matrix from every pair of basis states, and leading
+principal minors as Leibniz sums.
 
 It also holds the helpers that only tests call: tensor multiplicities and
 dimensions read off the characters, omega, specialisation to finite
@@ -26,12 +28,15 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from superchar import fock
 from superchar.fock import FERMIONIC, GAM_M, GAM_P, PHI, PSI_M, PSI_P, FockVector, inner_product, realize_algebra
 from superchar.hwclassify import Weight, partition_from_weight
-from superchar.laurentchars import GroupTag, LaurentPoly, char_group, classical_char_so_even, decompose_character
+from superchar.laurentchars import (GroupTag, LaurentPoly, _centres, _eprime, char_group, decompose_character,
+                                   elementary_laurent)
 from superchar.partitions import GeneralizedPartition, Partition, _column_lengths, bar_conjugate, o_label
+from superchar.ringdet import orthogonal_det
 from superchar.sparse import _Sparse, _add_into
 from superchar.superschur import _lambda_box, _so, _sp, etilde_series, o_labels, so_hook, sp_hook, sp_schur
 from superchar.symring import Mono, SymFunc, _elem_of_values, _unit, energy_series, weight_expansion
@@ -223,16 +228,62 @@ def moved(f: LaurentPoly, move) -> LaurentPoly:
     return LaurentPoly(f.nvars, {(tuple(move(exps)), eps): c for (exps, eps), c in f.terms.items()})
 
 
-def is_weyl_symmetric(f: LaurentPoly, group: GroupTag) -> bool:
-    """f is fixed by each adjacent transposition of z and, for Sp and O, by z_d -> 1/z_d."""
+def is_weyl_symmetric(f: LaurentPoly, kind: str) -> bool:
+    """f is fixed by the generators of W(kind), kind A, C or D, acting on z.
+
+    They are the adjacent transpositions, and z_d -> 1/z_d for C or
+    (z_{d-1}, z_d) -> (1/z_d, 1/z_{d-1}) for D of rank >= 2.
+    """
     d = f.nvars
     for i in range(d - 1):
         if moved(f, lambda e: e[:i] + (e[i + 1], e[i]) + e[i + 2:]) != f:
             return False
-    if group.kind in ("Sp", "O") and d > 0:
+    if kind == "C" and d > 0:
         if moved(f, lambda e: e[:-1] + (-e[-1],)) != f:
             return False
+    if kind == "D" and d > 1:
+        if moved(f, lambda e: e[:-2] + (-e[-1], -e[-2])) != f:
+            return False
     return True
+
+
+# -- so(2m) characters as determinants ---------------------------------------------
+
+@lru_cache(maxsize=None)
+def _prod_factor(m: int, s: int) -> LaurentPoly:
+    """prod_i (z_i^{1/2} + s z_i^{-1/2}) for s = +1 or -1."""
+    acc = LaurentPoly.const(m)
+    for i in range(m):
+        acc = acc * (LaurentPoly.var(m, i, 1) + s * LaurentPoly.var(m, i, -1))
+    return acc
+
+
+def classical_char_so_even(nu2: tuple[int, ...], m: int) -> LaurentPoly:
+    """Character of the irreducible so(2m)-module with highest weight nu, as a full LaurentPoly.
+
+    `nu2` holds doubled entries; dominance means nu_1 >= ... >= nu_{m-1} >= |nu_m|
+    with all entries integral or all half-integral.  The determinant of
+    `ringdet.orthogonal_det` over E_{m-r}: the reference route for the
+    so(2m) duals, which the library reads from Freudenthal's formula.
+    """
+    if len(nu2) != m:
+        raise ValueError("weight length must equal the rank")
+    parities = {e & 1 for e in nu2}
+    if len(parities) > 1:
+        raise ValueError(f"mixed integral/half-integral weight: {nu2}")
+    for i in range(m - 2):
+        if nu2[i] < nu2[i + 1]:
+            raise ValueError(f"not dominant: {nu2}")
+    if m > 1 and (nu2[m - 2] < abs(nu2[m - 1])):
+        raise ValueError(f"not dominant: {nu2}")
+    sign = -1 if nu2[m - 1] < 0 else 1
+    # integral nu, or nu = mu + (1/2, ..., 1/2) with mu a partition; the
+    # series E_{m-r} = E_{m+r} is centred at 0 like the T_r of superschur
+    spin = parities == {1}
+    mu = tuple((abs(e) - spin) // 2 for e in nu2)
+    centres = [m - k for k in _centres(_column_lengths(mu))]
+    return orthogonal_det(centres, lambda r: elementary_laurent(m - r, m), lambda r: _eprime(m - r, m),
+                          lambda s: _prod_factor(m, s), sign, spin, LaurentPoly.const(m))
 
 
 # -- Weyl dimension formulas ------------------------------------------------------

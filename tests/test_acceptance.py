@@ -36,7 +36,7 @@ from superchar.partitions import (
 )
 from superchar.superschur import so_hook, sp_hook, sp_schur, verify_identity
 from superchar.symring import weight_expansion
-from superchar.laurentchars import LaurentPoly, classical_char_sp
+from superchar.laurentchars import LaurentPoly, char_group
 
 from oracles import (
     klimyk_tensor_sp,
@@ -331,7 +331,8 @@ def test_criterion_8_convention_fix_regression(monkeypatch):
                     for j in range(m)
                 ]
                 nu_star = tuple(d - cols[m - 1 - i] for i in range(m))
-                chi = moved(classical_char_sp(Partition(nu_star), m), lambda e: tuple(-v for v in reversed(e)))
+                chi = char_group(GroupTag("Sp", m), Partition(nu_star))
+                chi = moved(chi, lambda e: tuple(-v for v in reversed(e)))
                 assert got == chi * LaurentPoly.monomial(m, (2 * d,) * m), (d, parts, m)
                 checked += 1
     # documented negative control: the literal r-2 reading kills S^{sp,1}_{(1)}

@@ -19,8 +19,6 @@ from superchar.laurentchars import (
     _freudenthal,
     _orbit_size,
     char_group,
-    classical_char_so_even,
-    classical_char_sp,
     decompose_character,
     elementary_laurent,
 )
@@ -30,6 +28,7 @@ from superchar.partitions import GeneralizedPartition, Partition, _column_length
 from superchar.ringdet import ring_det
 
 from oracles import (
+    classical_char_so_even,
     dim_so_even,
     dim_so_odd,
     dim_sp,
@@ -54,6 +53,11 @@ def zpow(m, i, k):
     return LaurentPoly.var(m, i, 2 * k)
 
 
+def _weyl(group):
+    """The Weyl type of the group's characters in z: A for GL; C for Sp and for O, bar-merged when n is even."""
+    return "A" if group.kind == "GL" else "C"
+
+
 def test_elementary_laurent_examples():
     assert elementary_laurent(1, 1) == zpow(1, 0, 1) + zpow(1, 0, -1)
     assert elementary_laurent(2, 1) == LaurentPoly.const(1)
@@ -63,9 +67,10 @@ def test_elementary_laurent_examples():
 
 
 def test_sp_characters_small():
-    assert classical_char_sp(Partition((1,)), 1) == zpow(1, 0, 1) + zpow(1, 0, -1)
-    assert classical_char_sp(Partition((2,)), 1) == zpow(1, 0, 2) + 1 + zpow(1, 0, -2)
-    assert classical_char_sp(Partition((0,)), 1) == LaurentPoly.const(1)
+    sp2 = GroupTag("Sp", 1)
+    assert char_group(sp2, Partition((1,))) == zpow(1, 0, 1) + zpow(1, 0, -1)
+    assert char_group(sp2, Partition((2,))) == zpow(1, 0, 2) + 1 + zpow(1, 0, -2)
+    assert char_group(sp2, Partition((0,))) == LaurentPoly.const(1)
 
 
 def test_sp_characters_vs_alternant_and_dims():
@@ -74,7 +79,7 @@ def test_sp_characters_vs_alternant_and_dims():
             if any(parts[i] < parts[i + 1] for i in range(m - 1)):
                 continue
             lam = Partition(parts)
-            chi = classical_char_sp(lam, m)
+            chi = char_group(GroupTag("Sp", m), lam)
             alt = weyl_char_alternant("C", tuple(2 * p for p in parts), m)
             assert chi == alt, parts
             assert chi.eval_ones() == dim_sp(parts, m)
@@ -82,7 +87,7 @@ def test_sp_characters_vs_alternant_and_dims():
     for m in (3, 4):
         for parts in [(1,), (2,), (1, 1), (2, 1)]:
             lam = Partition(parts + (0,) * (m - len(parts)))
-            assert classical_char_sp(lam, m).eval_ones() == dim_sp(lam.parts, m)
+            assert char_group(GroupTag("Sp", m), lam).eval_ones() == dim_sp(lam.parts, m)
 
 
 def test_so_even_characters_hand_values():
@@ -354,7 +359,7 @@ def test_weyl_symmetry_of_characters():
         (GroupTag("O", 4), Partition((2, 1, 0, 0))),
         (GroupTag("GL", 2), GeneralizedPartition((1, -1))),
     ]:
-        assert is_weyl_symmetric(char_group(group, lam), group)
+        assert is_weyl_symmetric(char_group(group, lam), _weyl(group))
 
 
 def test_decompose_examples():
@@ -428,13 +433,46 @@ def test_dominant_part_accepts_exactly_the_weyl_symmetric(data):
         terms.setdefault((tuple(2 * e for e in z), data.draw(st.integers(0, 1))), 1)
     f = LaurentPoly(chi.nvars, terms)
     try:
-        dominant = _dominant_part(f.terms.items(), group)
+        dominant = _dominant_part(f.terms.items(), _weyl(group))
     except DecompositionError:
         dominant = None
-    assert (dominant is not None) == is_weyl_symmetric(f, group)
+    assert (dominant is not None) == is_weyl_symmetric(f, _weyl(group))
     if dominant is not None:
         assert dominant == {(z, eps): c for (z, eps), c in f.terms.items()
                             if z == tuple(sorted(z if group.kind == "GL" else map(abs, z), reverse=True))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_dominant_part_of_type_d_accepts_exactly_the_wd_symmetric(data):
+    # so(2m) characters, spin and integral, with a term dropped, bumped,
+    # added or moved by one sign flip: W(D) flips an even number of signs, so
+    # a weight and that image lie in different orbits when no entry is zero
+    m = data.draw(st.integers(1, 3))
+    chi = classical_char_so_even(data.draw(st.sampled_from(list(_so_even_weights(m, 4)))), m)
+    terms = dict(chi.terms.items())
+    how = data.draw(st.sampled_from(["none", "drop", "bump", "add", "flip"]))
+    key = data.draw(st.sampled_from(sorted(terms)))
+    if how == "drop":
+        del terms[key]
+    elif how == "bump":
+        terms[key] += data.draw(st.sampled_from([-1, 1, 2]))
+    elif how == "add":
+        z = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m)))
+        terms.setdefault((z, 0), 1)
+    elif how == "flip":  # one term moved by a sign flip, which W(C) has and W(D) lacks
+        (z, eps), c = key, terms.pop(key)
+        image = (z[:-1] + (-z[-1],), eps)
+        terms[image] = terms.get(image, 0) + c
+    f = LaurentPoly(m, terms)
+    try:
+        dominant = _dominant_part(f.terms.items(), "D")
+    except DecompositionError:
+        dominant = None
+    assert (dominant is not None) == is_weyl_symmetric(f, "D")
+    if dominant is not None:
+        assert dominant == {(z, eps): c for (z, eps), c in f.terms.items()
+                            if all(z[i] >= z[i + 1] for i in range(m - 2)) and (m == 1 or z[-2] >= abs(z[-1]))}
 
 
 def test_dominant_terms_are_cached_as_tuples_and_characters_are_not():
@@ -452,7 +490,7 @@ def test_dominant_terms_are_cached_as_tuples_and_characters_are_not():
 def _determinant_dominant_part(group, lam) -> dict:
     """The dominant part of char_group's determinant, with plain exponents, as `_dominant_terms` gives it."""
     chi = char_group(group, lam)
-    return _dominant_part((((tuple(e // 2 for e in z), eps), c) for (z, eps), c in chi.terms.items()), group)
+    return _dominant_part((((tuple(e // 2 for e in z), eps), c) for (z, eps), c in chi.terms.items()), _weyl(group))
 
 
 def _label_of_columns(group, cols) -> Partition:
@@ -497,7 +535,7 @@ def test_freudenthal_is_the_dominant_part_of_the_determinant(group, width):
         terms = _dominant_terms(group, lam)
         assert dict(terms) == _determinant_dominant_part(group, lam), lam
         # each dominant weight stands for its Weyl orbit
-        assert sum(c * _orbit_size(z, group) for (z, _eps), c in terms) == dimension(group, lam), lam
+        assert sum(c * _orbit_size(z, _weyl(group)) for (z, _eps), c in terms) == dimension(group, lam), lam
 
 
 @settings(max_examples=120, deadline=None)
@@ -526,6 +564,15 @@ def test_freudenthal_type_d_matches_the_so_even_characters():
             chi = classical_char_so_even(nu2, m)
             want = {z: c for (z, _eps), c in chi.terms.items() if _dominant_weight("D", z) == z}
             assert _freudenthal("D", nu2) == want, nu2
+
+
+def test_type_d_orbit_sizes_add_up_to_the_so_even_dimension():
+    # each D-dominant weight stands for its W(D) orbit, one sign fewer than
+    # W(C)'s when no entry is zero: spin and integral weights, both signs of nu_m
+    for m, top2 in ((1, 6), (2, 6), (3, 5), (4, 3)):
+        for nu2 in _so_even_weights(m, top2):
+            total = sum(c * _orbit_size(mu, "D") for mu, c in _freudenthal("D", nu2).items())
+            assert total == classical_char_so_even(nu2, m).eval_ones(), nu2
 
 
 @pytest.fixture
@@ -645,7 +692,7 @@ def test_tensor_dimension_sum():
 
 
 def test_rendering_and_json():
-    chi = classical_char_sp(Partition((2,)), 1)
+    chi = char_group(GroupTag("Sp", 1), Partition((2,)))
     assert str(chi) == "z1^2 + 1 + z1^-2"
     blob = chi.to_json()
     assert blob["doubled"] is True and len(blob["terms"]) == 3

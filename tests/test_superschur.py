@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from oracles import (
+    classical_char_so_even,
     laurent_identity_full,
     moved,
     omega,
@@ -13,7 +14,7 @@ from oracles import (
     specialize,
 )
 from superchar import cli
-from superchar.laurentchars import GroupTag, LaurentPoly, classical_char_so_even, classical_char_sp
+from superchar.laurentchars import GroupTag, LaurentPoly, char_group
 from superchar.partitions import Partition, _column_lengths, transpose
 from superchar import superschur as ss
 from superchar.superschur import (
@@ -131,7 +132,7 @@ def test_sp_stability_oracle():
                     continue
                 cols = _column_lengths(lam.parts) + (0,) * m
                 nu = tuple(d - c for c in reversed(cols[:m]))
-                want = classical_char_sp(Partition(nu), m) * LaurentPoly.monomial(m, (2 * d,) * m)
+                want = char_group(GroupTag("Sp", m), Partition(nu)) * LaurentPoly.monomial(m, (2 * d,) * m)
                 assert spec_x(sp_schur(lam, 2 * d * m), m) == want, (d, lam, m)
 
 
@@ -200,13 +201,43 @@ def test_verify_identity_reports_mismatch_as_data(monkeypatch):
 
 def test_laurent_mismatch_names_its_monomial_in_x(monkeypatch):
     # the O dual with its first so(2m) weight entry one too high: the first
-    # mismatch is a monomial in x, printed x1..xm, not in LaurentPoly's z names
-    real = ss.classical_char_so_even
-    monkeypatch.setattr(ss, "classical_char_so_even", lambda nu, m: real((nu[0] + 2,) + tuple(nu[1:]), m))
+    # mismatch is a dominant monomial in x, printed x1..xm, not in
+    # LaurentPoly's z names
+    real = ss._freudenthal
+    monkeypatch.setattr(ss, "_freudenthal", lambda kind, nu: real(kind, (nu[0] + 2,) + tuple(nu[1:])))
     report = verify_identity("odd-char", n=3, m=3)
     assert report["status"] == "fail"
     assert report["first_mismatch"]["z_exponent"] == [0]
-    assert report["first_mismatch"]["sym_monomial"] == "x1^(-5/2)*x2^(-3/2)*x3^(-3/2)"
+    assert report["first_mismatch"]["sym_monomial"] == "x1^(1/2)*x2^(1/2)*x3^(-1/2)"
+
+
+@pytest.mark.parametrize("tag, params, rank", [
+    pytest.param("combin-Sp", {"d": 1, "m": 2}, 1, id="combin-Sp-d1-m2"),
+    pytest.param("even-char", {"n": 2, "m": 2}, 1, id="even-char-n2-m2"),
+    pytest.param("even-char", {"n": 4, "m": 3}, 2, id="even-char-n4-m3"),
+    pytest.param("odd-char", {"n": 3, "m": 3}, 1, id="odd-char-n3-m3"),
+])
+def test_laurent_left_side_not_invariant_in_x_is_a_broken_orbit(monkeypatch, tag, params, rank):
+    # the x units e_k(x) with x1 added to e_1: the left side is still
+    # Weyl-invariant in z, but not in x, and the x restriction must report
+    # that as a broken orbit, never as a pass or a plain coefficient mismatch
+    real = ss._elem_of_values
+
+    def lopsided(values, maxk, one):
+        units = real(values, maxk, one)
+        units[1] = units[1] + values[0]
+        return units
+
+    assert verify_identity(tag, **params)["status"] == "pass"
+    monkeypatch.setattr(ss, "_elem_of_values", lopsided)
+    report = verify_identity(tag, **params)
+    assert report["status"] == "fail"
+    mismatch = report["first_mismatch"]
+    assert mismatch["label"] == "the left-hand series" and "not Weyl-symmetric" in mismatch["detail"]
+    # the (z, eps) key of the coefficient under z_exponent, the x weight apart
+    z = mismatch["z_exponent"]
+    assert len(z) == rank and z == sorted(z, reverse=True) and min(z) >= 0 and mismatch["eps"] in (0, 1)
+    assert mismatch["x_monomial"].startswith("x1") or mismatch["x_monomial"] == "1"
 
 
 def test_unknown_tag():
