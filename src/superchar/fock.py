@@ -21,7 +21,7 @@ from .infmat import SuperMatrix, _te_sign, fmt_half, parity
 from .partitions import GeneralizedPartition, Partition, _column_lengths, o_label, split_signs
 from .laurentchars import GroupTag, decompose_graded
 from .sparse import _Sparse, _add_into, _add_term
-from .symring import WeightMono, wmono_energy2  # noqa: F401  (wmono_energy2 re-exported)
+from .symring import WeightMono
 
 PSI_P, PSI_M, GAM_P, GAM_M, PHI, CHI = range(6)
 
@@ -588,7 +588,7 @@ def diagonal_weight(space: Space, algebra: str, vec: FockVector):
 
 # -- conjugation and Gram matrices ----------------------------------------------
 
-CONJUGATIONS = ("signed", "naive", "paper")  # "paper" is an alias of "signed"
+CONJUGATIONS = ("signed", "naive")
 
 
 def omega_mode(mode: Mode, naive: bool = False) -> tuple[int, Mode]:

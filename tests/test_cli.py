@@ -1,9 +1,11 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from superchar import cli, fock, laurentchars, superschur
+from superchar import cli, fock, hwclassify, laurentchars, partitions, superschur
 from superchar.laurentchars import LaurentPoly
 from superchar.symring import SymFunc
 from superchar.cli import main
@@ -63,12 +65,14 @@ def test_schur(capsys):
     assert code == 0 and out.strip() == "1 + e2(x)"
 
 
-def test_schur_deg_cap(capsys, monkeypatch):
-    monkeypatch.setenv("SUPERCHAR_MAX_DEG", "3")
-    code, _, err = run(
-        capsys, "schur", "--family", "sp", "--variant", "plain", "--weight", "[1]", "--deg", "9"
-    )
-    assert code == 2 and "SUPERCHAR_MAX_DEG" in err
+def test_schur_deg_cap(capsys):
+    # SIZE_CAPS["deg"] = 12 is a constant: argparse admits 12 and refuses 13, naming the flag
+    code, out, _ = run(capsys, "schur", "--family", "sp", "--variant", "plain", "--weight", "[1]", "--deg", "12")
+    assert code == 0 and "e1(x)" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["schur", "--family", "sp", "--variant", "plain", "--weight", "[1]", "--deg", "13"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and "argument --deg: 13 is above its cap 12" in out.err and not out.out
 
 
 def test_verify_single_and_failure_paths(capsys):
@@ -80,10 +84,10 @@ def test_verify_single_and_failure_paths(capsys):
     assert code == 2
 
 
-def test_verify_all_small(capsys):
-    code, out, _ = run(capsys, "verify", "--all", "--small")
+def test_verify_all(capsys):
+    code, out, _ = run(capsys, "verify", "--all")
     assert code == 0
-    assert "FAIL" not in out and out.count("PASS") >= 20
+    assert "FAIL" not in out and out.count("PASS") == len(cli.IDENTITY_GRID)
 
 
 def test_fock_actions(capsys):
@@ -194,8 +198,8 @@ def test_zero_level_denominator_is_a_usage_error(capsys):
 
 def test_verify_rejects_parameters_the_identity_cannot_use(capsys):
     for argv, fault in [
-        (("HS", "--d", "1", "--deg", "2", "--m", "7"), "--m is not read by HS"),
-        (("HS", "--d", "1", "--deg", "2", "--n", "9"), "--n is not read by HS"),
+        (("HS", "--d", "1", "--deg", "2", "--m", "2"), "--m is not read by HS"),
+        (("HS", "--d", "1", "--deg", "2", "--n", "2"), "--n is not read by HS"),
         (("combin-Sp", "--d", "1", "--m", "1", "--deg", "3"), "--deg is not read by combin-Sp"),
         (("even-char", "--n", "3", "--m", "2"), "--n must be even"),
         (("odd-char", "--n", "2", "--m", "2"), "--n must be odd"),
@@ -205,7 +209,7 @@ def test_verify_rejects_parameters_the_identity_cannot_use(capsys):
 
 
 def test_identity_tags_come_from_the_identity_table(capsys):
-    assert {tag for tag, _ in cli.SMALL_GRID} == set(superschur.IDENTITIES)
+    assert {tag for tag, _ in cli.IDENTITY_GRID} == set(superschur.IDENTITIES)
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--identity", "HS-0", "--d", "1", "--deg", "2"])
     err = capsys.readouterr().err
@@ -243,22 +247,126 @@ def test_verify_and_schur_sizes_validated_where_parsed(capsys):
         assert exc.value.code == 2 and f"argument {flag}:" in out.err and not out.out, argv
 
 
-def test_sizes_above_their_caps_run_nothing(capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a size above its cap reached the library")
+class Reached(Exception):
+    """Raised by a stubbed library call: the argv passed every cap."""
 
-    monkeypatch.setattr(superschur, "verify_identity", refuse)
-    monkeypatch.setattr(superschur, "so_schur", refuse)
-    for argv, flag in [
-        (["verify", "--identity", "odd-char", "--n", "1", "--m", "6"], "--m 6"),
-        (["verify", "--identity", "combin-Sp", "--d", "4", "--m", "1"], "--d 4"),
-        (["verify", "--identity", "HS-O", "--n", "6", "--deg", "2"], "--n 6"),
-        (["schur", "--family", "so", "--weight", "[1]", "--n", "6", "--deg", "2"], "--n 6"),
-    ]:
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and not out and f"{flag} is above its cap" in err, argv
+
+@pytest.fixture
+def stub_library(monkeypatch):
+    """Every library call the subcommands make past their parsing raises Reached."""
+    def reach(*args, **kwargs):
+        raise Reached
+
+    for module, name in [(superschur, "verify_identity"), (laurentchars, "char_group"), (partitions, "to_frobenius"),
+                         (partitions, "from_frobenius"), (hwclassify, "is_quasifinite"), (fock, "fock_character"),
+                         (fock, "duality_decompose"), (fock, "gram_matrix"), (fock, "hwv_candidate")]:
+        monkeypatch.setattr(module, name, reach)
+    for family in ("sp", "so"):
+        for variant in ("schur", "skew", "hook"):
+            monkeypatch.setattr(superschur, f"{family}_{variant}", reach)
+
+
+def outcome(capsys, argv):
+    """(exit code, or "reached" when a stubbed library call was made; stdout; stderr) of main(argv)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except Reached:
+        code = "reached"
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# (SIZE_CAPS entry, an argv that ends in its size, the size at the cap, one above it, the flag named);
+# where no size is one above a cost's cap, None stands for the size at the cap under a cap one lower
+CAP_CASES = [
+    ("d", ["verify", "--identity", "combin-Sp", "--m", "1", "--d"], "3", "4", "--d"),
+    ("n", ["verify", "--identity", "HS-O", "--deg", "2", "--n"], "5", "6", "--n"),
+    ("n", ["schur", "--family", "so", "--weight", "[1]", "--deg", "2", "--n"], "5", "6", "--n"),
+    ("m", ["verify", "--identity", "odd-char", "--n", "1", "--m"], "5", "6", "--m"),
+    ("deg", ["verify", "--identity", "HS", "--d", "1", "--deg"], "12", "13", "--deg"),
+    ("deg", ["fock", "--space", "1", "--action", "character", "--cutoff"], "6", "13/2", "--cutoff"),
+    ("deg", ["fock", "--space", "0", "--action", "gram", "--energy"], "6", "13/2", "--energy"),
+    ("size", ["char", "--group", "Sp", "--weight", "[1]", "--size"], "6", "7", "--size"),
+    ("size", ["schur", "--family", "sp", "--deg", "2", "--weight"], "[0,0,0,0,0,0]", "[0,0,0,0,0,0,0]", "--weight"),
+    ("length", ["frobenius"], "[1,1,1,1,1,1,1,1]", "[1,1,1,1,1,1,1,1,1]", "value"),
+    ("length", ["frobenius", "(1|0)", "--inverse", "--length"], "8", "9", "--length"),
+    ("entry", ["frobenius"], "[2097151]", "[2097152]", "value"),
+    ("entry", ["classify", "--algebra", "C", "--weight"], "2097151:1; level=1", "2097152:1; level=1", "--weight"),
+    ("space", ["fock", "--action", "decompose", "--space"], "4", "4+1/2", "--space"),
+    ("gram", ["fock", "--space", "3", "--algebra", "gl", "--action", "gram", "--energy"], "2", "5/2",
+     "--energy at --space 3"),
+    ("columns", ["char", "--group", "Sp", "--size", "1", "--weight"], "[16]", "[17]", "--weight"),
+    ("columns", ["fock", "--space", "1", "--action", "hwv", "--hw"], "[16]", "[17]", "--hw"),
+    ("box", ["char", "--group", "GL", "--size", "4", "--weight"], "[9,5,2,0]", None, "--weight"),
+    ("box", ["char", "--group", "O", "--size", "6", "--weight"], "[10,10,10,0,0,0]", "[11,11,11,0,0,0]", "--weight"),
+    ("hw", ["fock", "--space", "4", "--algebra", "D", "--action", "hwv", "--hw"], "[1,1,1,1,1,1,1,1]", None, "--hw"),
+]
+
+
+def test_sizes_above_their_caps_run_nothing(capsys, monkeypatch, stub_library):
+    assert {entry for entry, *_ in CAP_CASES} == set(cli.SIZE_CAPS)
+    for entry, argv, at_cap, above, flag in CAP_CASES:
+        assert outcome(capsys, argv + [at_cap])[0] == "reached", (argv, at_cap)
+        with monkeypatch.context() as patch:
+            if above is None:
+                patch.setitem(cli.SIZE_CAPS, entry, cli.SIZE_CAPS[entry] - 1)
+            code, out, err = outcome(capsys, argv + [above or at_cap])
+        assert code == 2 and not out and flag in err and "above its cap" in err, (argv, above, err)
     for _, params in cli.IDENTITY_GRID:
         assert all(params[p] <= cap for p, cap in cli.SIZE_CAPS.items() if p in params), params
+
+
+def test_gram_energy_caps_bound_the_level():
+    # the dense gram output is n x n: every level a cap admits has at most the 2,472 states of gl at d = 3,
+    # energy 2, on each kind of space, and one energy step more is above that on some kind
+    most = 2472
+    assert len(cli.SIZE_CAPS["gram"]) == cli.SIZE_CAPS["space"] // 2 + 1  # one cap for every admitted d
+    for d, cap in enumerate(cli.SIZE_CAPS["gram"]):
+        levels = {kind: Counter(fock.mono_energy2(m) for m in fock.enumerate_basis(fock.Space(kind, d), cap + 1))
+                  for kind in ("gl", "A", "Dodd")}
+        assert max(level[cap] for level in levels.values()) <= most, d
+        assert d == 0 or max(level[cap + 1] for level in levels.values()) > most, d
+    gl3 = Counter(fock.mono_energy2(m) for m in fock.enumerate_basis(fock.Space("gl", 3), 4))
+    assert gl3[4] == most
+
+
+# per subcommand: a base argv, and its size flags with their SIZE_CAPS entry, least admitted value and
+# scale (2 for a flag read as a doubled multiple of 1/2)
+SIZE_FLAGS = {
+    "verify": (["verify", "--identity", "HS"],
+               {"--d": ("d", 1, 1), "--n": ("n", 1, 1), "--m": ("m", 1, 1), "--deg": ("deg", 0, 1)}),
+    "schur": (["schur", "--family", "so", "--weight", "[0]"], {"--n": ("n", 1, 1), "--deg": ("deg", 0, 1)}),
+    "char": (["char", "--group", "Sp", "--weight", "[1]"], {"--size": ("size", 1, 1)}),
+    "frobenius": (["frobenius", "(1|0)", "--inverse"], {"--length": ("length", 0, 1)}),
+    "fock": (["fock", "--action", "character"], {"--space": ("space", 0, 2), "--cutoff": ("deg", 0, 2)}),
+}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_random_size_argv_exits_with_a_documented_code(capsys, stub_library, data):
+    # the parse layer only: past the caps every library call is stubbed
+    base, flags = SIZE_FLAGS[data.draw(st.sampled_from(sorted(SIZE_FLAGS)))]
+    argv, over, bad = list(base), [], []
+    for flag in data.draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, unique=True)):
+        entry, low, scale = flags[flag]
+        at_cap, above = (str(Fraction(cli.SIZE_CAPS[entry] + k, scale)) for k in (0, 1))
+        value = data.draw(st.sampled_from([at_cap, above, "0", "-1", "x", "1.25"]))
+        argv += [flag, value]
+        if value == above:
+            over.append(flag)
+        elif value != at_cap and (value != "0" or low > 0):
+            bad.append(flag)
+    code, out, err = outcome(capsys, argv)
+    assert code in (0, 1, 2, "reached"), (argv, code)
+    if over or bad:
+        assert code == 2 and not out, (argv, code)
+    if over and not bad:
+        assert any(f"argument {flag}: " in err for flag in over) and "above its cap" in err, (argv, err)
+    if bad and not over:
+        assert any(f"argument {flag}: " in err for flag in bad), (argv, err)
 
 
 def test_fock_hwv_label_has_its_declared_length(capsys):
@@ -373,46 +481,13 @@ def test_character_with_a_broken_orbit_fails_verification(capsys, monkeypatch, f
     assert z and z == sorted(z, reverse=True) and min(z) >= 0
 
 
-def test_jobs_bounded_by_cpu_count_and_cases(capsys, monkeypatch):
-    import concurrent.futures
-    import os
-
-    built = []
-
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records the pool size and maps in this process."""
-
-        def __init__(self, max_workers=None):
-            built.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    case = ["verify", "--identity", "HS", "--d", "1", "--deg", "2"]
-    for jobs in ("0", "-1", str((os.cpu_count() or 1) + 1), "100000", "two"):
+def test_fock_sizes_capped_by_max_deg(capsys):
+    # the doubled --cutoff and --energy share SIZE_CAPS["deg"] = 12, a constant
+    for argv, flag in [(["--action", "decompose", "--cutoff", "13/2"], "--cutoff"),
+                       (["--action", "gram", "--energy", "7"], "--energy")]:
         with pytest.raises(SystemExit) as exc:
-            main(case + ["--jobs", jobs])
-        assert exc.value.code == 2 and "--jobs" in capsys.readouterr().err
-    assert built == []
-    if (os.cpu_count() or 1) < 2:
-        pytest.skip("--jobs 2 needs two CPUs")
-    code, out, _ = run(capsys, *case, "--jobs", "2")
-    assert code == 0 and out.startswith("PASS")
-    assert built == [1]
-
-
-def test_fock_sizes_capped_by_max_deg(capsys, monkeypatch):
-    monkeypatch.setenv("SUPERCHAR_MAX_DEG", "4")
-    code, _, err = run(capsys, "fock", "--space", "1", "--action", "decompose", "--cutoff", "3")
-    assert code == 2 and "SUPERCHAR_MAX_DEG" in err
-    code, _, err = run(capsys, "fock", "--space", "1", "--action", "gram", "--energy", "5/2")
-    assert code == 2 and "SUPERCHAR_MAX_DEG" in err
+            main(["fock", "--space", "1", *argv])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and f"argument {flag}: doubled" in out.err and "above its cap 12" in out.err
     code, out, _ = run(capsys, "fock", "--space", "1", "--action", "decompose", "--cutoff", "2")
     assert code == 0 and "lambda=[0]" in out

@@ -657,7 +657,7 @@ def test_state_rendering():
 
 
 def test_duality_decompose_gl_side():
-    from superchar.fock import wmono_energy2
+    from superchar.symring import wmono_energy2
     from superchar.laurentchars import GroupTag
     from superchar.hwclassify import is_unitarizable
 
