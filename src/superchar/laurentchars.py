@@ -27,7 +27,7 @@ subtracts dominant weights only.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,7 +36,7 @@ from math import factorial
 
 from .partitions import GeneralizedPartition, Partition, _column_lengths, bar_conjugate, o_label
 from .ringdet import pair_det, ring_det
-from .sparse import _Sparse, _add_into, _drop_zeros, _fold_integral
+from .sparse import _PackedTerms, _Sparse, _add_into, _fold_integral, _product
 from .symring import _elem_of_values
 
 
@@ -57,8 +57,8 @@ class DecompositionError(ValueError):
 # is the sum of its operands' bounds, every other operation keeps the larger
 # one, and construction and __mul__ raise OverflowError once the bound reaches
 # B/2 = 2^21.  So no digit ever carries into its neighbour.  Bit 1 is free: in
-# a product k1 + k2 the eps bits add to 0, 1 or 2 there, and `k -= k & 2`
-# folds 2 back to 0 (k & 3 is that sum for negative k too).
+# a product k1 + k2 the eps bits add to 0, 1 or 2 there, and `k -= k & 2` in
+# `sparse._product` folds 2 back to 0 (k & 3 is that sum for negative k too).
 # The width is also a hash choice: Python hashes an int modulo 2^61 - 1,
 # which moves digit i to bit (2 + _W * i) mod 61.  With _W = 22 these bits
 # lie at least 5 apart, and at least 5 below bit 61 (which wraps onto the eps
@@ -96,62 +96,12 @@ def _check_bound(bound: int) -> int:
     return bound
 
 
-class _Terms(Mapping):
-    """Read-only {(doubled exponents, eps): coefficient} view of a LaurentPoly.
-
-    Its length is the stored dict's; keys are decoded only when iterated or
-    looked up.
-    """
-
-    __slots__ = ("_store", "_nvars")
-
-    def __init__(self, poly: "LaurentPoly"):
-        self._store = poly._store
-        self._nvars = poly.nvars
-
-    def __len__(self):
-        return len(self._store)
-
-    def __iter__(self):
-        nvars = self._nvars
-        return (_unpack(k, nvars) for k in self._store)
-
-    def __getitem__(self, key):
-        c = None
-        try:
-            exps, eps = key
-            if len(exps) == self._nvars and eps in (0, 1) and all(-_HALF < e < _HALF for e in exps):
-                c = self._store.get(_pack(exps, eps))
-        except (TypeError, ValueError):
-            pass  # not an (exponents, eps) pair of this polynomial
-        if c is None:
-            raise KeyError(key)
-        return c
-
-    def items(self):
-        return _TermItems(self)
-
-    def values(self):
-        return self._store.values()
-
-    def __repr__(self):
-        return repr(dict(self.items()))
-
-
-class _TermItems(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self):
-        nvars = self._mapping._nvars
-        return ((_unpack(k, nvars), c) for k, c in self._mapping._store.items())
-
-
 class LaurentPoly(_Sparse):
     """Sparse Laurent polynomial in z_1..z_n with doubled exponents and eps bit.
 
     Integral coefficients are stored as int, the others as Fraction.  `terms`
-    is a read-only view keyed by (doubled exponents, eps); the terms are
-    stored under packed int keys (see `_pack`).
+    is a read-only view keyed by (doubled exponents, eps) (`sparse._PackedTerms`);
+    the terms are stored under packed int keys (see `_pack`).
     """
 
     __slots__ = ("nvars", "_bound")
@@ -169,8 +119,22 @@ class LaurentPoly(_Sparse):
         self._bound = _check_bound(bound)
 
     @property
-    def terms(self) -> _Terms:
-        return _Terms(self)
+    def terms(self) -> _PackedTerms:
+        """Read-only {(doubled exponents, eps): coefficient} view."""
+        return _PackedTerms(self._store, self._decode, self._encode)
+
+    def _decode(self, k: int) -> tuple[tuple[int, ...], int]:
+        return _unpack(k, self.nvars)
+
+    def _encode(self, key) -> int | None:
+        """The packed key of (doubled exponents, eps), or None when key is not one of this polynomial's."""
+        try:
+            exps, eps = key
+            if len(exps) == self.nvars and eps in (0, 1) and all(-_HALF < e < _HALF for e in exps):
+                return _pack(exps, eps)
+        except (TypeError, ValueError):
+            pass  # not an (exponents, eps) pair
+        return None
 
     def _context(self):
         return self.nvars
@@ -218,15 +182,8 @@ class LaurentPoly(_Sparse):
             return self._scaled(other)
         self._check(other)
         bound = _check_bound(self._bound + other._bound)
-        out: dict[int, object] = {}
-        get = out.get
-        right = list(other._store.items())
-        for k1, c1 in self._store.items():
-            for k2, c2 in right:
-                k = k1 + k2
-                k -= k & 2
-                out[k] = get(k, 0) + c1 * c2
-        return self._new(_drop_zeros(out), bound)
+        # every key is below 2^(2 + _W * nvars) in absolute value, so no key sum reaches this limit
+        return self._new(_product(self._store, other._store, 1 << (3 + _W * self.nvars)), bound)
 
     __rmul__ = __mul__
 

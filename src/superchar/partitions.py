@@ -194,8 +194,17 @@ def _validate_negative_pair(half: tuple[int, ...], intg: tuple[int, ...]):
 
 
 def _column_lengths(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Column lengths lambda'_1 >= lambda'_2 >= ... of a partition; () for the zero one."""
-    return tuple(sum(1 for p in parts if p >= j) for j in range(1, max(parts, default=0) + 1))
+    """Column lengths lambda'_1 >= lambda'_2 >= ... of a partition; () for the zero one.
+
+    With the positive parts sorted as rows r_1 >= ... >= r_l >= r_{l+1} = 0,
+    the columns r_{i+1} + 1 .. r_i have length i: O(lambda_1 + l), read off
+    the differences of consecutive rows.  Parts in any order are accepted.
+    """
+    rows = sorted((p for p in parts if p > 0), reverse=True) + [0]
+    cols = []
+    for i in range(len(rows) - 1, 0, -1):
+        cols += [i] * (rows[i - 1] - rows[i])
+    return tuple(cols)
 
 
 def transpose(lam: Partition) -> Partition:

@@ -6,18 +6,22 @@ the variable count, the truncation cap, the Fock space, or nothing for
 supermatrices.  `_Sparse` holds what they have in common; each class supplies
 `_context()`, a trusted `_new(terms)` that wraps an internal result without
 copying it, and its own product.  The stored dict is the `terms` slot, which
-the generic operations reach as `_store`: it is the public `terms` of every
-class but `LaurentPoly`, which stores packed keys there and shows a
-tuple-keyed view as `terms`.  The helpers below add in place and drop the
-zeros, so no other module hand-writes that loop; `_fold_integral` gives the
-two rings (`LaurentPoly`, `SymFunc`) their coefficient normal form: `int` when
-integral, `Fraction` otherwise.
+the generic operations reach as `_store`.  It is the public `terms` of
+`FockVector` and `SuperMatrix`.  The two rings (`LaurentPoly`, `SymFunc`)
+store packed int keys there instead, and show them as `terms` through one
+read-only tuple-keyed view, `_PackedTerms`, given the class's decode and
+encode.  Both rings multiply through one loop, `_product`, on those keys.
+The helpers below add in place and drop the zeros, so no other module
+hand-writes that loop; `_fold_integral` gives the two rings their
+coefficient normal form: `int` when integral, `Fraction` otherwise.
 
 Every name here is private: a tracer that wraps each public function and
 method of the package charges this code to the layer that calls it.
 """
 
+from collections.abc import ItemsView as _ItemsView, Mapping as _Mapping
 from fractions import Fraction as _Fraction
+from operator import itemgetter as _itemgetter
 
 
 def _add_term(out, key, c):
@@ -36,9 +40,10 @@ def _add_term(out, key, c):
 def _add_into(out, terms, scale=1):
     """out += scale * terms in place, dropping zeros; returns out.
 
-    `terms` is a dict or an iterable of (key, coefficient) pairs.
+    `terms` is a mapping (a dict or a ring's `terms` view) or an iterable of
+    (key, coefficient) pairs.
     """
-    items = terms.items() if isinstance(terms, dict) else terms
+    items = terms.items() if isinstance(terms, (dict, _Mapping)) else terms
     if scale != 1:
         items = [(key, c * scale) for key, c in items]
     get, pop = out.get, out.pop
@@ -69,6 +74,77 @@ def _drop_zeros(out):
     for key in [key for key, c in out.items() if not c]:
         del out[key]
     return out
+
+
+def _product(left, right, limit):
+    """The product of two packed stores, {key: coefficient}, with the zeros dropped.
+
+    A product term's key is the sum of its factors' keys, less the carry into
+    bit 1: `LaurentPoly` keeps its eps bit in bit 0, so two eps bits add to 2
+    there, and `k -= k & 2` folds that back to 0 (`SymFunc` keys have both low
+    bits 0, so the fold does nothing to them).  The right factor runs in key
+    order, and each left term stops at the first pair whose key sum reaches
+    `limit`: the key sum that means "over the truncation degree" for
+    `SymFunc`, a bound above every key sum for `LaurentPoly`.
+    """
+    out = {}
+    get = out.get
+    right = sorted(right.items(), key=_itemgetter(0))
+    for k1, c1 in left.items():
+        room = limit - k1
+        for k2, c2 in right:
+            if k2 >= room:
+                break
+            k = k1 + k2
+            k -= k & 2
+            out[k] = get(k, 0) + c1 * c2
+    return _drop_zeros(out)
+
+
+class _PackedTerms(_Mapping):
+    """Read-only tuple-keyed view of a packed store.
+
+    `decode(k)` is the tuple key of the packed key k, and `encode(key)` the
+    packed key of a tuple key, or None when key names no term of the ring.
+    Its length is the stored dict's; keys are decoded only when iterated or
+    looked up.
+    """
+
+    __slots__ = ("_store", "_decode", "_encode")
+
+    def __init__(self, store, decode, encode):
+        self._store = store
+        self._decode = decode
+        self._encode = encode
+
+    def __len__(self):
+        return len(self._store)
+
+    def __iter__(self):
+        return map(self._decode, self._store)
+
+    def __getitem__(self, key):
+        c = self._store.get(self._encode(key))  # None is never a stored key
+        if c is None:
+            raise KeyError(key)
+        return c
+
+    def items(self):
+        return _PackedItems(self)
+
+    def values(self):
+        return self._store.values()
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class _PackedItems(_ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        decode = self._mapping._decode
+        return ((decode(k), c) for k, c in self._mapping._store.items())
 
 
 class _Sparse:

@@ -6,27 +6,26 @@ greater than the truncation cap D.  The cap is part of the value; arithmetic
 between different caps is an error so that identity checks stay honest.
 
 A monomial is a pair (xpart, ypart), each a sorted tuple of (k, multiplicity)
-pairs recording the exponent of e_k in that alphabet.
+pairs recording the exponent of e_k in that alphabet.  That tuple is the key
+of the read-only `terms` view; the terms are stored under packed int keys
+(see `_Codec`), which the product loop of `sparse` adds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
 
 from .partitions import Partition, transpose
 from .ringdet import ring_det
-from .sparse import _Sparse, _add_into, _drop_zeros, _fold_integral
+from .sparse import _PackedTerms, _Sparse, _add_into, _fold_integral, _product
 
 Mono = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
 
 EMPTY_MONO: Mono = ((), ())
 
 
-@lru_cache(maxsize=None)
-def mono_degree(mono: Mono) -> int:
-    """Total degree; cached, as every product asks it of each operand term."""
+def _degree(mono: Mono) -> int:
     return sum(k * m for part in mono for k, m in part)
 
 
@@ -41,33 +40,103 @@ def _part_mul(a, b):
     return tuple(sorted(acc.items()))
 
 
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    return (_part_mul(a[0], b[0]), _part_mul(a[1], b[1]))
+class _Codec:
+    """Packed keys of the monomials of degree <= cap.
+
+    A monomial is stored under the mixed-radix int with one digit per e_k(x)
+    and per e_k(y), k = 1..cap, each of radix cap // k + 1, and a top digit
+    that holds the total degree; the whole key is shifted left by 2.  A
+    monomial of degree at most cap has k * m_k <= cap, so its digits fit, and
+    the key of a product is the sum of its factors' keys whenever the product
+    is of degree at most cap: no digit carries.  The top digit makes key order
+    refine degree order, so a product is over the cap exactly when its key
+    sum reaches `limit`, the key of degree cap + 1.  The two low bits stay 0,
+    which `sparse._product`'s eps fold leaves alone.  At cap 12 every key sum
+    is below 2^47, under 2^61 - 1, so Python hashes each key to itself and
+    distinct keys never share a hash.
+    """
+
+    __slots__ = ("cap", "places", "digits", "top", "limit")
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.places: tuple[list[int], list[int]] = ([0], [0])  # per alphabet, indexed by k
+        self.digits: list[tuple[int, int, int]] = []  # (alphabet, k, radix), low digit first
+        place = 4
+        for which in (0, 1):
+            for k in range(1, cap + 1):
+                radix = cap // k + 1
+                self.places[which].append(place)
+                self.digits.append((which, k, radix))
+                place *= radix
+        self.top = place
+        self.limit = (cap + 1) * place
+
+    def encode(self, mono) -> int | None:
+        """The key of a monomial of degree <= cap, or None when mono is not one."""
+        key = deg = 0
+        try:
+            for place, part in zip(self.places, mono, strict=True):
+                last = 0
+                for k, m in part:
+                    if not last < k <= self.cap or m < 1:
+                        return None
+                    key += m * place[k]
+                    deg += k * m
+                    last = k
+        except (TypeError, ValueError):
+            return None  # not a pair of (k, multiplicity) tuples
+        return key + deg * self.top if deg <= self.cap else None
+
+    def decode(self, key: int) -> Mono:
+        key >>= 2
+        parts: tuple[list, list] = ([], [])
+        for which, k, radix in self.digits:
+            key, m = divmod(key, radix)
+            if m:
+                parts[which].append((k, m))
+        return tuple(parts[0]), tuple(parts[1])
+
+
+_codec = lru_cache(maxsize=None)(_Codec)
 
 
 class SymFunc(_Sparse):
     """Truncated two-alphabet symmetric function with exact coefficients.
 
-    Integral coefficients are stored as int, the others as Fraction.
+    Integral coefficients are stored as int, the others as Fraction.  `terms`
+    is a read-only view keyed by monomials (`sparse._PackedTerms`); the terms
+    are stored under packed int keys (see `_Codec`).
     """
 
     __slots__ = ("cap",)
 
     def __init__(self, cap: int, terms: dict[Mono, object] | None = None):
         self.cap = cap
-        self.terms: dict[Mono, object] = (
-            _fold_integral({mono: c for mono, c in terms.items() if c and mono_degree(mono) <= cap})
-            if terms
-            else {}
-        )
+        encode = _codec(cap).encode
+        store = {}
+        for mono, c in (terms or {}).items():
+            if c and _degree(mono) <= cap:
+                key = encode(mono)
+                if key is None:
+                    raise ValueError(f"{mono!r} is not a monomial: (k, multiplicity) pairs with k increasing")
+                store[key] = c
+        self._store = _fold_integral(store)
+
+    @property
+    def terms(self) -> _PackedTerms:
+        """Read-only {monomial: coefficient} view."""
+        codec = _codec(self.cap)
+        return _PackedTerms(self._store, codec.decode, codec.encode)
 
     def _context(self):
         return self.cap
 
     def _new(self, terms: dict) -> "SymFunc":
+        """Wrap packed terms."""
         out = object.__new__(SymFunc)
         out.cap = self.cap
-        out.terms = _fold_integral(terms)
+        out._store = _fold_integral(terms)
         return out
 
     @staticmethod
@@ -82,19 +151,7 @@ class SymFunc(_Sparse):
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         self._check(other)
-        cap = self.cap
-        # right operand by degree, so each left term stops at the first pair over the cap
-        right = sorted(((mono_degree(m), m, c) for m, c in other.terms.items()), key=itemgetter(0))
-        out: dict[Mono, object] = {}
-        get = out.get
-        for m1, c1 in self.terms.items():
-            room = cap - mono_degree(m1)
-            for d2, m2, c2 in right:
-                if d2 > room:
-                    break
-                mono = mono_mul(m1, m2)
-                out[mono] = get(mono, 0) + c1 * c2
-        return self._new(_drop_zeros(out))
+        return self._new(_product(self._store, other._store, _codec(self.cap).limit))
 
     __rmul__ = __mul__
 
@@ -105,8 +162,12 @@ class SymFunc(_Sparse):
         )
         return self.terms.get(mono, 0)
 
+    def _by_degree(self) -> list[tuple[Mono, object]]:
+        """The terms ordered by degree, then monomial."""
+        return sorted(self.terms.items(), key=lambda t: (_degree(t[0]), t[0]))
+
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._store:
             return "0"
         def mono_str(mono: Mono) -> str:
             bits = []
@@ -115,8 +176,7 @@ class SymFunc(_Sparse):
                     bits.append(f"e{k}({alph})" + (f"^{m}" if m > 1 else ""))
             return "*".join(bits) if bits else "1"
         bits = []
-        for mono in sorted(self.terms, key=lambda m: (mono_degree(m), m)):
-            coeff = self.terms[mono]
+        for mono, coeff in self._by_degree():
             ms = mono_str(mono)
             if ms == "1":
                 bits.append(str(coeff))
@@ -129,16 +189,10 @@ class SymFunc(_Sparse):
         return " + ".join(bits).replace("+ -", "- ")
 
     def to_json(self) -> list[dict]:
-        out = []
-        for mono in sorted(self.terms, key=lambda m: (mono_degree(m), m)):
-            out.append(
-                {
-                    "x": [[k, m] for k, m in mono[0]],
-                    "y": [[k, m] for k, m in mono[1]],
-                    "coeff": str(self.terms[mono]),
-                }
-            )
-        return out
+        return [
+            {"x": [[k, m] for k, m in mono[0]], "y": [[k, m] for k, m in mono[1]], "coeff": str(coeff)}
+            for mono, coeff in self._by_degree()
+        ]
 
 
 @lru_cache(maxsize=None)

@@ -6,17 +6,18 @@ weight tables plus the alternating Kostant/Klimyk sum for small symplectic
 tensor products, explicit two- and three-dimensional orthogonal group rules,
 the Weyl dimension formulas, Weyl symmetry by generating reflections, the Weyl
 character formula as an alternant quotient with its own exact Laurent
-division, the Laurent product pair by pair on tuple keys, the sp/so Schur
-functions by omega after a determinant, the degenerate r-2 reading of the
-primed folded series, embedding in more variables and moving variables
-through the tuple-keyed constructor, the Cauchy series product on every z
-key, the so(2m) characters as determinants (the reference for the duals
-the library reads from Freudenthal's formula), the Laurent Howe-duality
-identities on every (x, z) term with the duals of the older route (sp_schur
-specialised to x, the so(2m) determinant at x^{-1}), the Fock basis and
-character built one monomial at a time, singularity by every raising
-element, the Gram matrix from every pair of basis states, and leading
-principal minors as Leibniz sums.
+division, the Laurent and SymFunc products pair by pair on tuple keys, column
+lengths by counting parts, the sp/so Schur functions by omega after a
+determinant, the degenerate r-2 reading of the primed folded series,
+embedding in more variables and moving variables through the tuple-keyed
+constructor, the Cauchy series product on every z key, the so(2m)
+characters as determinants (the reference for the duals the library reads
+from Freudenthal's formula), the Laurent Howe-duality identities on every
+(x, z) term with the duals of the older route (sp_schur specialised to x,
+the so(2m) determinant at x^{-1}), the Fock basis and character built one
+monomial at a time, singularity by every raising element, the Gram matrix
+from every pair of basis states, and leading principal minors as Leibniz
+sums.
 
 It also holds the helpers that only tests call: tensor multiplicities and
 dimensions read off the characters, omega, specialisation to finite
@@ -356,6 +357,39 @@ def laurent_product(a, b) -> dict:
             key = (tuple(x + y for x, y in zip(e1, e2, strict=True)), p1 ^ p2)
             out[key] = out.get(key, 0) + c1 * c2
     return {key: c for key, c in out.items() if c}
+
+
+# -- the SymFunc product on tuple keys ---------------------------------------------
+
+def _part_mul(a, b):
+    acc = dict(a)
+    for k, m in b:
+        acc[k] = acc.get(k, 0) + m
+    return tuple(sorted(acc.items()))
+
+
+def symfunc_product(cap: int, a, b) -> dict:
+    """Truncated product of two {monomial: coefficient} mappings, pair by pair.
+
+    Each pair's (k, multiplicity) tuples merge per alphabet, and the pair is
+    kept when its degree is at most cap; zero sums are dropped.  This is the
+    product loop of SymFunc before its keys were packed.
+    """
+    degree = lambda mono: sum(k * m for part in mono for k, m in part)
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            if degree(m1) + degree(m2) <= cap:
+                mono = (_part_mul(m1[0], m2[0]), _part_mul(m1[1], m2[1]))
+                out[mono] = out.get(mono, 0) + c1 * c2
+    return {mono: c for mono, c in out.items() if c}
+
+
+# -- column lengths by counting parts -------------------------------------------------
+
+def column_lengths(parts) -> tuple[int, ...]:
+    """Column lengths of a partition by counting, for each j, the parts >= j."""
+    return tuple(sum(1 for p in parts if p >= j) for j in range(1, max(parts, default=0) + 1))
 
 
 # -- omega, specialisation and graded dimensions of symmetric functions -------------

@@ -256,7 +256,7 @@ def test_shape_checks_survive_optimized_mode():
 
 
 def test_packed_width_bound():
-    # doubled exponents must stay below _HALF = 2^19 in absolute value
+    # doubled exponents must stay below _HALF = 2^21 in absolute value
     edge = LaurentPoly.monomial(3, (0, _HALF - 1, 1 - _HALF), eps=1)
     assert edge.terms == {((0, _HALF - 1, 1 - _HALF), 1): 1}
     for e in (_HALF, -_HALF):
@@ -266,6 +266,9 @@ def test_packed_width_bound():
         edge * LaurentPoly.var(3, 1, 1)
     below = LaurentPoly.monomial(3, (0, _HALF - 2, 2 - _HALF), eps=1)
     assert (below * LaurentPoly.var(3, 1, 1)).terms == {((0, _HALF - 1, 2 - _HALF), 1): 1}
+    # the largest keys: the product loop's limit lies above every key sum
+    top = LaurentPoly.monomial(3, (1 - _HALF // 2, 0, _HALF // 2 - 1), eps=1)
+    assert (top * top).terms == {((2 - _HALF, 0, _HALF - 2), 0): 1}
 
 
 # -- packed keys against tuple-level oracles --------------------------------------

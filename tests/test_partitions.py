@@ -8,6 +8,7 @@ from superchar.partitions import (
     FrobeniusError,
     GeneralizedPartition,
     Partition,
+    _column_lengths,
     bar_conjugate,
     from_frobenius,
     parse_frobenius,
@@ -17,6 +18,8 @@ from superchar.partitions import (
     to_frobenius,
     transpose,
 )
+
+from oracles import column_lengths
 
 
 def gen_partitions(max_part: int, length: int):
@@ -174,3 +177,13 @@ def test_literals_and_json():
 def test_equality_tracks_declared_length():
     assert Partition((2, 0, 0)) != Partition((2, 0))
     assert Partition((2, 0)) == GeneralizedPartition((2, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 30), max_size=12), st.booleans())
+def test_column_lengths_match_counting_parts(vals, ordered):
+    # partitions with declared trailing zeros, the zero partition, and the unsorted signed
+    # lists fock --hw labels hand over; the count reads a negative part as no box
+    parts = tuple(sorted(vals, reverse=True)) if ordered else tuple(vals)
+    assert _column_lengths(parts) == column_lengths(parts)
+    assert _column_lengths((0,) * len(vals)) == () == column_lengths((0,) * len(vals))

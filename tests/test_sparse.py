@@ -11,7 +11,10 @@ from hypothesis import given, settings, strategies as st
 from superchar.fock import FockVector, Space, enumerate_basis
 from superchar.infmat import SuperMatrix
 from superchar.laurentchars import LaurentPoly
+from superchar.sparse import _add_into
 from superchar.symring import SymFunc
+
+from oracles import symfunc_product
 
 COEFFS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
 SPACE = Space("A", 1)
@@ -139,3 +142,57 @@ def _naive_product(cap, a, b):
 def test_symfunc_product_matches_naive_truncated_product(cap, a, b):
     fa, fb = SymFunc(cap, a), SymFunc(cap, b)
     assert _normal(fa * fb).terms == _naive_product(cap, fa.terms, fb.terms)
+
+
+# -- the packed SymFunc product against the tuple-keyed one, at every admitted cap ----
+
+@st.composite
+def _capped_monomials(draw, cap):
+    """A monomial of degree <= cap: drawn (alphabet, k) factors, kept while they fit."""
+    count, degree = Counter(), 0
+    for which, k in draw(st.lists(st.tuples(st.integers(0, 1), st.integers(1, 12)), max_size=8)):
+        if degree + k <= cap:
+            count[which, k] += 1
+            degree += k
+    return tuple(tuple(sorted((k, m) for (w, k), m in count.items() if w == which)) for which in (0, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), cap=st.integers(0, 12))
+def test_packed_symfunc_product_matches_tuple_oracle(data, cap):
+    a, b = (data.draw(st.dictionaries(_capped_monomials(cap), COEFFS, max_size=10)) for _ in range(2))
+    fa, fb = SymFunc(cap, a), SymFunc(cap, b)
+    assert _normal(fa * fb).terms == symfunc_product(cap, a, b)
+    assert _normal(fa * fa).terms == symfunc_product(cap, a, a)
+
+
+# -- the read-only tuple-keyed view of both rings ------------------------------------
+
+VIEW_CASES = [
+    (LaurentPoly(2, {((2, -1), 0): 3, ((0, 0), 1): Fraction(1, 2), ((-4, 5), 1): -1}),
+     [((2, -1), 1), ((2, -1),), ((2, -1, 0), 0), ((2, -1), 2), ((1 << 21, 0), 0), "x", None]),
+    (SymFunc(4, {((), ()): 2, (((1, 2),), ((2, 1),)): -1, ((), ((1, 3),)): Fraction(3, 2)}),
+     [(((1, 2),), ()), (((1, 2), (1, 1)), ()), (((2, 1), (1, 2)), ()), (((1, 0),), ()), (((1, 5),), ()),
+      (((5, 1),), ()), (((0, 1),), ()), ((), (), ()), "xy", None]),
+]
+
+
+@pytest.mark.parametrize("f, absent", VIEW_CASES, ids=["LaurentPoly", "SymFunc"])
+def test_terms_view_is_a_tuple_keyed_mapping(f, absent):
+    plain = dict(f.terms.items())
+    assert f.terms == plain and len(f.terms) == len(plain) == 3
+    assert set(f.terms) == set(plain) and sorted(f.terms.values()) == sorted(plain.values())
+    for key, c in plain.items():
+        assert key in f.terms and f.terms[key] == c and f.terms.get(key) == c
+    for key in absent:
+        assert key not in f.terms and f.terms.get(key, 0) == 0
+        with pytest.raises(KeyError):
+            f.terms[key]
+    assert type(f)(f._context(), f.terms) == f  # the view is accepted where a dict is
+    with pytest.raises(AttributeError):
+        f.terms = plain
+
+
+def test_add_into_reads_a_terms_view():
+    f = SymFunc(3, {(((1, 1),), ()): 2, ((), ((3, 1),)): 1})
+    assert _add_into({(((1, 1),), ()): -2}, f.terms) == {((), ((3, 1),)): 1}

@@ -9,6 +9,8 @@ from superchar.partitions import Partition
 from superchar.superschur import _lambda_box
 from superchar.symring import (
     SymFunc,
+    _codec,
+    _degree,
     _unit,
     hook_schur,
     schur,
@@ -145,6 +147,8 @@ def test_truncation_coherence():
     lam = Partition((2, 1))
     assert SymFunc(3, hook_schur(lam, 5).terms) == hook_schur(lam, 3)
     assert SymFunc(4, schur(lam, "xy", 6).terms) == schur(lam, "xy", 4)
+    mixed = lambda cap: _unit("hs", 2, "xy", cap) * _unit("hs", 2, "xy", cap) + _unit("e", 1, "x", cap)
+    assert SymFunc(3, mixed(5).terms) == mixed(3) == _unit("e", 1, "x", 3)
 
 
 def test_specialize_examples():
@@ -201,3 +205,63 @@ def test_hook_schur_of_a_column():
         for i in range(0, d + 1):
             want = want + _unit("e", i, "x", 4) * _unit("h", d - i, "y", 4)
         assert hook_schur(Partition((1,) * d), 4) == want
+
+
+# -- the packed key of SymFunc -----------------------------------------------------
+
+def _monomials(cap):
+    """Every monomial of degree <= cap: a pair of multiplicity tuples over e_1..e_cap."""
+    def parts(budget, k=1):
+        if k > budget:
+            yield ()
+            return
+        for m in range(budget // k + 1):
+            for rest in parts(budget - k * m, k + 1):
+                yield (((k, m),) if m else ()) + rest
+    return [(xs, ys) for xs in parts(cap) for ys in parts(cap - _degree((xs, ())))]
+
+
+@pytest.mark.parametrize("cap", range(9))
+def test_codec_round_trips_every_monomial(cap):
+    codec, monos = _codec(cap), _monomials(cap)
+    keys = [codec.encode(mono) for mono in monos]
+    assert len(set(keys)) == len(monos) and all(key & 3 == 0 for key in keys)
+    assert [codec.decode(key) for key in keys] == monos
+    # key order refines degree order, and the degree digit reads the degree back
+    assert all(key // codec.top == _degree(mono) for key, mono in zip(keys, monos))
+    assert max(keys) < codec.limit
+    assert SymFunc(cap, dict.fromkeys(monos, 1)).terms == dict.fromkeys(monos, 1)
+
+
+@pytest.mark.parametrize("cap", range(9))
+def test_codec_keys_add_without_carry_below_the_cap(cap):
+    codec, monos = _codec(cap), _monomials(cap)
+    for a in monos:
+        for b in monos:
+            key = codec.encode(a) + codec.encode(b)
+            if _degree(a) + _degree(b) <= cap:
+                assert key == codec.encode(tuple(_merge(pa, pb) for pa, pb in zip(a, b))) < codec.limit
+            else:
+                assert key >= codec.limit
+
+
+def _merge(pa, pb):
+    acc = dict(pa)
+    for k, m in pb:
+        acc[k] = acc.get(k, 0) + m
+    return tuple(sorted(acc.items()))
+
+
+def test_codec_key_sums_hash_to_themselves_at_the_largest_cap():
+    # deg is capped at 12; below 2^61 - 1 an int hashes to itself, so distinct keys never share a hash
+    keys = [_codec(12).encode(mono) for mono in _monomials(12)]
+    assert 2 * max(keys) < 2**61 - 1 and hash(2 * max(keys)) == 2 * max(keys)
+
+
+def test_constructor_truncates_and_rejects_what_is_not_a_monomial():
+    assert SymFunc(2, {(((1, 3),), ()): 1, (((3, 1),), ()): 1, ((), ((1, 2),)): 5}).terms == {((), ((1, 2),)): 5}
+    assert SymFunc(0, {((), ()): 4, (((1, 1),), ()): 1}).terms == {((), ()): 4}
+    # a repeated k, k out of order, e_0 and a zero multiplicity
+    for bad in ((((1, 1), (1, 1)), ()), (((2, 1), (1, 1)), ()), (((0, 1),), ()), (((1, 0),), ())):
+        with pytest.raises(ValueError, match="not a monomial"):
+            SymFunc(3, {bad: 1})
