@@ -42,12 +42,12 @@ IDENTITY_GRID = [
 # Every case of IDENTITY_GRID, of the benchmark and of CI is admitted.
 SIZE_CAPS = {
     # verify --d, --n, --m and schur --n (e_k of m variables has C(m, k) terms):
-    # combin-Sp at d = 3, m = 5 0.9 s, odd-char at n = m = 5 0.4 s
+    # combin-Sp at d = 3, m = 5 0.09 s, odd-char at n = m = 5 0.05 s
     "d": 3, "n": 5, "m": 5,
     "deg": 12,  # verify and schur --deg, and the doubled fock --cutoff and --energy
     "size": 6,  # char --size, entries of a char or schur --weight: sp hook of six zeros at --deg 12, 0.2 s
     "length": 8,  # entries of a frobenius literal or a fock --hw label, and frobenius --length
-    "entry": 2**21 - 1,  # |integers| of a literal or a classify --weight: frobenius of eight at the cap, 0.6 s
+    "entry": 2**21 - 1,  # |integers| of a literal or a classify --weight: frobenius of eight at the cap, 0.3 s
     "space": 8,  # the doubled level of fock --space (2d + 1 for d+1/2): character at 4, --cutoff 6, 1.9 s
     # the doubled --energy of fock --action gram at d = 0..4, for its dense n x n
     # matrix: gl at d = 3, --energy 2 has 2,472 states, 0.5 s and 172 MB

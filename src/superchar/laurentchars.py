@@ -20,8 +20,8 @@ exponent, which is valid because every character is unitriangular with
 leading term z^lambda; one peeler serves both plain characters and graded
 ones such as the Fock space character.  It checks the invariance of its
 input once, orbit by orbit (`_dominant_part`, of Weyl type A, C or D, which
-also checks the x side of the Laurent identities), and then carries and
-subtracts dominant weights only.
+also checks the one-variable series in z of the Laurent identities), and
+then carries and subtracts dominant weights only.
 """
 
 from __future__ import annotations

@@ -233,12 +233,11 @@ def split_signs(lam: GeneralizedPartition) -> tuple[Partition, GeneralizedPartit
 
 
 def _pos_coordinates(parts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Frobenius coordinates of a non-negative non-increasing sequence."""
+    """Frobenius coordinates of a non-negative non-increasing sequence, with no transpose built."""
     lam = Partition(parts)
     r = rank(lam)
     half = tuple(lam.parts[k - 1] - k + 1 for k in range(1, r + 1))
-    lamT = transpose(lam)
-    intg = tuple(lamT.parts[k - 1] - k for k in range(1, r + 1))
+    intg = tuple(sum(p >= k for p in lam.parts) - k for k in range(1, r + 1))
     return half, intg
 
 

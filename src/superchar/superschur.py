@@ -26,16 +26,17 @@ identity.  Both sides of either are Weyl-invariant in z, so one engine
 compares them on dominant z weights only, which is exact (see
 `_series_identity`).  The coefficients of a Laurent identity are invariant
 in x as well, under W(C_m) or W(D_m), and are compared on dominant x weights
-too: the left side's through the orbit check `_dominant_part`, the sp(2m)
-and so(2m) duals as the dominant multiplicities of `_freudenthal`, so no
-character in x is built as a determinant.  Failures, a broken Weyl orbit in
-z or in x included, are reported as data, not exceptions.
+too: the left side's built directly by sweeping x (`_laurent_lhs`), the
+sp(2m) and so(2m) duals as the dominant multiplicities of `_freudenthal`,
+so no character in x is built as a determinant.  Failures, a broken Weyl
+orbit included, are reported as data, not exceptions.
 """
 
 from __future__ import annotations
 
 import time
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .partitions import Partition, _column_lengths, bar_conjugate, o_label
 # ring_det stays bound here: perfbench's tracer test wraps it in every module that builds determinants
@@ -184,36 +185,43 @@ def _labels(group: GroupTag, max_size: int):
     return o_labels(group.size, max_size)
 
 
-def _broken_orbit(group: GroupTag, label: str, exc: DecompositionError, zkey=None) -> dict:
+def _broken_orbit(group: GroupTag, label: str, exc: DecompositionError) -> dict:
     """The mismatch for a side that is not Weyl-symmetric: the group, the label and where the orbit breaks.
 
-    A z orbit is named by its dominant (z, eps) weight, the key of `exc`.  An
-    x orbit of a Laurent coefficient is named by the coefficient's (z, eps)
-    key `zkey` and, as `x_monomial`, by the orbit's dominant x weight; its
-    `detail` gives the x weights doubled, as LaurentPoly stores them.
+    The orbit is named by its dominant (z, eps) weight, the key of `exc`, and
+    by the power of x1 of a Laurent series in x, its `x_monomial` if it has one.
     """
     out = {"group": str(group), "label": label}
-    key = exc.key if zkey is None else zkey
-    if key is not None:
-        out["z_exponent"], out["eps"] = list(key[0]), key[1]
+    if exc.key is not None:
+        out["z_exponent"], out["eps"] = list(exc.key[0]), exc.key[1]
     out["detail"] = str(exc)
-    if zkey is not None:
-        out["x_monomial"] = LaurentPoly.monomial(len(exc.key[0]), exc.key[0])._render("x")
-        out["detail"] += " (x weights doubled)"
+    if hasattr(exc, "x_monomial"):
+        out["x_monomial"] = exc.x_monomial
     return out
 
 
-def _series_lhs(group: GroupTag, one, series, start) -> dict:
-    """Dominant part of start * prod_i P(z_i) (times each sum_k g_k eps^k for odd O), plain exponents.
+def _dominant_sweep(acc: dict, steps, length: int) -> dict:
+    """acc extended `length` times: (z, eps): f by each step (a, deps, g), a <= z[-1], to (z + (a,), eps ^ deps): fg."""
+    for _ in range(length):
+        out: dict = {}
+        for (z, eps), f in acc.items():
+            for a, deps, g in steps:
+                if not z or a <= z[-1]:
+                    _add_term(out, (z + (a,), eps ^ deps), f * g)
+        acc = out
+    return acc
 
-    `series` lists the units g_0..g_K of each generating series, elements of
-    the ring whose one is `one` (SymFunc, or LaurentPoly in x).  P(z) is the
-    product over series and signs of sum_k g_k z^{+-k} (eps^k for odd O),
-    built once in one variable.  The coefficient of z^a in prod_i P(z_i) is
-    prod_i P[a_i], so the dominant keys a_1 >= ... >= a_d >= 0 are built
-    directly, one variable at a time.  P[a] = P[-a] is checked: with the
-    symmetry of the product in the z_i it makes the full product
-    Weyl-invariant.
+
+def _series_lhs(group: GroupTag, one, series) -> dict:
+    """Dominant part of prod_i P(z_i) (times each sum_k g_k eps^k for odd O), plain exponents.
+
+    `series` lists the units g_0..g_K of each generating series, SymFunc
+    whose one is `one`.  P(z) is the product over series and signs of
+    sum_k g_k z^{+-k} (eps^k for odd O), built once in one variable.  The
+    coefficient of z^a in prod_i P(z_i) is prod_i P[a_i], so the dominant
+    keys a_1 >= ... >= a_d >= 0 are built directly, one variable at a time.
+    P[a] = P[-a] is checked: with the symmetry of the product in the z_i it
+    makes the full product Weyl-invariant.
     """
     odd = group.kind == "O" and group.size % 2 == 1
     p = {((0,), 0): one}
@@ -223,55 +231,29 @@ def _series_lhs(group: GroupTag, one, series, start) -> dict:
     for ((a,), eps), f in p.items():
         if p.get(((-a,), eps)) != f:
             raise DecompositionError(f"the one-variable series differs at z^{a} and z^{-a}", ((a,), eps))
-    lhs = {((), 0): start}
+    lhs = {((), 0): one}
     if odd:
         for units in series:
             lhs = _zs_mul_factor(lhs, _geom_factor(None, units, True))
-    steps = [(a, eps, f) for ((a,), eps), f in p.items() if a >= 0]
-    for _ in range(group.rank):
-        out: dict = {}
-        for (z, eps), f in lhs.items():
-            for a, deps, g in steps:
-                if not z or a <= z[-1]:
-                    _add_term(out, (z + (a,), eps ^ deps), f * g)
-        lhs = out
-    return lhs
+    return _dominant_sweep(lhs, [(a, eps, f) for ((a,), eps), f in p.items() if a >= 0], group.rank)
 
 
-def _series_identity(group: GroupTag, one, series, start, labels, dual, x_weyl=None):
-    """start * prod_i prod_series sum_k g_k z_i^{+-k} (eps^k for odd O) = sum_lam chi_lam(z) dual(lam).
+def _series_identity(group: GroupTag, one, lhs_of, labels, dual):
+    """lhs_of() = sum_lam chi_lam(z) dual(lam), compared as {(dominant plain z exponents, eps bit): coefficient}.
 
-    `series` and `start` are as in `_series_lhs`; odd O adds each series once
-    more, eps-marked and without z.  Both sides are {(plain z exponents, eps
-    bit): coefficient} on dominant weights.  A Laurent identity names the
-    Weyl type x_weyl ("C" or "D") of its x variables: its coefficients are
-    then LaurentPoly in x on dominant x weights only, each dual(lam) given
-    so.  The mismatch is the first differing coefficient, at its first
-    differing monomial.
+    The coefficients are SymFunc, or LaurentPoly in x on dominant x weights;
+    a DecompositionError of lhs_of is a broken orbit.  The mismatch is the
+    first differing coefficient, at its first differing monomial.
     """
-    # Exactness in z: the left side is Weyl-invariant, since P[a] = P[-a] is
-    # checked in _series_lhs and the product is symmetric in the z_i.  The
-    # right side is a sum of characters, Weyl-invariant by construction:
-    # _dominant_terms gives each one as its dominant weight multiplicities,
-    # which fix a Weyl-invariant function.  A Weyl-invariant tensor is fixed
-    # by its dominant coefficients, so the two sides agree on dominant z keys
-    # if and only if they agree everywhere.
-    # Exactness in x: each coefficient of the left side is W(x_weyl)-invariant
-    # in x, checked orbit by orbit by _dominant_part, which also keeps only
-    # its dominant x weights.  Each dual is an sp(2m) or so(2m) character,
-    # invariant by construction and given by its dominant multiplicities.
-    # Both sides are so invariant under W(z) x W(x) term by term, and agree
-    # on doubly dominant keys if and only if they agree everywhere.
+    # Exactness in z: both sides are Weyl-invariant, the left as lhs_of
+    # checks, the right as a sum of characters, each given by its dominant
+    # weight multiplicities (_dominant_terms).  A Weyl-invariant tensor is
+    # fixed by its dominant coefficients, so the sides agree on dominant z
+    # keys if and only if they agree everywhere.  In x see `_laurent_lhs`.
     try:
-        lhs = _series_lhs(group, one, series, start)
+        lhs = lhs_of()
     except DecompositionError as exc:
         return _broken_orbit(group, "the left-hand series", exc), 0, 0, len(labels)
-    if x_weyl is not None:
-        for key, f in lhs.items():
-            try:
-                lhs[key] = LaurentPoly(f.nvars, _dominant_part(f.terms.items(), x_weyl))
-            except DecompositionError as exc:
-                return _broken_orbit(group, "the left-hand series", exc, key), 0, 0, len(labels)
     rhs: dict = {}
     for lam in labels:
         terms, f = _dominant_terms(group, lam), dual(lam)
@@ -302,26 +284,65 @@ def _cauchy_identity(group: GroupTag, cap: int, bases, sym_of):
     """The series identity truncated at degree cap, one series per (generator family, alphabet) in bases."""
     one = SymFunc.const(cap)
     series = [[_unit(base, k, alph, cap) for k in range(cap + 1)] for base, alph in bases]
-    return _series_identity(group, one, series, one, _labels(group, cap), sym_of)
+    return _series_identity(group, one, lambda: _series_lhs(group, one, series), _labels(group, cap), sym_of)
+
+
+def _laurent_lhs(group: GroupTag, m: int) -> dict:
+    """The left side of `_laurent_identity`, {(dominant plain z, eps): LaurentPoly in x on dominant x weights}.
+
+    It is prod_j Q(x_j), Q(w) = w^{-N/2} prod_v (1 + w v) over the N values
+    z_i^{+-1} (and 1 for odd O), each times eps for odd O.  Q[b] at the
+    doubled power b = 2k - N is e_k of the values (`_elem_of_values`, by
+    module global), a LaurentPoly in z with plain exponents, and x^b has the
+    coefficient prod_j Q[b_j].  A failed check of Q[b] names x1^b.
+    """
+    # Exactness in x: each Q[b] is checked W(C)-invariant in z, and Q[-b] to
+    # be Q[b] times eps^odd.  So the left side is W(C)-invariant in z and
+    # symmetric in the x_j, and x_j -> x_j^{-1} multiplies it by eps^odd: it
+    # is W(C)-invariant in x for Sp and W(D)-invariant for O, as are the
+    # duals.  So the sides agree on the doubly dominant keys swept below (for
+    # O, b_m < 0 mirrors -b_m) if and only if they agree everywhere.
+    rank, odd = group.rank, int(group.kind == "O" and group.size % 2 == 1)
+    one = LaurentPoly.const(rank)
+    mark = LaurentPoly.eps(rank) if odd else one
+    values = [mark * LaurentPoly.var(rank, i, s) for i in range(rank) for s in (1, -1)] + [mark] * odd
+    dim = len(values)
+    q = _elem_of_values(values, dim, one)
+    for k, f in enumerate(q):
+        try:
+            _dominant_part(f.terms.items(), "C")
+            diff = _dominant_part((q[dim - k] - mark * f).terms.items(), "C")
+            if diff:
+                raise DecompositionError(f"the x series differs at doubled x^{2 * k - dim}, x^{dim - 2 * k}", max(diff))
+        except DecompositionError as exc:
+            exc.x_monomial = LaurentPoly.monomial(m, (2 * k - dim,) + (0,) * (m - 1))._render("x")
+            raise
+    sweep = _dominant_sweep({((), 0): one}, [(2 * k - dim, 0, f) for k, f in enumerate(q) if 2 * k >= dim], m)
+    if group.kind == "O":
+        sweep.update({(b[:-1] + (-b[-1],), 0): mark * f for (b, _), f in sweep.items() if b[-1] > 0})
+    zkeys = [(z, eps) for z in combinations_with_replacement(range(m, -1, -1), rank) for eps in range(1 + odd)]
+    lhs: dict = {}
+    for (b, _), f in sweep.items():
+        for key, c in zip(zkeys, map(f.terms.get, zkeys)):
+            if c:
+                lhs.setdefault(key, {})[(b, 0)] = c
+    return {key: LaurentPoly(m, terms) for key, terms in lhs.items()}
 
 
 def _laurent_identity(group: GroupTag, m: int):
     """Skew Howe duality on Lambda(V (x) C^m), V of dimension N: the series identity over LaurentPoly in x.
 
     N = 2d for Sp(2d) and n for O(n).  The normalised x^{-N/2} prod (1 +
-    x_j z_i^{+-1} eps)(1 + x_j eps)^{odd n} is sum_lam chi_lam(z) times the
-    sp(2m) or so(2m) character, at x^{-1}, of the doubled weight
-    nu = (N - 2 lam'_m, ..., N - 2 lam'_1).  That is the character of -w0 nu:
-    of nu itself for sp(2m) (the partition nu/2) and for so(2m) with m even,
-    of nu with nu_m negated for so(2m) with m odd.  Each dual is the
-    LaurentPoly of its dominant terms, read from `_freudenthal` of type C or
-    D (by module global, so a patched binding is the one checked).  The one
-    series prod_j (1 + x_j w) has the units e_0..e_m(x).
+    x_j z_i^{+-1} eps)(1 + x_j eps)^{odd n} (`_laurent_lhs`) is sum_lam
+    chi_lam(z) times the sp(2m) or so(2m) character, at x^{-1}, of the
+    doubled weight nu = (N - 2 lam'_m, ..., N - 2 lam'_1).  That is the
+    character of -w0 nu: of nu itself for sp(2m) (the partition nu/2) and
+    for so(2m) with m even, of nu with nu_m negated for so(2m) with m odd.
+    Each dual is the LaurentPoly of its dominant terms, read from
+    `_freudenthal` of type C or D.
     """
     dim = 2 * group.size if group.kind == "Sp" else group.size
     kind = "C" if group.kind == "Sp" else "D"
-    one = LaurentPoly.const(m)
-    series = [_elem_of_values([LaurentPoly.var(m, j) for j in range(m)], m, one)]
     labels = [lam for lam in _labels(group, group.size * m) if lam.parts[0] <= m]
 
     def dual(lam):
@@ -331,7 +352,7 @@ def _laurent_identity(group: GroupTag, m: int):
             nu[-1] = -nu[-1]
         return LaurentPoly(m, {(mu, 0): c for mu, c in _freudenthal(kind, tuple(nu)).items()})
 
-    return _series_identity(group, one, series, LaurentPoly.monomial(m, (-dim,) * m), labels, dual, kind)
+    return _series_identity(group, LaurentPoly.const(m), lambda: _laurent_lhs(group, m), labels, dual)
 
 
 def _tensor_identity(group: GroupTag, cap: int, schur_of, skew_of, hook_of):

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     classical_char_so_even,
@@ -20,6 +21,7 @@ from superchar import superschur as ss
 from superchar.superschur import (
     _HOOK,
     _labels,
+    _laurent_lhs,
     _series_lhs,
     _unit,
     etilde_series,
@@ -240,6 +242,26 @@ def test_laurent_left_side_not_invariant_in_x_is_a_broken_orbit(monkeypatch, tag
     assert mismatch["x_monomial"].startswith("x1") or mismatch["x_monomial"] == "1"
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_odd_laurent_series_without_its_eps_is_a_broken_orbit(monkeypatch, n):
+    # the x series of odd O with the eps of every value dropped: Q[b] = e_k of
+    # the values, no longer eps^k e_k, so Q[-b] is Q[b] where it must be eps
+    # times Q[b].  The check of Q reports it at its power of x1; it is never
+    # a pass
+    real = ss._elem_of_values
+
+    def without_eps(values, maxk, one):
+        return real([LaurentPoly(v.nvars, {(e, 0): c for (e, _eps), c in v.terms.items()}) for v in values], maxk, one)
+
+    monkeypatch.setattr(ss, "_elem_of_values", without_eps)
+    report = verify_identity("odd-char", n=n, m=2)
+    assert report["status"] == "fail"
+    mismatch = report["first_mismatch"]
+    assert mismatch["label"] == "the left-hand series" and "differs at doubled x^" in mismatch["detail"]
+    assert mismatch["z_exponent"] == [0] * (n // 2) and mismatch["eps"] == 1
+    assert mismatch["x_monomial"] == f"x1^(-{n}/2)"
+
+
 def test_unknown_tag():
     with pytest.raises(ValueError):
         verify_identity("nonsense", d=1)
@@ -280,24 +302,55 @@ def test_dominant_series_lhs_is_the_full_product_on_dominant_keys(kind, size, m)
     if m is None:
         cap = 4
         full = series_product_full(kind, size, cap, _HOOK)
-        one = start = SymFunc.const(cap)
+        one = SymFunc.const(cap)
         series = [[_unit(base, k, alph, cap) for k in range(cap + 1)] for base, alph in _HOOK]
     else:
         lhs, rhs = laurent_identity_full(group, m)
         assert lhs == rhs
         full = by_z(lhs, m)
-        one = LaurentPoly.const(m)
-        start = LaurentPoly.monomial(m, (-2 * size if kind == "Sp" else -size,) * m)
-        series = [[spec_x(_unit("e", k, "x", m), m) for k in range(m + 1)]]
     d = group.rank
     # the reference is Weyl-invariant: every signed permutation of a key carries its coefficient
     for (z, eps), f in full.items():
         for perm in itertools.permutations(range(d)):
             for signs in itertools.product((1, -1), repeat=d):
                 assert full.get((tuple(s * z[i] for i, s in zip(perm, signs)), eps)) == f, (z, perm, signs)
-    dominant = {(z, eps): f for (z, eps), f in full.items()
-                if all(a >= b for a, b in zip(z, z[1:])) and (not z or z[-1] >= 0)}
-    assert _series_lhs(group, one, series, start) == dominant
+    if m is None:
+        assert _series_lhs(group, one, series) == {key: f for key, f in full.items() if dominant(key[0], "C")}
+    else:
+        assert _laurent_lhs(group, m) == doubly_dominant(full, kind, m)
+
+
+def dominant(w, kind):
+    """w_1 >= ... >= w_r, and w_r >= 0 for type C, w_{r-1} >= |w_r| for D (every w of rank 1 for D)."""
+    if kind == "D":
+        w = w[:-1] + tuple(abs(e) for e in w[-1:])
+    return all(a >= b for a, b in zip(w, w[1:])) and (kind == "D" or not w or w[-1] >= 0)
+
+
+def doubly_dominant(full, kind, m):
+    """full, {(z, eps): LaurentPoly in x}, on dominant z keys and on dominant x keys of type C (Sp) or D (O)."""
+    out = {}
+    for (z, eps), f in full.items():
+        terms = {key: c for key, c in f.terms.items() if dominant(key[0], "C" if kind == "Sp" else "D")}
+        if dominant(z, "C") and terms:
+            out[(z, eps)] = LaurentPoly(m, terms)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("Sp", d) for d in (1, 2)] + [("O", n) for n in range(1, 6)]), st.integers(1, 3))
+def test_laurent_lhs_is_the_full_product_on_doubly_dominant_keys(group, m):
+    # the x sweep's left side against the oracle's product over every (x, z)
+    # term, whose x coefficients are invariant under W(C) (Sp) or W(D) (O)
+    kind, size = group
+    full = by_z(laurent_identity_full(GroupTag(kind, size), m)[0], m)
+    for f in full.values():
+        for (b, eps), c in f.terms.items():
+            for perm in itertools.permutations(range(m)):
+                for signs in itertools.product((1, -1), repeat=m):
+                    if kind == "Sp" or signs.count(-1) % 2 == 0:
+                        assert f.terms.get((tuple(s * b[i] for i, s in zip(perm, signs)), eps)) == c
+    assert _laurent_lhs(GroupTag(kind, size), m) == doubly_dominant(full, kind, m)
 
 
 @pytest.mark.parametrize("tag, params", [
