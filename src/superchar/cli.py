@@ -44,7 +44,7 @@ SIZE_CAPS = {
     # verify --d, --n, --m and schur --n (e_k of m variables has C(m, k) terms):
     # combin-Sp at d = 3, m = 5 0.09 s, odd-char at n = m = 5 0.05 s
     "d": 3, "n": 5, "m": 5,
-    "deg": 12,  # verify and schur --deg, and the doubled fock --cutoff and --energy
+    "deg": 12,  # verify and schur --deg, the doubled fock --cutoff and --energy; worst: tensor-sp at d = 3, 9.1 s
     "size": 6,  # char --size, entries of a char or schur --weight: sp hook of six zeros at --deg 12, 0.2 s
     "length": 8,  # entries of a frobenius literal or a fock --hw label, and frobenius --length
     "entry": 2**21 - 1,  # |integers| of a literal or a classify --weight: frobenius of eight at the cap, 0.3 s

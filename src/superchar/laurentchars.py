@@ -19,7 +19,7 @@ Decomposition into irreducible characters peels the lex-largest dominant
 exponent, which is valid because every character is unitriangular with
 leading term z^lambda; one peeler serves both plain characters and graded
 ones such as the Fock space character.  It checks the invariance of its
-input once, orbit by orbit (`_dominant_part`, of Weyl type A, C or D, which
+input once, orbit by orbit (`_dominant_part`, of Weyl type A or C, which
 also checks the one-variable series in z of the Laurent identities), and
 then carries and subtracts dominant weights only.
 """
@@ -31,7 +31,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
 from .partitions import GeneralizedPartition, Partition, _column_lengths, bar_conjugate, o_label
@@ -359,24 +359,25 @@ def _dominant_weight(kind: str, w: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _orbit_size(rep: tuple[int, ...], kind: str) -> int:
-    """The number of weights in the W(kind) orbit of the dominant weight rep, for kind A, C or D.
+    """The number of weights in the W(kind) orbit of the dominant weight rep, for kind A or C.
 
-    The permutations of the entries (of their absolute values for D, whose
-    last entry may be negative), times a sign for each nonzero entry when
-    the type is not A; W(D) flips an even number of signs, so it has one
-    sign fewer when no entry is zero.
+    The permutations of the entries, times a sign per nonzero entry unless kind is A.
     """
     size = factorial(len(rep))
-    for mult in Counter(map(abs, rep) if kind == "D" else rep).values():
+    for mult in Counter(rep).values():
         size //= factorial(mult)
     if kind != "A":
-        signs = sum(1 for e in rep if e)
-        size <<= signs - (kind == "D" and signs == len(rep))
+        size <<= sum(1 for e in rep if e)
     return size
 
 
+def _orbit(rep: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    """The W(C) orbit of the dominant weight rep: its entries permuted, with any of their signs flipped."""
+    return frozenset(w for signed in product(*({e, -e} for e in rep)) for w in permutations(signed))
+
+
 def _dominant_part(items, kind: str) -> dict:
-    """{dominant (z, eps): coefficient} of a W(kind)-invariant function, for kind A, C or D.
+    """{dominant (z, eps): coefficient} of a W(kind)-invariant function, for kind A or C.
 
     `items` are the function's ((z exponents, eps), coefficient) pairs, plain
     or doubled exponents alike.  The Weyl group acts on z as in

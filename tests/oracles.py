@@ -14,10 +14,11 @@ constructor, the Cauchy series product on every z key, the so(2m)
 characters as determinants (the reference for the duals the library reads
 from Freudenthal's formula), the Laurent Howe-duality identities on every
 (x, z) term with the duals of the older route (sp_schur specialised to x,
-the so(2m) determinant at x^{-1}), the Fock basis and character built one
-monomial at a time, singularity by every raising element, the Gram matrix
-from every pair of basis states, and leading principal minors as Leibniz
-sums.
+the so(2m) determinant at x^{-1}), the tensor identities label by label
+with every product of two characters peeled, the Fock basis and character
+built one monomial at a time, singularity by every raising element, the Gram
+matrix from every pair of basis states, and leading principal minors as
+Leibniz sums.
 
 It also holds the helpers that only tests call: tensor multiplicities and
 dimensions read off the characters, omega, specialisation to finite
@@ -38,8 +39,8 @@ from superchar.laurentchars import (GroupTag, LaurentPoly, _centres, _eprime, ch
                                    elementary_laurent)
 from superchar.partitions import GeneralizedPartition, Partition, _column_lengths, bar_conjugate, o_label
 from superchar.ringdet import orthogonal_det
-from superchar.sparse import _Sparse, _add_into
-from superchar.superschur import _lambda_box, _so, _sp, etilde_series, o_labels, so_hook, sp_hook, sp_schur
+from superchar.sparse import _Sparse, _add_into, _add_term
+from superchar.superschur import _labels, _lambda_box, _so, _sp, etilde_series, o_labels, so_hook, sp_hook, sp_schur
 from superchar.symring import Mono, SymFunc, _elem_of_values, _unit, energy_series, weight_expansion
 
 
@@ -622,6 +623,37 @@ def laurent_identity_full(group: GroupTag, m: int) -> tuple[LaurentPoly, Laurent
     for lam in labels:
         rhs = rhs + embed(char_group(group, lam), nv, m) * embed(dual(lam), nv, 0)
     return lhs, rhs
+
+
+# -- a tensor identity label by label -----------------------------------------------
+
+def tensor_identity_by_labels(group: GroupTag, cap: int, schur_of, skew_of, hook_of):
+    """The first label whose hook function is not its tensor-multiplicity sum, or None.
+
+    Every ordered pair of labels mu, nu is peeled (`tensor_multiplicity`),
+    and hook_of(lam) is compared with sum_{mu, nu} c^lam_{mu nu} schur_of(mu)
+    skew_of(nu), truncated at degree cap.  For even O only the totals of lam
+    and bar lam are determined, so those are compared, on the canonical label.
+    """
+    labels = _labels(group, cap)
+    tensor: dict = {}
+    for mu in labels:
+        f = schur_of(mu)
+        for nu in labels:
+            prod = f * skew_of(nu)
+            for lam, c in tensor_multiplicity(group, mu, nu).items():
+                _add_term(tensor, lam.parts, prod * c)
+    n = group.size
+    for lam in labels:
+        want, key = hook_of(lam), lam
+        if group.kind == "O" and n % 2 == 0:
+            bar = bar_conjugate(lam, n)
+            if bar.parts != lam.parts:
+                want = want + hook_of(bar)
+            key = o_label(lam, n)[0]
+        if want != tensor.get(key.parts, SymFunc.zero(cap)):
+            return lam
+    return None
 
 
 # -- Weyl character formula as an alternant quotient ------------------------------

@@ -436,11 +436,11 @@ def fresh_dominant_terms():
     laurentchars._dominant_terms.cache_clear()
 
 
-# the tensor identity decomposes products of full characters, whose Weyl
-# orbits are checked: a character with a term dropped breaks one.  The series
-# and Laurent identities (rank-1 Sp, even and odd O) read `_dominant_terms`,
-# which builds no full character and so has no orbit to break: there the
-# lex-smallest dominant term of each label is dropped from its output
+# every identity reads its characters from `_dominant_terms`, which builds no
+# full character and so has no orbit to break: the lex-smallest dominant term
+# of each label is dropped from its output (rank-1 Sp for the series and
+# tensor identities, even and odd O for the series and Laurent ones; the
+# group only names the case)
 @pytest.mark.parametrize("argv, group", [
     (["--identity", "HS", "--d", "1", "--deg", "3"], "Sp(2)"),
     (["--identity", "HS-O", "--n", "3", "--deg", "3"], "O(3)"),
@@ -449,34 +449,18 @@ def fresh_dominant_terms():
     (["--identity", "odd-char", "--n", "3", "--m", "3"], "O(3)"),
 ])
 def test_character_with_a_broken_orbit_fails_verification(capsys, monkeypatch, fresh_dominant_terms, argv, group):
-    tensor = argv[1] == "tensor-sp"
-    if tensor:
-        real = laurentchars.char_group
+    real = superschur._dominant_terms
 
-        def drop_one_non_dominant_term(group, lam):
-            chi = real(group, lam)
-            terms = dict(chi.terms.items())
-            z, _eps = key = min(terms)
-            if z != tuple(sorted(map(abs, z), reverse=True)):
-                del terms[key]
-            return LaurentPoly(chi.nvars, terms)
+    def drop_the_lowest_dominant_term(group, lam):
+        terms = real(group, lam)
+        lowest = min(terms)
+        return tuple(term for term in terms if term != lowest)
 
-        monkeypatch.setattr(laurentchars, "char_group", drop_one_non_dominant_term)
-    else:
-        real = superschur._dominant_terms
-
-        def drop_the_lowest_dominant_term(group, lam):
-            terms = real(group, lam)
-            lowest = min(terms)
-            return tuple(term for term in terms if term != lowest)
-
-        monkeypatch.setattr(superschur, "_dominant_terms", drop_the_lowest_dominant_term)
+    monkeypatch.setattr(superschur, "_dominant_terms", drop_the_lowest_dominant_term)
     code, out, _ = run(capsys, "verify", *argv, "--json")
     [report] = json.loads(out)
     mismatch = report["first_mismatch"]
     assert code == 1 and report["status"] == "fail"
-    if tensor:
-        assert mismatch["group"] == group and mismatch["label"] and "not Weyl-symmetric" in mismatch["detail"]
     z = mismatch["z_exponent"]
     assert z and z == sorted(z, reverse=True) and min(z) >= 0
 

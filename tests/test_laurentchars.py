@@ -17,6 +17,7 @@ from superchar.laurentchars import (
     _dominant_terms,
     _dominant_weight,
     _freudenthal,
+    _orbit,
     _orbit_size,
     char_group,
     decompose_character,
@@ -445,39 +446,6 @@ def test_dominant_part_accepts_exactly_the_weyl_symmetric(data):
                             if z == tuple(sorted(z if group.kind == "GL" else map(abs, z), reverse=True))}
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_dominant_part_of_type_d_accepts_exactly_the_wd_symmetric(data):
-    # so(2m) characters, spin and integral, with a term dropped, bumped,
-    # added or moved by one sign flip: W(D) flips an even number of signs, so
-    # a weight and that image lie in different orbits when no entry is zero
-    m = data.draw(st.integers(1, 3))
-    chi = classical_char_so_even(data.draw(st.sampled_from(list(_so_even_weights(m, 4)))), m)
-    terms = dict(chi.terms.items())
-    how = data.draw(st.sampled_from(["none", "drop", "bump", "add", "flip"]))
-    key = data.draw(st.sampled_from(sorted(terms)))
-    if how == "drop":
-        del terms[key]
-    elif how == "bump":
-        terms[key] += data.draw(st.sampled_from([-1, 1, 2]))
-    elif how == "add":
-        z = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m)))
-        terms.setdefault((z, 0), 1)
-    elif how == "flip":  # one term moved by a sign flip, which W(C) has and W(D) lacks
-        (z, eps), c = key, terms.pop(key)
-        image = (z[:-1] + (-z[-1],), eps)
-        terms[image] = terms.get(image, 0) + c
-    f = LaurentPoly(m, terms)
-    try:
-        dominant = _dominant_part(f.terms.items(), "D")
-    except DecompositionError:
-        dominant = None
-    assert (dominant is not None) == is_weyl_symmetric(f, "D")
-    if dominant is not None:
-        assert dominant == {(z, eps): c for (z, eps), c in f.terms.items()
-                            if all(z[i] >= z[i + 1] for i in range(m - 2)) and (m == 1 or z[-2] >= abs(z[-1]))}
-
-
 def test_dominant_terms_are_cached_as_tuples_and_characters_are_not():
     assert not hasattr(char_group, "cache_info")
     group, lam = GroupTag("Sp", 2), Partition((2, 1))
@@ -569,13 +537,28 @@ def test_freudenthal_type_d_matches_the_so_even_characters():
             assert _freudenthal("D", nu2) == want, nu2
 
 
+def _wd_orbit(mu):
+    """The W(D) orbit of mu: its entries permuted, with an even number of their signs flipped."""
+    return {w for signs in itertools.product((1, -1), repeat=len(mu)) if signs.count(-1) % 2 == 0
+            for w in itertools.permutations([s * e for s, e in zip(signs, mu)])}
+
+
 def test_type_d_orbit_sizes_add_up_to_the_so_even_dimension():
-    # each D-dominant weight stands for its W(D) orbit, one sign fewer than
-    # W(C)'s when no entry is zero: spin and integral weights, both signs of nu_m
+    # each D-dominant weight stands for its W(D) orbit, counted weight by
+    # weight: spin and integral weights, both signs of nu_m
     for m, top2 in ((1, 6), (2, 6), (3, 5), (4, 3)):
         for nu2 in _so_even_weights(m, top2):
-            total = sum(c * _orbit_size(mu, "D") for mu, c in _freudenthal("D", nu2).items())
+            total = sum(c * len(_wd_orbit(mu)) for mu, c in _freudenthal("D", nu2).items())
             assert total == classical_char_so_even(nu2, m).eval_ones(), nu2
+
+
+def test_orbit_lists_the_w_c_orbit_of_a_dominant_weight():
+    # rank 0 to 4, with repeated and zero entries
+    for rank in range(5):
+        for rep in itertools.combinations_with_replacement(range(3, -1, -1), rank):
+            orbit = _orbit(rep)
+            assert len(orbit) == _orbit_size(rep, "C"), rep
+            assert all(_dominant_weight("C", w) == rep for w in orbit), rep
 
 
 @pytest.fixture

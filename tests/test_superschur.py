@@ -13,6 +13,7 @@ from oracles import (
     so_by_omega,
     sp_by_omega,
     specialize,
+    tensor_identity_by_labels,
 )
 from superchar import cli
 from superchar.laurentchars import GroupTag, LaurentPoly, char_group
@@ -191,6 +192,31 @@ def test_verify_identity_examples():
     assert verify_identity("even-char", n=2, m=2)["status"] == "pass"
 
 
+@pytest.mark.parametrize("tag, params", [pytest.param(tag, p, id=tag + "".join(f"-{k}{v}" for k, v in p.items()))
+                                         for tag, p in [("tensor-sp", dict(d=d, D=4)) for d in (1, 2, 3)]
+                                         + [("tensor-o", dict(n=n, D=4)) for n in range(1, 6)]])
+@pytest.mark.parametrize("bump", [False, True], ids=["exact", "bumped"])
+def test_tensor_identity_agrees_with_the_label_by_label_route(monkeypatch, tag, params, bump):
+    # both routes pass, and both fail with every hook function's lowest term
+    # one too high; O(1) has rank 0, with the empty z key only
+    if bump:
+        name = "sp_hook" if tag == "tensor-sp" else "so_hook"
+        real = getattr(ss, name)
+
+        def off_by_one(*args):
+            f = real(*args)
+            return f + SymFunc(f.cap, {min(f.terms): 1})
+
+        monkeypatch.setattr(ss, name, off_by_one)
+    want = "fail" if bump else "pass"
+    report = verify_identity(tag, **params)
+    assert report["status"] == want
+    if bump:
+        assert set(report["first_mismatch"]) == {"z_exponent", "eps", "sym_monomial", "lhs", "rhs"}
+    monkeypatch.setattr(ss, "_tensor_identity", lambda *args: (tensor_identity_by_labels(*args), 0, 0, 0))
+    assert verify_identity(tag, **params)["status"] == want
+
+
 def test_verify_identity_reports_mismatch_as_data(monkeypatch):
     # sabotage check: the literal E~' convention must FAIL combin1-i, with the
     # failure reported in the payload rather than raised
@@ -361,5 +387,5 @@ def test_verify_identity_reports_time_and_sizes(tag, params):
     assert report["status"] == "pass"
     assert isinstance(report["seconds"], float) and report["seconds"] >= 0
     assert report["labels"] > 0 and report["lhs_terms"] > 0 and report["rhs_terms"] > 0
-    if tag.startswith("HS"):  # both sides of a passing series identity have the same dominant keys
-        assert report["lhs_terms"] == report["rhs_terms"]
+    # every identity compares dominant keys, and both sides of a passing one have the same keys
+    assert report["lhs_terms"] == report["rhs_terms"]
