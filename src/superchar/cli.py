@@ -58,8 +58,8 @@ SIZE_CAPS = {
     # the points of the box that holds a char weight's character, (lam_1 - lam_d + 1)^d
     # for GL(d) and (2 lam_1 + 1)^rank for Sp and O: Sp(6) [10,10,10], 1.3 s
     "box": 10**4,
-    # a fock --hw label's columns (both signs) times their lengths' factorials, at least the pairs that
-    # `fock.hwv_candidate` multiplies (c! terms per column of length c): D [1^8] at --space 4, 1.0 s
+    # a fock --hw label's columns (both signs) times their lengths' factorials, at least the words that
+    # `fock.hwv_candidate` applies (c! per column of length c): D [1^8] at --space 4, 0.9 s, peak RSS 27 MB
     "hw": 40320,
 }
 
@@ -128,7 +128,8 @@ def hw_label(text: str) -> str:
 
 def _check_costs(args):
     """Usage error when a cap that reads two flags is exceeded: the columns and
-    box of a char weight, and the --energy of fock --action gram at its --space."""
+    box of a char weight, and the --energy of fock --action gram at its --space;
+    also fock --action decompose at --space 0, which has no dual group."""
     if args.command == "char":
         parts = _ints(args.weight)
         gl = args.group == "GL"
@@ -139,6 +140,8 @@ def _check_costs(args):
     if args.command == "fock" and args.action == "gram":
         d = args.space2 // 2
         _cap(args.energy2, SIZE_CAPS["gram"][d], f"--energy at --space {d}: doubled ", UsageError)
+    if args.command == "fock" and args.action == "decompose" and args.space2 == 0:
+        raise UsageError("--action decompose needs --space of at least 1/2, not 0")
 
 
 def cmd_frobenius(args) -> int:
@@ -402,7 +405,7 @@ def main(argv=None) -> int:
     except laurentchars.DecompositionError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

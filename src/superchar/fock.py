@@ -17,10 +17,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .infmat import SuperMatrix, _te_sign, fmt_half, parity
+from .infmat import SuperMatrix, fmt_half, parity, te_generator
 from .partitions import GeneralizedPartition, Partition, _column_lengths, o_label, split_signs
 from .laurentchars import GroupTag, decompose_graded
-from .sparse import _Sparse, _add_into, _add_term
+from .sparse import _Sparse, _add_into, _add_term, _printed, _rational
 from .symring import WeightMono
 
 PSI_P, PSI_M, GAM_P, GAM_M, PHI, CHI = range(6)
@@ -98,12 +98,7 @@ class FockVector(_Sparse):
 
     def __init__(self, space: Space, terms: dict[tuple[Mode, ...], Fraction] | None = None):
         self.space = space
-        self.terms: dict[tuple[Mode, ...], Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    self.terms[mono] = coeff
+        self.terms: dict[tuple[Mode, ...], Fraction] = _rational(terms)
 
     def _context(self):
         return self.space
@@ -129,14 +124,8 @@ class FockVector(_Sparse):
         return self.terms.get((), Fraction(0))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono in sorted(self.terms, key=lambda m: (mono_energy2(m), m)):
-            c = self.terms[mono]
-            prefix = "" if c == 1 else ("-" if c == -1 else f"({c})*")
-            bits.append(prefix + fmt_state(mono))
-        return " + ".join(bits).replace("+ -", "- ")
+        monos = sorted(self.terms, key=lambda m: (mono_energy2(m), m))
+        return _printed(((fmt_state(m), self.terms[m]) for m in monos), parens=True)
 
 
 def _insert_creation(space: Space, mode: Mode, mono: tuple[Mode, ...]):
@@ -261,26 +250,28 @@ COLOURLESS = (PHI, CHI)
 TE_FAMILIES = {"gl": None, "A": None, "C": "C", "Deven": "D", "Dodd": "D"}
 
 
-def _e_entries(space: Space, p2: int, q2: int, coeff: Fraction | int = 1) -> list:
-    """The coloured bilinear entries of coeff * e(p,q)."""
-    if space.kind == "A" and (p2 == 0 or q2 == 0):
-        raise ValueError("index 0 is outside the reduced space")
-    sign, a, b, _ = BILINEARS[parity(p2), parity(q2)]
-    return [(coeff * sign, (a, c, -p2), (b, c, q2)) for c in range(1, space.d + 1)]
+def _e_entries(space: Space, m: SuperMatrix) -> list:
+    """The coloured bilinear entries of a finite sum m of coeff * e(p,q)."""
+    entries = []
+    for (p2, q2), coeff in m.terms.items():
+        if space.kind == "A" and (p2 == 0 or q2 == 0):
+            raise ValueError("index 0 is outside the reduced space")
+        sign, a, b, _ = BILINEARS[parity(p2), parity(q2)]
+        entries += [(coeff * sign, (a, c, -p2), (b, c, q2)) for c in range(1, space.d + 1)]
+    return entries
 
 
 def realize_matrix(space: Space, a: SuperMatrix) -> RealizedOp:
     """A finite sum of coeff * e(p,q) on the gl or A space."""
     if space.kind == "Dodd":
         raise ValueError("the d+1/2 space realizes only the D-type te(p,q)")
-    entries = [entry for (p2, q2), coeff in a.terms.items() for entry in _e_entries(space, p2, q2, coeff)]
-    return _op(space, entries)
+    return _op(space, _e_entries(space, a))
 
 
 @functools.lru_cache(maxsize=None)
 def realize_algebra(space: Space, algebra: str, p2: int, q2: int) -> RealizedOp:
-    """Generator of the dual algebra: e(p,q) for gl/A, te(p,q) = e(p,q) + s e(-q,-p)
-    of the C- or D-type subalgebra for C/Deven/Dodd.
+    """Generator of the dual algebra: e(p,q) for gl/A, `infmat.te_generator`'s
+    te(p,q) = e(p,q) + s e(-q,-p) of the C- or D-type subalgebra for C/Deven/Dodd.
 
     The d+1/2 space realizes only the D type, at central charge d + 1/2, with
     the colourless term of BILINEARS.  Cached: singularity checks ask for the
@@ -291,9 +282,7 @@ def realize_algebra(space: Space, algebra: str, p2: int, q2: int) -> RealizedOp:
     family = TE_FAMILIES[algebra]
     if (space.kind == "Dodd" and family != "D") or (algebra == "Dodd" and space.kind != "Dodd"):
         raise ValueError(f"the {space.kind} space does not realize the {algebra} algebra")
-    entries = _e_entries(space, p2, q2)
-    if family:
-        entries += _e_entries(space, -q2, -p2, _te_sign(family, p2, q2))
+    entries = _e_entries(space, te_generator(family, p2, q2) if family else SuperMatrix.unit(p2, q2))
     if space.kind == "Dodd":
         c = BILINEARS[parity(p2), parity(q2)][3][q2 < 0]
         entries.append((c, (COLOURLESS[parity(p2)], 0, -p2), (COLOURLESS[parity(q2)], 0, q2)))
@@ -390,15 +379,19 @@ def creation_product(space: Space, modes: list[Mode]) -> FockVector:
     return _apply_word(space, modes, FockVector.vacuum(space))
 
 
-def grassmann_det(space: Space, matrix: list[list[Mode]], r: int) -> FockVector:
-    """First r x r minor, rows multiplied in row order with permutation signs."""
+def _minor(space: Space, matrix: list[list[Mode]], r: int) -> RealizedOp:
+    """First r x r minor as an operator: one signed word per permutation, the
+    rows' modes in row order."""
     if r > len(matrix) or (matrix and r > len(matrix[0])):
         raise ValueError(f"minor size {r} out of range")
-    total = FockVector.zero(space)
-    for perm in itertools.permutations(range(r)):
-        modes = [matrix[i][perm[i]] for i in range(r)]
-        _add_into(total.terms, creation_product(space, modes).terms, _perm_sign(perm))
-    return total
+    words = [(Fraction(_perm_sign(perm)), tuple(matrix[i][perm[i]] for i in range(r)))
+             for perm in itertools.permutations(range(r))]
+    return RealizedOp(space, words)
+
+
+def grassmann_det(space: Space, matrix: list[list[Mode]], r: int) -> FockVector:
+    """First r x r minor applied to the vacuum."""
+    return _minor(space, matrix, r).apply(FockVector.vacuum(space))
 
 
 def _perm_sign(perm) -> int:
@@ -442,15 +435,6 @@ def gamma_matrix(space: Space) -> list[list[Mode]]:
     return _grassmann_rows(_colour_columns(space, +1) + mid + _colour_columns(space, -1), 1)
 
 
-def _vec_product(v1: FockVector, v2: FockVector) -> FockVector:
-    """State of the operator product: apply v1's creation monomials on top of v2."""
-    out = FockVector.zero(v1.space)
-    for m1, c1 in v1.terms.items():
-        for m2, c2 in v2.terms.items():
-            _add_into(out.terms, _apply_word(v1.space, m1, v1._new({m2: c1 * c2})).terms)
-    return out
-
-
 def hwv_candidate(space: Space, algebra: str, lam: GeneralizedPartition, variant: str = "X") -> FockVector:
     """Joint highest weight vector of the lam-component of the dual-pair decomposition.
 
@@ -458,7 +442,19 @@ def hwv_candidate(space: Space, algebra: str, lam: GeneralizedPartition, variant
     any other length is a ValueError.  For the even orthogonal case with
     lambda'_1 = d, variant "X" gives the vector with group weight
     (lam_1..lam_d) and variant "Xt" the one with the sign-flipped last entry.
+    The vector is det_1 ... det_k |0>, a product of Grassmann minors applied
+    to the vacuum, the last minor first.
     """
+    vec = FockVector.vacuum(space)
+    for mat, size in reversed(_hwv_factors(space, algebra, lam, variant)):
+        vec = _minor(space, mat, size).apply(vec)
+        if not vec:
+            break
+    return vec
+
+
+def _hwv_factors(space: Space, algebra: str, lam: GeneralizedPartition, variant: str) -> list:
+    """(mode matrix, minor size) of each Grassmann minor of `hwv_candidate`, in product order."""
     d = space.d
     if algebra in ("A", "C") and lam.length != d:
         raise ValueError(f"{algebra} labels have length d = {d}, not {lam.length}")
@@ -486,13 +482,7 @@ def hwv_candidate(space: Space, algebra: str, lam: GeneralizedPartition, variant
         ]
     else:
         raise ValueError(f"unknown algebra {algebra!r}")
-    vec = FockVector.vacuum(space)
-    for mat, size in factors:
-        det = grassmann_det(space, mat, size)
-        vec = _vec_product(vec, det)
-        if not vec:
-            break
-    return vec
+    return factors
 
 
 # -- singularity and weights ----------------------------------------------------

@@ -81,7 +81,7 @@ class Weight:
 
 
 def parse_weight(algebra: str, text: str) -> Weight:
-    """Parse "1/2:2,1:1; level=2"."""
+    """Parse "1/2:2,1:1; level=2"; an index given twice is a ValueError."""
     body = text.strip()
     level = None
     if ";" in body:
@@ -98,7 +98,10 @@ def parse_weight(algebra: str, text: str) -> Weight:
     if body and body != "0":
         for item in body.split(","):
             idx, val = item.split(":")
-            coeffs[parse_half(idx)] = int(val)
+            idx2 = parse_half(idx)
+            if idx2 in coeffs:
+                raise ValueError(f"index {fmt_half(idx2)} repeats in the weight literal {text!r}")
+            coeffs[idx2] = int(val)
     if level is None:
         raise ValueError(f"missing level in weight literal {text!r}")
     return Weight.make(algebra, coeffs, level)

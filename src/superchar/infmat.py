@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .sparse import _Sparse, _add_term
+from .sparse import _Sparse, _add_term, _printed, _rational
 
 
 def parity(p2: int) -> int:
@@ -46,12 +46,7 @@ class SuperMatrix(_Sparse):
     __slots__ = ()
 
     def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        self.terms: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            for key, val in terms.items():
-                val = Fraction(val)
-                if val:
-                    self.terms[key] = val
+        self.terms: dict[tuple[int, int], Fraction] = _rational(terms)
 
     def _new(self, terms: dict) -> "SuperMatrix":
         out = object.__new__(SuperMatrix)
@@ -109,13 +104,7 @@ class SuperMatrix(_Sparse):
         return out
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (p2, q2), val in sorted(self.terms.items()):
-            coeff = "" if val == 1 else ("-" if val == -1 else f"{val}*")
-            bits.append(f"{coeff}e({fmt_half(p2)},{fmt_half(q2)})")
-        return " + ".join(bits).replace("+ -", "- ")
+        return _printed((f"e({fmt_half(p2)},{fmt_half(q2)})", val) for (p2, q2), val in sorted(self.terms.items()))
 
     def to_json(self) -> list[dict]:
         return [

@@ -36,7 +36,7 @@ from math import factorial
 
 from .partitions import GeneralizedPartition, Partition, _column_lengths, bar_conjugate, o_label
 from .ringdet import pair_det, ring_det
-from .sparse import _PackedTerms, _Sparse, _add_into, _fold_integral, _product
+from .sparse import _PackedTerms, _Sparse, _add_into, _fold_integral, _product, _printed
 from .symring import _elem_of_values
 
 
@@ -202,8 +202,6 @@ class LaurentPoly(_Sparse):
 
     def _render(self, var: str) -> str:
         """The polynomial printed in the variables var1, var2, ...; str() uses z."""
-        if not self._store:
-            return "0"
         def mono_str(exps, p):
             bits = []
             for i, e in enumerate(exps):
@@ -217,18 +215,7 @@ class LaurentPoly(_Sparse):
             if p:
                 bits.append("eps")
             return "*".join(bits) if bits else "1"
-        bits = []
-        for (exps, p), c in sorted(self.terms.items(), reverse=True):
-            ms = mono_str(exps, p)
-            if ms == "1":
-                bits.append(str(c))
-            elif c == 1:
-                bits.append(ms)
-            elif c == -1:
-                bits.append(f"-{ms}")
-            else:
-                bits.append(f"{c}*{ms}")
-        return " + ".join(bits).replace("+ -", "- ")
+        return _printed((mono_str(exps, p), c) for (exps, p), c in sorted(self.terms.items(), reverse=True))
 
     def to_json(self) -> dict:
         return {

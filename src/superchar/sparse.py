@@ -13,7 +13,10 @@ read-only tuple-keyed view, `_PackedTerms`, given the class's decode and
 encode.  Both rings multiply through one loop, `_product`, on those keys.
 The helpers below add in place and drop the zeros, so no other module
 hand-writes that loop; `_fold_integral` gives the two rings their
-coefficient normal form: `int` when integral, `Fraction` otherwise.
+coefficient normal form: `int` when integral, `Fraction` otherwise, and
+`_rational` gives `FockVector` and `SuperMatrix` theirs, every coefficient a
+`Fraction`.  All four print through `_printed`, each class giving only its
+monomial text and its term order.
 
 Every name here is private: a tracer that wraps each public function and
 method of the package charges this code to the layer that calls it.
@@ -67,6 +70,34 @@ def _fold_integral(terms):
             if type(c) is _Fraction and c.denominator == 1:
                 terms[key] = c.numerator
     return terms
+
+
+def _rational(terms):
+    """{key: Fraction(c)} over the nonzero coefficients c of terms, a dict or None."""
+    out = {}
+    for key, c in (terms or {}).items():
+        c = _Fraction(c)
+        if c:
+            out[key] = c
+    return out
+
+
+def _printed(pairs, parens=False):
+    """The printed form of (monomial text, coefficient) pairs, in their order.
+
+    A bare "1" monomial prints as its coefficient; a coefficient of 1 or -1
+    prints as the monomial or its negation, any other c as "c*" before the
+    monomial, or "(c)*" with parens; no pairs print as "0".
+    """
+    bits = []
+    for text, c in pairs:
+        if text == "1":
+            bits.append(str(c))
+        elif c == 1 or c == -1:
+            bits.append(text if c == 1 else "-" + text)
+        else:
+            bits.append(f"({c})*{text}" if parens else f"{c}*{text}")
+    return " + ".join(bits).replace("+ -", "- ") if bits else "0"
 
 
 def _drop_zeros(out):

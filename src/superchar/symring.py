@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .partitions import Partition, transpose
 from .ringdet import ring_det
-from .sparse import _PackedTerms, _Sparse, _add_into, _fold_integral, _product
+from .sparse import _PackedTerms, _Sparse, _add_into, _fold_integral, _product, _printed
 
 Mono = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
 
@@ -167,26 +167,13 @@ class SymFunc(_Sparse):
         return sorted(self.terms.items(), key=lambda t: (_degree(t[0]), t[0]))
 
     def __str__(self) -> str:
-        if not self._store:
-            return "0"
         def mono_str(mono: Mono) -> str:
             bits = []
             for alph, part in zip("xy", mono):
                 for k, m in part:
                     bits.append(f"e{k}({alph})" + (f"^{m}" if m > 1 else ""))
             return "*".join(bits) if bits else "1"
-        bits = []
-        for mono, coeff in self._by_degree():
-            ms = mono_str(mono)
-            if ms == "1":
-                bits.append(str(coeff))
-            elif coeff == 1:
-                bits.append(ms)
-            elif coeff == -1:
-                bits.append(f"-{ms}")
-            else:
-                bits.append(f"{coeff}*{ms}")
-        return " + ".join(bits).replace("+ -", "- ")
+        return _printed((mono_str(mono), coeff) for mono, coeff in self._by_degree())
 
     def to_json(self) -> list[dict]:
         return [

@@ -16,8 +16,10 @@ from Freudenthal's formula), the Laurent Howe-duality identities on every
 (x, z) term with the duals of the older route (sp_schur specialised to x,
 the so(2m) determinant at x^{-1}), the tensor identities label by label
 with every product of two characters peeled, the Fock basis and character
-built one monomial at a time, singularity by every raising element, the Gram
-matrix from every pair of basis states, and leading principal minors as
+built one monomial at a time, the highest weight vectors as products of
+minor states (each minor a signed sum of creation products, the states
+multiplied monomial by monomial), singularity by every raising element, the
+Gram matrix from every pair of basis states, and leading principal minors as
 Leibniz sums.
 
 It also holds the helpers that only tests call: tensor multiplicities and
@@ -787,6 +789,27 @@ def fock_character_by_monomial(space, cutoff2: int) -> dict:
         slot = out.setdefault((tuple(z), eps), {})
         slot[wmono] = slot.get(wmono, 0) + 1
     return out
+
+
+def hwv_by_state_products(space, algebra: str, lam, variant: str = "X") -> FockVector:
+    """`fock.hwv_candidate` with each Grassmann minor built as a state, the signed
+    sum of the creation products of its permutations, and the minor states
+    multiplied in product order: each monomial of the earlier factor is applied,
+    mode by mode, on top of each monomial of the later one."""
+    vec = FockVector.vacuum(space)
+    for mat, size in fock._hwv_factors(space, algebra, lam, variant):
+        det = FockVector.zero(space)
+        for perm in itertools.permutations(range(size)):
+            det = det + fock.creation_product(space, [mat[i][perm[i]] for i in range(size)]) * _perm_parity(perm)
+        out = FockVector.zero(space)
+        for m1, c1 in vec.terms.items():
+            for m2, c2 in det.terms.items():
+                state = FockVector(space, {m2: c1 * c2})
+                for mode in reversed(m1):
+                    state = fock.apply_mode(space, mode, state)
+                out = out + state
+        vec = out
+    return vec
 
 
 def singularity_check_full(space, algebra: str, vec: FockVector):

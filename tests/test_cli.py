@@ -154,6 +154,16 @@ def test_fock_gl_algebra_reads_only_gram(capsys):
     assert code == 0 and json.loads(out)["positive_definite"] is True
 
 
+def test_fock_decompose_needs_a_nonzero_space(capsys):
+    # the 0 space has no dual group to decompose over; its character and hwv still run
+    for algebra in ([], ["--algebra", "A"], ["--algebra", "C"], ["--algebra", "D"]):
+        code, out, err = run(capsys, "fock", "--space", "0", "--action", "decompose", *algebra)
+        assert code == 2 and not out and "--space" in err and "--action decompose" in err, (algebra, err)
+    assert run(capsys, "fock", "--space", "0", "--action", "character")[0] == 0
+    code, out, _ = run(capsys, "fock", "--space", "0", "--action", "hwv", "--hw", "[]")
+    assert code == 0 and out.splitlines()[0] == "|0>"
+
+
 # (--space argv, --algebra argv, Space, doubled energies); every basis has at most 5 states, so the
 # Leibniz minors stay small
 GRAM_ROUTES = [
@@ -194,6 +204,21 @@ def test_zero_level_denominator_is_a_usage_error(capsys):
     code, out, err = run(capsys, "classify", "--algebra", "gl", "--weight", "1:1;level=1/0")
     assert code == 2 and not out
     assert "usage error" in err and "Traceback" not in err
+
+
+def test_repeated_weight_index_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "classify", "--algebra", "gl", "--weight", "1:1,2/2:2; level=3")
+    assert code == 2 and not out and "index 1 repeats" in err
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    # no user input raises KeyError, so one from inside a command is a fault and keeps its traceback
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "cmd_frobenius", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["frobenius", "[1]"])
 
 
 def test_verify_rejects_parameters_the_identity_cannot_use(capsys):

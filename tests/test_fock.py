@@ -50,6 +50,7 @@ from oracles import (
     dimension,
     fock_basis_by_monomial,
     fock_character_by_monomial,
+    hwv_by_state_products,
     singularity_check_full,
 )
 
@@ -335,6 +336,37 @@ def test_singularity_check_agrees_with_every_raising_element(kind, d, algebra):
             assert witness in raising_generators(space, algebra, max(vec.energies2())), (str(vec), witness)
         verdicts[ok] += 1
     assert verdicts[True] and verdicts[False], verdicts
+
+
+@pytest.mark.parametrize("kind, d, algebra", [
+    ("A", 1, "C"), ("A", 2, "C"), ("A", 3, "C"), ("A", 1, "A"), ("A", 2, "A"), ("A", 3, "A"),
+    ("A", 1, "Deven"), ("A", 2, "Deven"), ("A", 3, "Deven"),
+    ("Dodd", 1, "Dodd"), ("Dodd", 2, "Dodd"),
+])
+def test_hwv_candidate_agrees_with_minor_state_products(kind, d, algebra):
+    # the minors applied as operators, the last first, against the minor states multiplied
+    # in product order, on every label of the decomposition at doubled cutoff 8
+    space = Space(kind, d)
+    compared = Counter()
+    for lam in duality_decompose(space, algebra, 8):
+        for variant in ("X", "Xt") if algebra == "Deven" else ("X",):
+            try:
+                vec = hwv_candidate(space, algebra, lam, variant)
+            except ValueError as exc:  # Xt exists only when lambda'_1 = d
+                assert variant == "Xt" and "lambda'_1 = d" in str(exc)
+                continue
+            assert vec and vec == hwv_by_state_products(space, algebra, lam, variant), (lam, variant)
+            compared[variant] += 1
+    assert compared["X"] > 3 and (compared["Xt"] > 1 or algebra != "Deven"), compared
+
+
+def test_hwv_candidate_keeps_the_order_of_two_odd_minors():
+    # C [2,2,2,1] at d = 4: both columns' minors hold an odd number of fermionic
+    # modes, so the vector changes sign if they are applied in the other order
+    space = Space("A", 4)
+    vec = hwv_candidate(space, "C", Partition((2, 2, 2, 1)))
+    assert vec and vec == hwv_by_state_products(space, "C", Partition((2, 2, 2, 1)))
+    assert singularity_check(space, "C", vec)[0]
 
 
 def test_hwv_sweep_weights_and_singularity():

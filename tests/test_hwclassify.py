@@ -151,6 +151,13 @@ def test_parse_and_render():
     assert blob["algebra"] == "D" and blob["level"] == "3/2"
 
 
+def test_parse_weight_rejects_a_repeated_index():
+    # "1" and "2/2" name one index: the later value must not silently replace the earlier
+    for text, idx in [("1:1,1:2; level=3", "1"), ("1:1,2/2:2; level=3", "1"), ("-1/2:1,0:0,-1/2:2; level=1", "-1/2")]:
+        with pytest.raises(ValueError, match=f"index {idx} repeats"):
+            parse_weight("gl", text)
+
+
 def test_graded_dimension_character_and_fock_agree():
     w = weight_from_partition("C", Partition((1,)))
     ch = graded_dimension(w, 4, source="character")

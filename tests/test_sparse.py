@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superchar.fock import FockVector, Space, enumerate_basis
+from superchar.fock import GAM_P, PSI_P, FockVector, Space, enumerate_basis
 from superchar.infmat import SuperMatrix
 from superchar.laurentchars import LaurentPoly
 from superchar.sparse import _add_into
@@ -196,3 +196,50 @@ def test_terms_view_is_a_tuple_keyed_mapping(f, absent):
 def test_add_into_reads_a_terms_view():
     f = SymFunc(3, {(((1, 1),), ()): 2, ((), ((3, 1),)): 1})
     assert _add_into({(((1, 1),), ()): -2}, f.terms) == {((), ((3, 1),)): 1}
+
+
+
+# Each class, five keys (a constant, or the vacuum, or e(0,0) for SuperMatrix,
+# then four monomials) and its printed forms: each key alone with the
+# coefficients 3, 1, -1, 2, -1/2, all five together, and -1 on the constant
+# plus the first monomial.
+PRINTED = {
+    "LaurentPoly": (
+        lambda t: LaurentPoly(2, t),
+        [((0, 0), 0), ((2, 0), 0), ((0, -2), 0), ((1, 4), 1), ((-3, 0), 0)],
+        ["3", "z1", "-z2^-1", "2*z1^(1/2)*z2^2*eps", "-1/2*z1^(-3/2)"],
+        "z1 + 2*z1^(1/2)*z2^2*eps + 3 - z2^-1 - 1/2*z1^(-3/2)",
+        "z1 - 1",
+    ),
+    "SymFunc": (
+        lambda t: SymFunc(3, t),
+        [((), ()), (((1, 1),), ()), ((), ((1, 1),)), (((1, 2),), ()), (((2, 1),), ((1, 1),))],
+        ["3", "e1(x)", "-e1(y)", "2*e1(x)^2", "-1/2*e2(x)*e1(y)"],
+        "3 - e1(y) + e1(x) + 2*e1(x)^2 - 1/2*e2(x)*e1(y)",
+        "-1 + e1(x)",
+    ),
+    "FockVector": (
+        lambda t: FockVector(SPACE, t),
+        [(), ((GAM_P, 1, -1),), ((PSI_P, 1, -2),), ((GAM_P, 1, -1), (GAM_P, 1, -1)), ((GAM_P, 1, -3),)],
+        ["(3)*|0>", "g+[1,-1/2] |0>", "-p+[1,-1] |0>", "(2)*g+[1,-1/2] g+[1,-1/2] |0>", "(-1/2)*g+[1,-3/2] |0>"],
+        "(3)*|0> + g+[1,-1/2] |0> - p+[1,-1] |0> + (2)*g+[1,-1/2] g+[1,-1/2] |0> + (-1/2)*g+[1,-3/2] |0>",
+        "-|0> + g+[1,-1/2] |0>",
+    ),
+    "SuperMatrix": (
+        SuperMatrix,
+        [(0, 0), (1, 2), (-1, 3), (2, -4), (4, 4)],
+        ["3*e(0,0)", "e(1/2,1)", "-e(-1/2,3/2)", "2*e(1,-2)", "-1/2*e(2,2)"],
+        "-e(-1/2,3/2) + 3*e(0,0) + e(1/2,1) + 2*e(1,-2) - 1/2*e(2,2)",
+        "-e(0,0) + e(1/2,1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(PRINTED))
+def test_printed_form(kind):
+    make, keys, singles, whole, negated = PRINTED[kind]
+    coeffs = (3, 1, -1, 2, Fraction(-1, 2))
+    assert str(make({})) == "0"
+    assert [str(make({key: c})) for key, c in zip(keys, coeffs)] == singles
+    assert str(make(dict(zip(keys, coeffs)))) == whole
+    assert str(make({keys[0]: -1, keys[1]: 1})) == negated
