@@ -113,10 +113,6 @@ class FockVector(_Sparse):
     def vacuum(space: Space) -> "FockVector":
         return FockVector(space, {(): Fraction(1)})
 
-    @staticmethod
-    def zero(space: Space) -> "FockVector":
-        return FockVector(space)
-
     def energies2(self) -> set[int]:
         return {mono_energy2(m) for m in self.terms}
 
@@ -186,30 +182,27 @@ def _apply_word(space: Space, modes: tuple[Mode, ...] | list[Mode], vec: FockVec
 
 @dataclass(frozen=True)
 class RealizedOp:
-    """Finite list of (coefficient, ordered mode products) plus a scalar part."""
+    """Finite list of (coefficient, ordered mode products)."""
 
     space: Space
     terms: list[tuple[Fraction, tuple[Mode, ...]]]
-    scalar: Fraction = Fraction(0)
 
     def apply(self, vec: FockVector) -> FockVector:
         if vec.space != self.space:
             raise ValueError("operator and vector live on different spaces")
-        out = vec * self.scalar
+        out: dict[tuple[Mode, ...], Fraction] = {}
         for coeff, modes in self.terms:
-            _add_into(out.terms, _apply_word(self.space, modes, vec).terms, coeff)
-        return out
+            _add_into(out, _apply_word(self.space, modes, vec).terms, coeff)
+        return vec._new(out)
 
     def __add__(self, other: "RealizedOp") -> "RealizedOp":
         if self.space != other.space:
             raise ValueError("operators live on different spaces")
-        return RealizedOp(self.space, self.terms + other.terms, self.scalar + other.scalar)
+        return RealizedOp(self.space, self.terms + other.terms)
 
     def __mul__(self, scalar) -> "RealizedOp":
         scalar = Fraction(scalar)
-        return RealizedOp(
-            self.space, [(c * scalar, ms) for c, ms in self.terms], self.scalar * scalar
-        )
+        return RealizedOp(self.space, [(c * scalar, ms) for c, ms in self.terms])
 
     __rmul__ = __mul__
 
@@ -246,8 +239,31 @@ BILINEARS = {
     (1, 0): (-1, GAM_P, PSI_M, (-1, -1)),
 }
 COLOURLESS = (PHI, CHI)
-# The family of te(p,q) each dual algebra takes; gl and A take e(p,q) itself.
-TE_FAMILIES = {"gl": None, "A": None, "C": "C", "Deven": "D", "Dodd": "D"}
+# Each dual algebra's (te(p,q) family, dual group kind).  gl and A take e(p,q)
+# itself, and gl has no dual group.  A is dual to GL(d), C to Sp(2d), and
+# Deven and Dodd to O(2 level): O(2d) and O(2d+1).
+DUAL_PAIRS = {
+    "gl": (None, None), "A": (None, "GL"), "C": ("C", "Sp"), "Deven": ("D", "O"), "Dodd": ("D", "O"),
+}
+
+
+def _dual_pair(algebra: str) -> tuple[str | None, str | None]:
+    if algebra not in DUAL_PAIRS:
+        raise ValueError(f"unknown algebra {algebra!r}")
+    return DUAL_PAIRS[algebra]
+
+
+def _dual_group(space: Space, algebra: str) -> tuple[str, int]:
+    """(kind, size) of the dual group, as `laurentchars.GroupTag` takes them; the
+    size is also the length of its labels: d for GL(d) and Sp(2d), 2 level for O.
+    Dodd pairs only with the d+1/2 space, and every other algebra only with the others."""
+    kind = _dual_pair(algebra)[1]
+    if kind is None:
+        dual = ", ".join(name for name, (_family, group) in DUAL_PAIRS.items() if group)
+        raise ValueError(f"no dual group for algebra {algebra!r}; one of {dual}")
+    if (space.kind == "Dodd") != (algebra == "Dodd"):
+        raise ValueError(f"the {space.kind} space has no {algebra} dual pair")
+    return kind, int(2 * space.level) if kind == "O" else space.d
 
 
 def _e_entries(space: Space, m: SuperMatrix) -> list:
@@ -277,9 +293,7 @@ def realize_algebra(space: Space, algebra: str, p2: int, q2: int) -> RealizedOp:
     the colourless term of BILINEARS.  Cached: singularity checks ask for the
     same raising operators many times.
     """
-    if algebra not in TE_FAMILIES:
-        raise ValueError(algebra)
-    family = TE_FAMILIES[algebra]
+    family = _dual_pair(algebra)[0]
     if (space.kind == "Dodd" and family != "D") or (algebra == "Dodd" and space.kind != "Dodd"):
         raise ValueError(f"the {space.kind} space does not realize the {algebra} algebra")
     entries = _e_entries(space, te_generator(family, p2, q2) if family else SuperMatrix.unit(p2, q2))
@@ -341,7 +355,7 @@ def op_adjoint(op: RealizedOp, naive: bool = False) -> RealizedOp:
             sign *= s
             conj.append(w)
         terms.append((coeff * sign, tuple(reversed(conj))))
-    return RealizedOp(op.space, terms, op.scalar)
+    return RealizedOp(op.space, terms)
 
 
 # -- basis enumeration ---------------------------------------------------------
@@ -375,10 +389,6 @@ def enumerate_basis(space: Space, cutoff2: int) -> list[tuple[Mode, ...]]:
 
 # -- Grassmann determinants and highest weight vectors --------------------------
 
-def creation_product(space: Space, modes: list[Mode]) -> FockVector:
-    return _apply_word(space, modes, FockVector.vacuum(space))
-
-
 def _minor(space: Space, matrix: list[list[Mode]], r: int) -> RealizedOp:
     """First r x r minor as an operator: one signed word per permutation, the
     rows' modes in row order."""
@@ -387,11 +397,6 @@ def _minor(space: Space, matrix: list[list[Mode]], r: int) -> RealizedOp:
     words = [(Fraction(_perm_sign(perm)), tuple(matrix[i][perm[i]] for i in range(r)))
              for perm in itertools.permutations(range(r))]
     return RealizedOp(space, words)
-
-
-def grassmann_det(space: Space, matrix: list[list[Mode]], r: int) -> FockVector:
-    """First r x r minor applied to the vacuum."""
-    return _minor(space, matrix, r).apply(FockVector.vacuum(space))
 
 
 def _perm_sign(perm) -> int:
@@ -438,12 +443,13 @@ def gamma_matrix(space: Space) -> list[list[Mode]]:
 def hwv_candidate(space: Space, algebra: str, lam: GeneralizedPartition, variant: str = "X") -> FockVector:
     """Joint highest weight vector of the lam-component of the dual-pair decomposition.
 
-    lam has declared length d for A and C, 2d for Deven and 2d+1 for Dodd;
-    any other length is a ValueError.  For the even orthogonal case with
-    lambda'_1 = d, variant "X" gives the vector with group weight
-    (lam_1..lam_d) and variant "Xt" the one with the sign-flipped last entry.
-    The vector is det_1 ... det_k |0>, a product of Grassmann minors applied
-    to the vacuum, the last minor first.
+    lam has the declared length of the dual group's labels: d for A and C,
+    2d for Deven and 2d+1 for Dodd; any other length is a ValueError.  For a
+    Deven label with lambda'_1 = d, variant "X" gives the vector with group
+    weight (lam_1..lam_d) and variant "Xt" the one with the sign-flipped last
+    entry; "Xt" for any other label is a ValueError.  The vector is
+    det_1 ... det_k |0>, a product of Grassmann minors applied to the vacuum,
+    the last minor first.
     """
     vec = FockVector.vacuum(space)
     for mat, size in reversed(_hwv_factors(space, algebra, lam, variant)):
@@ -456,33 +462,26 @@ def hwv_candidate(space: Space, algebra: str, lam: GeneralizedPartition, variant
 def _hwv_factors(space: Space, algebra: str, lam: GeneralizedPartition, variant: str) -> list:
     """(mode matrix, minor size) of each Grassmann minor of `hwv_candidate`, in product order."""
     d = space.d
-    if algebra in ("A", "C") and lam.length != d:
-        raise ValueError(f"{algebra} labels have length d = {d}, not {lam.length}")
-    if algebra == "A":
+    group, n = _dual_group(space, algebra)
+    if lam.length != n:
+        raise ValueError(f"{algebra} labels have length {n}, not {lam.length}")
+    if variant == "Xt" and (algebra != "Deven" or _column_lengths(lam.parts)[:1] != (d,)):
+        raise ValueError("the sign-flipped vector exists only for Deven labels with lambda'_1 = d")
+    if group == "GL":
         plus, minus = split_signs(lam)
         mu_cols = _column_lengths(minus.star().parts)
         factors = [(x_matrix(space, j, sign=-1), mu_cols[j - 1]) for j in range(len(mu_cols), 0, -1)]
         plus_cols = enumerate(_column_lengths(plus.parts), start=1)
-        factors += [(x_matrix(space, j, sign=+1), size) for j, size in plus_cols]
-    elif algebra in ("C", "Deven", "Dodd"):
-        lam = Partition(lam.parts)
-        if algebra == "Dodd" and lam.length != 2 * d + 1:
-            raise ValueError(f"odd orthogonal labels have length {2*d+1}")
-        cols = _column_lengths(lam.parts)
-        # the first column is spinorial (the gamma matrix) for every odd O label
-        # and for the even O labels with lambda'_1 > d
-        spinorial = algebra == "Dodd" or (algebra == "Deven" and o_label(lam, 2 * d)[1] < 0)
-        flipped = algebra == "Deven" and variant == "Xt" and not spinorial
-        if flipped and cols[:1] != (d,):
-            raise ValueError("the sign-flipped vector exists only when lambda'_1 = d")
-        column = xt_matrix if flipped else x_matrix
-        factors = [
-            (gamma_matrix(space) if spinorial and j == 1 else column(space, j), size)
-            for j, size in enumerate(cols, start=1)
-        ]
-    else:
-        raise ValueError(f"unknown algebra {algebra!r}")
-    return factors
+        return factors + [(x_matrix(space, j, sign=+1), size) for j, size in plus_cols]
+    lam = Partition(lam.parts)
+    # the first column is spinorial (the gamma matrix) for every odd O label
+    # and for the even O labels with lambda'_1 > d
+    spinorial = algebra == "Dodd" or (algebra == "Deven" and o_label(lam, n)[1] < 0)
+    column = xt_matrix if variant == "Xt" else x_matrix
+    return [
+        (gamma_matrix(space) if spinorial and j == 1 else column(space, j), size)
+        for j, size in enumerate(_column_lengths(lam.parts), start=1)
+    ]
 
 
 # -- singularity and weights ----------------------------------------------------
@@ -503,9 +502,7 @@ def raising_generators(space: Space, algebra: str, top2: int) -> list[tuple[int,
     space only, so on the A space the step across 0 is (-1/2, 1/2).  C and D
     take te(p, p+1) for p > 0, then their centre generator.
     """
-    if algebra not in TE_FAMILIES:
-        raise ValueError(algebra)
-    family = TE_FAMILIES[algebra]
+    family = _dual_pair(algebra)[0]
     if family is None:
         index_set = [i for i in range(-top2, top2 + 1) if i or space.kind == "gl"]
         return list(zip(index_set, index_set[1:]))
@@ -532,20 +529,21 @@ def singularity_check(space: Space, algebra: str, vec: FockVector):
     return True, None
 
 
-def group_raising_check(space: Space, group_kind: str, vec: FockVector):
-    """Annihilation by the group Borel raising operators (gl part + sp/so part)."""
-    pair = {"Sp": "sp+", "SOeven": "so+", "SOodd": "so+"}.get(group_kind)
-    if pair is None:
-        raise ValueError(group_kind)
+def group_raising_check(space: Space, algebra: str, vec: FockVector):
+    """Annihilation by the Borel raising operators of the algebra's dual group:
+    the E_ij (i < j) of its gl part, then its sp/so part (none for GL).  True,
+    or the first that does not kill vec as (`realize_group` descriptor, *colours)."""
+    pair = {"GL": None, "Sp": "sp+", "O": "so+"}[_dual_group(space, algebra)[0]]
     top2 = max(vec.energies2(), default=0)
     colours = range(1, space.d + 1)
     raising = [("E", (i, j)) for i in colours for j in colours if i < j]
     # sp+(j, i) = sp+(i, j) and so+(j, i) = -so+(i, j), whose (i, i) terms cancel in pairs
-    raising += [(pair, (i, j)) for i in colours for j in colours if i < j or i == j and pair == "sp+"]
-    raising += [("so+vec", (i,)) for i in colours if group_kind == "SOodd"]
+    raising += [(pair, (i, j)) for i in colours for j in colours
+                if pair and (i < j or i == j and pair == "sp+")]
+    raising += [("so+vec", (i,)) for i in colours if algebra == "Dodd"]
     for descriptor, cols in raising:
         if realize_group(space, descriptor, cols, top2).apply(vec):
-            return False, (group_kind if descriptor == pair else descriptor, *cols)
+            return False, (descriptor, *cols)
     return True, None
 
 
@@ -561,8 +559,8 @@ def diagonal_weight(space: Space, algebra: str, vec: FockVector):
             raise ValueError(f"not an eigenvector of {name}")
         return int(ratio)
 
-    # gl/A read e(s,s) at s and -s, C/Deven/Dodd read te(s,s) at s > 0; gl also e(0,0)
-    signs = (1, -1) if algebra in ("A", "gl") else (1,)
+    # gl/A read e(s,s) at s and -s, the te families te(s,s) at s > 0; gl also e(0,0)
+    signs = (1,) if _dual_pair(algebra)[0] else (1, -1)
     diagonal = [sign * s2 for s2 in range(1, top2 + 1) for sign in signs]
     if algebra == "gl" and space.kind == "gl":
         diagonal.append(0)
@@ -745,8 +743,4 @@ def duality_decompose(space: Space, algebra: str, cutoff2: int):
     Returns {partition label: {weight monomial: multiplicity}}; for the even
     orthogonal case labels are canonical and totals are bar-merged.
     """
-    d = space.d
-    groups = {"A": ("GL", d), "C": ("Sp", d), "Deven": ("O", 2 * d), "Dodd": ("O", 2 * d + 1)}
-    if algebra not in groups:
-        raise ValueError(f"no duality decomposition for algebra {algebra!r}; one of {', '.join(groups)}")
-    return decompose_graded(fock_character(space, cutoff2), GroupTag(*groups[algebra]))
+    return decompose_graded(fock_character(space, cutoff2), GroupTag(*_dual_group(space, algebra)))

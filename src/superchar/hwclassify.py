@@ -59,12 +59,6 @@ class Weight:
     def make(algebra: str, coeffs: dict[int, int], level) -> "Weight":
         return Weight(algebra, tuple(coeffs.items()), level)
 
-    def coeff(self, idx2: int) -> int:
-        for i, v in self.coeffs:
-            if i == idx2:
-                return v
-        return 0
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.coeffs)
 

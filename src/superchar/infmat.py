@@ -57,10 +57,6 @@ class SuperMatrix(_Sparse):
     def unit(p2: int, q2: int, coeff=1) -> "SuperMatrix":
         return SuperMatrix({(p2, q2): Fraction(coeff)})
 
-    @staticmethod
-    def zero() -> "SuperMatrix":
-        return SuperMatrix()
-
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
         """Associative product e(p,q) e(q',s) = delta_{q,q'} e(p,s)."""
         by_row: dict[int, list[tuple[int, Fraction]]] = {}
@@ -80,15 +76,6 @@ class SuperMatrix(_Sparse):
         if len(parities) > 1:
             return None
         return parities.pop()
-
-    def degree(self):
-        """Common doubled degree q - p of the support, or None if mixed."""
-        degs = {q - p for p, q in self.terms}
-        if not degs:
-            return 0
-        if len(degs) > 1:
-            return None
-        return degs.pop()
 
     def homogeneous_components(self) -> list["SuperMatrix"]:
         even, odd = {}, {}

@@ -12,8 +12,11 @@ A Weyl-invariant function is fixed by its coefficients at dominant weights,
 and those of an irreducible character are its dominant weight
 multiplicities: `_dominant_terms` reads them off Freudenthal's formula on
 the group's root system (A, B, C or D), with no determinant, and the
-determinants are the independent route the tests compare it with.  The
-sp(2m) and so(2m) duals of the Laurent identities in `superschur` are
+determinants are the route the tests compare it with.  Both routes read the
+label through one rule, `_top` (its length or depth check, the canonical O
+label and the odd-O eps), so the tests check that rule against independent
+references (the Weyl alternants and dimension formulas of tests/oracles.py).
+The sp(2m) and so(2m) duals of the Laurent identities in `superschur` are
 `_freudenthal`'s multiplicities too (types C and D).
 Decomposition into irreducible characters peels the lex-largest dominant
 exponent, which is valid because every character is unitriangular with
@@ -292,39 +295,52 @@ class GroupTag:
         return f"O({self.size})"
 
 
+def _top(group: GroupTag, lam: GeneralizedPartition) -> tuple[str, tuple[int, ...], int]:
+    """(root type, highest weight padded to the rank, eps) of the group's
+    irreducible lam, after checking that lam labels one.
+
+    GL(d) is A at lam, of length d with parts of any sign.  Sp(2d) is C at
+    lam, of depth at most d.  O(2d+1) is B and O(2d) is D, each at the first
+    d rows of the canonical label (`o_label`), and odd O has eps = |lam| mod 2.
+    """
+    d = group.rank
+    if group.kind == "GL":
+        if lam.length != d:
+            raise ValueError(f"{group} weights have length {d}")
+        return "A", lam.parts, 0
+    if not isinstance(lam, Partition):
+        lam = Partition(lam.parts)
+    if group.kind == "Sp":
+        if lam.depth > d:
+            raise ValueError(f"{group} labels have at most {d} rows")
+        kind, top, eps = "C", lam.parts[:d], 0
+    else:
+        top = o_label(lam, group.size)[0].parts[:d]
+        kind, eps = ("B", lam.size % 2) if group.size % 2 else ("D", 0)
+    return kind, top + (0,) * (d - len(top)), eps
+
+
 def char_group(group: GroupTag, lam: GeneralizedPartition) -> LaurentPoly:
     """Irreducible character of the group, in z_1..z_rank (eps-graded for odd O)."""
-    if group.kind == "GL":
-        d = group.size
-        if lam.length != d:
-            raise ValueError(f"GL({d}) weights have length {d}")
-        shift = lam.parts[-1]
-        core = [p - shift for p in lam.parts if p > shift]
+    kind, top, eps = _top(group, lam)
+    d = group.rank
+    if kind == "A":
+        shift = top[-1]
+        core = [p - shift for p in top if p > shift]
         n = len(core)
         jacobi_trudi = ring_det([[_complete(p - i + j, d) for j in range(n)] for i, p in enumerate(core)],
                                 LaurentPoly.const(d))
         return jacobi_trudi * LaurentPoly.monomial(d, (2 * shift,) * d)
-    if group.kind == "Sp":
-        d = group.size
-        if not isinstance(lam, Partition):
-            lam = Partition(lam.parts)
-        if lam.depth > d:
-            raise ValueError(f"Sp(2{d}) labels have at most {d} rows")
+    centres = _centres(_column_lengths(top))
+    if kind == "C":
         # |E'_{lam'}| with E'_r = E_r - E_{r-2}
-        return pair_det(_centres(_column_lengths(lam.parts)), lambda r: _eprime(r, d), LaurentPoly.const(d))
-    # O(n)
-    n, d = group.size, group.rank
-    if not isinstance(lam, Partition):
-        lam = Partition(lam.parts)
-    cols = _column_lengths(o_label(lam, n)[0].parts[:d])
-    if n % 2 == 0:
-        return pair_det(_centres(cols), lambda r: elementary_laurent(r, d), LaurentPoly.const(d))
+        return pair_det(centres, lambda r: _eprime(r, d), LaurentPoly.const(d))
+    if kind == "D":
+        return pair_det(centres, lambda r: elementary_laurent(r, d), LaurentPoly.const(d))
     # the E's of {z_i, z_i^{-1}, 1} are E_r + E_{r-1}
-    chi = pair_det(_centres(cols), lambda r: elementary_laurent(r, d) + elementary_laurent(r - 1, d),
+    chi = pair_det(centres, lambda r: elementary_laurent(r, d) + elementary_laurent(r - 1, d),
                    LaurentPoly.const(d))
-    if lam.size % 2:
-        chi = chi * LaurentPoly.eps(d)
-    return chi
+    return chi * LaurentPoly.eps(d) if eps else chi
 
 
 # -- symmetry and decomposition ----------------------------------------------
@@ -485,32 +501,16 @@ def _freudenthal(kind: str, top: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 def _dominant_terms(group: GroupTag, lam: GeneralizedPartition) -> tuple:
     """The dominant ((plain z exponents, eps), coefficient) terms of char_group(group, lam).
 
-    The multiplicities come from `_freudenthal` on the group's root system,
-    and the full character is never built.  GL(d) is A, with parts of any
-    sign.  Sp(2d) is C.  O(2d+1) is B on the first d rows of the canonical
-    label (`o_label`), with eps = |lam| mod 2.  O(2d) is D on the canonical
-    label nu.  Its Weyl group is that of C, one sign flip more than D's:
-    when nu_d > 0 its character is that of so(2d) at nu plus that at nu with
+    The multiplicities come from `_freudenthal` at the root type and highest
+    weight of `_top`, and the full character is never built.  O(2d) is D at
+    the canonical label nu.  Its Weyl group is that of C, one sign flip more
+    than D's: when nu_d > 0 its character is that of so(2d) at nu plus that at nu with
     nu_d negated, so a D-dominant weight mu counts at mu with |mu_d|, and
     twice when mu_d = 0.  When nu_d = 0 the so(2d)-module is stable under
     the flip, and its weights with mu_d < 0 only mirror those with mu_d > 0.
     Cached per label.
     """
-    d, eps = group.rank, 0
-    if group.kind == "GL":
-        if lam.length != d:
-            raise ValueError(f"GL({d}) weights have length {d}")
-        kind, top = "A", lam.parts
-    elif group.kind == "Sp":
-        if Partition(lam.parts).depth > d:
-            raise ValueError(f"Sp(2{d}) labels have at most {d} rows")
-        kind, top = "C", lam.parts[:d]
-    else:
-        top = o_label(Partition(lam.parts), group.size)[0].parts[:d]
-        kind = "B" if group.size % 2 else "D"
-        if kind == "B":
-            eps = lam.size % 2
-    top = tuple(top) + (0,) * (d - len(top))
+    kind, top, eps = _top(group, lam)
     try:
         mults = _freudenthal(kind, tuple(2 * p for p in top))
     except ArithmeticError as exc:

@@ -115,14 +115,6 @@ class FrobeniusData:
         for name in ("neg_half", "neg_int", "pos_half", "pos_int"):
             object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
 
-    @property
-    def r(self) -> int:
-        return len(self.pos_half)
-
-    @property
-    def s(self) -> int:
-        return -len(self.neg_half)
-
     def is_zero(self) -> bool:
         return not (self.neg_half or self.neg_int or self.pos_half or self.pos_int)
 

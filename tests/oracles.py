@@ -793,15 +793,19 @@ def fock_character_by_monomial(space, cutoff2: int) -> dict:
 
 def hwv_by_state_products(space, algebra: str, lam, variant: str = "X") -> FockVector:
     """`fock.hwv_candidate` with each Grassmann minor built as a state, the signed
-    sum of the creation products of its permutations, and the minor states
+    sum of the creation products of its permutations (each applied to the
+    vacuum mode by mode, the last row first), and the minor states
     multiplied in product order: each monomial of the earlier factor is applied,
     mode by mode, on top of each monomial of the later one."""
     vec = FockVector.vacuum(space)
     for mat, size in fock._hwv_factors(space, algebra, lam, variant):
-        det = FockVector.zero(space)
+        det = FockVector(space)
         for perm in itertools.permutations(range(size)):
-            det = det + fock.creation_product(space, [mat[i][perm[i]] for i in range(size)]) * _perm_parity(perm)
-        out = FockVector.zero(space)
+            state = FockVector.vacuum(space)
+            for i in reversed(range(size)):
+                state = fock.apply_mode(space, mat[i][perm[i]], state)
+            det = det + state * _perm_parity(perm)
+        out = FockVector(space)
         for m1, c1 in vec.terms.items():
             for m2, c2 in det.terms.items():
                 state = FockVector(space, {m2: c1 * c2})

@@ -118,7 +118,7 @@ def test_criterion_2_cocycle_and_homomorphism():
             + sgn(pb, pa) * super_bracket(super_bracket(b, c), a)
             + sgn(pc, pb) * super_bracket(super_bracket(c, a), b)
         )
-        assert jac == SuperMatrix.zero()
+        assert jac == SuperMatrix()
         coc = (
             sgn(pa, pc) * cocycle_alpha(super_bracket(a, b), c)
             + sgn(pb, pa) * cocycle_alpha(super_bracket(b, c), a)
@@ -204,6 +204,7 @@ def test_criterion_5_highest_weight_vectors():
             lam = GeneralizedPartition(parts)
             v = hwv_candidate(sp, "A", lam)
             assert v and singularity_check(sp, "A", v)[0]
+            assert group_raising_check(sp, "A", v)[0]
             coeffs, group = diagonal_weight(sp, "A", v)
             assert coeffs == weight_from_partition("A", lam).as_dict() and group == parts
             cases += 1
@@ -211,7 +212,7 @@ def test_criterion_5_highest_weight_vectors():
             lam = Partition(parts)
             v = hwv_candidate(sp, "C", lam)
             assert v and singularity_check(sp, "C", v)[0]
-            assert group_raising_check(sp, "Sp", v)[0]
+            assert group_raising_check(sp, "C", v)[0]
             coeffs, group = diagonal_weight(sp, "C", v)
             assert coeffs == weight_from_partition("C", lam).as_dict() and group == parts
             cases += 1
@@ -228,7 +229,7 @@ def test_criterion_5_highest_weight_vectors():
             for variant in ["X"] + (["Xt"] if c1 == d else []):
                 v = hwv_candidate(sp, "Deven", lam, variant=variant)
                 assert v and singularity_check(sp, "Deven", v)[0]
-                assert group_raising_check(sp, "SOeven", v)[0]
+                assert group_raising_check(sp, "Deven", v)[0]
                 coeffs, group = diagonal_weight(sp, "Deven", v)
                 assert coeffs == weight_from_partition("D", lam).as_dict()
                 if c1 <= d:
@@ -249,7 +250,7 @@ def test_criterion_5_highest_weight_vectors():
                 continue
             v = hwv_candidate(sp, "Dodd", lam)
             assert v and singularity_check(sp, "Dodd", v)[0]
-            assert group_raising_check(sp, "SOodd", v)[0]
+            assert group_raising_check(sp, "Dodd", v)[0]
             coeffs, group = diagonal_weight(sp, "Dodd", v)
             assert coeffs == weight_from_partition("D", lam).as_dict()
             base = lam if 2 * c1 <= n else bar_conjugate(lam, n)

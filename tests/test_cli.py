@@ -121,7 +121,7 @@ def test_fock_hwv_witness_is_printed_in_halves(capsys, monkeypatch):
     # gamma+[1,-3/2]|0> under C: the first generator that fails is te(1, 3/2)
     def bad(space, algebra, lam, variant="X"):
         assert space == fock.Space("A", 1) and algebra == "C"
-        return fock.creation_product(space, [(fock.GAM_P, 1, -3)])
+        return fock.apply_mode(space, (fock.GAM_P, 1, -3), fock.FockVector.vacuum(space))
 
     monkeypatch.setattr(fock, "hwv_candidate", bad)
     argv = ("fock", "--space", "1", "--action", "hwv", "--algebra", "C", "--hw", "[1]")
@@ -198,6 +198,22 @@ def test_usage_errors(capsys):
     assert code == 2 and err
     code, _, err = run(capsys, "verify", "--identity", "HS", "--d", "1")
     assert code == 2 and "--deg" in err
+
+
+def test_sp_label_too_deep_names_its_group(capsys):
+    code, out, err = run(capsys, "char", "--group", "Sp", "--size", "1", "--weight", "[1,1]")
+    assert code == 2 and not out and "Sp(2) labels have at most 1 rows" in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--space", "1", "--algebra", "D", "--hw", "[1,1]"], id="D-d1-lambda1-2"),
+    pytest.param(["--space", "2", "--algebra", "D", "--hw", "[1,1,1,0]"], id="D-d2-lambda1-3"),
+    pytest.param(["--space", "1", "--algebra", "C", "--hw", "[1]"], id="C"),
+    pytest.param(["--space", "1+1/2", "--hw", "[1,0,0]"], id="Dodd"),
+])
+def test_xt_needs_an_even_orthogonal_label_with_lambda1_d(capsys, argv):
+    code, out, err = run(capsys, "fock", "--action", "hwv", *argv, "--variant", "Xt")
+    assert code == 2 and not out and "lambda'_1 = d" in err
 
 
 def test_zero_level_denominator_is_a_usage_error(capsys):
@@ -395,9 +411,14 @@ def test_random_size_argv_exits_with_a_documented_code(capsys, stub_library, dat
 
 
 def test_fock_hwv_label_has_its_declared_length(capsys):
-    for argv in (["--space", "2", "--algebra", "A", "--hw", "[2,0,-1]"], ["--space", "2", "--algebra", "C", "--hw", "[5]"]):
+    for argv, message in [
+        (["--space", "2", "--algebra", "A", "--hw", "[2,0,-1]"], "A labels have length 2, not 3"),
+        (["--space", "2", "--algebra", "C", "--hw", "[5]"], "C labels have length 2, not 1"),
+        (["--space", "2", "--algebra", "D", "--hw", "[5,0]"], "Deven labels have length 4, not 2"),
+        (["--space", "1+1/2", "--hw", "[1,0]"], "Dodd labels have length 3, not 2"),
+    ]:
         code, out, err = run(capsys, "fock", "--action", "hwv", *argv)
-        assert code == 2 and not out and "have length d = 2" in err, argv
+        assert code == 2 and not out and message in err, argv
     code, out, err = run(capsys, "fock", "--space", "2", "--action", "hwv", "--algebra", "C")
     assert code == 2 and not out and "--action hwv needs --hw" in err
     code, out, _ = run(capsys, "fock", "--space", "3", "--action", "hwv", "--algebra", "A", "--hw", "[2,0,-1]")

@@ -13,13 +13,14 @@ from superchar.fock import (
     PHI,
     PSI_M,
     PSI_P,
-    TE_FAMILIES,
+    DUAL_PAIRS,
     FockVector,
     RealizedOp,
     Space,
+    _apply_word,
+    _minor,
     apply_mode,
     character_product_formula,
-    creation_product,
     diagonal_weight,
     duality_decompose,
     enumerate_basis,
@@ -27,7 +28,6 @@ from superchar.fock import (
     fock_character,
     gamma_matrix,
     gram_matrix,
-    grassmann_det,
     mono_energy2,
     group_raising_check,
     hwv_candidate,
@@ -56,7 +56,7 @@ from oracles import (
 
 
 def vec_of(space, *modes):
-    return creation_product(space, list(modes))
+    return _apply_word(space, modes, FockVector.vacuum(space))
 
 
 def test_enumerate_basis_counts():
@@ -85,7 +85,7 @@ def test_realize_algebra_builds_each_operator_once():
     assert realize_algebra(Space("A", 2), "C", -1, 3) is op
     assert realize_algebra(sp, "C", 1, 3) is not op
     with pytest.raises(AttributeError):
-        op.scalar = Fraction(1)
+        op.terms = []
 
 
 def test_realized_ops_add_only_on_one_space():
@@ -125,15 +125,16 @@ def test_reduced_space_has_no_index_0():
 def test_grassmann_det_basics():
     sp = Space("A", 2)
     m = x_matrix(sp, 1)
-    d1 = grassmann_det(sp, m, 1)
+    vacuum = FockVector.vacuum(sp)
+    d1 = _minor(sp, m, 1).apply(vacuum)
     assert d1 == vec_of(sp, (GAM_P, 1, -1))
     # repeated fermionic rows double rather than cancel
-    d2 = grassmann_det(sp, [[(PSI_P, 1, -2), (PSI_P, 2, -2)], [(PSI_P, 1, -2), (PSI_P, 2, -2)]], 2)
+    d2 = _minor(sp, [[(PSI_P, 1, -2), (PSI_P, 2, -2)], [(PSI_P, 1, -2), (PSI_P, 2, -2)]], 2).apply(vacuum)
     assert d2 == vec_of(sp, (PSI_P, 1, -2), (PSI_P, 2, -2)) * 2
     # identical fermionic entries in one product vanish
-    d0 = grassmann_det(sp, [[(PSI_P, 1, -2), (PSI_P, 1, -2)], [(PSI_P, 1, -2), (PSI_P, 1, -2)]], 2)
+    d0 = _minor(sp, [[(PSI_P, 1, -2), (PSI_P, 1, -2)], [(PSI_P, 1, -2), (PSI_P, 1, -2)]], 2).apply(vacuum)
     assert d0 == 0
-    assert grassmann_det(sp, m, 0) == FockVector.vacuum(sp)
+    assert _minor(sp, m, 0).apply(vacuum) == vacuum
 
 
 def test_grassmann_matrix_layouts():
@@ -304,7 +305,7 @@ def test_raising_generators_generate_every_raising_element(kind, algebra):
     for top2 in range(1, 9):
         pairs = raising_generators(space, algebra, top2)
         assert all(0 < q2 - p2 and max(-p2, q2) <= top2 for p2, q2 in pairs), pairs
-        assert _missing_raising(TE_FAMILIES[algebra], kind == "gl", pairs, top2) == [], top2
+        assert _missing_raising(DUAL_PAIRS[algebra][0], kind == "gl", pairs, top2) == [], top2
 
 
 def test_c_and_d_need_different_centre_generators():
@@ -399,6 +400,7 @@ def test_hwv_sweep_weights_and_singularity():
             v = hwv_candidate(sp, "A", lam)
             assert v, parts
             assert singularity_check(sp, "A", v)[0], parts
+            assert group_raising_check(sp, "A", v)[0], parts
             coeffs, group = diagonal_weight(sp, "A", v)
             assert coeffs == weight_from_partition("A", lam).as_dict()
             assert group == parts
@@ -406,7 +408,7 @@ def test_hwv_sweep_weights_and_singularity():
             lam = Partition(parts)
             v = hwv_candidate(sp, "C", lam)
             assert v and singularity_check(sp, "C", v)[0], parts
-            assert group_raising_check(sp, "Sp", v)[0], parts
+            assert group_raising_check(sp, "C", v)[0], parts
             coeffs, group = diagonal_weight(sp, "C", v)
             assert coeffs == weight_from_partition("C", lam).as_dict() and group == parts
 
@@ -423,7 +425,7 @@ def test_hwv_sweep_weights_and_singularity():
             for variant in ["X"] + (["Xt"] if c1 == d else []):
                 v = hwv_candidate(sp, "Deven", lam, variant=variant)
                 assert v and singularity_check(sp, "Deven", v)[0], (parts, variant)
-                assert group_raising_check(sp, "SOeven", v)[0], (parts, variant)
+                assert group_raising_check(sp, "Deven", v)[0], (parts, variant)
                 coeffs, group = diagonal_weight(sp, "Deven", v)
                 assert coeffs == weight_from_partition("D", lam).as_dict()
                 if c1 <= d:
@@ -444,7 +446,7 @@ def test_hwv_sweep_weights_and_singularity():
                 continue
             v = hwv_candidate(sp, "Dodd", lam)
             assert v and singularity_check(sp, "Dodd", v)[0], parts
-            assert group_raising_check(sp, "SOodd", v)[0], parts
+            assert group_raising_check(sp, "Dodd", v)[0], parts
             coeffs, group = diagonal_weight(sp, "Dodd", v)
             assert coeffs == weight_from_partition("D", lam).as_dict()
             base = lam if 2 * c1 <= n else bar_conjugate(lam, n)
@@ -500,7 +502,7 @@ def test_one_mode_norms():
     # leaves the gamma+ contraction sign in place
     for space in (Space("gl", 2), Space("A", 2), Space("Dodd", 1)):
         for m in space.creation_modes(4):
-            state = creation_product(space, [m])
+            state = vec_of(space, m)
             assert inner_product(space, (m,), state, "signed") == 1, (space, m)
             assert inner_product(space, (m,), state, "naive") == (-1 if m[0] == GAM_P else 1), (space, m)
 
@@ -931,14 +933,31 @@ def test_group_generator_examples():
 def test_group_raising_check_names_its_witness():
     # a one-mode state off the top of its colour is not highest: the witness is
     # the first raising operator that does not kill it
+    # the first raising operator that does not kill it, as a realize_group descriptor
     a2, d1 = Space("A", 2), Space("Dodd", 1)
-    assert group_raising_check(a2, "Sp", vec_of(a2, (GAM_P, 1, -1))) == (True, None)
-    assert group_raising_check(a2, "Sp", vec_of(a2, (PSI_P, 2, -2))) == (False, ("E", 1, 2))
-    assert group_raising_check(a2, "Sp", vec_of(a2, (GAM_M, 2, -1))) == (False, ("Sp", 1, 2))
-    assert group_raising_check(a2, "SOeven", vec_of(a2, (GAM_M, 2, -1))) == (False, ("SOeven", 1, 2))
-    assert group_raising_check(d1, "SOodd", vec_of(d1, (PHI, 0, -2))) == (False, ("so+vec", 1))
-    with pytest.raises(ValueError):
-        group_raising_check(Space("Dodd", 0), "SO", FockVector.vacuum(Space("Dodd", 0)))
+    assert group_raising_check(a2, "C", vec_of(a2, (GAM_P, 1, -1))) == (True, None)
+    assert group_raising_check(a2, "C", vec_of(a2, (PSI_P, 2, -2))) == (False, ("E", 1, 2))
+    assert group_raising_check(a2, "A", vec_of(a2, (PSI_P, 2, -2))) == (False, ("E", 1, 2))
+    assert group_raising_check(a2, "C", vec_of(a2, (GAM_M, 2, -1))) == (False, ("sp+", 1, 2))
+    assert group_raising_check(a2, "Deven", vec_of(a2, (GAM_M, 2, -1))) == (False, ("so+", 1, 2))
+    assert group_raising_check(d1, "Dodd", vec_of(d1, (PHI, 0, -2))) == (False, ("so+vec", 1))
+    # GL(2) has no sp/so part: gamma-[2,-1/2]|0>, of GL weight (0, -1), is highest for it
+    assert group_raising_check(a2, "A", vec_of(a2, (GAM_M, 2, -1))) == (True, None)
+    for algebra, message in [("SO", "unknown algebra 'SO'"), ("gl", "no dual group for algebra 'gl'")]:
+        with pytest.raises(ValueError, match=message):
+            group_raising_check(Space("Dodd", 0), algebra, FockVector.vacuum(Space("Dodd", 0)))
+
+
+def test_the_dual_pair_must_fit_the_space():
+    # the O group's size is 2 level, so Dodd on a d space or Deven on a d+1/2 space would
+    # read as the other pair
+    a1, d1 = Space("A", 1), Space("Dodd", 1)
+    for space, algebra, lam in [(a1, "Dodd", Partition((1, 0))), (d1, "Deven", Partition((1, 0, 0))),
+                                (d1, "C", Partition((1,)))]:
+        for call in (lambda: duality_decompose(space, algebra, 4), lambda: hwv_candidate(space, algebra, lam),
+                     lambda: group_raising_check(space, algebra, FockVector.vacuum(space))):
+            with pytest.raises(ValueError, match=f"the {space.kind} space has no {algebra} dual pair"):
+                call()
 
 
 def test_gl_space_levels_decompose_over_gl_d():

@@ -25,7 +25,7 @@ def test_bracket_examples():
     # both odd: anticommutator [e_{1/2,1}, e_{1,1/2}] = e_{1/2,1/2} + e_{1,1}
     assert super_bracket(e(1, 2), e(2, 1)) == e(1, 1) + e(2, 2)
     a = e(0, 2) + e(4, 0, 3)
-    assert super_bracket(a, a) == SuperMatrix.zero()
+    assert super_bracket(a, a) == SuperMatrix()
 
 
 def test_supertrace_examples():
@@ -68,7 +68,7 @@ def test_super_jacobi_and_cocycle_random():
             + sgn(pb, pa) * super_bracket(super_bracket(b, c), a)
             + sgn(pc, pb) * super_bracket(super_bracket(c, a), b)
         )
-        assert total == SuperMatrix.zero()
+        assert total == SuperMatrix()
         # 2-cocycle identity with matching signs
         coc = (
             sgn(pa, pc) * cocycle_alpha(super_bracket(a, b), c)
@@ -137,7 +137,7 @@ def test_te_generators_preserve_form_and_close():
 def test_preserves_form_negative():
     assert not preserves_form(e(2, 4), "C")
     assert not preserves_form(e(2, 4), "D")
-    assert preserves_form(SuperMatrix.zero(), "C")
+    assert preserves_form(SuperMatrix(), "C")
 
 
 def test_half_index_formatting():

@@ -580,6 +580,12 @@ def test_inexact_freudenthal_quotient_raises_arithmetic_error(rho_off_by_one_in_
     assert "Sp(2)" in str(exc.value) and "[2]" in str(exc.value) and "(0,)" in str(exc.value)
 
 
+def test_both_character_routes_name_the_group_of_a_too_deep_label():
+    for route in (char_group, _dominant_terms):
+        with pytest.raises(ValueError, match=r"^Sp\(2\) labels have at most 1 rows$"):
+            route(GroupTag("Sp", 1), Partition((1, 1)))
+
+
 def test_cli_lets_an_inexact_quotient_propagate(rho_off_by_one_in_c):
     # an internal fault is not a usage error: no exit code 2 and no message swallowed
     with pytest.raises(ArithmeticError):
