@@ -48,7 +48,9 @@ SIZE_CAPS = {
     "size": 6,  # char --size, entries of a char or schur --weight: sp hook of six zeros at --deg 12, 0.2 s
     "length": 8,  # entries of a frobenius literal or a fock --hw label, and frobenius --length
     "entry": 2**21 - 1,  # |integers| of a literal or a classify --weight: frobenius of eight at the cap, 0.3 s
-    "space": 8,  # the doubled level of fock --space (2d + 1 for d+1/2): character at 4, --cutoff 6, 1.9 s
+    # the doubled level of fock --space (2d + 1 for d+1/2): at 4, --cutoff 6, the character 1.7 s and 206 MB,
+    # decompose 0.06 s (C), 0.17 s (A, the worst), 3+1/2 0.06 s
+    "space": 8,
     # the doubled --energy of fock --action gram at d = 0..4, for its dense n x n
     # matrix: gl at d = 3, --energy 2 has 2,472 states, 0.5 s and 172 MB
     "gram": (12, 10, 6, 4, 2),

@@ -19,9 +19,9 @@ from fractions import Fraction
 
 from .infmat import SuperMatrix, fmt_half, parity, te_generator
 from .partitions import GeneralizedPartition, Partition, _column_lengths, o_label, split_signs
-from .laurentchars import GroupTag, decompose_graded
-from .sparse import _Sparse, _add_into, _add_term, _printed, _rational
-from .symring import WeightMono
+from .laurentchars import DecompositionError, GroupTag, decompose_graded
+from .sparse import _Sparse, _add_into, _add_term, _printed, _product, _rational
+from .symring import WeightMono, _codec
 
 PSI_P, PSI_M, GAM_P, GAM_M, PHI, CHI = range(6)
 
@@ -253,15 +253,20 @@ def _dual_pair(algebra: str) -> tuple[str | None, str | None]:
     return DUAL_PAIRS[algebra]
 
 
+def _fits(space: Space, algebra: str) -> bool:
+    """Dodd lives only on the d+1/2 space, and every other algebra only on the others."""
+    return (space.kind == "Dodd") == (algebra == "Dodd")
+
+
 def _dual_group(space: Space, algebra: str) -> tuple[str, int]:
     """(kind, size) of the dual group, as `laurentchars.GroupTag` takes them; the
     size is also the length of its labels: d for GL(d) and Sp(2d), 2 level for O.
-    Dodd pairs only with the d+1/2 space, and every other algebra only with the others."""
+    The algebra must fit the space (`_fits`)."""
     kind = _dual_pair(algebra)[1]
     if kind is None:
         dual = ", ".join(name for name, (_family, group) in DUAL_PAIRS.items() if group)
         raise ValueError(f"no dual group for algebra {algebra!r}; one of {dual}")
-    if (space.kind == "Dodd") != (algebra == "Dodd"):
+    if not _fits(space, algebra):
         raise ValueError(f"the {space.kind} space has no {algebra} dual pair")
     return kind, int(2 * space.level) if kind == "O" else space.d
 
@@ -289,12 +294,13 @@ def realize_algebra(space: Space, algebra: str, p2: int, q2: int) -> RealizedOp:
     """Generator of the dual algebra: e(p,q) for gl/A, `infmat.te_generator`'s
     te(p,q) = e(p,q) + s e(-q,-p) of the C- or D-type subalgebra for C/Deven/Dodd.
 
-    The d+1/2 space realizes only the D type, at central charge d + 1/2, with
-    the colourless term of BILINEARS.  Cached: singularity checks ask for the
-    same raising operators many times.
+    The algebra must fit the space (`_fits`): the d+1/2 space realizes only
+    Dodd, the D type at central charge d + 1/2, with the colourless term of
+    BILINEARS.  Cached: singularity checks ask for the same raising
+    operators many times.
     """
     family = _dual_pair(algebra)[0]
-    if (space.kind == "Dodd" and family != "D") or (algebra == "Dodd" and space.kind != "Dodd"):
+    if not _fits(space, algebra):
         raise ValueError(f"the {space.kind} space does not realize the {algebra} algebra")
     entries = _e_entries(space, te_generator(family, p2, q2) if family else SuperMatrix.unit(p2, q2))
     if space.kind == "Dodd":
@@ -737,10 +743,76 @@ def character_product_formula(space: Space, cutoff2: int):
     return out
 
 
+def _dominant_character(space: Space, cutoff2: int, weyl: str):
+    """ch F on its dominant keys, as `fock_character` gives it there, for the
+    Weyl group of type weyl: z_1 >= ... >= z_d for "A", and also z_d >= 0 for "C".
+
+    Each colour i carries psi and gamma of charge +-1 in z_i only, so ch F is
+    prod_i Phi(z_i), times the colourless phi/chi factor on the d+1/2 space:
+    Phi(z) is the product formula of the A space with d = 1, keyed by the
+    power of z, and the colourless factor that of the d+1/2 space with d = 0.
+    The coefficient of z^a is then prod_i Phi[a_i] times that factor, so the
+    dominant keys are built directly, one colour at a time.  A weight
+    monomial is packed by `symring._codec` at cap cutoff2, as the monomial of
+    e_{2n}(x)^m and e_r2(y)^m for its x modes of energy n and y modes of
+    doubled energy r2; its degree is then the doubled energy, and
+    `sparse._product` at the codec's limit drops every state above the cutoff.
+    On the d+1/2 space every mode flips eps, so eps is the parity of the
+    weight monomial's mode count, read once per distinct monomial at the end.
+    """
+    # Exactness: prod_i Phi(z_i) is symmetric in the z_i, so ch F is W(A)-
+    # invariant, and Phi[a] = Phi[-a], checked here, makes it invariant under
+    # each z_i -> 1/z_i too, so W(C)-invariant.  An invariant function is
+    # fixed by its coefficients at the dominant keys, so peeling those alone
+    # (`decompose_graded`) decomposes all of ch F.
+    codec = _codec(cutoff2)
+
+    def packed(series):
+        """{z: {packed weight monomial: count}} of a product formula, eps dropped."""
+        out: dict = {}
+        for (z, _eps), wmonos in series.items():
+            slot = out.setdefault(z, {})
+            for (xs, ys), c in wmonos.items():
+                slot[codec.encode((tuple((2 * n, m) for n, m in xs), ys))] = c
+        return out
+
+    phi = character_product_formula(Space("A", 1), cutoff2)
+    for ((a,), eps), f in phi.items():
+        if phi.get(((-a,), eps)) != f:
+            raise DecompositionError(f"the one-colour series differs at z^{a} and z^{-a}", ((a,), eps))
+    steps = [(a, g) for (a,), g in packed(phi).items() if weyl == "A" or a >= 0]
+    acc = packed(character_product_formula(Space("Dodd", 0), cutoff2)) if space.kind == "Dodd" else {(): {0: 1}}
+    for _ in range(space.d):
+        nxt = {}
+        for z, f in acc.items():
+            for a, g in steps:
+                if not z or a <= z[-1]:
+                    fg = _product(f, g, codec.limit)
+                    if fg:
+                        nxt[z + (a,)] = fg
+        acc = nxt
+    odd = space.kind == "Dodd"
+    weights: dict[int, tuple[int, WeightMono]] = {}
+    out: dict[tuple[tuple[int, ...], int], dict[WeightMono, int]] = {}
+    for z, f in acc.items():
+        for k, c in f.items():
+            weight = weights.get(k)
+            if weight is None:
+                xs, ys = codec.decode(k)
+                wmono = (tuple((n // 2, m) for n, m in xs), ys)
+                weight = weights[k] = (sum(m for part in wmono for _, m in part) & 1 if odd else 0, wmono)
+            out.setdefault((z, weight[0]), {})[weight[1]] = c
+    return out
+
+
 def duality_decompose(space: Space, algebra: str, cutoff2: int):
     """Graded branching of ch F over the dual group, by dominant peeling.
 
-    Returns {partition label: {weight monomial: multiplicity}}; for the even
-    orthogonal case labels are canonical and totals are bar-merged.
+    ch F is built on its dominant keys only (`_dominant_character`, which
+    checks the symmetry that makes it Weyl-invariant), with no walk of the
+    basis, and `decompose_graded` peels it.  Returns {partition label:
+    {weight monomial: multiplicity}}; for the even orthogonal case labels are
+    canonical and totals are bar-merged.
     """
-    return decompose_graded(fock_character(space, cutoff2), GroupTag(*_dual_group(space, algebra)))
+    group = GroupTag(*_dual_group(space, algebra))
+    return decompose_graded(_dominant_character(space, cutoff2, "A" if group.kind == "GL" else "C"), group)

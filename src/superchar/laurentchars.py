@@ -20,11 +20,14 @@ The sp(2m) and so(2m) duals of the Laurent identities in `superschur` are
 `_freudenthal`'s multiplicities too (types C and D).
 Decomposition into irreducible characters peels the lex-largest dominant
 exponent, which is valid because every character is unitriangular with
-leading term z^lambda; one peeler serves both plain characters and graded
-ones such as the Fock space character.  It checks the invariance of its
-input once, orbit by orbit (`_dominant_part`, of Weyl type A or C, which
-also checks the one-variable series in z of the Laurent identities), and
-then carries and subtracts dominant weights only.
+leading term z^lambda; one peeler, `decompose_graded`, serves both plain
+characters and graded ones such as the Fock space character.  It takes and
+subtracts dominant weights only: a Weyl-invariant function is fixed by them,
+so whoever builds its input checks that the input is invariant.
+`decompose_character` checks it orbit by orbit (`_dominant_part`, of Weyl
+type A or C, which also checks the one-variable series in z of the Laurent
+identities), and `fock.duality_decompose` by the symmetry of its one-colour
+series.
 """
 
 from __future__ import annotations
@@ -537,24 +540,29 @@ def _label(group: GroupTag, z: tuple[int, ...]) -> GeneralizedPartition:
     return Partition(z + (0,) * (group.size - len(z)))
 
 
-def decompose_graded(graded: dict, group: GroupTag) -> dict:
+def decompose_graded(dominant: dict, group: GroupTag) -> dict:
     """Graded multiplicities of irreducible characters (greedy dominant peeling).
 
-    `graded` maps (z exponents, eps bit) to a graded coefficient {grade: int};
-    the exponents are plain, not doubled.  The input must be Weyl-invariant
-    (`_dominant_part`); only its dominant weights are kept.  Each step takes
-    the lex-largest z left and subtracts the dominant terms of the irreducible
-    characters sitting there, times their coefficients, from the remainder in
-    place.  A Weyl-invariant remainder is zero when its dominant part is, so
-    this is the full subtraction.  Returns {label: {grade: multiplicity}}.
-    For even O(n) the labels are the canonical ones with lambda'_1 <= n/2 and
-    the totals are bar-merged; for odd O(n) the eps bit picks lambda or
-    bar-lambda.
+    `dominant` maps the dominant (z exponents, eps bit) keys of a
+    Weyl-invariant function to their graded coefficients {grade: int}; the
+    exponents are plain, not doubled.  The caller checks the invariance, and
+    builds or keeps the dominant keys only.  Each step takes the lex-largest
+    z left and subtracts the dominant terms of the irreducible characters
+    sitting there, times their coefficients, from the remainder in place.  A
+    Weyl-invariant remainder is zero when its dominant part is, so this is
+    the full subtraction.  A key whose length is not the group's rank (it
+    would never cancel), nothing at eps = 0 where a label must sit, or a
+    negative or fractional multiplicity is a DecompositionError.  Returns
+    {label: {grade: multiplicity}}.  For even O(n) the labels are the
+    canonical ones with lambda'_1 <= n/2 and the totals are bar-merged; for
+    odd O(n) the eps bit picks lambda or bar-lambda.
     """
     odd_o = group.kind == "O" and group.size % 2 == 1
-    weyl = "A" if group.kind == "GL" else "C"
-    dominant = _dominant_part(((key, coeff) for key, coeff in graded.items() if coeff), weyl)
-    rem = {key: dict(coeff) for key, coeff in dominant.items()}
+    rem = {key: dict(coeff) for key, coeff in dominant.items() if coeff}
+    for key in rem:
+        if len(key[0]) != group.rank:
+            raise DecompositionError(f"the weight {key[0]} has {len(key[0])} entries, not the rank {group.rank} "
+                                     f"of {group}", key)
     out: dict[GeneralizedPartition, dict] = {}
     while rem:
         best = max(z for z, _eps in rem)
@@ -579,10 +587,13 @@ def decompose_graded(graded: dict, group: GroupTag) -> dict:
 
 
 def decompose_character(f: LaurentPoly, group: GroupTag) -> dict:
-    """Multiplicities of irreducible characters in f: `decompose_graded` with one grade."""
-    graded = {}
+    """Multiplicities of irreducible characters in f: its dominant part, checked
+    Weyl-invariant by `_dominant_part`, peeled by `decompose_graded` with one grade."""
+    items = []
     for (exps, p), c in f.terms.items():
         if any(e & 1 for e in exps):
             raise DecompositionError(f"half-integer exponent in input: {exps}")
-        graded[(tuple(e // 2 for e in exps), p)] = {(): c}
-    return {lam: mults[()] for lam, mults in decompose_graded(graded, group).items()}
+        items.append(((tuple(e // 2 for e in exps), p), c))
+    weyl = "A" if group.kind == "GL" else "C"
+    dominant = {key: {(): c} for key, c in _dominant_part(items, weyl).items()}
+    return {lam: mults[()] for lam, mults in decompose_graded(dominant, group).items()}

@@ -16,11 +16,12 @@ from Freudenthal's formula), the Laurent Howe-duality identities on every
 (x, z) term with the duals of the older route (sp_schur specialised to x,
 the so(2m) determinant at x^{-1}), the tensor identities label by label
 with every product of two characters peeled, the Fock basis and character
-built one monomial at a time, the highest weight vectors as products of
-minor states (each minor a signed sum of creation products, the states
-multiplied monomial by monomial), singularity by every raising element, the
-Gram matrix from every pair of basis states, and leading principal minors as
-Leibniz sums.
+built one monomial at a time, the duality decomposition by peeling the
+character walked over the whole basis, the highest weight vectors as
+products of minor states (each minor a signed sum of creation products, the
+states multiplied monomial by monomial), singularity by every raising
+element, the Gram matrix from every pair of basis states, and leading
+principal minors as Leibniz sums.
 
 It also holds the helpers that only tests call: tensor multiplicities and
 dimensions read off the characters, omega, specialisation to finite
@@ -37,8 +38,8 @@ from functools import lru_cache
 from superchar import fock
 from superchar.fock import FERMIONIC, GAM_M, GAM_P, PHI, PSI_M, PSI_P, FockVector, inner_product, realize_algebra
 from superchar.hwclassify import Weight, partition_from_weight
-from superchar.laurentchars import (GroupTag, LaurentPoly, _centres, _eprime, char_group, decompose_character,
-                                   elementary_laurent)
+from superchar.laurentchars import (GroupTag, LaurentPoly, _centres, _dominant_part, _eprime, char_group,
+                                   decompose_character, decompose_graded, elementary_laurent)
 from superchar.partitions import GeneralizedPartition, Partition, _column_lengths, bar_conjugate, o_label
 from superchar.ringdet import orthogonal_det
 from superchar.sparse import _Sparse, _add_into, _add_term
@@ -789,6 +790,15 @@ def fock_character_by_monomial(space, cutoff2: int) -> dict:
         slot = out.setdefault((tuple(z), eps), {})
         slot[wmono] = slot.get(wmono, 0) + 1
     return out
+
+
+def duality_decompose_by_walk(space, algebra: str, cutoff2: int) -> dict:
+    """`fock.duality_decompose` by walking the basis: the walked character
+    `fock.fock_character`, checked Weyl-invariant orbit by orbit and cut to
+    its dominant keys by `_dominant_part`, then peeled."""
+    group = GroupTag(*fock._dual_group(space, algebra))
+    dominant = _dominant_part(fock.fock_character(space, cutoff2).items(), "A" if group.kind == "GL" else "C")
+    return decompose_graded(dominant, group)
 
 
 def hwv_by_state_products(space, algebra: str, lam, variant: str = "X") -> FockVector:

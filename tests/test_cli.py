@@ -426,18 +426,22 @@ def test_fock_hwv_label_has_its_declared_length(capsys):
 
 
 def test_failed_decomposition_exits_1(capsys, monkeypatch):
-    real = fock.fock_character
+    # `fock.duality_decompose` builds ch F from the one-colour series Phi(z).  One state dropped at
+    # the top power of z breaks Phi[a] = Phi[-a]; the g+ g- state dropped at z^0 keeps it, and
+    # leaves the Sp(2) label [0] a multiplicity of -1 at y^2, which the peel finds
+    real = fock.character_product_formula
+    for key, grade, message in [(None, None, "the one-colour series differs"),
+                                (((0,), 0), ((), ((1, 2),)), "negative or fractional multiplicity")]:
+        def drop_one_state(space, cutoff2, key=key, grade=grade):
+            series = real(space, cutoff2)
+            if space == fock.Space("A", 1):
+                at = key or max(series)
+                series[at][grade or next(iter(series[at]))] -= 1
+            return series
 
-    def drop_one_state(space, cutoff2):
-        ch = real(space, cutoff2)
-        key = max(ch)
-        grade = next(iter(ch[key]))
-        ch[key][grade] -= 1
-        return ch
-
-    monkeypatch.setattr(fock, "fock_character", drop_one_state)
-    code, _, err = run(capsys, "fock", "--space", "1", "--action", "decompose", "--cutoff", "1")
-    assert code == 1 and "verification failure" in err
+        monkeypatch.setattr(fock, "character_product_formula", drop_one_state)
+        code, _, err = run(capsys, "fock", "--space", "1", "--action", "decompose", "--cutoff", "1")
+        assert code == 1 and "verification failure" in err and message in err, err
 
 
 # one wrong function per identity shape: series (HS, HS-O), tensor, Laurent (Sp; O at even and odd m).

@@ -18,6 +18,8 @@ from superchar.fock import (
     RealizedOp,
     Space,
     _apply_word,
+    _dominant_character,
+    _dual_pair,
     _minor,
     apply_mode,
     character_product_formula,
@@ -44,10 +46,12 @@ from superchar.fock import (
 from superchar.infmat import SuperMatrix, cocycle_alpha, super_bracket, te_generator
 from superchar.partitions import GeneralizedPartition, Partition
 from superchar.hwclassify import weight_from_partition
+from superchar.laurentchars import DecompositionError, _dominant_part
 
 from oracles import (
     dense_gram,
     dimension,
+    duality_decompose_by_walk,
     fock_basis_by_monomial,
     fock_character_by_monomial,
     hwv_by_state_products,
@@ -634,6 +638,75 @@ def test_dodd_eps_grading():
             assert eps == nmodes % 2
 
 
+# every dual pair at d = 0..3, doubled cutoffs 0..8, and 10 for d <= 2
+DUAL_PAIR_GRID = [(kind, d, algebra) for kind, algebra in [("A", "C"), ("A", "A"), ("A", "Deven"), ("Dodd", "Dodd")]
+                  for d in range(4)]
+
+
+def _grid_cutoffs(d):
+    return list(range(9)) + ([10] if d <= 2 else [])
+
+
+def _weyl(algebra):
+    return "A" if _dual_pair(algebra)[1] == "GL" else "C"
+
+
+@pytest.mark.parametrize("kind, d, algebra", DUAL_PAIR_GRID)
+def test_dominant_character_is_the_dominant_part_of_the_walk(kind, d, algebra):
+    space = Space(kind, d)
+    for cutoff2 in _grid_cutoffs(d):
+        walked = _dominant_part(fock_character(space, cutoff2).items(), _weyl(algebra))
+        assert _dominant_character(space, cutoff2, _weyl(algebra)) == walked, cutoff2
+
+
+@pytest.mark.parametrize("kind, d, algebra", [(kind, d, algebra) for kind, d, algebra in DUAL_PAIR_GRID
+                                              if d or kind == "Dodd"])  # GL(0), Sp(0) and O(0) are no groups
+def test_duality_decompose_matches_the_walked_route(kind, d, algebra):
+    space = Space(kind, d)
+    for cutoff2 in _grid_cutoffs(d):
+        assert duality_decompose(space, algebra, cutoff2) == duality_decompose_by_walk(space, algebra, cutoff2), cutoff2
+
+
+def test_duality_decompose_walks_no_basis(monkeypatch):
+    # ch F comes from the one-colour product formula on dominant keys: no walk of
+    # the basis, no walked character and no orbit check
+    import superchar.fock as fock
+    import superchar.laurentchars as laurentchars
+
+    spaces = DUALITY_SPACES + [("A", 1, "C"), ("Dodd", 0, "Dodd")]
+    want = {row: duality_decompose_by_walk(Space(row[0], row[1]), row[2], 6) for row in spaces}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("duality_decompose walked the basis")
+
+    for module, name in [(fock, "_walk"), (fock, "fock_character"), (laurentchars, "_dominant_part")]:
+        monkeypatch.setattr(module, name, forbidden)
+    for row in spaces:
+        assert duality_decompose(Space(row[0], row[1]), row[2], 6) == want[row], row
+
+
+def test_an_asymmetric_one_colour_series_names_its_key(monkeypatch):
+    import superchar.fock as fock
+
+    real = fock.character_product_formula
+
+    def drop_one_state(space, cutoff2):
+        series = real(space, cutoff2)
+        if space == Space("A", 1):
+            grades = series[((2,), 0)]
+            grades[next(iter(grades))] -= 1
+        return series
+
+    monkeypatch.setattr(fock, "character_product_formula", drop_one_state)
+    for algebra in ("A", "C", "Deven"):
+        with pytest.raises(DecompositionError, match=r"differs at z\^-?2 and z\^-?2") as info:
+            duality_decompose(Space("A", 2), algebra, 6)
+        assert info.value.key in (((2,), 0), ((-2,), 0)), algebra
+    with pytest.raises(DecompositionError) as info:
+        duality_decompose(Space("Dodd", 1), "Dodd", 6)
+    assert info.value.key in (((2,), 0), ((-2,), 0))
+
+
 def test_duality_decompose_examples():
     sp = Space("A", 1)
     dec = duality_decompose(sp, "C", 1)
@@ -958,6 +1031,18 @@ def test_the_dual_pair_must_fit_the_space():
                      lambda: group_raising_check(space, algebra, FockVector.vacuum(space))):
             with pytest.raises(ValueError, match=f"the {space.kind} space has no {algebra} dual pair"):
                 call()
+
+
+def test_realized_algebra_must_fit_the_space():
+    # the same rule as the dual pair's: Deven on the d+1/2 space would build the Dodd operator
+    a1, d1 = Space("A", 1), Space("Dodd", 1)
+    vec = vec_of(d1, (PHI, 0, -2))
+    for space, algebra in [(d1, "Deven"), (d1, "C"), (d1, "A"), (a1, "Dodd")]:
+        with pytest.raises(ValueError, match=f"the {space.kind} space does not realize the {algebra} algebra"):
+            realize_algebra(space, algebra, 1, 2)
+    with pytest.raises(ValueError, match="the Dodd space does not realize the Deven algebra"):
+        singularity_check(d1, "Deven", vec)
+    assert singularity_check(d1, "Dodd", FockVector.vacuum(d1)) == (True, None)
 
 
 def test_gl_space_levels_decompose_over_gl_d():

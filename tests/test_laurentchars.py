@@ -21,6 +21,7 @@ from superchar.laurentchars import (
     _orbit_size,
     char_group,
     decompose_character,
+    decompose_graded,
     elementary_laurent,
 )
 import superchar
@@ -376,6 +377,19 @@ def test_decompose_examples():
     bad = LaurentPoly.var(1, 0, 4) + LaurentPoly.var(1, 0, -4)  # symmetric, not a character
     with pytest.raises(DecompositionError):
         decompose_character(bad, sp2)
+
+
+def test_a_weight_of_the_wrong_length_is_refused():
+    # a key that is not of the group's rank never cancels against a character's terms, so
+    # the peel would take it as the largest weight again and again
+    for f, group in [(LaurentPoly.const(2), GroupTag("Sp", 1)), (LaurentPoly.const(1), GroupTag("GL", 2)),
+                     (LaurentPoly.const(3), GroupTag("O", 4))]:
+        with pytest.raises(DecompositionError, match=f"has {f.nvars} entries, not the rank {group.rank} of") as info:
+            decompose_character(f, group)
+        assert info.value.key == ((0,) * f.nvars, 0)
+    with pytest.raises(DecompositionError) as info:
+        decompose_graded({((2, 1, 0), 0): {(): 1}}, GroupTag("GL", 2))
+    assert info.value.key == ((2, 1, 0), 0)
 
 
 # one group of each kind; a lex-smallest key is never dominant
