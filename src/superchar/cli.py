@@ -48,8 +48,8 @@ SIZE_CAPS = {
     "size": 6,  # char --size, entries of a char or schur --weight: sp hook of six zeros at --deg 12, 0.2 s
     "length": 8,  # entries of a frobenius literal or a fock --hw label, and frobenius --length
     "entry": 2**21 - 1,  # |integers| of a literal or a classify --weight: frobenius of eight at the cap, 0.3 s
-    # the doubled level of fock --space (2d + 1 for d+1/2): at 4, --cutoff 6, the character 1.7 s and 206 MB,
-    # decompose 0.06 s (C), 0.17 s (A, the worst), 3+1/2 0.06 s
+    # the doubled level of fock --space (2d + 1 for d+1/2): at 4, --cutoff 6, the character 0.9 s and 105 MB
+    # with --json (its 16,641 keys take 0.05 s to build), decompose 0.09 s (C), 0.21 s (A, the worst), 3+1/2 0.11 s
     "space": 8,
     # the doubled --energy of fock --action gram at d = 0..4, for its dense n x n
     # matrix: gl at d = 3, --energy 2 has 2,472 states, 0.5 s and 172 MB
@@ -265,7 +265,7 @@ def cmd_fock(args) -> int:
     space = fock.Space("Dodd" if odd else "gl" if args.algebra == "gl" else "A", d)
     default_algebra = "Dodd" if odd else {"A": "A", "C": "C", "D": "Deven"}.get(args.algebra, "C")
     if args.action == "character":
-        ch = fock.fock_character(space, args.cutoff2)
+        ch = fock.character_product_formula(space, args.cutoff2)
         out = []
         for (z, eps), wmonos in sorted(ch.items()):
             for wm, c in sorted(wmonos.items()):

@@ -1,6 +1,7 @@
 """Exact free-field engine: fermions, symplectic bosons, and the extra
 (phi, chi) pair; realized quadratic operators; Grassmann-determinant highest
-weight vectors; Gram matrices; characters and duality decompositions.
+weight vectors; Gram matrices; characters (walked, and by the Cauchy engine
+`superschur._series_lhs`) and duality decompositions.
 
 Mode indices are doubled integers (negative = creation, with the one
 exception that psi^-_0 is a creation operator on the full space).  A state is
@@ -19,9 +20,10 @@ from fractions import Fraction
 
 from .infmat import SuperMatrix, fmt_half, parity, te_generator
 from .partitions import GeneralizedPartition, Partition, _column_lengths, o_label, split_signs
-from .laurentchars import DecompositionError, GroupTag, decompose_graded
-from .sparse import _Sparse, _add_into, _add_term, _printed, _product, _rational
-from .symring import WeightMono, _codec
+from .laurentchars import GroupTag, _dominant_weight, _orbit, decompose_graded
+from .sparse import _Sparse, _add_into, _add_term, _printed, _rational
+from .superschur import _series_lhs
+from .symring import SymFunc, WeightMono, _codec
 
 PSI_P, PSI_M, GAM_P, GAM_M, PHI, CHI = range(6)
 
@@ -470,9 +472,9 @@ def _hwv_factors(space: Space, algebra: str, lam: GeneralizedPartition, variant:
     d = space.d
     group, n = _dual_group(space, algebra)
     if lam.length != n:
-        raise ValueError(f"{algebra} labels have length {n}, not {lam.length}")
+        raise ValueError(f"{group}({2 * n if group == 'Sp' else n}) labels have length {n}, not {lam.length}")
     if variant == "Xt" and (algebra != "Deven" or _column_lengths(lam.parts)[:1] != (d,)):
-        raise ValueError("the sign-flipped vector exists only for Deven labels with lambda'_1 = d")
+        raise ValueError(f"the sign-flipped vector exists only for O(2d) = O({2 * d}) labels with lambda'_1 = d")
     if group == "GL":
         plus, minus = split_signs(lam)
         mu_cols = _column_lengths(minus.star().parts)
@@ -683,136 +685,67 @@ def fock_character(space: Space, cutoff2: int):
     return out
 
 
-def character_product_formula(space: Space, cutoff2: int):
-    """Expansion of the product formula for ch F, truncated by energy.
+def _character_sweep(space: Space, cutoff2: int) -> dict:
+    """ch F on its W(C)-dominant keys, {(z, eps): SymFunc}, by `superschur._series_lhs`.
 
-    ch F is the product over the creation modes of (1 + u) for a fermionic
-    mode and 1/(1 - u) for a bosonic one, u its z, x or y weight (and eps on
-    the Dodd space).  The series is accumulated on flat tuple keys: z_1..z_d,
-    the x occupation of each energy, the y occupation of each doubled energy,
-    eps, and the doubled energy.  It shares no code with the walk, so a fault
-    in either shows as a mismatch.
+    ch F is prod_i Phi(z_i), times the colourless phi/chi factor on the
+    d+1/2 space (where each mode also flips eps: the engine's odd case),
+    and Phi has one series per mode energy: [1, x_n] for the fermionic x
+    mode of energy n, [1, y_r, y_r^2, ...] for the bosonic y mode of
+    doubled energy r2.  x_n is e_{2n}(x) and y_r is e_r2(y), so the degree
+    is the doubled energy and the cap cutoff2 is the energy cutoff.  Highest
+    energy first keeps the products small until the last few.
     """
-    d = space.d
-    odd = space.kind == "Dodd"
-    nx, ny = cutoff2 // 2, (cutoff2 + 1) // 2
-    acc: dict[tuple[int, ...], int] = {(0,) * (d + nx + ny + 2): 1}
-
-    def mul_series(acc, zslot, zsign, slot, energy2, fermionic):
-        # one factor: its k-th power bumps the z slot by zsign, the occupation
-        # slot by one, flips eps on the Dodd space and adds energy2
-        out = {}
-        get = out.get
-        for key, c in acc.items():
-            out[key] = get(key, 0) + c
-            kmax = (cutoff2 - key[-1]) // energy2
-            if fermionic and kmax > 1:
-                kmax = 1
-            if kmax:
-                bumped = list(key)
-                for _ in range(kmax):
-                    if zslot is not None:
-                        bumped[zslot] += zsign
-                    bumped[slot] += 1
-                    if odd:
-                        bumped[-2] ^= 1
-                    bumped[-1] += energy2
-                    power = tuple(bumped)
-                    out[power] = get(power, 0) + c
-        return out
-
-    colours = [(i, sgn) for i in range(d) for sgn in (+1, -1)] + ([(None, 0)] if odd else [])
-    # highest energy first: a factor of high energy has few powers under the
-    # cutoff, so the accumulator stays small until the last few factors
-    for energy2 in range(cutoff2, 0, -1):
-        fermionic = energy2 % 2 == 0  # x modes at integer, y modes at half-integer energies
-        slot = d + energy2 // 2 - 1 if fermionic else d + nx + energy2 // 2
-        for zslot, zsign in colours:
-            acc = mul_series(acc, zslot, zsign, slot, energy2, fermionic)
-    wmonos: dict[tuple[int, ...], WeightMono] = {}
-    out: dict[tuple[tuple[int, ...], int], dict[WeightMono, int]] = {}
-    for key, c in acc.items():
-        occupation = key[d:-2]
-        wmono = wmonos.get(occupation)
-        if wmono is None:
-            wmono = wmonos[occupation] = (
-                tuple((n, m) for n, m in enumerate(occupation[:nx], 1) if m),
-                tuple((2 * r + 1, m) for r, m in enumerate(occupation[nx:]) if m),
-            )
-        out.setdefault((key[:d], key[-2]), {})[wmono] = c
-    return out
+    series = []
+    for e2 in range(cutoff2, 0, -1):
+        if e2 % 2 == 0:  # the fermionic x modes at integer energies
+            series.append([SymFunc(cutoff2, {(part, ()): 1}) for part in ((), ((e2, 1),))])
+        else:
+            series.append([SymFunc(cutoff2, {((), ((e2, k),) if k else ()): 1}) for k in range(cutoff2 // e2 + 1)])
+    return _series_lhs(space.d, space.kind == "Dodd", SymFunc.const(cutoff2), series)
 
 
-def _dominant_character(space: Space, cutoff2: int, weyl: str):
-    """ch F on its dominant keys, as `fock_character` gives it there, for the
-    Weyl group of type weyl: z_1 >= ... >= z_d for "A", and also z_d >= 0 for "C".
-
-    Each colour i carries psi and gamma of charge +-1 in z_i only, so ch F is
-    prod_i Phi(z_i), times the colourless phi/chi factor on the d+1/2 space:
-    Phi(z) is the product formula of the A space with d = 1, keyed by the
-    power of z, and the colourless factor that of the d+1/2 space with d = 0.
-    The coefficient of z^a is then prod_i Phi[a_i] times that factor, so the
-    dominant keys are built directly, one colour at a time.  A weight
-    monomial is packed by `symring._codec` at cap cutoff2, as the monomial of
-    e_{2n}(x)^m and e_r2(y)^m for its x modes of energy n and y modes of
-    doubled energy r2; its degree is then the doubled energy, and
-    `sparse._product` at the codec's limit drops every state above the cutoff.
-    On the d+1/2 space every mode flips eps, so eps is the parity of the
-    weight monomial's mode count, read once per distinct monomial at the end.
-    """
-    # Exactness: prod_i Phi(z_i) is symmetric in the z_i, so ch F is W(A)-
-    # invariant, and Phi[a] = Phi[-a], checked here, makes it invariant under
-    # each z_i -> 1/z_i too, so W(C)-invariant.  An invariant function is
-    # fixed by its coefficients at the dominant keys, so peeling those alone
-    # (`decompose_graded`) decomposes all of ch F.
+def _weight_of(cutoff2: int):
+    """The weight monomial of a packed coefficient key of `_character_sweep` at
+    cutoff2, x_n read from e_{2n}(x) and y_r from e_r2(y); each distinct key
+    is decoded once."""
     codec = _codec(cutoff2)
 
-    def packed(series):
-        """{z: {packed weight monomial: count}} of a product formula, eps dropped."""
-        out: dict = {}
-        for (z, _eps), wmonos in series.items():
-            slot = out.setdefault(z, {})
-            for (xs, ys), c in wmonos.items():
-                slot[codec.encode((tuple((2 * n, m) for n, m in xs), ys))] = c
-        return out
+    @functools.lru_cache(maxsize=None)
+    def weight(k: int) -> WeightMono:
+        xs, ys = codec.decode(k)
+        return tuple((n // 2, m) for n, m in xs), ys
 
-    phi = character_product_formula(Space("A", 1), cutoff2)
-    for ((a,), eps), f in phi.items():
-        if phi.get(((-a,), eps)) != f:
-            raise DecompositionError(f"the one-colour series differs at z^{a} and z^{-a}", ((a,), eps))
-    steps = [(a, g) for (a,), g in packed(phi).items() if weyl == "A" or a >= 0]
-    acc = packed(character_product_formula(Space("Dodd", 0), cutoff2)) if space.kind == "Dodd" else {(): {0: 1}}
-    for _ in range(space.d):
-        nxt = {}
-        for z, f in acc.items():
-            for a, g in steps:
-                if not z or a <= z[-1]:
-                    fg = _product(f, g, codec.limit)
-                    if fg:
-                        nxt[z + (a,)] = fg
-        acc = nxt
-    odd = space.kind == "Dodd"
-    weights: dict[int, tuple[int, WeightMono]] = {}
+    return weight
+
+
+def character_product_formula(space: Space, cutoff2: int):
+    """ch F as `fock_character` gives it, from the product formula: each key of
+    the W(C) orbit of a key of `_character_sweep` gets its own copy of that
+    key's coefficient.  It shares no code with the walk, so a fault in
+    either shows as a mismatch.
+    """
+    weight = _weight_of(cutoff2)
     out: dict[tuple[tuple[int, ...], int], dict[WeightMono, int]] = {}
-    for z, f in acc.items():
-        for k, c in f.items():
-            weight = weights.get(k)
-            if weight is None:
-                xs, ys = codec.decode(k)
-                wmono = (tuple((n // 2, m) for n, m in xs), ys)
-                weight = weights[k] = (sum(m for part in wmono for _, m in part) & 1 if odd else 0, wmono)
-            out.setdefault((z, weight[0]), {})[weight[1]] = c
+    for (z, eps), f in _character_sweep(space, cutoff2).items():
+        grades = {weight(k): c for k, c in f._store.items()}
+        for w in _orbit(z):
+            out[(w, eps)] = dict(grades)
     return out
 
 
 def duality_decompose(space: Space, algebra: str, cutoff2: int):
     """Graded branching of ch F over the dual group, by dominant peeling.
 
-    ch F is built on its dominant keys only (`_dominant_character`, which
-    checks the symmetry that makes it Weyl-invariant), with no walk of the
-    basis, and `decompose_graded` peels it.  Returns {partition label:
-    {weight monomial: multiplicity}}; for the even orthogonal case labels are
+    `decompose_graded` peels the packed stores of the keys of
+    `_character_sweep` (for GL, of the W(A)-dominant members of their
+    orbits), with no walk of the basis.  Returns {partition label: {weight
+    monomial: multiplicity}}; for the even orthogonal case labels are
     canonical and totals are bar-merged.
     """
     group = GroupTag(*_dual_group(space, algebra))
-    return decompose_graded(_dominant_character(space, cutoff2, "A" if group.kind == "GL" else "C"), group)
+    dominant = {key: f._store for key, f in _character_sweep(space, cutoff2).items()}
+    if group.kind == "GL":
+        dominant = {(w, eps): g for (z, eps), g in dominant.items() for w in _orbit(z) if _dominant_weight("A", w) == w}
+    weight = _weight_of(cutoff2)
+    return {lam: {weight(k): c for k, c in grades.items()} for lam, grades in decompose_graded(dominant, group).items()}

@@ -26,7 +26,8 @@ subtracts dominant weights only: a Weyl-invariant function is fixed by them,
 so whoever builds its input checks that the input is invariant.
 `decompose_character` checks it orbit by orbit (`_dominant_part`, of Weyl
 type A or C, which also checks the one-variable series in z of the Laurent
-identities), and `fock.duality_decompose` by the symmetry of its one-colour
+identities), and `fock.duality_decompose` builds it with
+`superschur._series_lhs`, which checks the symmetry of its one-variable
 series.
 """
 

@@ -24,7 +24,8 @@ the coefficients truncated symmetric functions in a series or tensor identity
 and Laurent polynomials in finitely many x variables in a Laurent (Howe
 duality) identity.  Both sides of each are Weyl-invariant in z, so one engine
 compares them on dominant z weights only, which is exact (see
-`_series_identity`).  The left side of a tensor identity is the product of
+`_series_identity`); `_series_lhs` builds a series identity's left side, and
+`fock`'s ch F, there.  The left side of a tensor identity is the product of
 two character sums (`_tensor_identity`), so no product of characters is
 peeled.  The coefficients of a Laurent identity are invariant in x as well,
 under W(C_m) or W(D_m), and are compared on dominant x weights too: the left
@@ -215,18 +216,18 @@ def _dominant_sweep(acc: dict, steps, length: int) -> dict:
     return acc
 
 
-def _series_lhs(group: GroupTag, one, series) -> dict:
-    """Dominant part of prod_i P(z_i) (times each sum_k g_k eps^k for odd O), plain exponents.
+def _series_lhs(rank: int, odd: bool, one, series) -> dict:
+    """Dominant part of prod_i P(z_i), i = 1..rank (times each sum_k g_k eps^k when odd), plain exponents.
 
     `series` lists the units g_0..g_K of each generating series, SymFunc
     whose one is `one`.  P(z) is the product over series and signs of
-    sum_k g_k z^{+-k} (eps^k for odd O), built once in one variable.  The
+    sum_k g_k z^{+-k} (eps^k when odd), built once in one variable.  The
     coefficient of z^a in prod_i P(z_i) is prod_i P[a_i], so the dominant
-    keys a_1 >= ... >= a_d >= 0 are built directly, one variable at a time.
-    P[a] = P[-a] is checked: with the symmetry of the product in the z_i it
-    makes the full product Weyl-invariant.
+    keys a_1 >= ... >= a_rank >= 0 are built directly, one variable at a time.
     """
-    odd = group.kind == "O" and group.size % 2 == 1
+    # Exactness: the product is symmetric in the z_i, and P[a] = P[-a],
+    # checked here, makes it invariant under each z_i -> 1/z_i: it is
+    # W(C)-invariant, so fixed by its coefficients at the dominant keys.
     p = {((0,), 0): one}
     for units in series:
         for sign in (+1, -1):
@@ -238,7 +239,7 @@ def _series_lhs(group: GroupTag, one, series) -> dict:
     if odd:
         for units in series:
             lhs = _zs_mul_factor(lhs, _geom_factor(None, units, True))
-    return _dominant_sweep(lhs, [(a, eps, f) for ((a,), eps), f in p.items() if a >= 0], group.rank)
+    return _dominant_sweep(lhs, [(a, eps, f) for ((a,), eps), f in p.items() if a >= 0], rank)
 
 
 def _series_identity(group: GroupTag, one, lhs_of, labels, dual):
@@ -287,7 +288,8 @@ def _cauchy_identity(group: GroupTag, cap: int, bases, sym_of):
     """The series identity truncated at degree cap, one series per (generator family, alphabet) in bases."""
     one = SymFunc.const(cap)
     series = [[_unit(base, k, alph, cap) for k in range(cap + 1)] for base, alph in bases]
-    return _series_identity(group, one, lambda: _series_lhs(group, one, series), _labels(group, cap), sym_of)
+    odd = group.kind == "O" and group.size % 2 == 1
+    return _series_identity(group, one, lambda: _series_lhs(group.rank, odd, one, series), _labels(group, cap), sym_of)
 
 
 def _laurent_lhs(group: GroupTag, m: int) -> dict:

@@ -299,8 +299,9 @@ def stub_library(monkeypatch):
         raise Reached
 
     for module, name in [(superschur, "verify_identity"), (laurentchars, "char_group"), (partitions, "to_frobenius"),
-                         (partitions, "from_frobenius"), (hwclassify, "is_quasifinite"), (fock, "fock_character"),
-                         (fock, "duality_decompose"), (fock, "gram_matrix"), (fock, "hwv_candidate")]:
+                         (partitions, "from_frobenius"), (hwclassify, "is_quasifinite"),
+                         (fock, "character_product_formula"), (fock, "duality_decompose"), (fock, "gram_matrix"),
+                         (fock, "hwv_candidate")]:
         monkeypatch.setattr(module, name, reach)
     for family in ("sp", "so"):
         for variant in ("schur", "skew", "hook"):
@@ -412,10 +413,10 @@ def test_random_size_argv_exits_with_a_documented_code(capsys, stub_library, dat
 
 def test_fock_hwv_label_has_its_declared_length(capsys):
     for argv, message in [
-        (["--space", "2", "--algebra", "A", "--hw", "[2,0,-1]"], "A labels have length 2, not 3"),
-        (["--space", "2", "--algebra", "C", "--hw", "[5]"], "C labels have length 2, not 1"),
-        (["--space", "2", "--algebra", "D", "--hw", "[5,0]"], "Deven labels have length 4, not 2"),
-        (["--space", "1+1/2", "--hw", "[1,0]"], "Dodd labels have length 3, not 2"),
+        (["--space", "2", "--algebra", "A", "--hw", "[2,0,-1]"], "GL(2) labels have length 2, not 3"),
+        (["--space", "2", "--algebra", "C", "--hw", "[5]"], "Sp(4) labels have length 2, not 1"),
+        (["--space", "2", "--algebra", "D", "--hw", "[5,0]"], "O(4) labels have length 4, not 2"),
+        (["--space", "1+1/2", "--hw", "[1,0]"], "O(3) labels have length 3, not 2"),
     ]:
         code, out, err = run(capsys, "fock", "--action", "hwv", *argv)
         assert code == 2 and not out and message in err, argv
@@ -426,21 +427,26 @@ def test_fock_hwv_label_has_its_declared_length(capsys):
 
 
 def test_failed_decomposition_exits_1(capsys, monkeypatch):
-    # `fock.duality_decompose` builds ch F from the one-colour series Phi(z).  One state dropped at
-    # the top power of z breaks Phi[a] = Phi[-a]; the g+ g- state dropped at z^0 keeps it, and
+    # `fock.duality_decompose` builds ch F through `superschur._series_lhs`, from the one-colour series
+    # Phi(z).  The state g+[1/2]^2 dropped from the + sign of its y series breaks Phi[a] = Phi[-a] at
+    # z^2, which the engine checks; the g+ g- state dropped at z^0 of the engine's output keeps it, and
     # leaves the Sp(2) label [0] a multiplicity of -1 at y^2, which the peel finds
-    real = fock.character_product_formula
-    for key, grade, message in [(None, None, "the one-colour series differs"),
-                                (((0,), 0), ((), ((1, 2),)), "negative or fractional multiplicity")]:
-        def drop_one_state(space, cutoff2, key=key, grade=grade):
-            series = real(space, cutoff2)
-            if space == fock.Space("A", 1):
-                at = key or max(series)
-                series[at][grade or next(iter(series[at]))] -= 1
-            return series
+    real_factor, real_lhs = superschur._geom_factor, fock._series_lhs
 
-        monkeypatch.setattr(fock, "character_product_formula", drop_one_state)
-        code, _, err = run(capsys, "fock", "--space", "1", "--action", "decompose", "--cutoff", "1")
+    def one_sign_short(sign, units, with_eps):
+        terms = real_factor(sign, units, with_eps)
+        return terms[:-1] if sign == 1 and len(units) == 3 else terms  # at doubled cutoff 2: 1, y, y^2
+
+    def drop_g_pair(rank, odd, one, series):
+        lhs = real_lhs(rank, odd, one, series)
+        lhs[((0,), 0)] = lhs[((0,), 0)] - SymFunc(one.cap, {((), ((1, 2),)): 1})
+        return lhs
+
+    for module, name, fault, message in [(superschur, "_geom_factor", one_sign_short, "series differs at z^"),
+                                         (fock, "_series_lhs", drop_g_pair, "negative or fractional multiplicity")]:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, fault)
+            code, _, err = run(capsys, "fock", "--space", "1", "--action", "decompose", "--cutoff", "1")
         assert code == 1 and "verification failure" in err and message in err, err
 
 

@@ -18,7 +18,7 @@ from superchar.fock import (
     RealizedOp,
     Space,
     _apply_word,
-    _dominant_character,
+    _character_sweep,
     _dual_pair,
     _minor,
     apply_mode,
@@ -46,7 +46,7 @@ from superchar.fock import (
 from superchar.infmat import SuperMatrix, cocycle_alpha, super_bracket, te_generator
 from superchar.partitions import GeneralizedPartition, Partition
 from superchar.hwclassify import weight_from_partition
-from superchar.laurentchars import DecompositionError, _dominant_part
+from superchar.laurentchars import DecompositionError, _dominant_part, _dominant_weight, _orbit
 
 from oracles import (
     dense_gram,
@@ -653,10 +653,16 @@ def _weyl(algebra):
 
 @pytest.mark.parametrize("kind, d, algebra", DUAL_PAIR_GRID)
 def test_dominant_character_is_the_dominant_part_of_the_walk(kind, d, algebra):
-    space = Space(kind, d)
+    # the sweep's W(C)-dominant keys, and for GL the W(A)-dominant members of their orbits, as
+    # `duality_decompose` peels them; x_n is e_{2n}(x) there
+    space, weyl = Space(kind, d), _weyl(algebra)
     for cutoff2 in _grid_cutoffs(d):
-        walked = _dominant_part(fock_character(space, cutoff2).items(), _weyl(algebra))
-        assert _dominant_character(space, cutoff2, _weyl(algebra)) == walked, cutoff2
+        walked = _dominant_part(fock_character(space, cutoff2).items(), weyl)
+        swept = {key: {(tuple((n // 2, m) for n, m in xs), ys): c for (xs, ys), c in f.terms.items()}
+                 for key, f in _character_sweep(space, cutoff2).items()}
+        if weyl == "A":
+            swept = {(w, eps): g for (z, eps), g in swept.items() for w in _orbit(z) if _dominant_weight("A", w) == w}
+        assert swept == walked, cutoff2
 
 
 @pytest.mark.parametrize("kind, d, algebra", [(kind, d, algebra) for kind, d, algebra in DUAL_PAIR_GRID
@@ -686,25 +692,25 @@ def test_duality_decompose_walks_no_basis(monkeypatch):
 
 
 def test_an_asymmetric_one_colour_series_names_its_key(monkeypatch):
-    import superchar.fock as fock
+    # the + sign of the y series of energy 1/2 loses its top power, the state g+[1/2]^6 at z^6
+    import superchar.superschur as superschur
 
-    real = fock.character_product_formula
+    real = superschur._geom_factor
 
-    def drop_one_state(space, cutoff2):
-        series = real(space, cutoff2)
-        if space == Space("A", 1):
-            grades = series[((2,), 0)]
-            grades[next(iter(grades))] -= 1
-        return series
+    def one_sign_short(sign, units, with_eps):
+        terms = real(sign, units, with_eps)
+        return terms[:-1] if sign == 1 and len(units) == 7 else terms  # at doubled cutoff 6: 1, y, ..., y^6
 
-    monkeypatch.setattr(fock, "character_product_formula", drop_one_state)
+    monkeypatch.setattr(superschur, "_geom_factor", one_sign_short)
     for algebra in ("A", "C", "Deven"):
-        with pytest.raises(DecompositionError, match=r"differs at z\^-?2 and z\^-?2") as info:
+        with pytest.raises(DecompositionError, match=r"differs at z\^-?6 and z\^-?6") as info:
             duality_decompose(Space("A", 2), algebra, 6)
-        assert info.value.key in (((2,), 0), ((-2,), 0)), algebra
-    with pytest.raises(DecompositionError) as info:
-        duality_decompose(Space("Dodd", 1), "Dodd", 6)
-    assert info.value.key in (((2,), 0), ((-2,), 0))
+        assert info.value.key in (((6,), 0), ((-6,), 0)), algebra
+    for call in (lambda: duality_decompose(Space("Dodd", 1), "Dodd", 6),
+                 lambda: character_product_formula(Space("A", 2), 6)):
+        with pytest.raises(DecompositionError) as info:
+            call()
+        assert info.value.key in (((6,), 0), ((-6,), 0))
 
 
 def test_duality_decompose_examples():
