@@ -1,7 +1,7 @@
 """Exact free-field engine: fermions, symplectic bosons, and the extra
-(phi, chi) pair; realized quadratic operators; Grassmann-determinant highest
-weight vectors; Gram matrices; characters (walked, and by the Cauchy engine
-`superschur._series_lhs`) and duality decompositions.
+(phi, chi) pair; realized quadratic operators; highest weight vectors from
+Grassmann minors of modes (`ringdet.ring_det` on a vector); Gram matrices;
+characters (walked, and by `superschur._series_lhs`) and duality decompositions.
 
 Mode indices are doubled integers (negative = creation, with the one
 exception that psi^-_0 is a creation operator on the full space).  A state is
@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from .infmat import SuperMatrix, fmt_half, parity, te_generator
 from .partitions import GeneralizedPartition, Partition, _column_lengths, o_label, split_signs
-from .laurentchars import GroupTag, _dominant_weight, _orbit, decompose_graded
+from .laurentchars import DecompositionError, GroupTag, _dominant_weight, _orbit, decompose_graded
+from .ringdet import ring_det
 from .sparse import _Sparse, _add_into, _add_term, _printed, _rational
 from .superschur import _series_lhs
 from .symring import SymFunc, WeightMono, _codec
@@ -121,6 +122,12 @@ class FockVector(_Sparse):
     def vacuum_coeff(self) -> Fraction:
         return self.terms.get((), Fraction(0))
 
+    def __rmul__(self, other):
+        """A mode on the left applies that mode (so `ring_det` can expand a minor of modes); a scalar scales."""
+        if isinstance(other, tuple):
+            return apply_mode(self.space, other, self)
+        return self * other
+
     def __str__(self):
         monos = sorted(self.terms, key=lambda m: (mono_energy2(m), m))
         return _printed(((fmt_state(m), self.terms[m]) for m in monos), parens=True)
@@ -205,11 +212,6 @@ class RealizedOp:
     def __mul__(self, scalar) -> "RealizedOp":
         scalar = Fraction(scalar)
         return RealizedOp(self.space, [(c * scalar, ms) for c, ms in self.terms])
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return self + other * -1
 
 
 def _normal_pair(space: Space, a: Mode, b: Mode) -> tuple[int, tuple[Mode, Mode]]:
@@ -352,14 +354,14 @@ def realize_group(space: Space, descriptor: str, colours: tuple[int, ...], cutof
     return _op(space, entries)
 
 
-def op_adjoint(op: RealizedOp, naive: bool = False) -> RealizedOp:
-    """Formal adjoint under the conjugation rule: reverse products, conjugate modes."""
+def op_adjoint(op: RealizedOp) -> RealizedOp:
+    """Formal adjoint under the signed conjugation rule: reverse products, conjugate modes."""
     terms = []
     for coeff, modes in op.terms:
         sign = 1
         conj = []
         for mode in modes:
-            s, w = omega_mode(mode, naive)
+            s, w = omega_mode(mode)
             sign *= s
             conj.append(w)
         terms.append((coeff * sign, tuple(reversed(conj))))
@@ -397,19 +399,11 @@ def enumerate_basis(space: Space, cutoff2: int) -> list[tuple[Mode, ...]]:
 
 # -- Grassmann determinants and highest weight vectors --------------------------
 
-def _minor(space: Space, matrix: list[list[Mode]], r: int) -> RealizedOp:
-    """First r x r minor as an operator: one signed word per permutation, the
-    rows' modes in row order."""
+def _minor(matrix: list[list[Mode]], r: int, vec: FockVector) -> FockVector:
+    """The first r x r minor of a mode matrix applied to vec: `ring_det`, the last row's mode acting first."""
     if r > len(matrix) or (matrix and r > len(matrix[0])):
         raise ValueError(f"minor size {r} out of range")
-    words = [(Fraction(_perm_sign(perm)), tuple(matrix[i][perm[i]] for i in range(r)))
-             for perm in itertools.permutations(range(r))]
-    return RealizedOp(space, words)
-
-
-def _perm_sign(perm) -> int:
-    """(-1) to the number of inversions."""
-    return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+    return ring_det([row[:r] for row in matrix[:r]], vec)
 
 
 def _grassmann_rows(columns: list[tuple[int, int, int]], j: int) -> list[list[Mode]]:
@@ -461,9 +455,7 @@ def hwv_candidate(space: Space, algebra: str, lam: GeneralizedPartition, variant
     """
     vec = FockVector.vacuum(space)
     for mat, size in reversed(_hwv_factors(space, algebra, lam, variant)):
-        vec = _minor(space, mat, size).apply(vec)
-        if not vec:
-            break
+        vec = _minor(mat, size, vec)
     return vec
 
 
@@ -748,4 +740,9 @@ def duality_decompose(space: Space, algebra: str, cutoff2: int):
     if group.kind == "GL":
         dominant = {(w, eps): g for (z, eps), g in dominant.items() for w in _orbit(z) if _dominant_weight("A", w) == w}
     weight = _weight_of(cutoff2)
-    return {lam: {weight(k): c for k, c in grades.items()} for lam, grades in decompose_graded(dominant, group).items()}
+    try:
+        peeled = decompose_graded(dominant, group)
+    except DecompositionError as exc:  # the peel saw packed keys: name their weight monomials
+        grades = exc.grades and {weight(k): c for k, c in exc.grades.items()}
+        raise DecompositionError(str(exc).replace(str(exc.grades), str(grades)), exc.key, grades) from None
+    return {lam: {weight(k): c for k, c in grades.items()} for lam, grades in peeled.items()}

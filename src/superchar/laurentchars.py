@@ -50,12 +50,14 @@ from .symring import _elem_of_values
 class DecompositionError(ValueError):
     """The input is not a (graded) sum of irreducible characters.
 
-    `key` is the dominant (plain exponents, eps) weight where that showed.
+    `key` is the dominant (plain exponents, eps) weight where that showed, and
+    `grades` the graded coefficient that a peel found broken there.
     """
 
-    def __init__(self, message: str, key: tuple | None = None):
+    def __init__(self, message: str, key: tuple | None = None, grades: dict | None = None):
         super().__init__(message)
         self.key = key
+        self.grades = grades
 
 
 # Packed keys (Kronecker substitution).  A term z^e eps^p is stored under the
@@ -71,8 +73,7 @@ class DecompositionError(ValueError):
 # lie at least 5 apart, and at least 5 below bit 61 (which wraps onto the eps
 # bit), for up to 11 variables, so keys whose doubled exponents differ by
 # less than 32 never share a hash.  _W = 20 would put digit 3 one bit from
-# digit 0 and digit 6 on the eps bit: the 1.8M product keys of
-# `superchar verify --all` then have only 0.5M distinct hashes.
+# digit 0 and digit 6 on the eps bit, so nearby keys would collide.
 _W = 22
 _MASK = (1 << _W) - 1
 _HALF = 1 << (_W - 1)
@@ -198,11 +199,8 @@ class LaurentPoly(_Sparse):
     def coefficient(self, exps2, eps: int = 0):
         return self.terms.get((tuple(exps2), eps & 1), 0)
 
-    def eval_ones(self, eps_value: int = 1):
-        total = 0
-        for k, c in self._store.items():
-            total += c * (eps_value ** (k & 1))
-        return total
+    def eval_ones(self):
+        return sum(self._store.values())
 
     def __str__(self):
         return self._render("z")
@@ -579,7 +577,7 @@ def decompose_graded(dominant: dict, group: GroupTag) -> dict:
             use = lam if not odd_o or lam.size % 2 == eps else bar_conjugate(lam, group.size)
             if any(v < 0 or v % 1 for v in coeff.values()):
                 raise DecompositionError(
-                    f"negative or fractional multiplicity {coeff} at {use}: duality violated", (best, eps))
+                    f"negative or fractional multiplicity {coeff} at {use}: duality violated", (best, eps), coeff)
             for key, c in _dominant_terms(group, use):
                 if not _add_into(rem.setdefault(key, {}), coeff, -c):
                     del rem[key]

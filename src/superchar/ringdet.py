@@ -1,4 +1,5 @@
-"""Exact determinant over any commutative ring with +, unary -, * and a one.
+"""Exact determinant over any commutative ring with +, unary -, * and a one,
+or over operators acting on the one from the left, in row order (`fock._minor`).
 
 `orthogonal_det`, the O(n) formula of `superschur._so` (its one caller in the
 library), also halves its result, through the ring element's exact `_halved`
@@ -20,6 +21,7 @@ def ring_det(mat, one):
     fine for the small determinants used throughout (n <= ~10).  Zero
     entries and zero minors are skipped; a minor with no nonzero term is
     `one - one`, a zero that carries the ring's context (variable count, cap).
+    Each product is `entry * minor`: an operator entry acts on the rows below.
     """
     n = len(mat)
     zero = one - one

@@ -430,7 +430,8 @@ def test_failed_decomposition_exits_1(capsys, monkeypatch):
     # `fock.duality_decompose` builds ch F through `superschur._series_lhs`, from the one-colour series
     # Phi(z).  The state g+[1/2]^2 dropped from the + sign of its y series breaks Phi[a] = Phi[-a] at
     # z^2, which the engine checks; the g+ g- state dropped at z^0 of the engine's output keeps it, and
-    # leaves the Sp(2) label [0] a multiplicity of -1 at y^2, which the peel finds
+    # leaves the Sp(2) label [0] a multiplicity of -1 at y^2, which the peel finds and names by its
+    # weight monomials, not by the engine's packed keys
     real_factor, real_lhs = superschur._geom_factor, fock._series_lhs
 
     def one_sign_short(sign, units, with_eps):
@@ -443,7 +444,8 @@ def test_failed_decomposition_exits_1(capsys, monkeypatch):
         return lhs
 
     for module, name, fault, message in [(superschur, "_geom_factor", one_sign_short, "series differs at z^"),
-                                         (fock, "_series_lhs", drop_g_pair, "negative or fractional multiplicity")]:
+                                         (fock, "_series_lhs", drop_g_pair,
+                                          "negative or fractional multiplicity {((), ()): 1, ((), ((1, 2),)): -1} at [0]")]:
         with monkeypatch.context() as patch:
             patch.setattr(module, name, fault)
             code, _, err = run(capsys, "fock", "--space", "1", "--action", "decompose", "--cutoff", "1")

@@ -130,15 +130,28 @@ def test_grassmann_det_basics():
     sp = Space("A", 2)
     m = x_matrix(sp, 1)
     vacuum = FockVector.vacuum(sp)
-    d1 = _minor(sp, m, 1).apply(vacuum)
+    # a mode on the left of a state applies it, a scalar scales it
+    assert (GAM_P, 1, -1) * vacuum == vec_of(sp, (GAM_P, 1, -1))
+    assert 3 * vacuum == vacuum * 3 == FockVector(sp, {(): 3})
+    d1 = _minor(m, 1, vacuum)
     assert d1 == vec_of(sp, (GAM_P, 1, -1))
     # repeated fermionic rows double rather than cancel
-    d2 = _minor(sp, [[(PSI_P, 1, -2), (PSI_P, 2, -2)], [(PSI_P, 1, -2), (PSI_P, 2, -2)]], 2).apply(vacuum)
+    d2 = _minor([[(PSI_P, 1, -2), (PSI_P, 2, -2)], [(PSI_P, 1, -2), (PSI_P, 2, -2)]], 2, vacuum)
     assert d2 == vec_of(sp, (PSI_P, 1, -2), (PSI_P, 2, -2)) * 2
     # identical fermionic entries in one product vanish
-    d0 = _minor(sp, [[(PSI_P, 1, -2), (PSI_P, 1, -2)], [(PSI_P, 1, -2), (PSI_P, 1, -2)]], 2).apply(vacuum)
+    d0 = _minor([[(PSI_P, 1, -2), (PSI_P, 1, -2)], [(PSI_P, 1, -2), (PSI_P, 1, -2)]], 2, vacuum)
     assert d0 == 0
-    assert _minor(sp, m, 0).apply(vacuum) == vacuum
+    assert _minor(m, 0, vacuum) == vacuum
+
+
+def test_minor_refuses_a_size_beyond_its_matrix():
+    sp = Space("A", 2)
+    vacuum = FockVector.vacuum(sp)
+    with pytest.raises(ValueError, match="minor size 3 out of range"):
+        _minor(x_matrix(sp, 1), 3, vacuum)
+    # two rows of one column: the rows admit r = 2, the columns do not
+    with pytest.raises(ValueError, match="minor size 2 out of range"):
+        _minor([[(GAM_P, 1, -1)], [(PSI_P, 1, -2)]], 2, vacuum)
 
 
 def test_grassmann_matrix_layouts():
@@ -346,14 +359,16 @@ def test_singularity_check_agrees_with_every_raising_element(kind, d, algebra):
 @pytest.mark.parametrize("kind, d, algebra", [
     ("A", 1, "C"), ("A", 2, "C"), ("A", 3, "C"), ("A", 1, "A"), ("A", 2, "A"), ("A", 3, "A"),
     ("A", 1, "Deven"), ("A", 2, "Deven"), ("A", 3, "Deven"),
-    ("Dodd", 1, "Dodd"), ("Dodd", 2, "Dodd"),
+    ("Dodd", 1, "Dodd"), ("Dodd", 2, "Dodd"), ("Dodd", 3, "Dodd"),
 ])
 def test_hwv_candidate_agrees_with_minor_state_products(kind, d, algebra):
     # the minors applied as operators, the last first, against the minor states multiplied
-    # in product order, on every label of the decomposition at doubled cutoff 8
+    # in product order, on every label of the decomposition at doubled cutoff 8, and on
+    # the one-column labels whose spinorial minor is 6 x 6 (D on d = 3) or 7 x 7 (Dodd on d = 3)
     space = Space(kind, d)
     compared = Counter()
-    for lam in duality_decompose(space, algebra, 8):
+    long_column = {("A", 3, "Deven"): [(1,) * 6], ("Dodd", 3, "Dodd"): [(1,) * 7]}.get((kind, d, algebra), [])
+    for lam in [*duality_decompose(space, algebra, 8), *map(GeneralizedPartition, long_column)]:
         for variant in ("X", "Xt") if algebra == "Deven" else ("X",):
             try:
                 vec = hwv_candidate(space, algebra, lam, variant)
@@ -363,6 +378,14 @@ def test_hwv_candidate_agrees_with_minor_state_products(kind, d, algebra):
             assert vec and vec == hwv_by_state_products(space, algebra, lam, variant), (lam, variant)
             compared[variant] += 1
     assert compared["X"] > 3 and (compared["Xt"] > 1 or algebra != "Deven"), compared
+
+
+def test_hwv_candidate_agrees_with_minor_state_products_at_the_hw_cap():
+    # D [1^8] on d = 4, the largest label `cli.SIZE_CAPS["hw"]` admits: one 8 x 8 spinorial
+    # minor, whose 8! signed words the oracle builds one by one
+    space, lam = Space("A", 4), GeneralizedPartition((1,) * 8)
+    vec = hwv_candidate(space, "Deven", lam)
+    assert vec and vec == hwv_by_state_products(space, "Deven", lam)
 
 
 def test_hwv_candidate_keeps_the_order_of_two_odd_minors():

@@ -342,8 +342,7 @@ def test_packed_variable_moves_match_tuple_oracle(data):
     assert p.terms.get("junk") is None and ((0,) * n,) not in p.terms
     if n:
         assert p.coefficient((_HALF,) * n, 1) == 0 and ((_HALF,) * n, 1) not in p.terms
-    for value in (1, -1):
-        assert p.eval_ones(value) == sum(c * value**q for (_, q), c in terms.items())
+    assert p.eval_ones() == sum(terms.values())
 
 
 def test_char_group_examples():
