@@ -48,11 +48,11 @@ SIZE_CAPS = {
     "size": 6,  # char --size, entries of a char or schur --weight: sp hook of six zeros at --deg 12, 0.2 s
     "length": 8,  # entries of a frobenius literal or a fock --hw label, and frobenius --length
     "entry": 2**21 - 1,  # |integers| of a literal or a classify --weight: frobenius of eight at the cap, 0.3 s
-    # the doubled level of fock --space (2d + 1 for d+1/2): at 4, --cutoff 6, the character 0.9 s and 105 MB
+    # the doubled level of fock --space (2d + 1 for d+1/2): at 4, --cutoff 6, the character 0.7 s and 29 MB
     # with --json (its 16,641 keys take 0.05 s to build), decompose 0.09 s (C), 0.21 s (A, the worst), 3+1/2 0.11 s
     "space": 8,
-    # the doubled --energy of fock --action gram at d = 0..4, for its dense n x n
-    # matrix: gl at d = 3, --energy 2 has 2,472 states, 0.5 s and 172 MB
+    # the doubled --energy of fock --action gram at d = 0..4, for its dense n x n matrix: gl at
+    # d = 3, --energy 2 has 2,472 states, 0.5 s (the matrix 0.07 s, the rest rendering) and 173 MB with --json
     "gram": (12, 10, 6, 4, 2),
     # the first part of a char weight's core (lam - lam_d for GL) or of a fock --hw label;
     # Sp and O expand a determinant with a row per column over its 2^columns minors: Sp(2) [16], 0.2 s
@@ -266,15 +266,17 @@ def cmd_fock(args) -> int:
     default_algebra = "Dodd" if odd else {"A": "A", "C": "C", "D": "Deven"}.get(args.algebra, "C")
     if args.action == "character":
         ch = fock.character_product_formula(space, args.cutoff2)
-        out = []
+        # a key's rows at a time: at --space 4 --cutoff 6 --json a list of every row peaked at 106 MB, this at 29 MB
+        first = True
         for (z, eps), wmonos in sorted(ch.items()):
-            for wm, c in sorted(wmonos.items()):
-                out.append({"z": list(z), "eps": eps, "x": wm[0], "y": wm[1], "count": c})
+            rows = [{"z": list(z), "eps": eps, "x": wm[0], "y": wm[1], "count": c} for wm, c in sorted(wmonos.items())]
+            if args.json:  # the text of json.dumps of the list of every row
+                sys.stdout.write(("[" if first else ", ") + json.dumps(rows)[1:-1])
+                first = False
+            else:
+                print("\n".join(map(str, rows)))
         if args.json:
-            print(json.dumps(out))
-        else:
-            for row in out:
-                print(row)
+            print("[]" if first else "]")
         return 0
     if args.action == "decompose":
         dec = fock.duality_decompose(space, default_algebra, args.cutoff2)

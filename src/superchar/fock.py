@@ -22,7 +22,7 @@ from .infmat import SuperMatrix, fmt_half, parity, te_generator
 from .partitions import GeneralizedPartition, Partition, _column_lengths, o_label, split_signs
 from .laurentchars import DecompositionError, GroupTag, _dominant_weight, _orbit, decompose_graded
 from .ringdet import ring_det
-from .sparse import _Sparse, _add_into, _add_term, _printed, _rational
+from .sparse import _Sparse, _add_into, _add_term, _fold_integral, _folded, _printed
 from .superschur import _series_lhs
 from .symring import SymFunc, WeightMono, _codec
 
@@ -99,9 +99,9 @@ class FockVector(_Sparse):
 
     __slots__ = ("space",)
 
-    def __init__(self, space: Space, terms: dict[tuple[Mode, ...], Fraction] | None = None):
+    def __init__(self, space: Space, terms: dict[tuple[Mode, ...], int | Fraction] | None = None):
         self.space = space
-        self.terms: dict[tuple[Mode, ...], Fraction] = _rational(terms)
+        self.terms = _fold_integral({key: c for key, c in (terms or {}).items() if c})
 
     def _context(self):
         return self.space
@@ -109,18 +109,18 @@ class FockVector(_Sparse):
     def _new(self, terms: dict) -> "FockVector":
         out = object.__new__(FockVector)
         out.space = self.space
-        out.terms = terms
+        out.terms = _fold_integral(terms)
         return out
 
     @staticmethod
     def vacuum(space: Space) -> "FockVector":
-        return FockVector(space, {(): Fraction(1)})
+        return FockVector(space, {(): 1})
 
     def energies2(self) -> set[int]:
         return {mono_energy2(m) for m in self.terms}
 
-    def vacuum_coeff(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+    def vacuum_coeff(self) -> int | Fraction:
+        return self.terms.get((), 0)
 
     def __rmul__(self, other):
         """A mode on the left applies that mode (so `ring_det` can expand a minor of modes); a scalar scales."""
@@ -156,7 +156,7 @@ def _insert_creation(space: Space, mode: Mode, mono: tuple[Mode, ...]):
 def apply_mode(space: Space, mode: Mode, vec: FockVector) -> FockVector:
     if not space.mode_ok(mode):
         raise ValueError(f"mode {fmt_mode(mode)} not admissible on {space}")
-    out: dict[tuple[Mode, ...], Fraction] = {}
+    out: dict[tuple[Mode, ...], int | Fraction] = {}
     if space.is_creation(mode):
         for mono, coeff in vec.terms.items():
             ins = _insert_creation(space, mode, mono)
@@ -194,12 +194,12 @@ class RealizedOp:
     """Finite list of (coefficient, ordered mode products)."""
 
     space: Space
-    terms: list[tuple[Fraction, tuple[Mode, ...]]]
+    terms: list[tuple[int | Fraction, tuple[Mode, ...]]]
 
     def apply(self, vec: FockVector) -> FockVector:
         if vec.space != self.space:
             raise ValueError("operator and vector live on different spaces")
-        out: dict[tuple[Mode, ...], Fraction] = {}
+        out: dict[tuple[Mode, ...], int | Fraction] = {}
         for coeff, modes in self.terms:
             _add_into(out, _apply_word(self.space, modes, vec).terms, coeff)
         return vec._new(out)
@@ -211,7 +211,7 @@ class RealizedOp:
 
     def __mul__(self, scalar) -> "RealizedOp":
         scalar = Fraction(scalar)
-        return RealizedOp(self.space, [(c * scalar, ms) for c, ms in self.terms])
+        return RealizedOp(self.space, [(_folded(c * scalar), ms) for c, ms in self.terms])
 
 
 def _normal_pair(space: Space, a: Mode, b: Mode) -> tuple[int, tuple[Mode, Mode]]:
@@ -222,11 +222,11 @@ def _normal_pair(space: Space, a: Mode, b: Mode) -> tuple[int, tuple[Mode, Mode]
     return sign, (b, a)
 
 
-def _op(space: Space, entries: list[tuple[Fraction, Mode, Mode]]) -> RealizedOp:
+def _op(space: Space, entries: list[tuple[int | Fraction, Mode, Mode]]) -> RealizedOp:
     terms = []
     for coeff, a, b in entries:
         sign, modes = _normal_pair(space, a, b)
-        terms.append((Fraction(coeff) * sign, modes))
+        terms.append((_folded(coeff * sign), modes))
     return RealizedOp(space, terms)
 
 
@@ -554,7 +554,7 @@ def diagonal_weight(space: Space, algebra: str, vec: FockVector):
 
     def eigenvalue(op: RealizedOp, name: str) -> int:
         out = op.apply(vec)
-        ratio = out.terms.get(mono0, Fraction(0)) / c0
+        ratio = Fraction(out.terms.get(mono0, 0)) / c0
         if out != vec * ratio:
             raise ValueError(f"not an eigenvector of {name}")
         return int(ratio)
@@ -588,7 +588,7 @@ def omega_mode(mode: Mode, naive: bool = False) -> tuple[int, Mode]:
     return sign, (conj, color, -idx2)
 
 
-def inner_product(space: Space, bra: tuple[Mode, ...], ket: FockVector, conjugation: str = "signed") -> Fraction:
+def inner_product(space: Space, bra: tuple[Mode, ...], ket: FockVector, conjugation="signed") -> int | Fraction:
     if conjugation not in CONJUGATIONS:
         raise ValueError(f"unknown conjugation {conjugation!r}")
     naive = conjugation == "naive"
@@ -599,7 +599,7 @@ def inner_product(space: Space, bra: tuple[Mode, ...], ket: FockVector, conjugat
         total_sign *= sign
         cur = apply_mode(space, conj, cur)
         if not cur:
-            return Fraction(0)
+            return 0
     return cur.vacuum_coeff() * total_sign
 
 
@@ -616,8 +616,8 @@ def gram_matrix(space: Space, energy2: int, conjugation: str = "signed"):
     for i, bra in enumerate(basis):
         # omega turns each creation mode of the bra into an annihilator that removes one matching
         # mode or gives 0, so only the ket with the bra's own monomial reaches the vacuum
-        row = [Fraction(0)] * len(basis)
-        row[i] = inner_product(space, bra, FockVector(space, {bra: Fraction(1)}), conjugation)
+        row = [0] * len(basis)
+        row[i] = inner_product(space, bra, FockVector(space, {bra: 1}), conjugation)
         mat.append(row)
     return basis, mat
 

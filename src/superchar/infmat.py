@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .sparse import _Sparse, _add_term, _printed, _rational
+from .sparse import _Sparse, _add_term, _fold_integral, _folded, _printed
 
 
 def parity(p2: int) -> int:
@@ -45,24 +45,24 @@ class SuperMatrix(_Sparse):
 
     __slots__ = ()
 
-    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        self.terms: dict[tuple[int, int], Fraction] = _rational(terms)
+    def __init__(self, terms: dict[tuple[int, int], int | Fraction] | None = None):
+        self.terms = _fold_integral({key: c for key, c in (terms or {}).items() if c})
 
     def _new(self, terms: dict) -> "SuperMatrix":
         out = object.__new__(SuperMatrix)
-        out.terms = terms
+        out.terms = _fold_integral(terms)
         return out
 
     @staticmethod
     def unit(p2: int, q2: int, coeff=1) -> "SuperMatrix":
-        return SuperMatrix({(p2, q2): Fraction(coeff)})
+        return SuperMatrix({(p2, q2): coeff})
 
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
         """Associative product e(p,q) e(q',s) = delta_{q,q'} e(p,s)."""
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
+        by_row: dict[int, list[tuple[int, int | Fraction]]] = {}
         for (q2, s2), val in other.terms.items():
             by_row.setdefault(q2, []).append((s2, val))
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[tuple[int, int], int | Fraction] = {}
         for (p2, q2), a in self.terms.items():
             for s2, b in by_row.get(q2, ()):
                 _add_term(out, (p2, s2), a * b)
@@ -110,18 +110,18 @@ def super_bracket(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
     return out
 
 
-def supertrace(a: SuperMatrix) -> Fraction:
+def supertrace(a: SuperMatrix) -> int | Fraction:
     """Str(A) = sum (-1)^{2r} A_rr; the sign is -1 on half-integer indices."""
-    total = Fraction(0)
+    total = 0
     for (p2, q2), val in a.terms.items():
         if p2 == q2:
             total += -val if parity(p2) else val
-    return total
+    return _folded(total)
 
 
-def cocycle_alpha(a: SuperMatrix, b: SuperMatrix) -> Fraction:
+def cocycle_alpha(a: SuperMatrix, b: SuperMatrix) -> int | Fraction:
     """alpha(A,B) = Str([J,A]B) with J = sum_{r<=0} e(r,r), computed entrywise."""
-    total = Fraction(0)
+    total = 0
     for (p2, q2), av in a.terms.items():
         jfactor = (1 if p2 <= 0 else 0) - (1 if q2 <= 0 else 0)
         if not jfactor:
@@ -131,7 +131,7 @@ def cocycle_alpha(a: SuperMatrix, b: SuperMatrix) -> Fraction:
             continue
         sign = -1 if parity(p2) else 1
         total += sign * jfactor * av * bv
-    return total
+    return _folded(total)
 
 
 def _te_sign(family: str, p2: int, q2: int) -> int:
@@ -174,8 +174,7 @@ def preserves_form(a: SuperMatrix, family: str) -> bool:
         return False  # index 0 is outside the subalgebra's space
     for v2 in hull:
         for w2 in hull:
-            lhs = Fraction(0)
-            rhs = Fraction(0)
+            lhs = rhs = 0
             for (p2, q2), coeff in a.terms.items():
                 if q2 == v2:
                     lhs += coeff * form_value(family, p2, w2)

@@ -12,11 +12,10 @@ store packed int keys there instead, and show them as `terms` through one
 read-only tuple-keyed view, `_PackedTerms`, given the class's decode and
 encode.  Both rings multiply through one loop, `_product`, on those keys.
 The helpers below add in place and drop the zeros, so no other module
-hand-writes that loop; `_fold_integral` gives the two rings their
-coefficient normal form: `int` when integral, `Fraction` otherwise, and
-`_rational` gives `FockVector` and `SuperMatrix` theirs, every coefficient a
-`Fraction`.  All four print through `_printed`, each class giving only its
-monomial text and its term order.
+hand-writes that loop; `_fold_integral` gives all four classes their one
+coefficient normal form, applied by each constructor and each `_new`: `int`
+when integral, `Fraction` otherwise.  All four print through `_printed`, each
+class giving only its monomial text and its term order.
 
 Every name here is private: a tracer that wraps each public function and
 method of the package charges this code to the layer that calls it.
@@ -59,27 +58,25 @@ def _add_into(out, terms, scale=1):
     return out
 
 
+def _folded(c):
+    """The number c in normal form: int when integral, Fraction otherwise (a float is read exactly)."""
+    if type(c) is int:
+        return c
+    c = _Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _fold_integral(terms):
-    """Store each integral Fraction of terms as int, in place; returns terms.
+    """Store each coefficient of terms in normal form (`_folded`), in place; returns terms.
 
-    `type(c) is Fraction` rather than `isinstance`, which goes through ABCMeta;
-    the set of types is built in C, so all-int terms cost no Python loop.
+    `type(c) is int` rather than `isinstance`, which goes through ABCMeta and
+    would pass a bool through; the set of types is built in C, so all-int terms
+    cost no Python loop.
     """
-    if _Fraction in set(map(type, terms.values())):
+    if set(map(type, terms.values())) - {int}:
         for key, c in terms.items():
-            if type(c) is _Fraction and c.denominator == 1:
-                terms[key] = c.numerator
+            terms[key] = _folded(c)
     return terms
-
-
-def _rational(terms):
-    """{key: Fraction(c)} over the nonzero coefficients c of terms, a dict or None."""
-    out = {}
-    for key, c in (terms or {}).items():
-        c = _Fraction(c)
-        if c:
-            out[key] = c
-    return out
 
 
 def _printed(pairs, parens=False):

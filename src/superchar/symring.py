@@ -145,7 +145,7 @@ class SymFunc(_Sparse):
 
     @staticmethod
     def const(cap: int, value=1) -> "SymFunc":
-        return SymFunc(cap, {EMPTY_MONO: Fraction(value)})
+        return SymFunc(cap, {EMPTY_MONO: value})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -108,6 +108,20 @@ def test_fock_actions(capsys):
     assert any(r["eps"] == 1 for r in rows)
 
 
+@pytest.mark.parametrize("space, cutoff", [("2", "3/2"), ("1+1/2", "2"), ("0", "1")])
+def test_fock_character_rows_are_written_as_one_list(capsys, space, cutoff):
+    # the rows go out a key at a time; the bytes are json.dumps of the list of every
+    # row with --json, and one printed row a line without
+    kind = "Dodd" if "+" in space else "A"
+    ch = fock.character_product_formula(fock.Space(kind, int(space[0])), int(2 * Fraction(cutoff)))
+    rows = [{"z": list(z), "eps": eps, "x": wm[0], "y": wm[1], "count": c}
+            for (z, eps), wmonos in sorted(ch.items()) for wm, c in sorted(wmonos.items())]
+    assert run(capsys, "fock", "--space", space, "--action", "character", "--cutoff", cutoff, "--json") == (
+        0, json.dumps(rows) + "\n", "")
+    assert run(capsys, "fock", "--space", space, "--action", "character", "--cutoff", cutoff) == (
+        0, "".join(f"{row}\n" for row in rows), "")
+
+
 def test_fock_hwv_witness_of_a_singular_vector_is_null(capsys):
     argv = ("fock", "--space", "2", "--action", "hwv", "--algebra", "C", "--hw", "[2,1]")
     code, out, _ = run(capsys, *argv, "--json")

@@ -83,6 +83,38 @@ def test_realize_examples():
     assert len(e11.terms) == 4  # psi+-_{-1},psi_1 and gam_{+-1/2} pairs
 
 
+def test_realize_matrix_of_halves_stores_int_sums():
+    # (e(1/2,1/2) + e(1,1)) / 2 counts psi+_{-1} and gam+_{-1/2}, a half each: on a state
+    # holding both the halves meet, and the coefficient they sum to is stored as an int
+    sp = Space("A", 1)
+    op = realize_matrix(sp, SuperMatrix({(1, 1): Fraction(1, 2), (2, 2): Fraction(1, 2)}))
+    assert sorted(c for c, _ in op.terms) == [Fraction(-1, 2), Fraction(1, 2)]
+    vec = vec_of(sp, (PSI_P, 1, -2), (GAM_P, 1, -1))
+    out = op.apply(vec)
+    assert out == vec and [type(c) for c in out.terms.values()] == [int]
+    assert [type(c) for c in op.apply(vec * 2).terms.values()] == [int]
+
+
+@pytest.mark.parametrize("kind, d, algebra", [("A", 2, "C"), ("A", 2, "Deven"), ("Dodd", 1, "Dodd"), ("A", 2, "A")])
+def test_dual_pair_coefficients_are_stored_as_int(kind, d, algebra):
+    # the highest weight vectors, the realized generators and the signed and naive norms
+    # all have integer coefficients, so every one of them is stored as an int
+    space = Space(kind, d)
+    labels = duality_decompose(space, algebra, 6)
+    for lam in labels:
+        vec = hwv_candidate(space, algebra, lam)
+        assert vec and {type(c) for c in vec.terms.values()} == {int}, lam
+    assert len(labels) > 3
+    indices = [i2 for i2 in range(-4, 5) if i2]
+    for p2 in indices:
+        for q2 in indices:
+            assert {type(c) for c, _ in realize_algebra(space, algebra, p2, q2).terms} <= {int}, (p2, q2)
+    for e2 in range(5):
+        for conjugation in ("signed", "naive"):
+            _, mat = gram_matrix(space, e2, conjugation)
+            assert {type(v) for row in mat for v in row} == {int}, (e2, conjugation)
+
+
 def test_realize_algebra_builds_each_operator_once():
     sp = Space("A", 2)
     op = realize_algebra(sp, "C", -1, 3)

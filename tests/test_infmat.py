@@ -40,6 +40,15 @@ def test_cocycle_examples():
     assert cocycle_alpha(e(1, 2), e(2, 1)) == 0  # both indices positive
 
 
+def test_integral_sums_of_halves_come_back_as_int():
+    # the two halves on the diagonal meet in the supertrace; the half at (1, -1) meets a 2 in alpha
+    half = SuperMatrix({(0, 0): Fraction(1, 2), (-1, -1): Fraction(-1, 2), (2, -2): Fraction(1, 2)})
+    assert supertrace(half) == 1 and type(supertrace(half)) is int
+    assert cocycle_alpha(half, SuperMatrix({(-2, 2): 3})) == Fraction(-3, 2)
+    alpha = cocycle_alpha(half, SuperMatrix({(-2, 2): 2}))
+    assert alpha == -1 and type(alpha) is int
+
+
 def _random_homog(rng, max_idx2=6, deg_bound2=6, max_support=3):
     deg2 = rng.randint(-deg_bound2, deg_bound2)
     entries = {}

@@ -1,6 +1,7 @@
 """Property tests of the sparse exact-coefficient arithmetic shared by
-LaurentPoly, SymFunc, FockVector and SuperMatrix, including the stored
-coefficient normal forms that internal results must keep."""
+LaurentPoly, SymFunc, FockVector and SuperMatrix, including the one stored
+coefficient normal form that every result must keep: int when integral,
+Fraction otherwise."""
 
 from collections import Counter
 from fractions import Fraction
@@ -39,13 +40,10 @@ ELEMENTS = {
 
 
 def _normal(x):
-    """x after checking it stores no zero and the coefficient types its class promises."""
+    """x after checking it stores no zero and every coefficient in normal form: int, or a non-integral Fraction."""
     values = list(x.terms.values())
     assert all(values), x.terms
-    if isinstance(x, (LaurentPoly, SymFunc)):
-        assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in values), x.terms
-    elif isinstance(x, (FockVector, SuperMatrix)):
-        assert all(type(c) is Fraction for c in values), x.terms
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in values), x.terms
     return x
 
 
@@ -101,6 +99,23 @@ def test_cancelling_products_store_no_zero():
     assert _normal((x + y) * (x - y)) == x * x - y * y
     ex, ey = SymFunc(3, {(((1, 1),), ()): 1}), SymFunc(3, {((), ((1, 1),)): 1})
     assert _normal((ex + ey) * (ex - ey)) == ex * ex - ey * ey
+
+
+@pytest.mark.parametrize("kind", ["LaurentPoly", "SymFunc", "FockVector", "SuperMatrix"])
+def test_two_halves_sum_to_an_int(kind):
+    # each operand is a non-integral Fraction, so only the fold in the result's _new makes the sum an int
+    make, keys = PRINTED[kind][:2]
+    half = make({keys[1]: Fraction(1, 2), keys[2]: Fraction(-3, 2)})
+    total = _normal(half + half)
+    assert total == make({keys[1]: 1, keys[2]: -3}) and type(total.terms[keys[1]]) is int
+    assert _normal(half * 2) == total and _normal(make({keys[1]: Fraction(4, 2)})).terms[keys[1]] == 2
+
+
+@pytest.mark.parametrize("kind", ["LaurentPoly", "SymFunc", "FockVector", "SuperMatrix"])
+def test_float_and_bool_coefficients_are_read_exactly(kind):
+    make, keys = PRINTED[kind][:2]
+    f = _normal(make({keys[1]: 0.5, keys[2]: -2.0, keys[3]: True}))
+    assert f == make({keys[1]: Fraction(1, 2), keys[2]: -2, keys[3]: 1})
 
 
 def test_symfunc_stores_integral_coefficients_as_int():
