@@ -24,7 +24,7 @@ from .laurentchars import DecompositionError, GroupTag, _dominant_weight, _orbit
 from .ringdet import ring_det
 from .sparse import _Sparse, _add_into, _add_term, _fold_integral, _folded, _printed
 from .superschur import _series_lhs
-from .symring import SymFunc, WeightMono, _codec
+from .symring import SymFunc, WeightMono, _weight_of, _weight_var
 
 PSI_P, PSI_M, GAM_P, GAM_M, PHI, CHI = range(6)
 
@@ -123,10 +123,10 @@ class FockVector(_Sparse):
         return self.terms.get((), 0)
 
     def __rmul__(self, other):
-        """A mode on the left applies that mode (so `ring_det` can expand a minor of modes); a scalar scales."""
+        """A mode on the left applies that mode (so `ring_det` can expand a minor of modes); a number scales."""
         if isinstance(other, tuple):
             return apply_mode(self.space, other, self)
-        return self * other
+        return self.__mul__(other)
 
     def __str__(self):
         monos = sorted(self.terms, key=lambda m: (mono_energy2(m), m))
@@ -682,33 +682,21 @@ def _character_sweep(space: Space, cutoff2: int) -> dict:
 
     ch F is prod_i Phi(z_i), times the colourless phi/chi factor on the
     d+1/2 space (where each mode also flips eps: the engine's odd case),
-    and Phi has one series per mode energy: [1, x_n] for the fermionic x
-    mode of energy n, [1, y_r, y_r^2, ...] for the bosonic y mode of
-    doubled energy r2.  x_n is e_{2n}(x) and y_r is e_r2(y), so the degree
-    is the doubled energy and the cap cutoff2 is the energy cutoff.  Highest
-    energy first keeps the products small until the last few.
+    and Phi has one series per mode energy over its weight variable v
+    (`symring._weight_var`): [1, v] for the fermionic mode of an integer
+    energy, [1, v, v^2, ...] up to the cap for the bosonic one of a
+    half-integer energy.  Highest energy first keeps the products small
+    until the last few.
     """
+    one = SymFunc.const(cutoff2)
     series = []
     for e2 in range(cutoff2, 0, -1):
-        if e2 % 2 == 0:  # the fermionic x modes at integer energies
-            series.append([SymFunc(cutoff2, {(part, ()): 1}) for part in ((), ((e2, 1),))])
-        else:
-            series.append([SymFunc(cutoff2, {((), ((e2, k),) if k else ()): 1}) for k in range(cutoff2 // e2 + 1)])
-    return _series_lhs(space.d, space.kind == "Dodd", SymFunc.const(cutoff2), series)
-
-
-def _weight_of(cutoff2: int):
-    """The weight monomial of a packed coefficient key of `_character_sweep` at
-    cutoff2, x_n read from e_{2n}(x) and y_r from e_r2(y); each distinct key
-    is decoded once."""
-    codec = _codec(cutoff2)
-
-    @functools.lru_cache(maxsize=None)
-    def weight(k: int) -> WeightMono:
-        xs, ys = codec.decode(k)
-        return tuple((n // 2, m) for n, m in xs), ys
-
-    return weight
+        units = [one, _weight_var(e2, cutoff2)]
+        if e2 % 2:  # a bosonic mode: every power up to the cap
+            while len(units) * e2 <= cutoff2:
+                units.append(units[-1] * units[1])
+        series.append(units)
+    return _series_lhs(space.d, space.kind == "Dodd", one, series)
 
 
 def character_product_formula(space: Space, cutoff2: int):

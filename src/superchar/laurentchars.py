@@ -36,7 +36,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
@@ -186,12 +185,12 @@ class LaurentPoly(_Sparse):
 
     # -- arithmetic ------------------------------------------------------
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
-        self._check(other)
-        bound = _check_bound(self._bound + other._bound)
-        # every key is below 2^(2 + _W * nvars) in absolute value, so no key sum reaches this limit
-        return self._new(_product(self._store, other._store, 1 << (3 + _W * self.nvars)), bound)
+        if type(other) is LaurentPoly:  # the ring product first: it is the hot path
+            self._check(other)
+            bound = _check_bound(self._bound + other._bound)
+            # every key is below 2^(2 + _W * nvars) in absolute value, so no key sum reaches this limit
+            return self._new(_product(self._store, other._store, 1 << (3 + _W * self.nvars)), bound)
+        return _Sparse.__mul__(self, other)  # a number, or NotImplemented
 
     __rmul__ = __mul__
 

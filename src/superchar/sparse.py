@@ -15,7 +15,8 @@ The helpers below add in place and drop the zeros, so no other module
 hand-writes that loop; `_fold_integral` gives all four classes their one
 coefficient normal form, applied by each constructor and each `_new`: `int`
 when integral, `Fraction` otherwise.  All four print through `_printed`, each
-class giving only its monomial text and its term order.
+class giving only its monomial text and its term order.  All four take one
+kind of operand besides their own class, a number (`_NUMBERS`), read exactly.
 
 Every name here is private: a tracer that wraps each public function and
 method of the package charges this code to the layer that calls it.
@@ -56,6 +57,12 @@ def _add_into(out, terms, scale=1):
         else:
             pop(key, None)
     return out
+
+
+# the operands read as numbers: an int (a bool is one), a Fraction, or a float,
+# read exactly; an operation with anything else that is not of the class
+# returns NotImplemented, so Python raises TypeError
+_NUMBERS = (int, _Fraction, float)
 
 
 def _folded(c):
@@ -196,13 +203,13 @@ class _Sparse:
             raise ValueError(f"{type(self).__name__} operands do not match: {self._context()} vs {other._context()}")
 
     def _operand(self, other):
-        """A same-context operand; a scalar is a constant where the class has `const`."""
+        """A same-context operand; a number is a constant where the class has `const`."""
         if isinstance(other, type(self)):
             self._check(other)
             return other
         const = getattr(type(self), "const", None)
-        if const is not None and isinstance(other, (int, _Fraction)):
-            return const(self._context(), other)
+        if const is not None and isinstance(other, _NUMBERS):
+            return const(self._context(), _folded(other))
         return None
 
     def _scaled(self, s):
@@ -248,9 +255,11 @@ class _Sparse:
     def __rsub__(self, other):
         return (-self).__add__(other)
 
-    def __mul__(self, scalar):
-        """Scalar multiple, the scalar read as a Fraction; the rings override this with their product."""
-        return self._scaled(_Fraction(scalar))
+    def __mul__(self, other):
+        """A number multiple, the number read exactly; the rings try their product first."""
+        if isinstance(other, _NUMBERS):
+            return self._scaled(_folded(other))
+        return NotImplemented
 
     __rmul__ = __mul__
 

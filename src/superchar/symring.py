@@ -9,6 +9,12 @@ A monomial is a pair (xpart, ypart), each a sorted tuple of (k, multiplicity)
 pairs recording the exponent of e_k in that alphabet.  That tuple is the key
 of the read-only `terms` view; the terms are stored under packed int keys
 (see `_Codec`), which the product loop of `sparse` adds.
+
+The same ring carries the energy grading of the Fock modes.  The weight
+variable of doubled energy e2 (`_weight_var`) is stored as e_e2(x) for even
+e2, where it is the fermionic x_{e2/2}, and as e_e2(y) for odd e2, where it
+is the bosonic y_{e2/2}.  So a degree is a doubled energy, the cap is the
+energy cutoff, and `_weight_of` reads a packed key back as a weight monomial.
 """
 
 from __future__ import annotations
@@ -148,10 +154,10 @@ class SymFunc(_Sparse):
         return SymFunc(cap, {EMPTY_MONO: value})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
-        self._check(other)
-        return self._new(_product(self._store, other._store, _codec(self.cap).limit))
+        if type(other) is SymFunc:  # the ring product first: it is the hot path
+            self._check(other)
+            return self._new(_product(self._store, other._store, _codec(self.cap).limit))
+        return _Sparse.__mul__(self, other)  # a number, or NotImplemented
 
     __rmul__ = __mul__
 
@@ -245,39 +251,35 @@ def _elem_of_values(values: list, maxk: int, one):
     return elems
 
 
-# -- expansion into weight monomials ----------------------------------------
-#
-# The x alphabet is graded with x_n of (doubled) energy 2n, n = 1, 2, ...; the
-# y alphabet has y_r of doubled energy r2 for odd r2 = 1, 3, 5, ...  These
-# expansions tie symmetric functions to Fock-space gradings.
+# -- the weight variables (see the module docstring) --------------------------
 
 WeightMono = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
 
 
+def _weight_var(e2: int, cap2: int) -> SymFunc:
+    """The weight variable of doubled energy e2 at cap cap2, encoded as the module docstring says."""
+    return _unit("e", e2, "y" if e2 & 1 else "x", cap2)
+
+
+def _weight_of(cap2: int):
+    """The weight monomial of a packed key at cap2, the x index halved; each distinct key is decoded once."""
+    codec = _codec(cap2)
+
+    @lru_cache(maxsize=None)
+    def weight(k: int) -> WeightMono:
+        xs, ys = codec.decode(k)
+        return tuple((n // 2, m) for n, m in xs), ys
+
+    return weight
+
+
 @lru_cache(maxsize=None)
-def _subsets_with_energy(kind: str, k: int, cap2: int, min_var: int) -> tuple:
-    """All k-subsets (as sorted tuples) of the alphabet with total energy <= cap2."""
-    if k == 0:
-        return ((),)
-    out = []
-    var = min_var
-    while True:
-        energy2 = 2 * var if kind == "x" else var
-        if energy2 > cap2:
-            break
-        step = 1 if kind == "x" else 2
-        for rest in _subsets_with_energy(kind, k - 1, cap2 - energy2, var + step):
-            out.append((var,) + rest)
-        var += step
-    return tuple(out)
-
-
-def _expand_e(kind: str, k: int, cap2: int) -> dict[tuple[tuple[int, int], ...], int]:
-    out: dict[tuple[tuple[int, int], ...], int] = {}
-    start = 1
-    for subset in _subsets_with_energy(kind, k, cap2, start):
-        out[tuple((v, 1) for v in subset)] = 1
-    return out
+def _weight_elems(cap2: int) -> tuple[list[SymFunc], list[SymFunc]]:
+    """e_0..e_cap2 of the x weight variables and of the y ones, at cap cap2."""
+    one = SymFunc.const(cap2)
+    xs = [_weight_var(e2, cap2) for e2 in range(2, cap2 + 1, 2)]
+    ys = [_weight_var(e2, cap2) for e2 in range(1, cap2 + 1, 2)]
+    return _elem_of_values(xs, cap2, one), _elem_of_values(ys, cap2, one)
 
 
 def wmono_energy2(wmono: WeightMono) -> int:
@@ -292,29 +294,23 @@ def weight_expansion(f: SymFunc, cap2: int) -> dict[WeightMono, int | Fraction]:
     Keys are ((n, mult), ...) for x and ((r2, mult), ...) for y with r2 the
     doubled half-integer index.  Faithful below the cap provided f carries all
     symmetric degrees <= cap2 (i.e. f.cap >= cap2).  Values are int when
-    integral, like the coefficients of f.
+    integral, like the coefficients of f.  The ring map sends e_k(x) to e_k of
+    the x weight variables and e_k(y) to e_k of the y ones; the product at cap
+    cap2 drops what is over the cutoff.
     """
-    total: dict[WeightMono, int | Fraction] = {}
+    elems = _weight_elems(cap2)
+    total: dict[int, int | Fraction] = {}
     for mono, coeff in f.terms.items():
-        partial: dict[WeightMono, int] = {((), ()): 1}
-        for which, kind in ((0, "x"), (1, "y")):
-            for k, mult in mono[which]:
-                ek = _expand_e(kind, k, cap2)
+        if any(k > cap2 for part in mono for k, _ in part):
+            continue  # e_k of the weight variables has energy >= k, so it is zero past the cap
+        term = SymFunc.const(cap2, coeff)
+        for part, table in zip(mono, elems):
+            for k, mult in part:
                 for _ in range(mult):
-                    nxt: dict[WeightMono, int] = {}
-                    for wm, c in partial.items():
-                        left = cap2 - wmono_energy2(wm)
-                        for sub, _one in ek.items():
-                            energy = sum((2 * v if kind == "x" else v) * m for v, m in sub)
-                            if energy > left:
-                                continue
-                            merged = list(wm)
-                            merged[which] = _part_mul(wm[which], sub)
-                            key = (merged[0], merged[1])
-                            nxt[key] = nxt.get(key, 0) + c
-                    partial = nxt
-        _add_into(total, partial, coeff)
-    return _fold_integral(total)
+                    term = term * table[k]
+        _add_into(total, term._store)
+    weight = _weight_of(cap2)
+    return {weight(key): c for key, c in _fold_integral(total).items()}
 
 
 def energy_series(wmonos: dict[WeightMono, Fraction]) -> dict[int, Fraction]:

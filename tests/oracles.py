@@ -6,7 +6,8 @@ weight tables plus the alternating Kostant/Klimyk sum for small symplectic
 tensor products, explicit two- and three-dimensional orthogonal group rules,
 the Weyl dimension formulas, Weyl symmetry by generating reflections, the Weyl
 character formula as an alternant quotient with its own exact Laurent
-division, the Laurent and SymFunc products pair by pair on tuple keys, column
+division, the Laurent and SymFunc products pair by pair on tuple keys, the
+weight expansion by enumerating subsets of weight variables, column
 lengths by counting parts, the sp/so Schur functions by omega after a
 determinant, the degenerate r-2 reading of the primed folded series,
 embedding in more variables and moving variables through the tuple-keyed
@@ -42,9 +43,9 @@ from superchar.laurentchars import (GroupTag, LaurentPoly, _centres, _dominant_p
                                    decompose_character, decompose_graded, elementary_laurent)
 from superchar.partitions import GeneralizedPartition, Partition, _column_lengths, bar_conjugate, o_label
 from superchar.ringdet import orthogonal_det
-from superchar.sparse import _Sparse, _add_into, _add_term
+from superchar.sparse import _Sparse, _add_into, _add_term, _folded
 from superchar.superschur import _labels, _lambda_box, _so, _sp, etilde_series, o_labels, so_hook, sp_hook, sp_schur
-from superchar.symring import Mono, SymFunc, _elem_of_values, _unit, energy_series, weight_expansion
+from superchar.symring import Mono, SymFunc, _elem_of_values, _unit, energy_series, wmono_energy2
 
 
 # -- Schur polynomials by semistandard tableaux --------------------------------
@@ -453,9 +454,57 @@ def specialize(f: SymFunc, x_values: list, y_values: list, one=Fraction(1)):
     return widest._new(acc_terms) if sparse else total_scalar
 
 
+# -- weight monomials by enumerating variable subsets -------------------------------
+
+@lru_cache(maxsize=None)
+def _subsets_with_energy(kind: str, k: int, cap2: int, min_var: int) -> tuple:
+    """All k-subsets (as sorted tuples) of the alphabet with total energy <= cap2.
+
+    x_n has doubled energy 2n, n = 1, 2, ...; y_r has doubled energy r2 for
+    odd r2 = 1, 3, 5, ...
+    """
+    if k == 0:
+        return ((),)
+    out = []
+    var = min_var
+    while True:
+        energy2 = 2 * var if kind == "x" else var
+        if energy2 > cap2:
+            break
+        step = 1 if kind == "x" else 2
+        for rest in _subsets_with_energy(kind, k - 1, cap2 - energy2, var + step):
+            out.append((var,) + rest)
+        var += step
+    return tuple(out)
+
+
+def weight_expansion_by_subsets(f: SymFunc, cap2: int) -> dict:
+    """`symring.weight_expansion` without the ring: e_k of an alphabet is the
+    sum of its k-subsets of variables, and the products of a monomial are
+    convolved on tuple keys, dropping whatever is over the energy cap2."""
+    total: dict = {}
+    for mono, coeff in f.terms.items():
+        partial = {((), ()): 1}
+        for which, kind in ((0, "x"), (1, "y")):
+            for k, mult in mono[which]:
+                for _ in range(mult):
+                    nxt: dict = {}
+                    for wm, c in partial.items():
+                        for sub in _subsets_with_energy(kind, k, cap2 - wmono_energy2(wm), 1):
+                            merged = dict(wm[which])
+                            for v in sub:
+                                merged[v] = merged.get(v, 0) + 1
+                            key = list(wm)
+                            key[which] = tuple(sorted(merged.items()))
+                            _add_term(nxt, tuple(key), c)
+                    partial = nxt
+        _add_into(total, partial, coeff)
+    return {key: _folded(c) for key, c in total.items()}
+
+
 def q_series(f: SymFunc, cap2: int) -> dict[int, Fraction]:
     """Graded dimension series of f up to q^{cap2/2}."""
-    return energy_series(weight_expansion(f, cap2))
+    return energy_series(weight_expansion_by_subsets(f, cap2))
 
 
 def graded_dimension(w: Weight, cutoff2: int, source: str = "character") -> dict[int, int]:

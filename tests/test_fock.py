@@ -783,26 +783,26 @@ def test_duality_decompose_matches_hook_schur():
     from superchar.symring import weight_expansion
     from superchar.partitions import bar_conjugate
 
-    for d in (1, 2):
-        sp = Space("A", d)
-        dec = duality_decompose(sp, "C", 4)
-        for lam, wm in dec.items():
-            expect = {k: int(v) for k, v in weight_expansion(sp_hook(lam, 4), 4).items() if v}
-            assert expect == {k: v for k, v in wm.items() if v}, lam
-    for d in (1, 2):
-        n = 2 * d
-        sp = Space("A", d)
-        for lam, wm in duality_decompose(sp, "Deven", 4).items():
+    def check(space, algebra, cutoff2, hook_of):
+        for lam, wm in duality_decompose(space, algebra, cutoff2).items():
+            expect = {k: int(v) for k, v in weight_expansion(hook_of(lam), cutoff2).items() if v}
+            assert expect == {k: v for k, v in wm.items() if v}, (algebra, cutoff2, lam)
+
+    def even_hook(n, cutoff2):
+        def hook(lam):
             bar = bar_conjugate(lam, n)
-            want = so_hook(lam, n, 4)
-            if bar.parts != lam.parts:
-                want = want + so_hook(bar, n, 4)
-            expect = {k: int(v) for k, v in weight_expansion(want, 4).items() if v}
-            assert expect == {k: v for k, v in wm.items() if v}, lam
-    spo = Space("Dodd", 1)
-    for lam, wm in duality_decompose(spo, "Dodd", 4).items():
-        expect = {k: int(v) for k, v in weight_expansion(so_hook(lam, 3, 4), 4).items() if v}
-        assert expect == {k: v for k, v in wm.items() if v}, lam
+            want = so_hook(lam, n, cutoff2)
+            return want if bar.parts == lam.parts else want + so_hook(bar, n, cutoff2)
+        return hook
+
+    # doubled cutoff 5 tops the grading with a layer of y modes only; A/C d=2
+    # at 6 is the size of the benchmark's cross-check
+    for d, cutoff2 in ((1, 4), (2, 4), (2, 5), (2, 6)):
+        check(Space("A", d), "C", cutoff2, lambda lam: sp_hook(lam, cutoff2))
+    for d, cutoff2 in ((1, 4), (2, 4), (2, 5)):
+        check(Space("A", d), "Deven", cutoff2, even_hook(2 * d, cutoff2))
+    for cutoff2 in (4, 5):
+        check(Space("Dodd", 1), "Dodd", cutoff2, lambda lam: so_hook(lam, 3, cutoff2))
 
 
 def test_decomposed_weights_are_unitarizable():

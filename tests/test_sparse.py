@@ -118,6 +118,32 @@ def test_float_and_bool_coefficients_are_read_exactly(kind):
     assert f == make({keys[1]: Fraction(1, 2), keys[2]: -2, keys[3]: 1})
 
 
+@pytest.mark.parametrize("kind", ["LaurentPoly", "SymFunc", "FockVector", "SuperMatrix"])
+def test_a_number_operand_is_read_exactly_and_any_other_is_a_type_error(kind):
+    # the operand rule of sparse: an int, bool, Fraction or float is read
+    # exactly; anything else, a string that spells a number included, is a
+    # TypeError, and so is a number added to a class with no constants
+    make, keys = PRINTED[kind][:2]
+    a = make({keys[1]: 3, keys[2]: Fraction(1, 2)})
+    ring = kind in ("LaurentPoly", "SymFunc")
+    for number, exact in ((0.5, Fraction(1, 2)), (-2.0, -2), (True, 1), (Fraction(3, 2), Fraction(3, 2))):
+        assert _normal(a * number) == a * exact == _normal(number * a)
+        if ring:
+            assert _normal(a + number) == a + exact == _normal(number + a)
+            assert _normal(a - number) == a - exact and _normal(number - a) == exact - a
+    sums = [lambda u, v: u + v, lambda u, v: u - v]
+    refused = [(other, op) for other in ("3", "a", None, 1j, [1]) for op in [lambda u, v: u * v] + sums]
+    if not ring:
+        refused += [(number, op) for number in (1, 0.5) for op in sums]
+    for other, op in refused:
+        with pytest.raises(TypeError):
+            op(a, other)
+        with pytest.raises(TypeError):
+            op(other, a)
+    with pytest.raises(TypeError):
+        SymFunc.const(2) * LaurentPoly.const(2)
+
+
 def test_symfunc_stores_integral_coefficients_as_int():
     mono = (((1, 1),), ())
     f = SymFunc(3, {mono: Fraction(4, 2)})

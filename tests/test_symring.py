@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from superchar.laurentchars import LaurentPoly
 from superchar.partitions import Partition
@@ -17,7 +17,7 @@ from superchar.symring import (
     weight_expansion,
 )
 
-from oracles import omega, q_series, schur_monomials, specialize
+from oracles import omega, q_series, schur_monomials, specialize, weight_expansion_by_subsets
 
 
 def x_vars(m):
@@ -190,6 +190,38 @@ def test_weight_expansion_values_are_int_when_integral():
         assert {type(c) for c in q_series(f, 4).values()} == {int}
     half = weight_expansion(_unit("e", 1, "x", 2) * Fraction(1, 2), 2)
     assert half == {(((1, 1),), ()): Fraction(1, 2)} and type(half[(((1, 1),), ())]) is Fraction
+
+
+UNIT_FAMILIES = [("e", "x"), ("h", "x"), ("e", "y"), ("h", "y"), ("e", "xy"), ("hs", "xy")]
+
+
+@st.composite
+def _sums_of_unit_products(draw):
+    """(f, cap2): a sum of products of units at a cap 0..8 with int and Fraction coefficients, and cap2 <= cap."""
+    cap = draw(st.integers(0, 8))
+    f = SymFunc.zero(cap)
+    for _ in range(draw(st.integers(1, 3))):
+        term = SymFunc.const(cap, draw(st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))))
+        for _ in range(draw(st.integers(0, 3))):
+            base, alphabet = draw(st.sampled_from(UNIT_FAMILIES))
+            term = term * _unit(base, draw(st.integers(0, cap)), alphabet, cap)
+        f = f + term
+    return f, draw(st.integers(0, cap))
+
+
+def _typed(expansion):
+    return {key: (c, type(c)) for key, c in expansion.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_sums_of_unit_products())
+@example(case=(_unit("e", 3, "x", 4) + _unit("e", 1, "x", 4) + _unit("h", 2, "y", 4) * Fraction(1, 2), 2))
+def test_weight_expansion_is_the_subset_expansion(case):
+    # the ring map onto the weight variables against the sum over subsets of
+    # variables, in keys, values and value types; e_k with k > cap2 come in
+    # whenever cap2 < cap (e_3(x) in the example), and map to zero
+    f, cap2 = case
+    assert _typed(weight_expansion(f, cap2)) == _typed(weight_expansion_by_subsets(f, cap2))
 
 
 def test_rendering():
