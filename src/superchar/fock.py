@@ -20,9 +20,9 @@ from fractions import Fraction
 
 from .infmat import SuperMatrix, fmt_half, parity, te_generator
 from .partitions import GeneralizedPartition, Partition, _column_lengths, o_label, split_signs
-from .laurentchars import DecompositionError, GroupTag, _dominant_weight, _orbit, decompose_graded
+from .laurentchars import DecompositionError, GroupTag, _is_dominant, _orbit, decompose_graded
 from .ringdet import ring_det
-from .sparse import _Sparse, _add_into, _add_term, _fold_integral, _folded, _printed
+from .sparse import _NUMBERS, _Sparse, _add_into, _add_term, _fold_integral, _folded, _printed
 from .superschur import _series_lhs
 from .symring import SymFunc, WeightMono, _weight_of, _weight_var
 
@@ -210,7 +210,9 @@ class RealizedOp:
         return RealizedOp(self.space, self.terms + other.terms)
 
     def __mul__(self, scalar) -> "RealizedOp":
-        scalar = Fraction(scalar)
+        if not isinstance(scalar, _NUMBERS):
+            return NotImplemented
+        scalar = _folded(scalar)
         return RealizedOp(self.space, [(_folded(c * scalar), ms) for c, ms in self.terms])
 
 
@@ -726,7 +728,7 @@ def duality_decompose(space: Space, algebra: str, cutoff2: int):
     group = GroupTag(*_dual_group(space, algebra))
     dominant = {key: f._store for key, f in _character_sweep(space, cutoff2).items()}
     if group.kind == "GL":
-        dominant = {(w, eps): g for (z, eps), g in dominant.items() for w in _orbit(z) if _dominant_weight("A", w) == w}
+        dominant = {(w, eps): g for (z, eps), g in dominant.items() for w in _orbit(z) if _is_dominant("A", w)}
     weight = _weight_of(cutoff2)
     try:
         peeled = decompose_graded(dominant, group)

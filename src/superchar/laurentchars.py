@@ -17,7 +17,9 @@ label through one rule, `_top` (its length or depth check, the canonical O
 label and the odd-O eps), so the tests check that rule against independent
 references (the Weyl alternants and dimension formulas of tests/oracles.py).
 The sp(2m) and so(2m) duals of the Laurent identities in `superschur` are
-`_freudenthal`'s multiplicities too (types C and D).
+`_freudenthal`'s multiplicities too (types C and D).  It tests dominance
+directly (`_is_dominant`) and walks one root string per orbit of roots under
+the stabilizer of each dominant weight (Moody and Patera).
 Decomposition into irreducible characters peels the lex-largest dominant
 exponent, which is valid because every character is unitriangular with
 leading term z^lambda; one peeler, `decompose_graded`, serves both plain
@@ -39,6 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
+from operator import ge
 
 from .partitions import GeneralizedPartition, Partition, _column_lengths, bar_conjugate, o_label
 from .ringdet import pair_det, ring_det
@@ -362,6 +365,16 @@ def _dominant_weight(kind: str, w: tuple[int, ...]) -> tuple[int, ...]:
     return rep
 
 
+def _is_dominant(kind: str, w: tuple[int, ...]) -> bool:
+    """Whether w is its own `_dominant_weight`: non-increasing, and then
+    w[-1] >= 0 for B and C, or w[-2] >= |w[-1]| for D of rank >= 2 (W(D_1) is trivial)."""
+    if not all(map(ge, w, w[1:])):
+        return False
+    if kind in ("B", "C"):
+        return not w or w[-1] >= 0
+    return kind == "A" or len(w) < 2 or w[-2] >= abs(w[-1])
+
+
 def _orbit_size(rep: tuple[int, ...], kind: str) -> int:
     """The number of weights in the W(kind) orbit of the dominant weight rep, for kind A or C.
 
@@ -439,15 +452,39 @@ def _root_system(kind: str, rank: int) -> tuple[tuple, tuple[int, ...]]:
     return tuple(roots), rho
 
 
+@lru_cache(maxsize=None)
+def _root_orbits(kind: str, rank: int, gens: tuple[int, ...]) -> tuple:
+    """(a positive root, twice the number of positive roots in its orbit O) per orbit of the roots under the
+    simple reflections gens: 2|O|, or |O| when O holds both signs.  Reflection i < rank - 1 swaps entries i
+    and i + 1, and rank - 1 negates the last entry (B, C) or swaps and negates the last two (D)."""
+    def reflect(u, g):
+        if g < rank - 1:
+            return u[:g] + (u[g + 1], u[g]) + u[g + 2:]
+        return u[:-2] + (-u[-1], -u[-2]) if kind == "D" else u[:-1] + (-u[-1],)
+
+    positive = {tuple(dict(root).get(i, 0) for i in range(rank)): root for root in _root_system(kind, rank)[0]}
+    seen, out = set(), []
+    for v, root in positive.items():
+        if v not in seen:
+            orbit, new = set(), {v}
+            while new:
+                orbit |= new
+                new = {reflect(u, g) for u in new for g in gens} - orbit
+            seen |= orbit
+            out.append((root, 2 * sum(u in positive for u in orbit)))
+    return tuple(out)
+
+
 def _freudenthal(kind: str, top: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """{dominant weight: multiplicity} of the irreducible module of highest weight top, type kind.
 
     Weights are doubled and in the standard basis, and dominance is that of
-    `_dominant_weight`.  The dominant weights of the module are those below
-    top, and each of them is reached from top by subtracting positive roots
-    while staying dominant (J. R. Stembridge, "The partial order of dominant
-    weights", Adv. Math., 1998).  Freudenthal's formula (J. E. Humphreys,
-    *Introduction to Lie Algebras and Representation Theory*, §22.3)
+    `_dominant_weight`, tested by `_is_dominant`.  The dominant weights of
+    the module are those below top, and each of them is reached from top by
+    subtracting positive roots while staying dominant (J. R. Stembridge, "The
+    partial order of dominant weights", Adv. Math., 1998).  Freudenthal's
+    formula (J. E. Humphreys, *Introduction to Lie Algebras and
+    Representation Theory*, §22.3)
 
         (|top + rho|^2 - |mu + rho|^2) m(mu)
             = 2 sum_{alpha > 0} sum_{k >= 1} m(mu + k alpha) (mu + k alpha, alpha)
@@ -456,9 +493,15 @@ def _freudenthal(kind: str, top: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     dominant representative of a weight mu + k alpha lies above mu, so its
     |. + rho|^2 is larger and its multiplicity is already known.  An alpha-
     string of weights is unbroken, so each inner sum stops at the first k
-    whose representative is not a weight.  The formula is homogeneous, so it
-    holds as it stands on doubled weights, roots and rho.  A quotient that is
-    not an integer raises ArithmeticError.
+    whose representative is not a weight.  The inner sum T(alpha) is
+    invariant under the stabilizer W_mu of mu, which the simple reflections
+    fixing mu generate (Humphreys §10.3), so the sum runs over the W_mu-orbits
+    O of roots (`_root_orbits`), one string per orbit (R. V. Moody and
+    J. Patera, "Fast recursion formula for weight multiplicities", Bull. AMS
+    7, 1982): 2|O| T(alpha) when O holds only positive roots, and |O|
+    T(alpha) when it holds both signs (then (mu, alpha) = 0 and O = -O).
+    The formula is homogeneous, so it holds as it stands on doubled weights,
+    roots and rho.  A quotient that is not an integer raises ArithmeticError.
     """
     roots, rho = _root_system(kind, len(top))
     dominant = {top}
@@ -470,18 +513,21 @@ def _freudenthal(kind: str, top: tuple[int, ...]) -> dict[tuple[int, ...], int]:
             for i, a in root:
                 nu[i] -= a
             nu = tuple(nu)
-            if nu not in dominant and _dominant_weight(kind, nu) == nu:
+            if nu not in dominant and _is_dominant(kind, nu):
                 dominant.add(nu)
                 stack.append(nu)
 
     def norm(w):
         return sum((e + r) ** 2 for e, r in zip(w, rho))
 
-    top_norm = norm(top)
+    rank, top_norm = len(top), norm(top)
     mult = {top: 1}
     for mu in sorted(dominant - {top}, key=lambda w: (norm(w), w), reverse=True):
+        gens = tuple(i for i in range(rank - 1) if mu[i] == mu[i + 1])
+        if kind in ("B", "C") and not mu[-1] or kind == "D" and rank > 1 and mu[-2] == -mu[-1]:
+            gens += (rank - 1,)
         total = 0
-        for root in roots:
+        for root, weight in _root_orbits(kind, rank, gens):
             w = list(mu)
             while True:
                 for i, a in root:
@@ -489,11 +535,11 @@ def _freudenthal(kind: str, top: tuple[int, ...]) -> dict[tuple[int, ...], int]:
                 rep = _dominant_weight(kind, w)
                 if rep not in dominant:
                     break
-                total += mult[rep] * sum(w[i] * a for i, a in root)
-        m, rest = divmod(2 * total, top_norm - norm(mu))
+                total += weight * mult[rep] * sum(w[i] * a for i, a in root)
+        m, rest = divmod(total, top_norm - norm(mu))
         if rest:
             raise ArithmeticError(f"type {kind} highest weight {top} (doubled) at {mu}: "
-                                  f"Freudenthal quotient {2 * total}/{top_norm - norm(mu)} is not an integer")
+                                  f"Freudenthal quotient {total}/{top_norm - norm(mu)} is not an integer")
         mult[mu] = m
     return mult
 

@@ -46,7 +46,7 @@ from .partitions import Partition, _column_lengths, o_label
 # ring_det stays bound here: perfbench's tracer test wraps it in every module that builds determinants
 from .ringdet import orthogonal_det, pair_det, ring_det  # noqa: F401
 from .laurentchars import (DecompositionError, GroupTag, LaurentPoly, _dominant_part, _dominant_terms,
-                           _dominant_weight, _freudenthal, _orbit)
+                           _freudenthal, _is_dominant, _orbit)
 from .sparse import _add_term
 from .symring import SymFunc, _elem_of_values, _unit
 
@@ -152,7 +152,7 @@ def _zs_mul_factor(acc: dict, factor: list[tuple[tuple[int, ...], int, object]],
     for (exps, eps), f in acc.items():
         for dexps, deps, g in factor:
             z = tuple(map(add, exps, dexps))
-            if not dominant or _dominant_weight("C", z) == z:
+            if not dominant or _is_dominant("C", z):
                 _add_term(out, (z, eps ^ deps), f * g)
     return out
 
@@ -162,8 +162,8 @@ def _geom_factor(sign: int | None, units, with_eps: bool):
     return [(() if sign is None else (sign * k,), (k & 1) if with_eps else 0, g) for k, g in enumerate(units) if g]
 
 
-def _lambda_box(max_size: int, max_len: int):
-    """All partitions with at most max_len rows and size <= max_size (padded)."""
+def _lambda_box(max_size: int, max_len: int, max_part: int | None = None):
+    """All partitions with at most max_len rows, size <= max_size and, if given, parts <= max_part (padded)."""
     out = []
 
     def rec(prefix, remaining, max_part):
@@ -173,20 +173,20 @@ def _lambda_box(max_size: int, max_len: int):
         for p in range(min(max_part, remaining), 0, -1):
             rec(prefix + [p], remaining - p, p)
 
-    rec([], max_size, max_size)
+    rec([], max_size, max_size if max_part is None else max_part)
     return out
 
 
-def o_labels(n: int, max_size: int):
-    """Partitions of declared length n with lambda'_1 + lambda'_2 <= n, |lam| <= max_size."""
-    return [core for core in _lambda_box(max_size, n) if sum(_column_lengths(core.parts)[:2]) <= n]
+def o_labels(n: int, max_size: int, max_part: int | None = None):
+    """Partitions of declared length n with lambda'_1 + lambda'_2 <= n, |lam| <= max_size and parts <= max_part."""
+    return [core for core in _lambda_box(max_size, n, max_part) if sum(_column_lengths(core.parts)[:2]) <= n]
 
 
-def _labels(group: GroupTag, max_size: int):
-    """The labels an identity sums over: padded partitions for Sp, o_labels for O."""
+def _labels(group: GroupTag, max_size: int, max_part: int | None = None):
+    """The labels an identity sums over: padded partitions for Sp, o_labels for O (parts <= max_part if given)."""
     if group.kind == "Sp":
-        return _lambda_box(max_size, group.size)
-    return o_labels(group.size, max_size)
+        return _lambda_box(max_size, group.size, max_part)
+    return o_labels(group.size, max_size, max_part)
 
 
 def _broken_orbit(group: GroupTag, exc: DecompositionError) -> dict:
@@ -348,7 +348,7 @@ def _laurent_identity(group: GroupTag, m: int):
     """
     dim = 2 * group.size if group.kind == "Sp" else group.size
     kind = "C" if group.kind == "Sp" else "D"
-    labels = [lam for lam in _labels(group, group.size * m) if lam.parts[0] <= m]
+    labels = _labels(group, group.size * m, m)
 
     def dual(lam):
         cols = _column_lengths(lam.parts) + (0,) * m

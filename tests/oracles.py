@@ -6,7 +6,8 @@ weight tables plus the alternating Kostant/Klimyk sum for small symplectic
 tensor products, explicit two- and three-dimensional orthogonal group rules,
 the Weyl dimension formulas, Weyl symmetry by generating reflections, the Weyl
 character formula as an alternant quotient with its own exact Laurent
-division, the Laurent and SymFunc products pair by pair on tuple keys, the
+division, Freudenthal's formula with one root string per positive root, the
+Laurent and SymFunc products pair by pair on tuple keys, the
 weight expansion by enumerating subsets of weight variables, column
 lengths by counting parts, the sp/so Schur functions by omega after a
 determinant, the degenerate r-2 reading of the primed folded series,
@@ -39,8 +40,9 @@ from functools import lru_cache
 from superchar import fock
 from superchar.fock import FERMIONIC, GAM_M, GAM_P, PHI, PSI_M, PSI_P, FockVector, inner_product, realize_algebra
 from superchar.hwclassify import Weight, partition_from_weight
-from superchar.laurentchars import (GroupTag, LaurentPoly, _centres, _dominant_part, _eprime, char_group,
-                                   decompose_character, decompose_graded, elementary_laurent)
+from superchar.laurentchars import (GroupTag, LaurentPoly, _centres, _dominant_part, _dominant_weight, _eprime,
+                                   _root_system, char_group, decompose_character, decompose_graded,
+                                   elementary_laurent)
 from superchar.partitions import GeneralizedPartition, Partition, _column_lengths, bar_conjugate, o_label
 from superchar.ringdet import orthogonal_det
 from superchar.sparse import _Sparse, _add_into, _add_term, _folded
@@ -251,6 +253,52 @@ def is_weyl_symmetric(f: LaurentPoly, kind: str) -> bool:
         if moved(f, lambda e: e[:-2] + (-e[-1], -e[-2])) != f:
             return False
     return True
+
+
+# -- Freudenthal's formula root by root ---------------------------------------------
+
+def freudenthal_by_roots(kind: str, top: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """{dominant weight: multiplicity} of the module of doubled highest weight top, type kind A, B, C or D.
+
+    The library's `_freudenthal` with one root string per positive root, no
+    stabilizer orbits, and dominance read as `_dominant_weight(kind, w) == w`.
+    """
+    roots, rho = _root_system(kind, len(top))
+    dominant = {top}
+    stack = [top]
+    while stack:
+        mu = stack.pop()
+        for root in roots:
+            nu = list(mu)
+            for i, a in root:
+                nu[i] -= a
+            nu = tuple(nu)
+            if nu not in dominant and _dominant_weight(kind, nu) == nu:
+                dominant.add(nu)
+                stack.append(nu)
+
+    def norm(w):
+        return sum((e + r) ** 2 for e, r in zip(w, rho))
+
+    top_norm = norm(top)
+    mult = {top: 1}
+    for mu in sorted(dominant - {top}, key=lambda w: (norm(w), w), reverse=True):
+        total = 0
+        for root in roots:
+            w = list(mu)
+            while True:
+                for i, a in root:
+                    w[i] += a
+                rep = _dominant_weight(kind, w)
+                if rep not in dominant:
+                    break
+                total += mult[rep] * sum(w[i] * a for i, a in root)
+        m, rest = divmod(2 * total, top_norm - norm(mu))
+        if rest:
+            raise ArithmeticError(f"type {kind} highest weight {top} (doubled) at {mu}: "
+                                  f"Freudenthal quotient {2 * total}/{top_norm - norm(mu)} is not an integer")
+        mult[mu] = m
+    return mult
 
 
 # -- so(2m) characters as determinants ---------------------------------------------

@@ -131,6 +131,20 @@ def test_realized_ops_add_only_on_one_space():
         a + b
 
 
+def test_realized_op_reads_a_number_exactly_and_refuses_any_other_operand():
+    # the operand rule of the sparse classes: an int, bool, Fraction or float
+    # is read exactly; anything else, a string that spells a number included,
+    # is a TypeError
+    op = realize_algebra(Space("A", 2), "C", -1, 3)
+    for number, exact in ((0.5, Fraction(1, 2)), (-2.0, -2), (True, 1), (Fraction(3, 2), Fraction(3, 2))):
+        scaled = op * number
+        assert scaled.space == op.space and scaled.terms == [(c * exact, ms) for c, ms in op.terms]
+        assert all(type(c) is (int if c.denominator == 1 else Fraction) for c, _ in scaled.terms), number
+    for other in ("3", "a", None, 1j, [1]):
+        with pytest.raises(TypeError):
+            op * other
+
+
 def test_apply_examples():
     sp = Space("A", 1)
     gm = vec_of(sp, (GAM_M, 1, -1))

@@ -17,6 +17,7 @@ from superchar.laurentchars import (
     _dominant_terms,
     _dominant_weight,
     _freudenthal,
+    _is_dominant,
     _orbit,
     _orbit_size,
     char_group,
@@ -37,6 +38,7 @@ from oracles import (
     dimension,
     divexact,
     embed,
+    freudenthal_by_roots,
     is_weyl_symmetric,
     klimyk_tensor_sp,
     laurent_product,
@@ -548,6 +550,50 @@ def test_freudenthal_type_d_matches_the_so_even_characters():
             chi = classical_char_so_even(nu2, m)
             want = {z: c for (z, _eps), c in chi.terms.items() if _dominant_weight("D", z) == z}
             assert _freudenthal("D", nu2) == want, nu2
+
+
+# plain entries up to this bound at each rank keep a module of rank 5 small
+_TOP_BOUND = {1: 8, 2: 6, 3: 4, 4: 3, 5: 2}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_freudenthal_by_stabilizer_orbits_equals_the_sum_over_every_positive_root(data):
+    # types A-D at ranks 1-5: A tops shifted below zero, the odd (spin) B
+    # and D tops, and D tops with a negative last entry
+    kind = data.draw(st.sampled_from("ABCD"))
+    rank = data.draw(st.integers(1, 5))
+    parts = data.draw(st.lists(st.integers(0, _TOP_BOUND[rank]), min_size=rank, max_size=rank))
+    top = [2 * p for p in sorted(parts, reverse=True)]
+    if kind == "A":
+        top = [e - 2 * data.draw(st.integers(0, 3)) for e in top]
+    if kind in "BD" and data.draw(st.booleans()):
+        top = [e + 1 for e in top]
+    if kind == "D" and data.draw(st.booleans()):
+        top[-1] = -top[-1]
+    top = tuple(top)
+    assert _freudenthal(kind, top) == freudenthal_by_roots(kind, top), (kind, top)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_is_dominant_tells_a_weight_that_is_its_own_dominant_weight(data):
+    # ranks 0-5, with D at rank 1 (every weight dominant, negative ones too);
+    # half the draws start from a dominant weight, so both answers come up
+    kind = data.draw(st.sampled_from("ABCD"))
+    w = tuple(data.draw(st.lists(st.integers(-4, 4), max_size=5)))
+    if data.draw(st.booleans()):
+        w = _dominant_weight(kind, w)
+        if w and data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(w) - 1))
+            w = w[:i] + (w[i] + data.draw(st.sampled_from([-1, 1])),) + w[i + 1:]
+    assert _is_dominant(kind, w) == (_dominant_weight(kind, w) == w), (kind, w)
+
+
+def test_is_dominant_edge_cases():
+    assert _is_dominant("D", (-3,)) and _is_dominant("D", (2, -2)) and not _is_dominant("D", (1, -2))
+    assert not _is_dominant("C", (2, -1)) and not _is_dominant("B", (-1,)) and _is_dominant("A", (1, -1))
+    assert all(_is_dominant(kind, ()) for kind in "ABCD")
 
 
 def _wd_orbit(mu):

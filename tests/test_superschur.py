@@ -116,6 +116,16 @@ def test_schur_functions_equal_the_omega_routes(kind, size):
                     assert got == want and str(got) == str(want), (variant, lam, cap)
 
 
+@pytest.mark.parametrize("kind, size", [("Sp", d) for d in (1, 2, 3)] + [("O", n) for n in range(1, 6)])
+def test_labels_with_a_part_cap_are_the_filtered_labels(kind, size):
+    # the Laurent identities' labels, enumerated inside their m-column box,
+    # against every label up to size * m with the wide ones dropped, in order
+    group = GroupTag(kind, size)
+    for m in range(1, 6):
+        want = [lam for lam in _labels(group, size * m) if lam.parts[0] <= m]
+        assert _labels(group, size * m, m) == want, m
+
+
 def test_sp_hook_reduces_to_plain_without_y():
     lam = Partition((1,))
     h = sp_hook(lam, 3)
