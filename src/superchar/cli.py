@@ -44,7 +44,7 @@ SIZE_CAPS = {
     # verify --d, --n, --m and schur --n (e_k of m variables has C(m, k) terms):
     # combin-Sp at d = 3, m = 5 0.09 s, odd-char at n = m = 5 0.03 s (2-core Xeon, Python 3.11)
     "d": 3, "n": 5, "m": 5,
-    "deg": 12,  # verify and schur --deg, the doubled fock --cutoff and --energy; worst: tensor-sp at d = 3, 9.1 s
+    "deg": 12,  # verify and schur --deg, the doubled fock --cutoff and --energy; worst: tensor-sp at d = 3, 12.7 s
     "size": 6,  # char --size, entries of a char or schur --weight: sp hook of six zeros at --deg 12, 0.2 s
     "length": 8,  # entries of a frobenius literal or a fock --hw label, and frobenius --length
     "entry": 2**21 - 1,  # |integers| of a literal or a classify --weight: frobenius of eight at the cap, 0.3 s
@@ -257,13 +257,16 @@ def cmd_verify(args) -> int:
 
 def cmd_fock(args) -> int:
     d, odd = divmod(args.space2, 2)
-    if odd and args.algebra not in (None, "D"):
+    space = fock.Space("Dodd" if odd else "gl" if args.algebra == "gl" else "A", d)
+    # the library algebra that fits the space, named by --algebra or by its family (D: Deven or Dodd)
+    name = args.algebra or ("D" if odd else "C")
+    algebra = next((alg for alg, (family, _) in fock.DUAL_PAIRS.items()
+                    if name in (alg, family) and fock._fits(space, alg)), None)
+    if algebra is None:
         raise UsageError(f"a d+1/2 space carries only the D algebra, not {args.algebra}")
     if args.algebra == "gl" and args.action != "gram":
         raise UsageError(f"--algebra gl reads only --action gram, not {args.action}: "
                          "there is no duality decomposition for algebra 'gl'")
-    space = fock.Space("Dodd" if odd else "gl" if args.algebra == "gl" else "A", d)
-    default_algebra = "Dodd" if odd else {"A": "A", "C": "C", "D": "Deven"}.get(args.algebra, "C")
     if args.action == "character":
         ch = fock.character_product_formula(space, args.cutoff2)
         # a key's rows at a time: at --space 4 --cutoff 6 --json a list of every row peaked at 106 MB, this at 29 MB
@@ -279,7 +282,7 @@ def cmd_fock(args) -> int:
             print("[]" if first else "]")
         return 0
     if args.action == "decompose":
-        dec = fock.duality_decompose(space, default_algebra, args.cutoff2)
+        dec = fock.duality_decompose(space, algebra, args.cutoff2)
         report = []
         for lam in sorted(dec, key=lambda l: l.parts):
             series = symring.energy_series(dec[lam])
@@ -321,8 +324,8 @@ def cmd_fock(args) -> int:
     if args.hw is None:
         raise UsageError("--action hwv needs --hw")
     lam = partitions.parse_partition(args.hw, generalized=True)
-    vec = fock.hwv_candidate(space, default_algebra, lam, variant=args.variant)
-    ok, wit = fock.singularity_check(space, default_algebra, vec)
+    vec = fock.hwv_candidate(space, algebra, lam, variant=args.variant)
+    ok, wit = fock.singularity_check(space, algebra, vec)
     shown = wit
     if isinstance(wit, tuple):  # the (p, q) of the first generator that does not kill vec, in halves
         wit = [fmt_half(i2) for i2 in wit]

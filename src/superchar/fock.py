@@ -328,21 +328,22 @@ def realize_algebra(space: Space, algebra: str, p2: int, q2: int) -> RealizedOp:
 PAIR_GENERATORS = {
     "E": ((PSI_P, PSI_M, 1, 1), (GAM_P, GAM_M, -1, -1)),
     "sp+": ((PSI_P, PSI_P, 1, -1), (GAM_P, GAM_P, 1, 1)),
-    "sp-": ((PSI_M, PSI_M, 1, -1), (GAM_M, GAM_M, -1, -1)),
     "so+": ((PSI_P, PSI_P, 1, 1), (GAM_P, GAM_P, 1, -1)),
-    "so-": ((PSI_M, PSI_M, 1, 1), (GAM_M, GAM_M, -1, 1)),
     "so+vec": ((PHI, PSI_P, 1, 1), (CHI, GAM_P, 1, -1)),
 }
+# The *-structure fixes the lowering generators: each is the adjoint of its
+# raising one at the transposed colours.
+LOWERING = {"sp-": "sp+", "so-": "so+", "so-vec": "so+vec"}
 
 
 def realize_group(space: Space, descriptor: str, colours: tuple[int, ...], cutoff2: int) -> RealizedOp:
     """Generator of the dual group, truncated to annihilator energies <= cutoff2.
 
-    E/sp+/sp-/so+/so- take colours (i, j); so+vec and so-vec take (i,), and
-    so-vec is the adjoint of so+vec, in the same gauge.
+    E/sp+/sp-/so+/so- take colours (i, j); so+vec and so-vec take (i,).
+    sp-(i, j) is op_adjoint(sp+(j, i)), and likewise so- and so-vec.
     """
-    if descriptor == "so-vec":
-        return op_adjoint(realize_group(space, "so+vec", colours, cutoff2))
+    if descriptor in LOWERING:
+        return op_adjoint(realize_group(space, LOWERING[descriptor], colours[::-1], cutoff2))
     if descriptor not in PAIR_GENERATORS:
         raise ValueError(f"unknown descriptor {descriptor!r}")
     ca, cb = (0, *colours) if descriptor == "so+vec" else colours
@@ -356,17 +357,22 @@ def realize_group(space: Space, descriptor: str, colours: tuple[int, ...], cutof
     return _op(space, entries)
 
 
+def _adjoint_word(modes: tuple[Mode, ...], naive: bool = False) -> tuple[int, tuple[Mode, ...]]:
+    """(sign, word) of a mode product's adjoint: the word reversed, each mode through `omega_mode`."""
+    sign, word = 1, []
+    for mode in reversed(modes):
+        s, conj = omega_mode(mode, naive)
+        sign *= s
+        word.append(conj)
+    return sign, tuple(word)
+
+
 def op_adjoint(op: RealizedOp) -> RealizedOp:
     """Formal adjoint under the signed conjugation rule: reverse products, conjugate modes."""
     terms = []
     for coeff, modes in op.terms:
-        sign = 1
-        conj = []
-        for mode in modes:
-            s, w = omega_mode(mode)
-            sign *= s
-            conj.append(w)
-        terms.append((coeff * sign, tuple(reversed(conj))))
+        sign, word = _adjoint_word(modes)
+        terms.append((coeff * sign, word))
     return RealizedOp(op.space, terms)
 
 
@@ -593,16 +599,8 @@ def omega_mode(mode: Mode, naive: bool = False) -> tuple[int, Mode]:
 def inner_product(space: Space, bra: tuple[Mode, ...], ket: FockVector, conjugation="signed") -> int | Fraction:
     if conjugation not in CONJUGATIONS:
         raise ValueError(f"unknown conjugation {conjugation!r}")
-    naive = conjugation == "naive"
-    cur = ket
-    total_sign = 1
-    for mode in bra:
-        sign, conj = omega_mode(mode, naive)
-        total_sign *= sign
-        cur = apply_mode(space, conj, cur)
-        if not cur:
-            return 0
-    return cur.vacuum_coeff() * total_sign
+    sign, word = _adjoint_word(bra, conjugation == "naive")
+    return _apply_word(space, word, ket).vacuum_coeff() * sign
 
 
 def gram_matrix(space: Space, energy2: int, conjugation: str = "signed"):

@@ -196,17 +196,13 @@ def is_unitarizable(w: Weight) -> UnitarityReport:
     if w.algebra == "glone":
         if lvl.denominator != 1 or lvl < 0:
             return bad("level-integral", f"d = {lvl} not a non-negative integer")
-        pos = sorted([i for i in c if i > 0])
-        r = max((i // 2 for i in pos), default=0)
-        chain = [c.get(2 * k, 0) for k in range(1, r + 1)]
+        chain = list(_chains(c, "+")[1])
         for a, b in zip(chain, chain[1:]):
             if a <= b:
                 return bad("chains-positive", f"not strictly decreasing: {chain}")
         if chain and chain[-1] < 0:
             return bad("chains-positive", f"negative entry: {chain}")
-        negs = sorted([i for i in c if i <= 0])
-        s = min((i // 2 for i in negs), default=0)
-        nchain = [c.get(2 * k, 0) for k in range(s, 1)]  # xi_s .. xi_0
+        nchain = list(_chains(c, "gl-")[1])  # xi_s .. xi_0
         if nchain and nchain[0] > 0:
             return bad("chains-negative", f"xi_s > 0: {nchain}")
         for a, b in zip(nchain, nchain[1:]):

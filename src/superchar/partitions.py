@@ -49,15 +49,6 @@ class GeneralizedPartition:
     def __hash__(self):
         return hash(self.parts)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.parts[i]
-
-    def __iter__(self):
-        return iter(self.parts)
-
     def __str__(self) -> str:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 

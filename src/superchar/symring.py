@@ -38,8 +38,6 @@ def _degree(mono: Mono) -> int:
 def _part_mul(a, b):
     if not a:
         return b
-    if not b:
-        return a
     acc = dict(a)
     for k, m in b:
         acc[k] = acc.get(k, 0) + m

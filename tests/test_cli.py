@@ -39,6 +39,30 @@ def test_classify(capsys):
     assert code == 0 and blob["unitarizable"] is False and blob["violated"] == "level-bound"
 
 
+def test_frobenius_inverse_json(capsys):
+    assert run(capsys, "frobenius", "(4,2|2,0)", "--inverse", "--length", "5", "--json") == (
+        0, '{"parts": [4, 3, 1, 0, 0], "length": 5}\n', "")
+
+
+def test_classify_outputs_without_a_label(capsys):
+    # a unitarizable glone weight has no partition dictionary: no "partition" key, no label
+    weight = "--weight=1:2,0:-1; level=3"
+    code, out, _ = run(capsys, "classify", "--algebra", "glone", weight, "--json")
+    assert code == 0 and json.loads(out) == {
+        "weight": {"algebra": "glone", "coeffs": [{"index": "0", "value": -1}, {"index": "1", "value": 2}],
+                   "level": "3"},
+        "quasifinite": True, "support_radius": 1, "unitarizable": True,
+    }
+    assert run(capsys, "classify", "--algebra", "glone", weight) == (0, (
+        "weight    : glone: 0:-1,1:2; level=3\n"
+        "quasifinite: yes (support radius N=1)\n"
+        "unitarizable: yes\n"), "")
+    # a rejected weight's text line names the clause and its detail
+    code, out, _ = run(capsys, "classify", "--algebra", "C", "--weight", "1/2:2,1:1; level=1")
+    assert code == 0 and out.splitlines()[-1] == (
+        "unitarizable: no  [level-bound] length: min(xi_1/2,1)+xi_1-xi_0 = 2 > d = 1")
+
+
 def test_char(capsys):
     code, out, _ = run(capsys, "char", "--group", "Sp", "--size", "1", "--weight", "[1]")
     assert code == 0 and "z1 + z1^-1" in out
@@ -63,6 +87,12 @@ def test_schur(capsys):
         "--n", "1", "--deg", "2",
     )
     assert code == 0 and out.strip() == "1 + e2(x)"
+    code, out, _ = run(capsys, "schur", "--family", "sp", "--weight", "[1]", "--deg", "3", "--json")
+    assert code == 0 and json.loads(out) == {
+        "terms": [{"x": [[1, 1]], "y": [], "coeff": "1"}, {"x": [[1, 1], [2, 1]], "y": [], "coeff": "1"},
+                  {"x": [[3, 1]], "y": [], "coeff": "-1"}],
+        "degree_cap": 3,
+    }
 
 
 def test_schur_deg_cap(capsys):
@@ -84,6 +114,19 @@ def test_verify_single_and_failure_paths(capsys):
     assert code == 2
 
 
+def test_failed_verify_prints_its_first_mismatch(capsys, monkeypatch):
+    real = superschur.sp_hook
+
+    def off_by_one(*args, **kwargs):
+        f = real(*args, **kwargs)
+        return f + SymFunc(f.cap, {min(f.terms): 1})
+
+    monkeypatch.setattr(superschur, "sp_hook", off_by_one)
+    assert run(capsys, "verify", "--identity", "tensor-sp", "--d", "1", "--deg", "3") == (1, (
+        "FAIL  tensor-sp {'d': 1, 'D': 3}\n"
+        "      first mismatch: {'z_exponent': [0], 'eps': 0, 'sym_monomial': '1', 'lhs': '1', 'rhs': '2'}\n"), "")
+
+
 def test_verify_all(capsys):
     code, out, _ = run(capsys, "verify", "--all")
     assert code == 0
@@ -93,6 +136,17 @@ def test_verify_all(capsys):
 def test_fock_actions(capsys):
     code, out, _ = run(capsys, "fock", "--space", "1", "--action", "decompose", "--cutoff", "1")
     assert code == 0 and "lambda=[0]" in out
+    assert run(capsys, "fock", "--space", "1", "--action", "decompose", "--cutoff", "1", "--json") == (0, (
+        '[{"lambda": [0], "graded_dim": {"0": 1}}, {"lambda": [1], "graded_dim": {"1/2": 1, "1": 1}}, '
+        '{"lambda": [2], "graded_dim": {"1": 1}}]\n'), "")
+    # the text Gram matrix: one row per basis state, then the verdict
+    assert run(capsys, "fock", "--space", "1", "--action", "gram", "--energy", "1") == (0, (
+        "p+[1,-1] |0> ['1', '0', '0', '0', '0']\n"
+        "p-[1,-1] |0> ['0', '1', '0', '0', '0']\n"
+        "g+[1,-1/2] g+[1,-1/2] |0> ['0', '0', '2', '0', '0']\n"
+        "g+[1,-1/2] g-[1,-1/2] |0> ['0', '0', '0', '1', '0']\n"
+        "g-[1,-1/2] g-[1,-1/2] |0> ['0', '0', '0', '0', '2']\n"
+        "positive definite: True\n"), "")
     code, out, _ = run(
         capsys, "fock", "--space", "1", "--action", "gram", "--energy", "1/2",
         "--conjugation", "naive", "--json",

@@ -526,6 +526,18 @@ def test_hwv_sweep_weights_and_singularity():
             assert group == tuple(base.parts[:d]), parts
 
 
+def test_gl_diagonal_weight_reads_the_zero_mode():
+    # on the gl space the gl diagonal also reads e(0,0); the A vector of a
+    # non-negative label carries the gl weight of that label
+    labels = {1: [(0,), (1,), (2,)], 2: [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]}
+    for d, parts_list in labels.items():
+        sp = Space("gl", d)
+        for parts in parts_list:
+            lam = GeneralizedPartition(parts)
+            v = hwv_candidate(sp, "A", lam)
+            assert diagonal_weight(sp, "gl", v) == (weight_from_partition("gl", lam).as_dict(), parts), parts
+
+
 def test_gram_examples():
     sp = Space("A", 1)
     basis, mat = gram_matrix(sp, 1, "signed")

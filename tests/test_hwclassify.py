@@ -248,6 +248,32 @@ def test_clause_order():
         assert is_unitarizable(parse_weight(alg, text)).violated == clause, (alg, text)
 
 
+# (id, algebra, weight literal, violated clause, its detail); the glone literals
+# take integer indices, and each chain is printed in display order
+REJECTIONS = [
+    ("glone-level-half", "glone", "0:1; level=1/2", "level-integral", "d = 1/2 not a non-negative integer"),
+    ("glone-level-negative", "glone", "1:1; level=-1", "level-integral", "d = -1 not a non-negative integer"),
+    ("glone-positive-rising", "glone", "1:1,2:2; level=3", "chains-positive", "not strictly decreasing: [1, 2]"),
+    ("glone-positive-gap", "glone", "2:1; level=3", "chains-positive", "not strictly decreasing: [0, 1]"),
+    ("glone-positive-negative-tail", "glone", "1:1,2:-1; level=3", "chains-positive", "negative entry: [1, -1]"),
+    ("glone-positive-negative", "glone", "1:-1; level=3", "chains-positive", "negative entry: [-1]"),
+    ("glone-negative-top-at-0", "glone", "0:1; level=3", "chains-negative", "xi_s > 0: [1]"),
+    ("glone-negative-top", "glone", "-1:1,0:-1; level=3", "chains-negative", "xi_s > 0: [1, -1]"),
+    ("glone-negative-gap", "glone", "-2:-1; level=3", "chains-negative", "not strictly decreasing: [-1, 0, 0]"),
+    ("glone-negative-flat", "glone", "-1:-1,0:-1,1:1; level=3", "chains-negative",
+     "not strictly decreasing: [-1, -1]"),
+    ("glone-level-bound", "glone", "1:2,0:-2; level=3", "level-bound", "xi_1 - xi_0 = 4 > d = 3"),
+    ("D-level-third", "D", "1/2:2,1:1; level=1/3", "level-integral", "k = 1/3 not in (1/2)Z_+"),
+    ("D-level-negative", "D", "1/2:2,1:1; level=-1/2", "level-integral", "k = -1/2 not in (1/2)Z_+"),
+]
+
+
+@pytest.mark.parametrize("alg, text, clause, detail", [pytest.param(*row[1:], id=row[0]) for row in REJECTIONS])
+def test_rejection_clause_and_detail(alg, text, clause, detail):
+    rep = is_unitarizable(parse_weight(alg, text))
+    assert (rep.ok, rep.violated, rep.detail) == (False, clause, detail)
+
+
 def test_mixed_sign_label_weights():
     cases = [
         ((2, 0, -1), "0:-1,1/2:2; level=3", "-1/2:-1,1/2:2; level=3"),
