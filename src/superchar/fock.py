@@ -407,88 +407,60 @@ def enumerate_basis(space: Space, cutoff2: int) -> list[tuple[Mode, ...]]:
 
 # -- Grassmann determinants and highest weight vectors --------------------------
 
-def _minor(matrix: list[list[Mode]], r: int, vec: FockVector) -> FockVector:
-    """The first r x r minor of a mode matrix applied to vec: `ring_det`, the last row's mode acting first."""
-    if r > len(matrix) or (matrix and r > len(matrix[0])):
-        raise ValueError(f"minor size {r} out of range")
-    return ring_det([row[:r] for row in matrix[:r]], vec)
-
-
-def _grassmann_rows(columns: list[tuple[int, int, int]], j: int) -> list[list[Mode]]:
-    """Square mode matrix over columns of (gamma field, psi field, colour): row
-    i <= j takes each column's gamma mode at -(2i - 1), every later row its psi
-    mode at -2j."""
-    return [
-        [(gam, c, -(2 * i - 1)) if i <= j else (psi, c, -2 * j) for gam, psi, c in columns]
-        for i in range(1, len(columns) + 1)
-    ]
-
-
-def _colour_columns(space: Space, sign: int) -> list[tuple[int, int, int]]:
-    """The + fields over colours 1..d (sign +1), or the - fields over d..1."""
-    if sign > 0:
-        return [(GAM_P, PSI_P, c) for c in range(1, space.d + 1)]
-    return [(GAM_M, PSI_M, c) for c in range(space.d, 0, -1)]
-
-
-def x_matrix(space: Space, j: int, sign: int = +1) -> list[list[Mode]]:
-    """The d x d matrix X^j (sign +1) or X^{-j} (sign -1), j >= 1."""
-    return _grassmann_rows(_colour_columns(space, sign), min(j, space.d))
-
-
-def xt_matrix(space: Space, j: int) -> list[list[Mode]]:
-    """X-tilde: X^j with the last column replaced by the conjugate modes."""
-    d = space.d
-    columns = [(GAM_M, PSI_M, c) if c == d else (GAM_P, PSI_P, c) for c in range(1, d + 1)]
-    return _grassmann_rows(columns, min(j, d))
-
-
-def gamma_matrix(space: Space) -> list[list[Mode]]:
-    """One gamma row, then repeated psi_{-1} rows: 2d x 2d, or (2d+1) x (2d+1)
-    with the chi/phi middle column on the Dodd space."""
-    mid = [(CHI, PHI, 0)] if space.kind == "Dodd" else []
-    return _grassmann_rows(_colour_columns(space, +1) + mid + _colour_columns(space, -1), 1)
-
-
 def hwv_candidate(space: Space, algebra: str, lam: GeneralizedPartition, variant: str = "X") -> FockVector:
     """Joint highest weight vector of the lam-component of the dual-pair decomposition.
 
     lam has the declared length of the dual group's labels: d for A and C,
-    2d for Deven and 2d+1 for Dodd; any other length is a ValueError.  For a
-    Deven label with lambda'_1 = d, variant "X" gives the vector with group
-    weight (lam_1..lam_d) and variant "Xt" the one with the sign-flipped last
-    entry; "Xt" for any other label is a ValueError.  The vector is
-    det_1 ... det_k |0>, a product of Grassmann minors applied to the vacuum,
-    the last minor first.
+    2d for Deven and 2d+1 for Dodd; any other length, and an O label with
+    lambda'_1 + lambda'_2 > 2d or 2d+1, is a ValueError.  For a Deven label
+    with lambda'_1 = d, variant "X" gives the vector with group weight
+    (lam_1..lam_d) and variant "Xt" the one with the sign-flipped last entry;
+    "Xt" for any other label is a ValueError.  The vector is
+    det_1 ... det_k |0>, a product of Grassmann minors applied to the vacuum
+    (`ring_det`, the last row's mode acting first), the last minor first.
     """
     vec = FockVector.vacuum(space)
-    for mat, size in reversed(_hwv_factors(space, algebra, lam, variant)):
-        vec = _minor(mat, size, vec)
+    for block in reversed(_hwv_factors(space, algebra, lam, variant)):
+        vec = ring_det(block, vec)
     return vec
 
 
-def _hwv_factors(space: Space, algebra: str, lam: GeneralizedPartition, variant: str) -> list:
-    """(mode matrix, minor size) of each Grassmann minor of `hwv_candidate`, in product order."""
+def _hwv_factors(space: Space, algebra: str, lam: GeneralizedPartition, variant: str) -> list[list[list[Mode]]]:
+    """The r x r mode block of each Grassmann minor of `hwv_candidate`, in product order.
+
+    Column j of length r of the label gives the block over the first r
+    entries of a list of (gamma field, psi field, colour) columns: row i <= j
+    takes each column's gamma mode at -(2i - 1), every later row its psi mode
+    at -2j.  X^j lists the + fields over colours 1..d, X^{-j} the - fields
+    over d..1, X-tilde^j the + fields with the last colour's swapped for the
+    - fields, and the spinorial Gamma (j = 1) the + fields, the chi/phi
+    middle column on the Dodd space, then the - fields.
+    """
     d = space.d
     group, n = _dual_group(space, algebra)
     if lam.length != n:
         raise ValueError(f"{group}({2 * n if group == 'Sp' else n}) labels have length {n}, not {lam.length}")
     if variant == "Xt" and (algebra != "Deven" or _column_lengths(lam.parts)[:1] != (d,)):
         raise ValueError(f"the sign-flipped vector exists only for O(2d) = O({2 * d}) labels with lambda'_1 = d")
+    plus = [(GAM_P, PSI_P, c) for c in range(1, d + 1)]
+    minus = [(GAM_M, PSI_M, c) for c in range(d, 0, -1)]
     if group == "GL":
-        plus, minus = split_signs(lam)
-        mu_cols = _column_lengths(minus.star().parts)
-        factors = [(x_matrix(space, j, sign=-1), mu_cols[j - 1]) for j in range(len(mu_cols), 0, -1)]
-        plus_cols = enumerate(_column_lengths(plus.parts), start=1)
-        return factors + [(x_matrix(space, j, sign=+1), size) for j, size in plus_cols]
-    lam = Partition(lam.parts)
-    # the first column is spinorial (the gamma matrix) for every odd O label
-    # and for the even O labels with lambda'_1 > d
-    spinorial = algebra == "Dodd" or (algebra == "Deven" and o_label(lam, n)[1] < 0)
-    column = xt_matrix if variant == "Xt" else x_matrix
+        pos, neg = split_signs(lam)
+        mu_cols = _column_lengths(neg.star().parts)
+        factors = [(minus, j, mu_cols[j - 1]) for j in range(len(mu_cols), 0, -1)]
+        factors += [(plus, j, r) for j, r in enumerate(_column_lengths(pos.parts), start=1)]
+    else:
+        lam = Partition(lam.parts)
+        # the first column is spinorial for every odd O label and for the even
+        # O labels with lambda'_1 > d; an O non-label is refused here
+        spinorial = group == "O" and (o_label(lam, n)[1] < 0 or algebra == "Dodd")
+        gamma = plus + ([(CHI, PHI, 0)] if space.kind == "Dodd" else []) + minus
+        x_cols = plus[:-1] + [(GAM_M, PSI_M, d)] if variant == "Xt" else plus
+        factors = [(gamma if spinorial and j == 1 else x_cols, j, r)
+                   for j, r in enumerate(_column_lengths(lam.parts), start=1)]
     return [
-        (gamma_matrix(space) if spinorial and j == 1 else column(space, j), size)
-        for j, size in enumerate(_column_lengths(lam.parts), start=1)
+        [[(gam, c, -(2 * i - 1)) if i <= j else (psi, c, -2 * j) for gam, psi, c in cols[:r]] for i in range(1, r + 1)]
+        for cols, j, r in factors
     ]
 
 

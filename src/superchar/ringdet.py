@@ -1,5 +1,6 @@
 """Exact determinant over any commutative ring with +, unary -, * and a one,
-or over operators acting on the one from the left, in row order (`fock._minor`).
+or over operators acting on the one from the left, in row order (the Grassmann
+minors of `fock.hwv_candidate`).
 
 `orthogonal_det`, the O(n) formula of `superschur._so` (its one caller in the
 library), also halves its result, through the ring element's exact `_halved`

@@ -905,12 +905,12 @@ def hwv_by_state_products(space, algebra: str, lam, variant: str = "X") -> FockV
     multiplied in product order: each monomial of the earlier factor is applied,
     mode by mode, on top of each monomial of the later one."""
     vec = FockVector.vacuum(space)
-    for mat, size in fock._hwv_factors(space, algebra, lam, variant):
+    for block in fock._hwv_factors(space, algebra, lam, variant):
         det = FockVector(space)
-        for perm in itertools.permutations(range(size)):
+        for perm in itertools.permutations(range(len(block))):
             state = FockVector.vacuum(space)
-            for i in reversed(range(size)):
-                state = fock.apply_mode(space, mat[i][perm[i]], state)
+            for i in reversed(range(len(block))):
+                state = fock.apply_mode(space, block[i][perm[i]], state)
             det = det + state * _perm_parity(perm)
         out = FockVector(space)
         for m1, c1 in vec.terms.items():

@@ -284,6 +284,23 @@ def test_xt_needs_an_even_orthogonal_label_with_lambda1_d(capsys, argv):
     assert code == 2 and not out and "lambda'_1 = d" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["frobenius", "[1,2]"], "parts not non-increasing: (1, 2)"),
+    (["frobenius", "1|0", "--inverse", "--length", "1"], "frobenius literal must be parenthesised: '1|0'"),
+    (["frobenius", "(1|0|0)", "--inverse", "--length", "1"], "expected 2 or 4 blocks in '(1|0|0)'"),
+    (["frobenius", "(1,0|0)", "--inverse", "--length", "2"], "xipos: arm/leg length mismatch: (1, 0) | (0,)"),
+    (["char", "--group", "Sp", "--size", "2", "--weight", "[1,-1]"], "negative part in partition: (1, -1)"),
+    (["char", "--group", "O", "--size", "4", "--weight", "[1,1]"], "O(4) labels have declared length 4: got [1,1]"),
+    (["char", "--group", "GL", "--size", "2", "--weight", "[1]"], "GL(2) weights have length 2"),
+    (["classify", "--algebra", "gl", "--weight=1:1"], "missing level in weight literal '1:1'"),
+    (["classify", "--algebra", "gl", "--weight=1:1; lvl=1"], "expected level=... after ';' in '1:1; lvl=1'"),
+    (["classify", "--algebra", "C", "--weight=-1/2:1; level=1"], "index -1/2 not in the C index set"),
+], ids=["frobenius-order", "frobenius-parens", "frobenius-blocks", "frobenius-arms", "char-negative",
+        "char-o-length", "char-gl-length", "classify-no-level", "classify-level-key", "classify-index"])
+def test_refused_literals_are_usage_errors(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"usage error: {message}\n")
+
+
 def test_zero_level_denominator_is_a_usage_error(capsys):
     code, out, err = run(capsys, "classify", "--algebra", "gl", "--weight", "1:1;level=1/0")
     assert code == 2 and not out
@@ -492,6 +509,13 @@ def test_fock_hwv_label_has_its_declared_length(capsys):
     assert code == 2 and not out and "--action hwv needs --hw" in err
     code, out, _ = run(capsys, "fock", "--space", "3", "--action", "hwv", "--algebra", "A", "--hw", "[2,0,-1]")
     assert code == 0 and out.splitlines()[-1] == "singular: True"
+
+
+def test_fock_hwv_refuses_an_odd_orthogonal_non_label(capsys):
+    # an O(3) label has lambda'_1 + lambda'_2 <= 3, as the D algebra's O(2d) labels have <= 2d
+    for hw in ("[2,1,1]", "[2,2,0]"):
+        assert run(capsys, "fock", "--space", "1+1/2", "--action", "hwv", "--hw", hw) == (
+            2, "", "usage error: lambda'_1 + lambda'_2 = 4 > n = 3\n")
 
 
 def test_failed_decomposition_exits_1(capsys, monkeypatch):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 import random
 from collections import Counter
 from fractions import Fraction
@@ -20,7 +22,7 @@ from superchar.fock import (
     _apply_word,
     _character_sweep,
     _dual_pair,
-    _minor,
+    _hwv_factors,
     apply_mode,
     character_product_formula,
     diagonal_weight,
@@ -28,7 +30,6 @@ from superchar.fock import (
     enumerate_basis,
     fmt_state,
     fock_character,
-    gamma_matrix,
     gram_matrix,
     mono_energy2,
     group_raising_check,
@@ -40,11 +41,10 @@ from superchar.fock import (
     realize_group,
     realize_matrix,
     singularity_check,
-    x_matrix,
-    xt_matrix,
 )
 from superchar.infmat import SuperMatrix, cocycle_alpha, super_bracket, te_generator
-from superchar.partitions import GeneralizedPartition, Partition
+from superchar.partitions import GeneralizedPartition, Partition, _column_lengths
+from superchar.ringdet import ring_det
 from superchar.hwclassify import weight_from_partition
 from superchar.laurentchars import DecompositionError, _dominant_part, _dominant_weight, _orbit
 
@@ -174,40 +174,51 @@ def test_reduced_space_has_no_index_0():
 
 def test_grassmann_det_basics():
     sp = Space("A", 2)
-    m = x_matrix(sp, 1)
+    (block,) = _hwv_factors(sp, "C", Partition((1, 0)), "X")
+    assert block == [[(GAM_P, 1, -1)]]
     vacuum = FockVector.vacuum(sp)
     # a mode on the left of a state applies it, a scalar scales it
     assert (GAM_P, 1, -1) * vacuum == vec_of(sp, (GAM_P, 1, -1))
     assert 3 * vacuum == vacuum * 3 == FockVector(sp, {(): 3})
-    d1 = _minor(m, 1, vacuum)
+    d1 = ring_det(block, vacuum)
     assert d1 == vec_of(sp, (GAM_P, 1, -1))
     # repeated fermionic rows double rather than cancel
-    d2 = _minor([[(PSI_P, 1, -2), (PSI_P, 2, -2)], [(PSI_P, 1, -2), (PSI_P, 2, -2)]], 2, vacuum)
+    d2 = ring_det([[(PSI_P, 1, -2), (PSI_P, 2, -2)], [(PSI_P, 1, -2), (PSI_P, 2, -2)]], vacuum)
     assert d2 == vec_of(sp, (PSI_P, 1, -2), (PSI_P, 2, -2)) * 2
     # identical fermionic entries in one product vanish
-    d0 = _minor([[(PSI_P, 1, -2), (PSI_P, 1, -2)], [(PSI_P, 1, -2), (PSI_P, 1, -2)]], 2, vacuum)
+    d0 = ring_det([[(PSI_P, 1, -2), (PSI_P, 1, -2)], [(PSI_P, 1, -2), (PSI_P, 1, -2)]], vacuum)
     assert d0 == 0
-    assert _minor(m, 0, vacuum) == vacuum
-
-
-def test_minor_refuses_a_size_beyond_its_matrix():
-    sp = Space("A", 2)
-    vacuum = FockVector.vacuum(sp)
-    with pytest.raises(ValueError, match="minor size 3 out of range"):
-        _minor(x_matrix(sp, 1), 3, vacuum)
-    # two rows of one column: the rows admit r = 2, the columns do not
-    with pytest.raises(ValueError, match="minor size 2 out of range"):
-        _minor([[(GAM_P, 1, -1)], [(PSI_P, 1, -2)]], 2, vacuum)
+    assert ring_det([], vacuum) == vacuum
 
 
 def test_grassmann_matrix_layouts():
     # rows i <= j take the gamma modes at -(2i-1), later rows the psi modes at -2j
-    assert xt_matrix(Space("A", 2), 1) == [
+    assert _hwv_factors(Space("A", 2), "Deven", Partition((1, 1, 0, 0)), "Xt") == [[
         [(GAM_P, 1, -1), (GAM_M, 2, -1)],
         [(PSI_P, 1, -2), (PSI_M, 2, -2)],
-    ]
+    ]]
     psi_row = [(PSI_P, 1, -2), (PHI, 0, -2), (PSI_M, 1, -2)]
-    assert gamma_matrix(Space("Dodd", 1)) == [[(GAM_P, 1, -1), (CHI, 0, -1), (GAM_M, 1, -1)], psi_row, psi_row]
+    assert _hwv_factors(Space("Dodd", 1), "Dodd", Partition((1, 1, 1)), "X") == [
+        [[(GAM_P, 1, -1), (CHI, 0, -1), (GAM_M, 1, -1)], psi_row, psi_row]]
+
+
+def test_hwv_candidate_refuses_every_dodd_non_label():
+    # an O(2d+1) label has lambda'_1 + lambda'_2 <= 2d+1; every other partition of
+    # length 2d+1 is refused by `o_label` before any minor is built
+    refused = []
+    for d in (1, 2, 3):
+        n = 2 * d + 1
+        top = 3 if n <= 4 else 2
+        for parts in itertools.product(range(top, -1, -1), repeat=n):
+            if list(parts) != sorted(parts, reverse=True):
+                continue
+            excess = sum(_column_lengths(parts)[:2])
+            if excess <= n:
+                continue
+            with pytest.raises(ValueError, match=rf"^lambda'_1 \+ lambda'_2 = {excess} > n = {n}$"):
+                hwv_candidate(Space("Dodd", d), "Dodd", Partition(parts))
+            refused.append(parts)
+    assert len(refused) == 37 and (2, 1, 1) in refused and (3, 1, 1) in refused and (2, 2, 0) in refused
 
 
 def test_homomorphism_with_central_term():
@@ -536,6 +547,15 @@ def test_gl_diagonal_weight_reads_the_zero_mode():
             lam = GeneralizedPartition(parts)
             v = hwv_candidate(sp, "A", lam)
             assert diagonal_weight(sp, "gl", v) == (weight_from_partition("gl", lam).as_dict(), parts), parts
+        # the psi zero modes p-[d,0] and p-[1,0] ... p-[d,0] give the gl-singular vectors of
+        # (0,..,0,-1) and (-1,..,-1), whose e(0,0) eigenvalues -1 and -d no other term carries
+        for parts, modes in [((0,) * (d - 1) + (-1,), [(PSI_M, d, 0)]),
+                             ((-1,) * d, [(PSI_M, c, 0) for c in range(1, d + 1)])]:
+            v = vec_of(sp, *modes)
+            assert singularity_check(sp, "gl", v) == (True, None), parts
+            weight = weight_from_partition("gl", GeneralizedPartition(parts)).as_dict()
+            assert weight == {0: -len(modes)}
+            assert diagonal_weight(sp, "gl", v) == (weight, parts), parts
 
 
 def test_gram_examples():
@@ -1090,6 +1110,33 @@ def test_group_generator_examples():
         realize_group(a2, "sp", (1, 2), 2)
 
 
+def test_lowering_then_raising_scales_a_highest_weight_vector():
+    # on a highest weight vector v the raising generator kills v, so raise(j, i) lower(i, j) v
+    # is the bracket's Cartan element on v: c v with c = lam_i + lam_j for so and for sp at
+    # i < j, 4 lam_i for sp at (i, i), and lam_i for so+vec after so-vec at colour i.  A
+    # lowering generator of the opposite sign flips c, which no closure or adjointness
+    # relation sees
+    cases = [("A", 1, "C", (2,)), ("A", 2, "C", (2, 1)), ("A", 2, "C", (1, 1)),
+             ("A", 2, "Deven", (2, 1, 0, 0)), ("A", 3, "Deven", (2, 1, 1, 0, 0, 0)),
+             ("Dodd", 1, "Dodd", (2, 0, 0)), ("Dodd", 2, "Dodd", (2, 1, 0, 0, 0))]
+    seen = {}
+    for kind, d, algebra, lam in cases:
+        space = Space(kind, d)
+        v = hwv_candidate(space, algebra, Partition(lam))
+        top2 = max(v.energies2())
+        pair = "sp" if algebra == "C" else "so"
+        checks = [((i, j), lam[i - 1] + lam[j - 1] if i < j else 4 * lam[i - 1])
+                  for i in range(1, d + 1) for j in range(i, d + 1) if i < j or pair == "sp"]
+        checks += [((i,), lam[i - 1]) for i in range(1, d + 1) if algebra == "Dodd"]
+        for colours, c in checks:
+            vec = "vec" if len(colours) == 1 else ""
+            lowered = realize_group(space, f"{pair}-{vec}", colours, top2).apply(v)
+            assert realize_group(space, f"{pair}+{vec}", colours[::-1], top2).apply(lowered) == v * c
+            seen[algebra, lam, colours] = c
+    assert len(seen) == 15
+    assert seen["Deven", (2, 1, 1, 0, 0, 0), (1, 3)] == 3 and seen["C", (2, 1), (1, 1)] == 8
+
+
 def test_group_raising_check_names_its_witness():
     # a one-mode state off the top of its colour is not highest: the witness is
     # the first raising operator that does not kill it
@@ -1176,3 +1223,21 @@ def test_gram_positive_definite_dodd_space():
     for e2 in (1, 2, 3, 4):
         _, mat = gram_matrix(sp, e2, "signed")
         assert all(row[i] > 0 for i, row in enumerate(mat)), e2
+
+
+def test_fock_rejections():
+    a1, a2, d1, gl1 = Space("A", 1), Space("A", 2), Space("Dodd", 1), Space("gl", 1)
+    vacuum = FockVector.vacuum(a1)
+    mixed = vacuum + vec_of(a1, (GAM_P, 1, -1))  # energies 0 and 1/2: no eigenvector of e(1/2,1/2)
+    for call, message in [
+        (lambda: Space("B", 1), "unknown space kind 'B'"),
+        (lambda: Space("A", -1), "d must be >= 0"),
+        (lambda: apply_mode(a1, (PSI_P, 1, 0), vacuum), "mode p+[1,0] not admissible on Space(kind='A', d=1)"),
+        (lambda: realize_group(a2, "E", (1, 1), 2).apply(vacuum), "operator and vector live on different spaces"),
+        (lambda: realize_matrix(d1, SuperMatrix.unit(2, 2)), "the d+1/2 space realizes only the D-type te(p,q)"),
+        (lambda: diagonal_weight(a1, "A", mixed), "not an eigenvector of the A element (1/2,1/2)"),
+        (lambda: inner_product(a1, (), vacuum, "plain"), "unknown conjugation 'plain'"),
+        (lambda: fock_character(gl1, 2), "character bookkeeping is for the reduced spaces"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -284,3 +285,16 @@ def test_mixed_sign_label_weights():
         for alg, text in (("gl", gl_text), ("A", a_text)):
             assert weight_from_partition(alg, lam) == parse_weight(alg, text), (alg, parts)
             assert partition_from_weight(parse_weight(alg, text)) == lam
+
+
+def test_weight_rejections():
+    for call, message in [
+        (lambda: Weight("E", (), 1), "unknown algebra 'E'"),
+        (lambda: Weight.make("C", {-1: 1}, 1), "index -1/2 not in the C index set"),
+        (lambda: parse_weight("gl", "1:1"), "missing level in weight literal '1:1'"),
+        (lambda: parse_weight("gl", "1:1; lvl=1"), "expected level=... after ';' in '1:1; lvl=1'"),
+        (lambda: weight_from_partition("glone", GeneralizedPartition((1,))),
+         "no partition dictionary for algebra 'glone'"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()

@@ -147,6 +147,9 @@ def test_preserves_form_negative():
     assert not preserves_form(e(2, 4), "C")
     assert not preserves_form(e(2, 4), "D")
     assert preserves_form(SuperMatrix(), "C")
+    # e(1,1) is even and e(1/2,1) odd: their sum has no parity
+    with pytest.raises(ValueError, match="^preserves_form needs a parity-homogeneous element$"):
+        preserves_form(e(2, 2) + e(1, 2), "C")
 
 
 def test_half_index_formatting():

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -803,3 +804,16 @@ def test_gl_characters_vs_semistandard_tableaux(parts):
         for exps, c in schur_monomials(tuple(p - shift for p in parts), d).items()
     }
     assert char_group(GroupTag("GL", d), GeneralizedPartition(tuple(parts))).terms == want
+
+
+def test_group_and_decomposition_rejections():
+    for call, error, message in [
+        (lambda: GroupTag("SO", 2), ValueError, "unknown group kind 'SO'"),
+        (lambda: GroupTag("GL", 0), ValueError, "size must be >= 1"),
+        (lambda: char_group(GroupTag("GL", 2), GeneralizedPartition((1,))), ValueError, "GL(2) weights have length 2"),
+        # doubled exponent 1: z^(1/2), which no group character holds
+        (lambda: decompose_character(LaurentPoly.monomial(1, (1,)), GroupTag("GL", 1)), DecompositionError,
+         "half-integer exponent in input: (1,)"),
+    ]:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +10,10 @@ from superchar.partitions import (
     GeneralizedPartition,
     Partition,
     _column_lengths,
+    _partition_from_pos,
     bar_conjugate,
     from_frobenius,
+    o_label,
     parse_frobenius,
     parse_partition,
     rank,
@@ -187,3 +190,21 @@ def test_column_lengths_match_counting_parts(vals, ordered):
     parts = tuple(sorted(vals, reverse=True)) if ordered else tuple(vals)
     assert _column_lengths(parts) == column_lengths(parts)
     assert _column_lengths((0,) * len(vals)) == () == column_lengths((0,) * len(vals))
+
+
+def test_partition_rejections():
+    # each refusal with its message; `_partition_from_pos` is called directly, since a
+    # validated quartet never has a first column past its declared length
+    for call, error, message in [
+        (lambda: GeneralizedPartition((1, 2)), ValueError, "parts not non-increasing: (1, 2)"),
+        (lambda: Partition((1, -1)), ValueError, "negative part in partition: (1, -1)"),
+        (lambda: _partition_from_pos((1,), (2,), 2), FrobeniusError,
+         "length: first column 3 exceeds declared length 2"),
+        (lambda: o_label(Partition((1, 1)), 4), ValueError, "O(4) labels have declared length 4: got [1,1]"),
+        (lambda: parse_frobenius("1|0", 1), ValueError, "frobenius literal must be parenthesised: '1|0'"),
+        (lambda: parse_frobenius("(1|0|0)", 1), ValueError, "expected 2 or 4 blocks in '(1|0|0)'"),
+        (lambda: from_frobenius(parse_frobenius("(1,0|0)", 2)), FrobeniusError,
+         "xipos: arm/leg length mismatch: (1, 0) | (0,)"),
+    ]:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
